@@ -32,6 +32,7 @@ from .errors import (
     NoContractionError,
     ThresholdSearchError,
 )
+from .propagator import TOL_MAX, TOL_MIN
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,6 +65,10 @@ DEFAULT_TOLERANCES = {
     "propagate_tol": 1e-10,
     "contraction_margin": 1e-3,
 }
+
+# Smallest accepted value of each grid setting (1 unless listed).  The decay
+# curve must span at least 10 kT, and k >= 1.
+GRID_MIN = {"decay_periods": 10}
 
 
 @dataclass
@@ -119,6 +124,16 @@ def parse_coefficient(text: str, T: float) -> PeriodicCoefficient:
         raise ConfigError(f"bad coefficient declaration {text!r}: {exc}") from exc
 
 
+def _parse_int(name, text, minimum=None):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"{name} = {text!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} = {value} is below the minimum {minimum}")
+    return value
+
+
 def load_config(path, out_override=None, seed_override=None, workers_override=None, stage_override=None) -> RunConfig:
     """Read and validate an INI-style run configuration."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -163,19 +178,24 @@ def load_config(path, out_override=None, seed_override=None, workers_override=No
         for key, val in cp["grids"].items():
             if key not in grids:
                 raise ConfigError(f"unknown grid override {key!r}")
-            grids[key] = int(val)
+            grids[key] = _parse_int(f"[grids] {key}", val, GRID_MIN.get(key, 1))
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in cp:
         for key, val in cp["tolerances"].items():
             if key not in tolerances:
                 raise ConfigError(f"unknown tolerance override {key!r}")
-            tolerances[key] = float(val)
+            try:
+                tolerances[key] = float(val)
+            except ValueError:
+                raise ConfigError(f"[tolerances] {key} = {val!r} is not a number") from None
+    if not TOL_MIN <= tolerances["propagate_tol"] <= TOL_MAX:
+        raise ConfigError(f"[tolerances] propagate_tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+    if not 0.0 < tolerances["contraction_margin"] < 1.0:
+        raise ConfigError("[tolerances] contraction_margin must lie in (0, 1)")
 
     out_dir = Path(out_override or run_sec.get("out", "kgdecay_out"))
-    seed = int(seed_override if seed_override is not None else run_sec.get("seed", 0))
-    workers = int(workers_override if workers_override is not None else run_sec.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    seed = _parse_int("seed", seed_override if seed_override is not None else run_sec.get("seed", "0"))
+    workers = _parse_int("workers", workers_override if workers_override is not None else run_sec.get("workers", "1"), 1)
     return RunConfig(
         spec=spec,
         stages=stages,
@@ -313,6 +333,10 @@ def run(config: RunConfig) -> int:
             verdicts["epsilon"] = "Pass" if ok else "Fail"
 
         if "decay" in config.stages:
+            if g["decay_periods"] < 10 * cert.k:
+                raise ConfigError(
+                    f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
+                )
             if perturbed:
                 cert_eff = perturbation.perturbed_certificate(spec, cert, tol, map_fn)
             else:
@@ -342,7 +366,7 @@ def run(config: RunConfig) -> int:
     except ModelAssumptionError as exc:
         print(f"model assumption violated: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ThresholdSearchError, NoContractionError, ValueError) as exc:
+    except (ThresholdSearchError, NoContractionError) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except IntegrationFailureError as exc:

@@ -31,6 +31,10 @@ PERIOD_MATCH_RTOL = 1e-12
 # sup|m1| must equal one within this tolerance (perturbed-mass normalization).
 M1_NORMALIZATION_TOL = 1e-12
 
+# A linearly interpolated sample is a kink when its second difference exceeds
+# this many units of rounding of the largest sample.
+KINK_ROUNDING_UNITS = 64
+
 
 def _form_constant(period, value):
     value = float(value)
@@ -111,6 +115,11 @@ class PeriodicCoefficient:
                 raise InvalidCoefficientError(f"interpolation order must be 0 or 1, got {order}")
             self.samples = samples
             self.order = int(order)
+            if self.order == 1:
+                second = np.roll(samples, -1) - 2.0 * samples + np.roll(samples, 1)
+                noise = KINK_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(samples))
+                step = period / samples.size
+                self._kinks = [float(i) * step for i in np.flatnonzero(np.abs(second) > noise)]
         elif name is not None:
             if name not in FORMS:
                 raise InvalidCoefficientError(
@@ -296,10 +305,11 @@ class PeriodicCoefficient:
     def breakpoints_in(self, t0, t1):
         """Interior non-smooth points of the representation in (t0, t1).
 
-        Step-interpolated samples contribute every cell edge; closed forms
-        contribute their registered kink/jump offsets.  Linearly interpolated
-        samples return nothing (the interpolant is continuous and adaptive
-        stepping resolves its kinks).
+        Step-interpolated samples contribute every cell edge; linearly
+        interpolated samples contribute the sample points where the slope
+        changes; closed forms contribute their registered kink/jump offsets and
+        the period boundary.  The propagator samples coefficients only inside a
+        step, so a kink it is not told about is invisible to its error control.
         """
         t0, t1 = float(t0), float(t1)
         lo, hi = min(t0, t1), max(t0, t1)
@@ -313,7 +323,7 @@ class PeriodicCoefficient:
         elif self._kinks:
             j0 = math.floor(lo / self.period) - 1
             j1 = math.ceil(hi / self.period) + 1
-            offs = np.asarray(self._kinks + [0.0])
+            offs = np.asarray(self._kinks if self.samples is not None else self._kinks + [0.0])
             cand = (np.arange(j0, j1 + 1)[:, None] * self.period + offs[None, :]).ravel()
             pts.append(cand)
         if not pts:
@@ -417,12 +427,6 @@ class ModelSpec:
         if isinstance(self.mass, ConstantMass):
             return np.broadcast_to(self.mass.m0**2, np.shape(t)).copy() if np.ndim(t) else self.mass.m0**2
         return self.mass.m0**2 + self.mass.epsilon * self.mass.m1.eval(t)
-
-    def m_squared_scalar(self, t):
-        """Scalar fast path for m(t)^2."""
-        if isinstance(self.mass, ConstantMass):
-            return self.mass.m0 * self.mass.m0
-        return self.mass.m0 * self.mass.m0 + self.mass.epsilon * self.mass.m1.eval_scalar(t)
 
     def symbol(self, t, xi):
         """The coupling symbol sqrt(xi^2 + m(t)^2); ``t`` and ``xi`` broadcast."""

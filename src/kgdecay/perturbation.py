@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import ModelSpec
+from .errors import NoContractionError
 from .monodromy import ContractionCertificate, assemble_certificate, monodromy_grid, power_norms
 from .propagator import DEFAULT_TOL
 
@@ -217,13 +218,15 @@ def perturbed_certificate(
     """Certificate whose c1 is the directly verified perturbed contraction.
 
     The threshold N and power k carry over; c1 (and so delta1, C) is replaced
-    by the verified grid supremum of ||M_eps^k||.  Raises ValueError when the
-    perturbed scan is not contractive.
+    by the verified grid supremum of ||M_eps^k||.  Raises NoContractionError
+    when the perturbed scan is not contractive; its ``worst`` carries the norm
+    only, as (nan, nan, norm).
     """
     ok, worst = verify_perturbed_contraction(spec_eps, cert, tol, map_fn)
     if not ok:
-        raise ValueError(
-            f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})"
+        raise NoContractionError(
+            f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",
+            worst=(math.nan, math.nan, worst),
         )
     grids = dict(cert.grids)
     grids["perturbed_rescan"] = True

@@ -109,6 +109,39 @@ class TestConfigParsing:
         assert config.spec.b.samples.size == 16
 
 
+class TestExitCodes:
+    """Config mistakes exit 2 with a one-line message, never as a certificate failure."""
+
+    def run_with(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_non_integer_grid(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("contraction_t_points = 16", "contraction_t_points = abc")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "contraction_t_points" in err
+
+    def test_tolerance_out_of_range(self, tmp_path, capsys):
+        code, err = self.run_with(tmp_path, capsys, BASE_CONFIG + "[tolerances]\npropagate_tol = 0.5\n")
+        assert code == EXIT_CONFIG
+        assert "propagate_tol" in err
+
+    def test_empty_grid(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("threshold_xi_points = 32", "threshold_xi_points = 0")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == EXIT_CONFIG
+        assert "threshold_xi_points" in err
+
+    def test_square_wave_at_tight_tolerance(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("b = constant value=1.0", "b = square lo=0.2 hi=1")
+        code, err = self.run_with(tmp_path, capsys, text + "[tolerances]\npropagate_tol = 1e-13\n")
+        assert code == 0, err
+
+
 class TestDeterminism:
     def test_byte_identical_certificates(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

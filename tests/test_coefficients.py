@@ -156,7 +156,7 @@ class TestModelSpec:
 
     def test_perturbed_epsilon_zero_equivalent_to_constant(self, b_const, m1_cos):
         spec = ModelSpec(b_const, PerturbedMass(1.0, 0.0, m1_cos))
-        assert spec.m_squared_scalar(0.37) == 1.0
+        assert spec.m_squared(0.37) == 1.0
 
 
 class TestCsvRoundTrip:

@@ -6,6 +6,7 @@ import pytest
 from kgdecay import (
     ModelSpec,
     PerturbedMass,
+    PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
     find_contraction_k,
@@ -16,6 +17,7 @@ from kgdecay import (
     spectral_norm_2x2,
     verify_perturbed_contraction,
 )
+from kgdecay.errors import NoContractionError
 from kgdecay.perturbation import epsilon_threshold_at
 
 
@@ -205,3 +207,13 @@ class TestPerturbedContraction:
         assert cert_eps.c1 == worst
         assert cert_eps.k == sin_cert.k and cert_eps.N == sin_cert.N
         assert cert_eps.delta1 == math.log(1.0 / worst) / (sin_cert.k * sin_cert.T)
+
+    def test_perturbed_certificate_raises_when_not_contractive(self, m1_cos):
+        # without damping no monodromy power contracts
+        b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
+        spec_eps = ModelSpec(b, PerturbedMass(1.0, 0.5, m1_cos))
+        grids = {"contraction_t_points": 4, "contraction_xi_points": 33}
+        cert = assemble_certificate(spec_eps.constant_mass_version(), 4.0, 1, 0.99, grids)
+        with pytest.raises(NoContractionError) as err:
+            perturbed_certificate(spec_eps, cert)
+        assert err.value.worst[2] >= 1.0 - 1e-6

@@ -19,9 +19,10 @@ from kgdecay import (
     system_matrix,
 )
 from kgdecay.errors import IntegrationFailureError, PreconditionError
-from kgdecay.propagator import _Stats, _advance, _cumulative_simpson_uniform
+from kgdecay.propagator import _cumulative_simpson_uniform
 
-from conftest import const_coeff_propagator, power_iteration_norm
+from conftest import const_coeff_propagator, power_iteration_norm, triangle_samples
+from dp5_oracle import dp5_propagate
 
 
 def random_mat2(rng, scale=1.0):
@@ -149,7 +150,9 @@ class TestPropagate:
     def test_error_estimate_within_tolerance(self, spec_sin):
         res = propagate(spec_sin, 0.0, 2.0, 3.0, 1e-10)
         assert 0.0 < res.local_error_estimate <= 1e-10
+        # rhs_evaluations is charged seven per attempted step
         assert res.steps_taken > 0 and res.rhs_evaluations >= 7 * res.steps_taken
+        assert res.rhs_evaluations % 7 == 0
 
     def test_step_coefficient_breakpoints(self):
         b = PeriodicCoefficient.from_samples([0.2, 1.0, 0.4, 0.8], 1.0, order=0)
@@ -169,16 +172,64 @@ class TestPropagate:
         ref = const_coeff_propagator(0.2, h, 0.5) @ const_coeff_propagator(1.0, h, 0.5)
         assert np.max(np.abs(E - ref)) < 1e-9
 
-    def test_underflow_raises_with_time(self):
-        def bad_rhs(t, Y):
-            out = np.empty_like(Y)
-            out[:] = np.nan if t > 0.5 else 0.0
-            return out
-
-        Y = np.eye(2, dtype=complex)[None]
+    def test_underflow_raises_with_time(self, monkeypatch):
+        b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
+        monkeypatch.setattr(b, "eval", lambda ts: np.where(np.asarray(ts) > 0.5, np.nan, 1.0))
+        spec = ModelSpec(b, ConstantMass(1.0))
         with pytest.raises(IntegrationFailureError) as err:
-            _advance(bad_rhs, 0.0, 1.0, Y, 1e-12, 0.01, 1.0, _Stats())
+            propagate_grid(spec, 0.0, 1.0, [1.0], 1e-12)
         assert 0.4 < err.value.t_fail < 1.0
+
+
+def _sin_specs():
+    b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5)
+    m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=np.pi / 2)
+    return {"constant": ModelSpec(b, ConstantMass(1.0)), "perturbed": ModelSpec(b, PerturbedMass(1.0, 0.4, m1))}
+
+
+class TestMagnusStepper:
+    @pytest.mark.parametrize("mass", ["constant", "perturbed"])
+    @pytest.mark.parametrize("band", [(0.0, 14.0), (14.0, 56.0), (56.0, 140.0)])
+    def test_realized_error_against_dp5(self, mass, band):
+        spec = _sin_specs()[mass]
+        xi = np.linspace(*band, 64)
+        tol = 1e-10
+        got, _, _ = propagate_grid(spec, 0.0, 2.0 * spec.T, xi, tol)
+        ref = dp5_propagate(spec, 0.0, 2.0 * spec.T, xi, 1e-13)
+        assert np.max(np.abs(got - ref)) <= tol
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_square_wave_is_exact_per_piece(self, tol):
+        # at 1e-13 an explicit stepper that samples b at the segment end, on
+        # the far side of the jump, fails with a step size underflow
+        b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
+        spec = ModelSpec(b, ConstantMass(1.0))
+        xi = np.linspace(0.0, 200.0, 64)
+        got, _, res = propagate_grid(spec, 0.0, 2.0, xi, tol)
+        for j, x in enumerate(xi):
+            h = math.sqrt(x * x + 1.0)
+            period = const_coeff_propagator(0.2, h, 0.5) @ const_coeff_propagator(1.0, h, 0.5)
+            assert np.max(np.abs(got[j] - period @ period)) < 1e-12
+        # constant pieces are integrated exactly, so the step size only has
+        # to grow to the piece length
+        assert res.steps_taken <= 20
+
+    def test_triangle_sample_kinks_are_breakpoints(self):
+        b = PeriodicCoefficient.from_samples(triangle_samples(), 1.0, order=1)
+        assert np.array_equal(b.breakpoints_in(0.0, 3.0), [0.5, 1.0, 1.5, 2.0, 2.5])
+        assert np.array_equal(b.breakpoints_in(-0.25, 0.75), [0.0, 0.5])
+        assert b.breakpoints_in(0.1, 0.4).size == 0
+
+    @pytest.mark.parametrize("t_end", [0.3, 0.61, 1.37, 2.0])
+    def test_linear_kinks_keep_liouville(self, t_end):
+        # every sample is a kink; a step not split at one would carry it
+        # between its Gauss nodes, where the error estimate cannot see it
+        b = PeriodicCoefficient.from_samples([0.2, 1.0, 0.4, 0.8], 1.0, order=1)
+        spec = ModelSpec(b, ConstantMass(1.0))
+        xi = np.linspace(0.0, 30.0, 32)
+        E, _, _ = propagate_grid(spec, 0.0, t_end, xi, 1e-10)
+        target = math.exp(-2.0 * b.integral(t_end))
+        assert np.max(np.abs(det2(E) - target)) < 1e-12 * target
 
 
 class TestPeanoBaker:
