@@ -25,11 +25,14 @@ from . import certify, highfreq, monodromy, perturbation
 from .coefficients import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient
 from .errors import (
     ConfigError,
+    FitError,
+    FrameError,
     IntegrationFailureError,
     InvalidCoefficientError,
     KgDecayError,
     ModelAssumptionError,
     NoContractionError,
+    PreconditionError,
     ThresholdSearchError,
 )
 from .propagator import TOL_MAX, TOL_MIN
@@ -136,8 +139,11 @@ def _parse_int(name, text, minimum=None):
 
 def load_config(path, out_override=None, seed_override=None, workers_override=None, stage_override=None) -> RunConfig:
     """Read and validate an INI-style run configuration."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "model" not in cp:
@@ -260,6 +266,7 @@ def run(config: RunConfig) -> int:
     try:
         thr = None
         cert = None
+        pert_worst = None  # sup ||M_eps^k|| of the perturbed rescan, once run
         if "threshold" in config.stages:
             thr = highfreq.find_threshold_N(
                 spec,
@@ -323,11 +330,11 @@ def run(config: RunConfig) -> int:
             doc = eb.as_dict()
             ok = eb.audit_pass
             if perturbed:
-                ok_pc, worst = perturbation.verify_perturbed_contraction(spec, cert, tol, map_fn)
+                ok_pc, pert_worst = perturbation.verify_perturbed_contraction(spec, cert, tol, map_fn)
                 doc["model_epsilon"] = spec.epsilon
                 doc["model_within_bound"] = spec.epsilon <= eb.epsilon_max
                 doc["perturbed_contraction_ok"] = ok_pc
-                doc["perturbed_contraction_worst"] = worst
+                doc["perturbed_contraction_worst"] = pert_worst
                 ok = ok and ok_pc
             cert_doc["epsilon"] = doc
             verdicts["epsilon"] = "Pass" if ok else "Fail"
@@ -338,7 +345,7 @@ def run(config: RunConfig) -> int:
                     f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
                 )
             if perturbed:
-                cert_eff = perturbation.perturbed_certificate(spec, cert, tol, map_fn)
+                cert_eff = perturbation.perturbed_certificate(spec, cert, tol, map_fn, worst=pert_worst)
             else:
                 cert_eff = cert
             report = certify.sup_norm_curve(
@@ -369,7 +376,7 @@ def run(config: RunConfig) -> int:
     except (ThresholdSearchError, NoContractionError) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except IntegrationFailureError as exc:
+    except (IntegrationFailureError, FrameError, PreconditionError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

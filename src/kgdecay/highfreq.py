@@ -6,8 +6,10 @@ the product  ||N1(t+T)|| * exp(int_t^{t+T} ||R2||) * ||N1inv(t)||  built from
 a two-step diagonalization: a constant unitary rotation followed by a
 corrector N1 = [[1, n-], [n+, 1]] whose off-diagonal entries are oscillatory
 integrals of the dissipation against the accumulated phase of the symbol.
-The remainder R2 = -N1^{-1} R1 (I - N1) shrinks as the frequency grows, the
-product approaches one, and the first window whose supremum falls below
+For real b and h, n- = conj(n+), so N1 is Hermitian and every norm in the
+product is a closed scalar function of |n+|.  The remainder
+R2 = -N1^{-1} R1 (I - N1) shrinks as the frequency grows, the product
+approaches one, and the first window whose supremum falls below
 exp(beta T / 2) fixes the threshold.  The resulting bound is then re-checked
 by direct monodromy norms (see :func:`verify_highfreq_contraction`).
 """
@@ -45,7 +47,9 @@ SUP_T_POINTS = 64
 # target by this relative margin, so the result survives grid refinement.
 THRESHOLD_ACCEPT_MARGIN = 1e-3
 
-# The threshold search runs with the massless symbol (worst case over masses).
+# The threshold search runs with the massless symbol, so N depends on b alone.
+# A constant mass m0 acts as the shift xi -> sqrt(xi^2 + m0^2), which can raise
+# the frame product; the verify step checks the bound under the real mass.
 _MASSLESS = ConstantMass(0.0)
 
 
@@ -84,23 +88,28 @@ def _points_per_period(spec: ModelSpec, xi: float, per_period: int | None = None
     return SUP_T_POINTS * math.ceil(p / SUP_T_POINTS)
 
 
+def _phase_profile(spec: ModelSpec, xi: float, t_max: float, points: int):
+    """Phase-resolved quadrature on a uniform grid over [0, t_max].
+
+    Returns (tau, osc, c_plus, b_vals, dt) with osc = exp(i phi),
+    phi(t) = int_0^t h and c+(t) = int_0^t osc b.
+    """
+    n = points if points % 2 == 1 else points + 1
+    tau = np.linspace(0.0, t_max, n)
+    dt = t_max / (n - 1)
+    b = spec.b.eval(tau)
+    osc = np.exp(1j * _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)), dt))
+    return tau, osc, _cumulative_simpson_uniform(osc * b, dt), b, dt
+
+
 def _corrector_profile(spec: ModelSpec, xi: float, t_max: float, points: int):
     """n+/-(t) on a uniform grid over [0, t_max] via phase-resolved quadrature.
 
     Returns (tau, n_plus, n_minus, b_vals, dt).
     """
-    n = points if points % 2 == 1 else points + 1
-    tau = np.linspace(0.0, t_max, n)
-    dt = t_max / (n - 1)
-    h = spec.symbol(tau, abs(xi))
-    b = spec.b.eval(tau)
-    phase = _cumulative_simpson_uniform(h, dt)
-    osc = np.exp(1j * phase)
-    c_plus = _cumulative_simpson_uniform(osc * b, dt)
+    tau, osc, c_plus, b, dt = _phase_profile(spec, xi, t_max, points)
     c_minus = _cumulative_simpson_uniform(np.conj(osc) * b, dt)
-    n_plus = np.conj(osc) * c_plus
-    n_minus = osc * c_minus
-    return tau, n_plus, n_minus, b, dt
+    return tau, np.conj(osc) * c_plus, osc * c_minus, b, dt
 
 
 def frame_matrices(n_plus, n_minus, b):
@@ -126,30 +135,6 @@ def frame_matrices(n_plus, n_minus, b):
     r1[..., 1, 0] = 1j * np.asarray(b)
     r2 = -(n1_inv @ (r1 @ eye_minus))
     return n1, n1_inv, r2, det
-
-
-def _frame_norms(n_plus, n_minus, b):
-    """Scalar closed forms for (||N1||, ||N1inv||, ||R2||, |det N1|).
-
-    Avoids materializing (n, 2, 2) stacks on hot scan paths.  Uses the 2x2
-    identities ||M^{-1}|| = ||M|| / |det M| and
-    R2 = (i b / det) [[n+, -(n-)^2], [-(n+)^2, n-]].
-    """
-    ap2 = np.abs(n_plus) ** 2
-    am2 = np.abs(n_minus) ** 2
-    det = 1.0 - n_plus * n_minus
-    absdet = np.abs(det)
-    g12 = n_minus + np.conj(n_plus)
-    rad = np.sqrt((0.5 * (ap2 - am2)) ** 2 + np.abs(g12) ** 2)
-    n1_norm = np.sqrt(1.0 + 0.5 * (ap2 + am2) + rad)
-    n1inv_norm = n1_norm / absdet
-    s11 = ap2 * (1.0 + ap2)
-    s22 = am2 * (1.0 + am2)
-    s12 = -np.conj(n_plus) * n_minus * g12
-    s_rad = np.sqrt((0.5 * (s11 - s22)) ** 2 + np.abs(s12) ** 2)
-    s_norm = np.sqrt(0.5 * (s11 + s22) + s_rad)
-    r2_norm = np.abs(b) * s_norm / absdet
-    return n1_norm, n1inv_norm, r2_norm, absdet
 
 
 def n_pm(spec: ModelSpec, t: float, xi: float, per_period: int | None = None):
@@ -194,19 +179,24 @@ def _suplarge_from_profile(n1_norms, n1inv_norms, r2_cumint, idx, per):
 def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> float:
     """Supremum over base times in [0, T) of the frame contraction product.
 
+    For real b and h, n- = conj(n+), so N1 is Hermitian with eigenvalues
+    1 +/- r, r = |n+| = |c+|.  Its norms are closed scalars:
+    ||N1|| = 1 + r, ||N1inv|| = 1/|1 - r|, |det N1| = |1 - r^2| and
+    ||R2|| = |b| r / |1 - r|.
     Base times sit on the quadrature grid exactly (t_j = j T / t_points); the
     time integral of ||R2|| uses cumulative Simpson on the same grid.
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
     per = _points_per_period(spec, xi)
     per = t_points * math.ceil(per / t_points)  # keep base times index-exact
-    tau, npl, nmi, b, dt = _corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
-    n1_norms, n1inv_norms, r2_norms, absdet = _frame_norms(npl, nmi, b)
-    if float(np.min(absdet)) < FRAME_DET_GUARD:
+    _, _, c_plus, b, dt = _phase_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
+    r = np.abs(c_plus)
+    gap = np.abs(1.0 - r)
+    if float(np.min(gap * (1.0 + r))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
-    r2_cum = _cumulative_simpson_uniform(r2_norms, dt)
+    r2_cum = _cumulative_simpson_uniform(np.abs(b) * r / gap, dt)
     idx = np.arange(t_points) * (per // t_points)
-    return _suplarge_from_profile(n1_norms, n1inv_norms, r2_cum, idx, per)
+    return _suplarge_from_profile(1.0 + r, 1.0 / gap, r2_cum, idx, per)
 
 
 def corrector_sup(spec: ModelSpec, xi: float) -> float:
@@ -275,11 +265,12 @@ def find_threshold_N(
     so the accepted window survives grid refinement), then bisects to three
     significant digits.
 
-    The search itself runs with the massless symbol h = |xi|: any mass only
-    speeds up the corrector phase and shrinks the frame product, so the
-    massless window is the conservative one, and the returned threshold
-    depends on the dissipation alone.  The bound it promises is then
-    re-checked under the actual mass by :func:`verify_highfreq_contraction`.
+    The search itself runs with the massless symbol h = |xi|, so the returned
+    threshold depends on the dissipation alone.  A constant mass m0 acts on
+    the frame product as the frequency shift xi -> sqrt(xi^2 + m0^2), and the
+    product is not monotone in xi, so mass can raise it at a given xi; the
+    massless window is not a worst case.  The bound the threshold promises
+    is guaranteed under the actual mass by :func:`verify_highfreq_contraction`.
     """
     base = ModelSpec(spec.b, _MASSLESS, spec.T)
     target = math.exp(base.beta * base.T / 2.0)

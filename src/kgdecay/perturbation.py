@@ -214,16 +214,20 @@ def perturbed_certificate(
     cert: ContractionCertificate,
     tol: float = DEFAULT_TOL,
     map_fn=map,
+    worst: float | None = None,
 ) -> ContractionCertificate:
     """Certificate whose c1 is the directly verified perturbed contraction.
 
     The threshold N and power k carry over; c1 (and so delta1, C) is replaced
-    by the verified grid supremum of ||M_eps^k||.  Raises NoContractionError
-    when the perturbed scan is not contractive; its ``worst`` carries the norm
-    only, as (nan, nan, norm).
+    by the verified grid supremum of ||M_eps^k||.  ``worst`` is that supremum
+    from an earlier :func:`verify_perturbed_contraction` on the same model and
+    certificate; when it is None the re-scan runs here.  Raises
+    NoContractionError when the perturbed scan is not contractive; its
+    ``worst`` carries the norm only, as (nan, nan, norm).
     """
-    ok, worst = verify_perturbed_contraction(spec_eps, cert, tol, map_fn)
-    if not ok:
+    if worst is None:
+        _, worst = verify_perturbed_contraction(spec_eps, cert, tol, map_fn)
+    if not worst < 1.0 - PERTURBED_CONTRACTION_SLACK:
         raise NoContractionError(
             f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",
             worst=(math.nan, math.nan, worst),

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from kgdecay.cli import EXIT_CONFIG, EXIT_MODEL, load_config, main
+from kgdecay import highfreq, perturbation
+from kgdecay.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_NUMERICAL, load_config, main
+from kgdecay.errors import FitError, FrameError, PreconditionError
 
 FAST_GRIDS = """
 [grids]
@@ -109,6 +117,9 @@ class TestConfigParsing:
         assert config.spec.b.samples.size == 16
 
 
+FUZZED_GRIDS = ("threshold_xi_points", "threshold_t_points", "verify_t_points", "verify_xi_points")
+
+
 class TestExitCodes:
     """Config mistakes exit 2 with a one-line message, never as a certificate failure."""
 
@@ -140,6 +151,54 @@ class TestExitCodes:
         text = BASE_CONFIG.replace("b = constant value=1.0", "b = square lo=0.2 hi=1")
         code, err = self.run_with(tmp_path, capsys, text + "[tolerances]\npropagate_tol = 1e-13\n")
         assert code == 0, err
+
+    def test_unparsable_ini(self, tmp_path, capsys):
+        # no section header, a duplicate key, and a literal percent sign
+        for text in ("T = 1.0\n", BASE_CONFIG.replace("m0 = 1.0", "m0 = 1.0\nm0 = 2.0"),
+                     BASE_CONFIG.replace("value=1.0", "value=1%")):
+            code, err = self.run_with(tmp_path, capsys, text)
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("error", [FrameError, PreconditionError, FitError])
+    def test_numerical_errors_exit_5(self, tmp_path, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(highfreq, "find_threshold_N", fail)
+        code, err = self.run_with(tmp_path, capsys, BASE_CONFIG)
+        assert code == EXIT_NUMERICAL
+        assert err == "numerical failure: injected\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        grids=st.fixed_dictionaries({key: st.integers(1, 6) for key in FUZZED_GRIDS}),
+        tolerances=st.fixed_dictionaries(
+            {"propagate_tol": st.floats(1e-14, 1e-4), "contraction_margin": st.floats(1e-6, 0.5)}
+        ),
+        broken=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(FUZZED_GRIDS + ("propagate_tol", "contraction_margin")),
+                st.one_of(st.integers(-3, 0), st.floats(), st.sampled_from(["abc", "1.5", "1e3", ""])),
+            ),
+        ),
+    )
+    def test_fuzzed_grids_and_tolerances_keep_the_exit_contract(self, grids, tolerances, broken):
+        # a threshold-only run on tiny grids, with at most one value out of range or malformed
+        values = {**grids, **tolerances}
+        if broken is not None:
+            values[broken[0]] = broken[1]
+        text = BASE_CONFIG.split("[grids]")[0].replace("threshold contraction epsilon decay", "threshold")
+        text += "[grids]\n" + "".join(f"{k} = {values[k]}\n" for k in FUZZED_GRIDS)
+        text += "[tolerances]\n" + "".join(f"{k} = {values[k]}\n" for k in tolerances)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:
@@ -209,23 +268,19 @@ class TestWSubcommand:
         assert main(["w", "--", "-1.0"]) == EXIT_CONFIG
 
 
-class TestPerturbedPipeline:
-    def test_perturbed_model_all_stages(self, tmp_path):
-        text = (
-            """
+PERTURBED_MODEL = """
 [model]
 T = 1.0
 b = constant value=1.0
 m0 = 1.0
 epsilon = 1e-9
 m1 = sin_offset mean=0.0 amp=1.0
-
-[run]
-stages = threshold contraction epsilon decay
-seed = 1
 """
-            + FAST_GRIDS
-        )
+
+
+class TestPerturbedPipeline:
+    def test_perturbed_model_all_stages(self, tmp_path):
+        text = PERTURBED_MODEL + "[run]\nstages = threshold contraction epsilon decay\nseed = 1\n" + FAST_GRIDS
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -234,3 +289,20 @@ seed = 1
         assert cert["epsilon"]["model_within_bound"] is True
         assert cert["decay"]["verdict"] == "Pass"
         assert cert["decay"]["constants"]["rate_name"] == "sigma"
+
+    def test_one_perturbed_sweep_per_run(self, tmp_path, monkeypatch):
+        # the decay stage reuses the epsilon stage's rescan, or runs it once itself
+        sweeps = []
+        grid = perturbation.monodromy_grid
+        monkeypatch.setattr(
+            perturbation, "monodromy_grid", lambda *a, **kw: sweeps.append(1) or grid(*a, **kw)
+        )
+        tiny = FAST_GRIDS.replace("contraction_xi_points = 48", "contraction_xi_points = 8")
+        for stages in ("threshold contraction epsilon decay", "threshold contraction decay"):
+            sweeps.clear()
+            out = tmp_path / stages.replace(" ", "_")
+            cfg = write_config(tmp_path, PERTURBED_MODEL + f"[run]\nstages = {stages}\n" + tiny)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert len(sweeps) == 1, stages
+        cert = json.loads((tmp_path / "threshold_contraction_epsilon_decay" / "certificate.json").read_text())
+        assert cert["decay"]["certificate_used"]["c1"] == cert["epsilon"]["perturbed_contraction_worst"]

@@ -15,9 +15,12 @@ from kgdecay import (
     suplarge_quantity,
     verify_highfreq_contraction,
 )
+from kgdecay import highfreq
 from kgdecay.errors import FrameError, PreconditionError
 from kgdecay.highfreq import (
-    _frame_norms,
+    FRAME_DET_GUARD,
+    _corrector_profile,
+    _points_per_period,
     _suplarge_from_profile,
     _window_sup,
     corrector_sup,
@@ -25,6 +28,30 @@ from kgdecay.highfreq import (
     frame_ode_residual,
     threshold_trace_to_csv,
 )
+from kgdecay.propagator import _cumulative_simpson_uniform
+
+# The frequencies at which the scalar frame product is checked against the
+# complex-matrix route; xi = 2 lies below the frame guard on massless sin_offset.
+ORACLE_XIS = (2.0, 5.0, 20.0, 64.0, 100.0, 206.0)
+
+
+def suplarge_matrix_oracle(spec, xi, t_points=64):
+    """The frame product from full complex 2x2 matrices, n+ and n- integrated apart."""
+    per = _points_per_period(spec, xi)
+    per = t_points * math.ceil(per / t_points)
+    _, npl, nmi, b, dt = _corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
+    n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
+    if float(np.min(np.abs(det))) < FRAME_DET_GUARD:
+        raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
+    r2_cum = _cumulative_simpson_uniform(spectral_norm_2x2(r2), dt)
+    idx = np.arange(t_points) * (per // t_points)
+    return _suplarge_from_profile(spectral_norm_2x2(n1), spectral_norm_2x2(n1_inv), r2_cum, idx, per)
+
+
+@pytest.fixture(scope="module")
+def spec_square():
+    b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
+    return ModelSpec(b, ConstantMass(1.0))
 
 
 class TestCorrectorIntegrals:
@@ -109,17 +136,24 @@ class TestFrames:
             rhs = spectral_norm_2x2(f.n1_inv) * b * spectral_norm_2x2(np.eye(2) - f.n1)
             assert lhs <= rhs + 1e-12
 
-    def test_frame_closed_norms_match_matrices(self, spec_sin):
+    def test_corrector_frame_is_hermitian(self, spec_sin, spec_square, spec_tri):
+        # real b and h: the two corrector integrals are complex conjugates
+        for spec in (spec_sin, spec_square, spec_tri):
+            for xi in (3.0, 20.0, 100.0):
+                _, npl, nmi, _, _ = _corrector_profile(spec, xi, 2.0 * spec.T, 4097)
+                assert np.max(np.abs(nmi - np.conj(npl))) < 1e-14
+
+    def test_hermitian_closed_forms_match_matrices(self):
+        # r = |n+| on both sides of the singular circle r = 1
         rng = np.random.default_rng(61)
-        npl = 0.4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        nmi = 0.4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        b = rng.uniform(0.1, 2.0, 64)
-        n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
-        c1, c2, c3, c4 = _frame_norms(npl, nmi, b)
-        assert np.max(np.abs(c1 - spectral_norm_2x2(n1))) < 1e-13
-        assert np.max(np.abs(c2 - spectral_norm_2x2(n1_inv))) < 1e-12
-        assert np.max(np.abs(c3 - spectral_norm_2x2(r2))) < 1e-12
-        assert np.max(np.abs(c4 - np.abs(det))) < 1e-14
+        r = np.concatenate([rng.uniform(0.0, 0.9, 32), rng.uniform(1.1, 3.0, 32)])
+        npl = r * np.exp(2j * np.pi * rng.uniform(size=64))
+        b = rng.uniform(-2.0, 2.0, 64)
+        n1, n1_inv, r2, det = frame_matrices(npl, np.conj(npl), b)
+        closed = (1.0 + r, 1.0 / np.abs(1.0 - r), np.abs(b) * r / np.abs(1.0 - r))
+        for value, matrix in zip(closed, (n1, n1_inv, r2)):
+            assert np.max(np.abs(value - spectral_norm_2x2(matrix)) / value) < 1e-12
+        assert np.max(np.abs(np.abs(1.0 - r * r) - np.abs(det))) < 1e-12
 
     def test_unit_diagonal_and_inverse(self, spec_sin):
         f = frame_at(spec_sin, 0.8, 12.0)
@@ -175,6 +209,49 @@ class TestSupLarge:
         with pytest.raises(FrameError):
             suplarge_quantity(spec_sin, 0.05)
 
+    def test_matches_complex_matrix_oracle(self, spec_sin, spec_square):
+        for spec in (spec_sin, spec_square):
+            for m0 in (0.0, 1.0):
+                spec_m = ModelSpec(spec.b, ConstantMass(m0))
+                for xi in ORACLE_XIS:
+                    try:
+                        ref = suplarge_matrix_oracle(spec_m, xi)
+                    except FrameError:
+                        with pytest.raises(FrameError):
+                            suplarge_quantity(spec_m, xi)
+                        continue
+                    assert suplarge_quantity(spec_m, xi) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_frame_error_at_the_same_frequencies(self, spec_sin):
+        # the guard triggers at the same low frequencies on both routes
+        base = ModelSpec(spec_sin.b, ConstantMass(0.0))
+        for xi in (0.5, 1.0, 2.0, 2.5, 3.0):
+            outcomes = []
+            for fn in (suplarge_matrix_oracle, suplarge_quantity):
+                try:
+                    fn(base, xi)
+                    outcomes.append("value")
+                except FrameError:
+                    outcomes.append("FrameError")
+            assert outcomes[0] == outcomes[1], xi
+        with pytest.raises(FrameError):
+            suplarge_quantity(base, 2.0)
+
+    def test_constant_mass_is_a_frequency_shift(self, spec_sin, spec_square):
+        # the frame product depends on the mass only through sqrt(xi^2 + m0^2),
+        # which is not monotone in xi: mass can raise it at a given xi
+        raised = 0
+        for spec in (spec_sin, spec_square):
+            base = ModelSpec(spec.b, ConstantMass(0.0))
+            for m0 in (0.5, 1.0, 3.0):
+                massive = ModelSpec(spec.b, ConstantMass(m0))
+                for xi in (10.0, 17.0, 23.0, 41.0, 60.0):
+                    value = suplarge_quantity(massive, xi)
+                    shifted = suplarge_quantity(base, math.hypot(xi, m0))
+                    assert value == pytest.approx(shifted, rel=1e-14, abs=0.0)
+                    raised += value > suplarge_quantity(base, xi)
+        assert raised > 0
+
 
 class TestThresholdSearch:
     def test_constant_profile(self, spec_const):
@@ -183,6 +260,15 @@ class TestThresholdSearch:
         assert thr.xi_max_checked == 10.0 * thr.N
         # survives a doubled verification grid
         assert _window_sup(spec_const.constant_mass_version(), thr.N, 128, 64, map) <= thr.target
+
+    def test_search_decisions_match_matrix_oracle(self, spec_sin, monkeypatch):
+        thr = find_threshold_N(spec_sin)
+        monkeypatch.setattr(highfreq, "suplarge_quantity", suplarge_matrix_oracle)
+        ref = find_threshold_N(spec_sin)
+        assert thr.N == ref.N
+        assert [(n, ok) for n, _, ok in thr.trace] == [(n, ok) for n, _, ok in ref.trace]
+        for (_, sup, _), (_, sup_ref, _) in zip(thr.trace, ref.trace):
+            assert sup == pytest.approx(sup_ref, rel=1e-12, abs=0.0)
 
     def test_mass_independence(self, b_const):
         t1 = find_threshold_N(ModelSpec(b_const, ConstantMass(1.0)), xi_points=64, t_points=32)
