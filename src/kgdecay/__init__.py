@@ -7,50 +7,32 @@ spectrum and contraction powers (monodromy), the high-frequency threshold
 long-horizon decay evidence (certify), orchestrated by a CLI (cli).
 """
 
-from .coefficients import (
-    ConstantMass,
-    ModelSpec,
-    PerturbedMass,
-    PeriodicCoefficient,
-    lambda_primitive,
-    mean_value,
-    symbol,
-)
+from .coefficients import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient
 from .propagator import (
     PropagationResult,
     det2,
     eigenvalues_2x2,
     inv2,
-    peano_baker_truncated,
-    propagate,
     propagate_grid,
     spectral_norm_2x2,
-    spectral_radius_2x2,
-    system_matrix,
 )
 from .monodromy import (
     ContractionCertificate,
-    MonodromySample,
     assemble_certificate,
-    find_contraction_k,
-    monodromy_at,
+    contraction_search,
     monodromy_grid,
+    samples_from_grid,
     scan_to_csv,
-    spectral_radius_scan,
 )
 from .highfreq import (
-    DiagonalizationFrame,
     ThresholdResult,
     find_threshold_N,
-    frame_at,
-    n_pm,
     suplarge_quantity,
     verify_highfreq_contraction,
 )
 from .perturbation import (
     EpsilonBound,
     epsilon_bound,
-    gronwall_difference_bound,
     lambert_w0,
     perturbed_certificate,
     verify_perturbed_contraction,
@@ -59,7 +41,7 @@ from .certify import (
     DecayReport,
     decay_constants,
     fit_rate,
-    gamma_of,
+    gamma_curve,
     sup_norm_curve,
 )
 from . import errors
@@ -68,45 +50,32 @@ __all__ = [
     "ConstantMass",
     "ContractionCertificate",
     "DecayReport",
-    "DiagonalizationFrame",
     "EpsilonBound",
     "ModelSpec",
-    "MonodromySample",
     "PerturbedMass",
     "PeriodicCoefficient",
     "PropagationResult",
     "ThresholdResult",
     "assemble_certificate",
+    "contraction_search",
     "decay_constants",
     "det2",
     "eigenvalues_2x2",
     "epsilon_bound",
     "errors",
-    "find_contraction_k",
     "find_threshold_N",
     "fit_rate",
-    "frame_at",
-    "gamma_of",
-    "gronwall_difference_bound",
+    "gamma_curve",
     "inv2",
-    "lambda_primitive",
     "lambert_w0",
-    "mean_value",
-    "monodromy_at",
     "monodromy_grid",
-    "n_pm",
-    "peano_baker_truncated",
     "perturbed_certificate",
-    "propagate",
     "propagate_grid",
+    "samples_from_grid",
     "scan_to_csv",
     "spectral_norm_2x2",
-    "spectral_radius_2x2",
-    "spectral_radius_scan",
     "suplarge_quantity",
     "sup_norm_curve",
-    "symbol",
-    "system_matrix",
     "verify_highfreq_contraction",
     "verify_perturbed_contraction",
 ]

@@ -116,7 +116,6 @@ def sup_norm_curve(
     tol: float = DEFAULT_TOL,
     burn_in: float | None = None,
     with_gamma: bool = False,
-    map_fn=map,
 ) -> DecayReport:
     """Evolve sup over frequencies of ||E(t, 0, xi)|| up to ``t_end``.
 
@@ -143,12 +142,13 @@ def sup_norm_curve(
     n_periods = n_steps // 4 + 1
 
     failures = []
-
-    def work(xis):
+    curves = []
+    for xis in _chunks(xi_grid, SCAN_CHUNK):
         try:
             _, chk, _ = propagate_grid(spec, 0.0, 2.0 * T, xis, tol, checkpoints)
         except IntegrationFailureError as exc:
-            return ("fail", exc.t_fail, xis)
+            failures.append({"t_fail": exc.t_fail, "xi_first": float(xis[0])})
+            continue
         E0 = chk[:4]  # E(s, 0) at the four base offsets
         M = chk[4:] @ inv2(E0)  # M(s) = E(s + T, 0) E(s, 0)^{-1}
         out = np.empty((n_steps + 1, xis.size))
@@ -161,15 +161,7 @@ def sup_norm_curve(
                     out[j] = norms[r]
             if ell + 1 < n_periods:
                 P = M @ P
-        return ("ok", out)
-
-    per_chunk = list(map_fn(work, list(_chunks(xi_grid, SCAN_CHUNK))))
-    curves = []
-    for item in per_chunk:
-        if item[0] == "fail":
-            failures.append({"t_fail": item[1], "xi_first": float(item[2][0])})
-        else:
-            curves.append(item[1])
+        curves.append(out)
     if not curves:
         raise IntegrationFailureError("all frequency chunks failed to propagate", t_fail=0.0)
     curve = np.max(np.concatenate(curves, axis=1), axis=1)
@@ -209,31 +201,14 @@ def sup_norm_curve(
     )
 
 
-def _check_b_positive(spec: ModelSpec):
+def gamma_curve(spec: ModelSpec, times, points_per_period: int = 4096) -> np.ndarray:
+    """Mass-influence diagnostic exp(-int_0^t m^2(tau)/b(tau) dtau) on an ascending time grid.
+
+    Monotone non-increasing in t; one cumulative pass.  Requires strictly
+    positive dissipation.
+    """
     if not spec.b_strictly_positive:
         raise ModelAssumptionError("the mass-influence diagnostic requires b > 0 on the grid")
-
-
-def gamma_of(spec: ModelSpec, t: float, points_per_period: int = 4096) -> float:
-    """Mass-influence diagnostic exp(-int_0^t m^2(tau)/b(tau) dtau).
-
-    Monotone non-increasing in t; requires strictly positive dissipation.
-    """
-    _check_b_positive(spec)
-    if t < 0.0:
-        raise ValueError("gamma_of requires t >= 0")
-    if t == 0.0:
-        return 1.0
-    n = 2 * max(65, int(points_per_period * t / spec.T) // 2) + 1
-    tau = np.linspace(0.0, t, n)
-    integrand = spec.m_squared(tau) / spec.b.eval(tau)
-    val = _cumulative_simpson_uniform(integrand, t / (n - 1))[-1]
-    return math.exp(-float(val))
-
-
-def gamma_curve(spec: ModelSpec, times, points_per_period: int = 4096) -> np.ndarray:
-    """gamma evaluated on an ascending time grid via one cumulative pass."""
-    _check_b_positive(spec)
     times = np.asarray(times, dtype=float)
     t_end = float(times[-1])
     if t_end == 0.0:

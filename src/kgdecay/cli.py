@@ -3,7 +3,7 @@
 Stages (dependency order): threshold -> contraction -> epsilon -> decay.
 Outputs under the chosen directory: certificate.json (stable key order),
 threshold_trace.csv, monodromy_scan.csv, decay.csv and summary.txt.  Runs are
-deterministic: identical config and seed produce byte-identical certificates.
+deterministic: identical configs produce byte-identical certificates.
 
 Exit codes: 0 all requested verdicts pass; 2 config error; 3 model-assumption
 violation; 4 certificate failure; 5 numerical failure.
@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +73,11 @@ DEFAULT_TOLERANCES = {
 # curve must span at least 10 kT, and k >= 1.
 GRID_MIN = {"decay_periods": 10}
 
+# The keys each section reads; any other key is a config error, so a typo
+# cannot silently fall back to a default.
+MODEL_KEYS = ("T", "b", "m0", "epsilon", "m1")
+RUN_KEYS = ("stages", "out")
+
 
 @dataclass
 class RunConfig:
@@ -83,8 +88,6 @@ class RunConfig:
     grids: dict
     tolerances: dict
     out_dir: Path
-    seed: int = 0
-    workers: int = 1
 
 
 def parse_coefficient(text: str, T: float) -> PeriodicCoefficient:
@@ -118,11 +121,14 @@ def parse_coefficient(text: str, T: float) -> PeriodicCoefficient:
                     f"CSV period {coeff.period:g} does not match model T = {T:g}"
                 )
             return coeff
-        return PeriodicCoefficient.from_closed_form(
-            name, T, **{k: float(v) for k, v in params.items()}
-        )
+        values = {k: float(v) for k, v in params.items()}
+        if not all(math.isfinite(v) for v in values.values()):
+            raise ConfigError(f"coefficient parameters must be finite: {text!r}")
+        return PeriodicCoefficient.from_closed_form(name, T, **values)
     except InvalidCoefficientError as exc:
         raise ConfigError(str(exc)) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read coefficient file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad coefficient declaration {text!r}: {exc}") from exc
 
@@ -137,7 +143,14 @@ def _parse_int(name, text, minimum=None):
     return value
 
 
-def load_config(path, out_override=None, seed_override=None, workers_override=None, stage_override=None) -> RunConfig:
+def _check_keys(section, name, known):
+    """Reject a key the run would not read (configparser lowercases keys)."""
+    unknown = sorted(set(section) - {key.lower() for key in known})
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]; known: {', '.join(known)}")
+
+
+def load_config(path, out_override=None, stage_override=None) -> RunConfig:
     """Read and validate an INI-style run configuration."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
@@ -149,12 +162,18 @@ def load_config(path, out_override=None, seed_override=None, workers_override=No
     if "model" not in cp:
         raise ConfigError("config is missing the [model] section")
     model = cp["model"]
+    _check_keys(model, "model", MODEL_KEYS)
     try:
         T = float(model.get("T", "1.0"))
         m0 = float(model.get("m0", "0.0"))
         epsilon = float(model.get("epsilon", "0.0"))
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in [model]: {exc}") from exc
+    for key, value in (("T", T), ("m0", m0), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ConfigError(f"[model] {key} = {value} is not finite")
+    if epsilon < 0.0:
+        raise ModelAssumptionError("epsilon must be non-negative")
     if "b" not in model:
         raise ConfigError("[model] must declare the dissipation b")
     b = parse_coefficient(model["b"], T)
@@ -168,6 +187,7 @@ def load_config(path, out_override=None, seed_override=None, workers_override=No
     spec = ModelSpec(b, mass, T)
 
     run_sec = cp["run"] if "run" in cp else {}
+    _check_keys(run_sec, "run", RUN_KEYS)
     stages = stage_override or tuple((run_sec.get("stages", "") or " ".join(STAGES)).split())
     for st in stages:
         if st not in STAGES:
@@ -178,6 +198,8 @@ def load_config(path, out_override=None, seed_override=None, workers_override=No
     stages = tuple(st for st in STAGES if st in stages)
     if not stages:
         raise ConfigError("no stages requested")
+    if "contraction" in stages and m0 <= 0.0:
+        raise ModelAssumptionError("the contraction stage requires m0 > 0")
 
     grids = dict(DEFAULT_GRIDS)
     if "grids" in cp:
@@ -200,17 +222,7 @@ def load_config(path, out_override=None, seed_override=None, workers_override=No
         raise ConfigError("[tolerances] contraction_margin must lie in (0, 1)")
 
     out_dir = Path(out_override or run_sec.get("out", "kgdecay_out"))
-    seed = _parse_int("seed", seed_override if seed_override is not None else run_sec.get("seed", "0"))
-    workers = _parse_int("workers", workers_override if workers_override is not None else run_sec.get("workers", "1"), 1)
-    return RunConfig(
-        spec=spec,
-        stages=stages,
-        grids=grids,
-        tolerances=tolerances,
-        out_dir=out_dir,
-        seed=seed,
-        workers=workers,
-    )
+    return RunConfig(spec=spec, stages=stages, grids=grids, tolerances=tolerances, out_dir=out_dir)
 
 
 def _flatten(prefix, obj, out):
@@ -249,7 +261,6 @@ def run(config: RunConfig) -> int:
 
     cert_doc = {
         "schema_version": 1,
-        "seed": config.seed,
         "stages": list(config.stages),
         "model": spec.describe(),
         "grids": dict(sorted(g.items())),
@@ -259,10 +270,7 @@ def run(config: RunConfig) -> int:
         ],
     }
     verdicts = {}
-    exit_code = EXIT_OK
 
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    map_fn = pool.map if pool else map
     try:
         thr = None
         cert = None
@@ -272,12 +280,11 @@ def run(config: RunConfig) -> int:
                 spec,
                 xi_points=g["threshold_xi_points"],
                 t_points=g["threshold_t_points"],
-                map_fn=map_fn,
             )
             highfreq.threshold_trace_to_csv(out / "threshold_trace.csv", thr)
             base = spec.constant_mass_version()
             mx, bnd, ok = highfreq.verify_highfreq_contraction(
-                base, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol, map_fn=map_fn
+                base, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
             )
             doc = {
                 "N": thr.N,
@@ -290,7 +297,7 @@ def run(config: RunConfig) -> int:
             }
             if perturbed:
                 mx_p, _, ok_p = highfreq.verify_highfreq_contraction(
-                    spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol, map_fn=map_fn
+                    spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
                 )
                 doc["monodromy_norm_max_perturbed"] = mx_p
                 doc["verified_perturbed"] = ok_p
@@ -302,10 +309,10 @@ def run(config: RunConfig) -> int:
             base = spec.constant_mass_version()
             t_grid = np.linspace(0.0, spec.T, g["contraction_t_points"])
             xi_grid = np.linspace(0.0, thr.N, g["contraction_xi_points"])
-            M = monodromy.monodromy_grid(base, t_grid, xi_grid, tol, map_fn)
+            M = monodromy.monodromy_grid(base, t_grid, xi_grid, tol)
             samples = monodromy.samples_from_grid(t_grid, xi_grid, M)
             monodromy.scan_to_csv(out / "monodromy_scan.csv", samples)
-            rho_max = max(s.spectral_radius for s in samples)
+            rho_max = float(np.max(samples["rho"]))
             k, c1 = monodromy.contraction_search(
                 M, g["contraction_k_max"], margin, t_grid, xi_grid
             )
@@ -330,7 +337,7 @@ def run(config: RunConfig) -> int:
             doc = eb.as_dict()
             ok = eb.audit_pass
             if perturbed:
-                ok_pc, pert_worst = perturbation.verify_perturbed_contraction(spec, cert, tol, map_fn)
+                ok_pc, pert_worst = perturbation.verify_perturbed_contraction(spec, cert, tol)
                 doc["model_epsilon"] = spec.epsilon
                 doc["model_within_bound"] = spec.epsilon <= eb.epsilon_max
                 doc["perturbed_contraction_ok"] = ok_pc
@@ -345,7 +352,7 @@ def run(config: RunConfig) -> int:
                     f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
                 )
             if perturbed:
-                cert_eff = perturbation.perturbed_certificate(spec, cert, tol, map_fn, worst=pert_worst)
+                cert_eff = perturbation.perturbed_certificate(spec, cert, tol, worst=pert_worst)
             else:
                 cert_eff = cert
             report = certify.sup_norm_curve(
@@ -356,7 +363,6 @@ def run(config: RunConfig) -> int:
                 nxi_high=g["decay_xi_high_points"],
                 tol=tol,
                 with_gamma=spec.b_strictly_positive,
-                map_fn=map_fn,
             )
             certify.decay_to_csv(out / "decay.csv", report)
             constants = certify.decay_constants(report, cert_eff, perturbed=perturbed)
@@ -379,9 +385,6 @@ def run(config: RunConfig) -> int:
     except (IntegrationFailureError, FrameError, PreconditionError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        if pool:
-            pool.shutdown()
 
     cert_doc["verdicts"] = verdicts
     all_pass = all(v == "Pass" for v in verdicts.values())
@@ -405,8 +408,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run pipeline stages from a config file")
     p_run.add_argument("--config", required=True, help="path to the INI config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--workers", type=int, default=None, help="worker threads for grid scans")
-    p_run.add_argument("--seed", type=int, default=None, help="seed recorded in the certificate")
     p_run.add_argument(
         "--stage", action="append", default=None, help="stage to run (repeatable; default: config)"
     )
@@ -427,8 +428,6 @@ def main(argv=None) -> int:
         config = load_config(
             args.config,
             out_override=args.out,
-            seed_override=args.seed,
-            workers_override=args.workers,
             stage_override=tuple(args.stage) if args.stage else None,
         )
     except (ConfigError, InvalidCoefficientError) as exc:

@@ -7,9 +7,8 @@ bundles the dissipation b(t), the mass specification (constant m0, or
 m0^2 + eps*m1(t)), and the shared period T, and validates the standing model
 assumptions on a fixed grid at construction time.
 
-All objects are immutable after construction and safe to share across
-threads; derived quantities (mean, total variation, primitives) are cached
-eagerly, never lazily.
+All objects are immutable after construction; derived quantities (mean,
+total variation) are cached eagerly, never lazily.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ FORMS = {
     "triangle": _form_triangle,
     "square": _form_square,
 }
-
-
-def register_form(name, factory):
-    """Register a closed-form coefficient rule under ``name``."""
-    FORMS[name] = factory
 
 
 class PeriodicCoefficient:
@@ -200,12 +194,6 @@ class PeriodicCoefficient:
             # uniform samples integrate exactly to the sample mean for both
             # step and linear (trapezoid with wrap-around) interpolation
             self.mean = float(np.mean(s))
-            dt = self.period / s.size
-            if self.order == 0:
-                cell = s * dt
-            else:
-                cell = 0.5 * (s + np.roll(s, -1)) * dt
-            self._cumint = np.concatenate(([0.0], np.cumsum(cell)))
         else:
             self.total_variation = float(
                 np.sum(np.abs(np.diff(vals))) + abs(vals[0] - vals[-1])
@@ -220,7 +208,6 @@ class PeriodicCoefficient:
                 points=self._kinks or None,
             )
             self.mean = val / self.period
-            self._cumint = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -238,69 +225,6 @@ class PeriodicCoefficient:
         frac = pos - idx
         nxt = s[(idx + 1) % n]
         return s[idx] + frac * (nxt - s[idx])
-
-    def eval_scalar(self, t):
-        """Scalar fast path for hot loops; equivalent to ``float(eval(t))``."""
-        tr = math.fmod(t, self.period)
-        if tr < 0.0:
-            tr += self.period
-        if self._eval_fn is not None:
-            return float(self._eval_fn(tr))
-        s = self.samples
-        n = s.size
-        pos = tr * (n / self.period)
-        idx = int(pos)
-        if idx >= n:
-            idx = n - 1
-        if self.order == 0:
-            return float(s[idx])
-        frac = pos - idx
-        j = idx + 1
-        if j == n:
-            j = 0
-        return float(s[idx] + frac * (s[j] - s[idx]))
-
-    def __call__(self, t):
-        return self.eval(t)
-
-    # -- primitives ---------------------------------------------------------
-
-    def integral(self, t):
-        """Integral of the coefficient from 0 to ``t`` (t may exceed T).
-
-        Exact for sampled representations; adaptive quadrature for closed
-        forms.  Satisfies ``integral(t + T) == integral(t) + T * mean``.
-        """
-        t = float(t)
-        q, r = divmod(t, self.period)
-        full = q * self.period * self.mean
-        if r == 0.0:
-            return full
-        if self._eval_fn is not None:
-            part, _ = quad(
-                lambda x: float(self._eval_fn(np.asarray(x))),
-                0.0,
-                r,
-                limit=200,
-                epsabs=1e-13,
-                epsrel=1e-13,
-                points=[p for p in self._kinks if 0.0 < p < r] or None,
-            )
-            return full + part
-        s = self.samples
-        n = s.size
-        dt = self.period / n
-        pos = r / dt
-        k = min(int(pos), n - 1)
-        frac_t = r - k * dt
-        part = self._cumint[k]
-        if self.order == 0:
-            part += s[k] * frac_t
-        else:
-            v0 = s[k]
-            v1 = s[(k + 1) % n]
-            part += v0 * frac_t + (v1 - v0) * frac_t * frac_t / (2.0 * dt)
-        return full + part
 
     def breakpoints_in(self, t0, t1):
         """Interior non-smooth points of the representation in (t0, t1).
@@ -449,16 +373,6 @@ class ModelSpec:
             return self
         return ModelSpec(self.b, ConstantMass(self.mass.m0), self.T)
 
-    def with_epsilon(self, epsilon, m1=None):
-        """Copy with perturbation amplitude ``epsilon`` (m1 required if absent)."""
-        if m1 is None:
-            if not isinstance(self.mass, PerturbedMass):
-                raise ModelAssumptionError("with_epsilon on a constant-mass model requires m1")
-            m1 = self.mass.m1
-        if epsilon == 0.0:
-            return ModelSpec(self.b, ConstantMass(self.m0), self.T)
-        return ModelSpec(self.b, PerturbedMass(self.m0, float(epsilon), m1), self.T)
-
     def describe(self):
         """Plain-dict description for reports."""
         d = {
@@ -473,27 +387,3 @@ class ModelSpec:
         }
         return d
 
-
-# -- module-level operation surface ------------------------------------------
-
-
-def mean_value(c: PeriodicCoefficient) -> float:
-    """Mean of the coefficient over one period (cached at construction)."""
-    return c.mean
-
-
-def lambda_primitive(c: PeriodicCoefficient, t: float) -> float:
-    """exp of the running integral of ``c`` from 0 to ``t``.
-
-    Satisfies ``lambda_primitive(c, t + T) == exp(mean * T) * lambda_primitive(c, t)``.
-    """
-    if t < 0.0:
-        raise ValueError("lambda_primitive requires t >= 0")
-    return math.exp(c.integral(t))
-
-
-def symbol(spec: ModelSpec, t, xi):
-    """sqrt(xi^2 + m(t)^2) for the model's mass specification."""
-    if np.any(np.asarray(xi) < 0.0):
-        raise ValueError("symbol expects xi >= 0 (the system depends on |xi| only)")
-    return spec.symbol(t, xi)

@@ -23,14 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import ConstantMass, ModelSpec
-from .errors import FrameError, PreconditionError, ThresholdSearchError
-from .monodromy import SCAN_CHUNK, monodromy_grid, _chunks
-from .propagator import (
-    DEFAULT_TOL,
-    _cumulative_simpson_uniform,
-    inv2,
-    spectral_norm_2x2,
-)
+from .errors import FrameError, ThresholdSearchError
+from .monodromy import monodromy_grid
+from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_2x2
 
 # Frames with |det N1| below this are treated as singular (frequency too low).
 FRAME_DET_GUARD = 0.1
@@ -51,19 +46,6 @@ THRESHOLD_ACCEPT_MARGIN = 1e-3
 # A constant mass m0 acts as the shift xi -> sqrt(xi^2 + m0^2), which can raise
 # the frame product; the verify step checks the bound under the real mass.
 _MASSLESS = ConstantMass(0.0)
-
-
-@dataclass(frozen=True)
-class DiagonalizationFrame:
-    """Corrector data at one (t, xi) point."""
-
-    t: float
-    xi: float
-    n_plus: complex
-    n_minus: complex
-    n1: np.ndarray
-    n1_inv: np.ndarray
-    r2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,87 +70,6 @@ def _points_per_period(spec: ModelSpec, xi: float, per_period: int | None = None
     return SUP_T_POINTS * math.ceil(p / SUP_T_POINTS)
 
 
-def _phase_profile(spec: ModelSpec, xi: float, t_max: float, points: int):
-    """Phase-resolved quadrature on a uniform grid over [0, t_max].
-
-    Returns (tau, osc, c_plus, b_vals, dt) with osc = exp(i phi),
-    phi(t) = int_0^t h and c+(t) = int_0^t osc b.
-    """
-    n = points if points % 2 == 1 else points + 1
-    tau = np.linspace(0.0, t_max, n)
-    dt = t_max / (n - 1)
-    b = spec.b.eval(tau)
-    osc = np.exp(1j * _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)), dt))
-    return tau, osc, _cumulative_simpson_uniform(osc * b, dt), b, dt
-
-
-def _corrector_profile(spec: ModelSpec, xi: float, t_max: float, points: int):
-    """n+/-(t) on a uniform grid over [0, t_max] via phase-resolved quadrature.
-
-    Returns (tau, n_plus, n_minus, b_vals, dt).
-    """
-    tau, osc, c_plus, b, dt = _phase_profile(spec, xi, t_max, points)
-    c_minus = _cumulative_simpson_uniform(np.conj(osc) * b, dt)
-    return tau, np.conj(osc) * c_plus, osc * c_minus, b, dt
-
-
-def frame_matrices(n_plus, n_minus, b):
-    """Corrector matrices from scalar data (batched over leading dims).
-
-    Returns (n1, n1_inv, r2, det) with
-    n1 = [[1, n-], [n+, 1]], r2 = -n1^{-1} r1 (I - n1), r1 = i b [[0,1],[1,0]].
-    """
-    n_plus = np.asarray(n_plus, dtype=complex)
-    shape = n_plus.shape + (2, 2)
-    n1 = np.zeros(shape, dtype=complex)
-    n1[..., 0, 0] = 1.0
-    n1[..., 1, 1] = 1.0
-    n1[..., 0, 1] = n_minus
-    n1[..., 1, 0] = n_plus
-    det = 1.0 - n_plus * n_minus
-    n1_inv = inv2(n1)
-    eye_minus = np.zeros(shape, dtype=complex)
-    eye_minus[..., 0, 1] = -n_minus
-    eye_minus[..., 1, 0] = -n_plus
-    r1 = np.zeros(shape, dtype=complex)
-    r1[..., 0, 1] = 1j * np.asarray(b)
-    r1[..., 1, 0] = 1j * np.asarray(b)
-    r2 = -(n1_inv @ (r1 @ eye_minus))
-    return n1, n1_inv, r2, det
-
-
-def n_pm(spec: ModelSpec, t: float, xi: float, per_period: int | None = None):
-    """The two oscillatory corrector integrals (n+, n-) at time ``t``.
-
-    n+/-(t) = int_0^t exp(-/+ i int_s^t h(r) dr) b(s) ds with h the symbol.
-    Valid window: t in [0, 2T].
-    """
-    if not (0.0 <= t <= 2.0 * spec.T + 1e-12):
-        raise PreconditionError(f"n_pm is defined on [0, 2T], got t = {t}")
-    if xi < 0.0:
-        raise ValueError("xi must be non-negative")
-    if t == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    points = int(_points_per_period(spec, xi, per_period) * (t / spec.T)) + 1
-    _, npl, nmi, _, _ = _corrector_profile(spec, xi, t, max(points, 129))
-    return complex(npl[-1]), complex(nmi[-1])
-
-
-def frame_at(spec: ModelSpec, t: float, xi: float) -> DiagonalizationFrame:
-    """Diagonalization frame at (t, xi); fails when the corrector is near-singular."""
-    np_, nm_ = n_pm(spec, t, xi)
-    det = 1.0 - np_ * nm_
-    if abs(det) < FRAME_DET_GUARD:
-        raise FrameError(
-            f"|det N1| = {abs(det):.3g} < {FRAME_DET_GUARD} at (t={t}, xi={xi}); "
-            "frequency too low for the high-frequency frame"
-        )
-    n1, n1_inv, r2, _ = frame_matrices(np.array(np_), np.array(nm_), spec.b.eval_scalar(t))
-    return DiagonalizationFrame(
-        t=float(t), xi=float(xi), n_plus=np_, n_minus=nm_, n1=n1, n1_inv=n1_inv, r2=r2
-    )
-
-
 def _suplarge_from_profile(n1_norms, n1inv_norms, r2_cumint, idx, per):
     """Combine profile arrays: max over base indices of
     ||N1(t+T)|| * exp(int_t^{t+T} ||R2||) * ||N1inv(t)||."""
@@ -189,8 +90,13 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     """
     per = _points_per_period(spec, xi)
     per = t_points * math.ceil(per / t_points)  # keep base times index-exact
-    _, _, c_plus, b, dt = _phase_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
-    r = np.abs(c_plus)
+    # phase-resolved quadrature on 2 per + 1 uniform points over [0, 2T]:
+    # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h
+    tau = np.linspace(0.0, 2.0 * spec.T, 2 * per + 1)
+    dt = 2.0 * spec.T / (2 * per)
+    b = spec.b.eval(tau)
+    osc = np.exp(1j * _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)), dt))
+    r = np.abs(_cumulative_simpson_uniform(osc * b, dt))
     gap = np.abs(1.0 - r)
     if float(np.min(gap * (1.0 + r))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
@@ -199,55 +105,24 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     return _suplarge_from_profile(1.0 + r, 1.0 / gap, r2_cum, idx, per)
 
 
-def corrector_sup(spec: ModelSpec, xi: float) -> float:
-    """max over the [0, 2T] grid of |n+| and |n-| (decay-law diagnostics)."""
-    per = _points_per_period(spec, xi)
-    _, npl, nmi, _, _ = _corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
-    return float(max(np.max(np.abs(npl)), np.max(np.abs(nmi))))
-
-
-def frame_ode_residual(spec: ModelSpec, xi: float, per_period: int | None = None) -> float:
-    """Discretized-derivative residual of the corrector equations on [0, 2T].
-
-    Central differences of the quadrature-built n+/- are compared with the
-    generating first-order equations  d/dt n+/- = b(t) -/+ i h(t) n+/-.
-    Returns the max absolute residual over interior grid points.
-    """
-    per = _points_per_period(spec, xi, per_period)
-    tau, npl, nmi, b, dt = _corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
-    h = spec.symbol(tau, abs(xi))
-    res = 0.0
-    for arr, sign in ((npl, -1.0), (nmi, +1.0)):
-        dnum = (arr[2:] - arr[:-2]) / (2.0 * dt)
-        rhs = b[1:-1] + sign * 1j * h[1:-1] * arr[1:-1]
-        res = max(res, float(np.max(np.abs(dnum - rhs))))
-    return res
-
-
-def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, map_fn, window_factor=10.0, stop_above=None) -> float:
+def _window_sup(
+    spec: ModelSpec, N: float, xi_points: int, t_points: int, window_factor=10.0, stop_above=None
+) -> float:
     """sup over xi in [N, window_factor*N] (xi_points samples) of the frame product.
 
-    With ``stop_above`` set, a chunk stops early once it has witnessed a
-    value beyond it (the window is already disqualified); the returned value
-    is then only a lower bound for the true supremum.
+    With ``stop_above`` set, the scan stops at the first value beyond it (the
+    window is already disqualified); the returned value is then only a lower
+    bound for the true supremum.
     """
-    xis = np.linspace(N, window_factor * N, xi_points)
-
-    def work(chunk):
-        vals = []
-        for x in chunk:
-            try:
-                vals.append(suplarge_quantity(spec, float(x), t_points))
-            except FrameError:
-                vals.append(math.inf)
-            if stop_above is not None and vals[-1] > stop_above:
-                break
-        return vals
-
-    out = []
-    for part in map_fn(work, list(_chunks(xis, SCAN_CHUNK))):
-        out.extend(part)
-    return float(np.max(out))
+    vals = []
+    for x in np.linspace(N, window_factor * N, xi_points):
+        try:
+            vals.append(suplarge_quantity(spec, float(x), t_points))
+        except FrameError:
+            vals.append(math.inf)
+        if stop_above is not None and vals[-1] > stop_above:
+            break
+    return float(np.max(vals))
 
 
 def find_threshold_N(
@@ -256,7 +131,6 @@ def find_threshold_N(
     t_points: int = SUP_T_POINTS,
     n_max: float = 1e6,
     window_factor: float = 10.0,
-    map_fn=map,
 ) -> ThresholdResult:
     """Locate the smallest frequency threshold N with the window criterion.
 
@@ -278,7 +152,7 @@ def find_threshold_N(
     trace = []
 
     N = 1.0
-    sup = _window_sup(base, N, xi_points, t_points, map_fn, window_factor, stop_above=accept)
+    sup = _window_sup(base, N, xi_points, t_points, window_factor, stop_above=accept)
     trace.append((N, sup, sup <= accept))
     while sup > accept:
         N *= 2.0
@@ -286,14 +160,14 @@ def find_threshold_N(
             raise ThresholdSearchError(
                 f"no threshold found up to N = {n_max:g} (last sup {sup:.6g} > target {target:.6g})"
             )
-        sup = _window_sup(base, N, xi_points, t_points, map_fn, window_factor, stop_above=accept)
+        sup = _window_sup(base, N, xi_points, t_points, window_factor, stop_above=accept)
         trace.append((N, sup, sup <= accept))
 
     lo = N / 2.0  # known failing (or 0.5 when N = 1 passed immediately)
     hi, hi_sup = N, sup
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
-        sup = _window_sup(base, mid, xi_points, t_points, map_fn, window_factor, stop_above=accept)
+        sup = _window_sup(base, mid, xi_points, t_points, window_factor, stop_above=accept)
         ok = sup <= accept
         trace.append((mid, sup, ok))
         if ok:
@@ -319,7 +193,6 @@ def verify_highfreq_contraction(
     xi_factor: float = 10.0,
     tol: float = DEFAULT_TOL,
     slack: float = 1e-6,
-    map_fn=map,
 ):
     """Direct check that ||M(t, xi)|| <= exp(-beta T / 2) + slack above N.
 
@@ -330,7 +203,7 @@ def verify_highfreq_contraction(
     """
     t_grid = np.linspace(0.0, spec.T, nt)
     xi_grid = np.linspace(N, xi_factor * N, nxi)
-    M = monodromy_grid(spec, t_grid, xi_grid, tol, map_fn)
+    M = monodromy_grid(spec, t_grid, xi_grid, tol)
     max_norm = float(np.max(spectral_norm_2x2(M)))
     bound = math.exp(-spec.beta * spec.T / 2.0)
     return max_norm, bound, max_norm <= bound + slack

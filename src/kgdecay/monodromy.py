@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import ConstantMass, ModelSpec
-from .errors import ModelAssumptionError, NoContractionError
+from .coefficients import ModelSpec
+from .errors import NoContractionError
 from .propagator import (
     DEFAULT_TOL,
+    det2,
     eigenvalues_2x2,
     inv2,
     propagate_grid,
@@ -36,25 +37,16 @@ RHO_BLOCKER_TOL = 1e-9
 # Contraction margin: the grid supremum of ||M^k|| must fall below 1 - margin.
 DEFAULT_CONTRACTION_MARGIN = 1e-3
 
-# Frequencies are scanned in fixed-size chunks so that results do not depend
-# on how many workers process them.
+# Frequencies are swept in batches of this size.  All frequencies of a batch
+# share one adaptive step sequence, so the batch size is part of what fixes
+# the certificate's bytes.
 SCAN_CHUNK = 64
 
 CLASS_COMPLEX_PAIR = "ComplexConjugatePair"
 CLASS_REAL_PAIR = "RealPair"
 
-
-@dataclass(frozen=True)
-class MonodromySample:
-    """One evaluated monodromy matrix with its spectral data."""
-
-    t: float
-    xi: float
-    matrix: np.ndarray
-    eigenvalues: tuple
-    spectral_radius: float
-    norm: float
-    kind: str  # CLASS_COMPLEX_PAIR or CLASS_REAL_PAIR
+# The float columns of the samples table, in CSV order.
+SAMPLE_FLOATS = ("t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm")
 
 
 @dataclass(frozen=True)
@@ -91,58 +83,6 @@ class ContractionCertificate:
         }
 
 
-def classify_pair(matrix) -> str:
-    """Eigenvalue-pair class from the characteristic-polynomial discriminant.
-
-    The monodromy matrix is similar to a real matrix, so the discriminant is
-    real up to numerical noise: positive real part means two real eigenvalues,
-    negative means a complex-conjugate pair.  A degenerate band around zero is
-    classified as a real (double) root.
-    """
-    tr = complex(matrix[0, 0] + matrix[1, 1])
-    dt = complex(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-    disc = tr * tr - 4.0 * dt
-    if abs(disc) <= DEGENERATE_DISC_TOL or disc.real > 0.0:
-        return CLASS_REAL_PAIR
-    return CLASS_COMPLEX_PAIR
-
-
-def _sample_from_matrix(t, xi, M) -> MonodromySample:
-    ev = eigenvalues_2x2(M)
-    return MonodromySample(
-        t=float(t),
-        xi=float(xi),
-        matrix=M,
-        eigenvalues=(ev[0], ev[1]),
-        spectral_radius=max(abs(ev[0]), abs(ev[1])),
-        norm=spectral_norm_2x2(M),
-        kind=classify_pair(M),
-    )
-
-
-def monodromy_at(
-    spec: ModelSpec, t: float, xi: float, tol: float = DEFAULT_TOL, base: np.ndarray | None = None
-) -> MonodromySample:
-    """Monodromy matrix M(t, xi) = E(t + T, t, xi) with spectral data.
-
-    With ``base`` = M(0, xi) given, uses the similarity
-    M(t, xi) = E(t, 0, xi) M(0, xi) E(t, 0, xi)^{-1} (one integration over
-    [0, t] instead of [t, t + T]); otherwise propagates directly.
-    """
-    if not (0.0 <= t <= spec.T + 1e-12):
-        raise ValueError(f"base time t must lie in [0, T], got {t}")
-    if base is not None:
-        if t == 0.0:
-            M = np.array(base, dtype=complex)
-        else:
-            Et0 = propagate_grid(spec, 0.0, t, [abs(xi)], tol)[0][0]
-            M = Et0 @ np.asarray(base, dtype=complex) @ inv2(Et0)
-    else:
-        res = propagate_grid(spec, t, t + spec.T, [abs(xi)], tol)[0]
-        M = res[0]
-    return _sample_from_matrix(t, xi, M)
-
-
 def _chunks(values, size):
     for i in range(0, len(values), size):
         yield values[i : i + size]
@@ -153,16 +93,12 @@ def monodromy_grid(
     t_grid,
     xi_grid,
     tol: float = DEFAULT_TOL,
-    map_fn=map,
 ) -> np.ndarray:
     """Monodromy matrices on a (t, xi) grid, shape (nt, nxi, 2, 2).
 
     One checkpointed sweep of E(., 0, xi) over [0, max(t) + T] per frequency
     chunk supplies every base time at once:
     M(t, xi) = E(t + T, 0, xi) E(t, 0, xi)^{-1}.
-
-    ``map_fn`` may be a parallel map; chunks are fixed-size so results are
-    identical no matter how they are scheduled.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -171,33 +107,13 @@ def monodromy_grid(
     if np.any(t_grid < 0.0) or np.any(t_grid > spec.T + 1e-12):
         raise ValueError("t_grid must lie within [0, T]")
     T = spec.T
+    nt = t_grid.size
     checkpoints = np.concatenate([t_grid, t_grid + T])
-
-    def work(xis):
+    parts = []
+    for xis in _chunks(xi_grid, SCAN_CHUNK):
         _, chk, _ = propagate_grid(spec, 0.0, float(t_grid.max()) + T, xis, tol, checkpoints)
-        nt = t_grid.size
-        E_t = chk[:nt]
-        E_tT = chk[nt:]
-        return E_tT @ inv2(E_t)
-
-    parts = list(map_fn(work, list(_chunks(xi_grid, SCAN_CHUNK))))
+        parts.append(chk[nt:] @ inv2(chk[:nt]))
     return np.concatenate(parts, axis=1)
-
-
-def spectral_radius_scan(
-    spec: ModelSpec, xi_grid, tol: float = DEFAULT_TOL, map_fn=map
-) -> np.ndarray:
-    """Spectral radius of M(0, xi) along a frequency grid (constant mass only).
-
-    Any entry at or above ``1 - RHO_BLOCKER_TOL`` blocks certification.
-    """
-    if not isinstance(spec.mass, ConstantMass):
-        raise ModelAssumptionError("spectral_radius_scan requires a constant-mass model")
-    if spec.m0 <= 0.0:
-        raise ModelAssumptionError("spectral_radius_scan requires m0 > 0")
-    M = monodromy_grid(spec, [0.0], xi_grid, tol, map_fn)[0]
-    ev = eigenvalues_2x2(M)
-    return np.max(np.abs(ev), axis=-1)
 
 
 def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:
@@ -241,36 +157,6 @@ def contraction_search(M_grid: np.ndarray, k_max: int = 64, margin: float = DEFA
     )
 
 
-def find_contraction_k(
-    spec: ModelSpec,
-    N: float,
-    k_max: int = 64,
-    nt: int = 64,
-    nxi: int = 256,
-    margin: float = DEFAULT_CONTRACTION_MARGIN,
-    tol: float = DEFAULT_TOL,
-    map_fn=map,
-):
-    """Smallest power k with grid-sup ||M(t, xi)^k|| <= 1 - margin.
-
-    Scans t uniformly on [0, T] (nt points) and xi uniformly on [0, N]
-    (nxi points).  Requires a constant-mass model whose spectral radii are
-    all below one on the scan grid.
-
-    Returns
-    -------
-    (k, c1) : the power and the attained grid supremum of ||M^k||.
-    """
-    if not isinstance(spec.mass, ConstantMass):
-        raise ModelAssumptionError("contraction search requires a constant-mass model")
-    if spec.m0 <= 0.0:
-        raise ModelAssumptionError("contraction search requires m0 > 0")
-    t_grid = np.linspace(0.0, spec.T, nt)
-    xi_grid = np.linspace(0.0, N, nxi)
-    M = monodromy_grid(spec, t_grid, xi_grid, tol, map_fn)
-    return contraction_search(M, k_max, margin, t_grid, xi_grid)
-
-
 def assemble_certificate(
     spec: ModelSpec,
     N: float,
@@ -305,31 +191,42 @@ def assemble_certificate(
     )
 
 
-def samples_from_grid(t_grid, xi_grid, M_grid) -> list:
-    """MonodromySample list from a precomputed grid (row-major in t)."""
-    out = []
-    for i, t in enumerate(np.asarray(t_grid, dtype=float)):
-        for j, xi in enumerate(np.asarray(xi_grid, dtype=float)):
-            out.append(_sample_from_matrix(t, xi, M_grid[i, j]))
-    return out
+def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
+    """The samples table of a precomputed grid, one row per (t, xi), row-major in t.
 
+    A structured array with the float fields of :data:`SAMPLE_FLOATS` and the
+    string field ``class``: the eigenvalue pair, the spectral radius, the
+    spectral norm and the pair class of every matrix.  The class comes from
+    the characteristic-polynomial discriminant.  The monodromy matrix is
+    similar to a real matrix, so the discriminant is real up to numerical
+    noise: positive real part means two real eigenvalues, negative means a
+    complex-conjugate pair, and a degenerate band around zero is a real
+    (double) root.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    M = np.asarray(M_grid).reshape(-1, 2, 2)
+    ev = eigenvalues_2x2(M)
+    tr = M[:, 0, 0] + M[:, 1, 1]
+    disc = tr * tr - 4.0 * det2(M)
+    real_pair = (np.hypot(disc.real, disc.imag) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
 
-def scan_samples(
-    spec: ModelSpec, t_grid, xi_grid, tol: float = DEFAULT_TOL, map_fn=map
-) -> list:
-    """MonodromySample list over the full (t, xi) grid (row-major in t)."""
-    M = monodromy_grid(spec, t_grid, xi_grid, tol, map_fn)
-    return samples_from_grid(t_grid, xi_grid, M)
+    table = np.empty(len(M), dtype=[(name, float) for name in SAMPLE_FLOATS] + [("class", "U20")])
+    table["t"] = np.repeat(t_grid, xi_grid.size)
+    table["xi"] = np.tile(xi_grid, t_grid.size)
+    table["re_eig1"], table["im_eig1"] = ev[:, 0].real, ev[:, 0].imag
+    table["re_eig2"], table["im_eig2"] = ev[:, 1].real, ev[:, 1].imag
+    # hypot, as Python's complex abs, which numpy's abs can miss by one ulp
+    table["rho"] = np.maximum(np.hypot(ev[:, 0].real, ev[:, 0].imag), np.hypot(ev[:, 1].real, ev[:, 1].imag))
+    table["norm"] = spectral_norm_2x2(M)
+    table["class"] = np.where(real_pair, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR)
+    return table
 
 
 def scan_to_csv(path, samples) -> None:
-    """Write scan samples as CSV: t, xi, eigenvalue parts, rho, norm, class."""
+    """Write the samples table as CSV: t, xi, eigenvalue parts, rho, norm, class."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm", "class"])
-        for s in samples:
-            e1, e2 = s.eigenvalues
-            w.writerow(
-                [f"{v:.17g}" for v in (s.t, s.xi, e1.real, e1.imag, e2.real, e2.imag, s.spectral_radius, s.norm)]
-                + [s.kind]
-            )
+        w.writerow(SAMPLE_FLOATS + ("class",))
+        for row in samples.tolist():
+            w.writerow([f"{v:.17g}" for v in row[:-1]] + [row[-1]])

@@ -1,4 +1,4 @@
-"""Admissible mass perturbations: Lambert W bound, Gronwall comparison, re-scan.
+"""Admissible mass perturbations: Lambert W bound and perturbed re-scan.
 
 Once a constant-mass certificate (N, k, c1) exists, a periodic perturbation
 m0^2 + eps * m1(t) with sup|m1| = 1 keeps the k-th monodromy power
@@ -13,8 +13,9 @@ frequency is xi = N and the prefactor is minimized at xi = 0, giving
     eps_max = (m0 / kT) * W(c1 * log(1/c1) * exp(-(h_N + 2 beta) kT)).
 
 Everything here is audited numerically: the inequality is re-checked at
-xi in {0, N}, the perturbed monodromy powers are re-scanned directly, and a
-Gronwall difference bound dominates the measured propagator deviation.
+xi in {0, N} and the perturbed monodromy powers are re-scanned directly.
+The tests add a third check: the Gronwall difference bound behind the
+inequality (tests/oracles.py) dominates the measured propagator deviation.
 """
 
 from __future__ import annotations
@@ -111,15 +112,6 @@ def _audit_entry(eps, xi, m0, kT, delta1, beta, c1):
     return {"xi": xi, "log_lhs": log_lhs, "log_rhs": log_rhs, "pass": log_lhs < log_rhs}
 
 
-def epsilon_threshold_at(xi: float, cert: ContractionCertificate, m0: float) -> float:
-    """The exact per-frequency amplitude at which the budget inequality binds."""
-    kT = cert.k * cert.T
-    h = math.hypot(xi, m0)
-    L = math.log(1.0 / cert.c1)
-    arg = cert.c1 * L * math.exp(-(h + 2.0 * cert.beta) * kT)
-    return (h / kT) * lambert_w0(arg)
-
-
 def epsilon_bound(cert: ContractionCertificate, m0: float) -> EpsilonBound:
     """Admissible perturbation amplitude for a certificate, with audit.
 
@@ -150,49 +142,10 @@ def epsilon_bound(cert: ContractionCertificate, m0: float) -> EpsilonBound:
     )
 
 
-def gronwall_difference_bound(
-    spec_eps: ModelSpec,
-    spec_0: ModelSpec,
-    cert: ContractionCertificate,
-    s: float,
-    t: float,
-    xi: float,
-) -> float:
-    """Analytic bound on ||E_eps(t, s, xi) - E_0(t, s, xi)|| for xi <= N.
-
-    Combines the integral-inequality estimate with the certified decay curve
-    of the unperturbed propagator:
-
-        ||E_eps - E_0|| <= C_eps * (int_s^t e^{-delta1 (tau - s - kT)} dtau)
-                           * exp((C_eps + h_xi)(t - s) + 2 int_s^t b),
-
-    where C_eps = eps / h_xi and h_xi = sqrt(xi^2 + m0^2).
-    """
-    if t < s:
-        raise ValueError("gronwall_difference_bound requires t >= s")
-    if abs(xi) > cert.N + 1e-9:
-        raise ValueError("the certified decay curve only covers |xi| <= N")
-    m0 = spec_0.m0
-    if abs(spec_eps.m0 - m0) > 1e-12 or abs(spec_eps.T - spec_0.T) > 1e-12:
-        raise ValueError("both models must share m0 and T")
-    eps = spec_eps.epsilon
-    if eps == 0.0 or t == s:
-        return 0.0
-    h = math.hypot(xi, m0)
-    ce = eps / h
-    dt = t - s
-    kT = cert.k * cert.T
-    d1 = cert.delta1
-    decay_integral = math.exp(d1 * kT) * (1.0 - math.exp(-d1 * dt)) / d1
-    int_b = spec_0.b.integral(t) - spec_0.b.integral(s)
-    return ce * decay_integral * math.exp((ce + h) * dt + 2.0 * int_b)
-
-
 def verify_perturbed_contraction(
     spec_eps: ModelSpec,
     cert: ContractionCertificate,
     tol: float = DEFAULT_TOL,
-    map_fn=map,
 ):
     """Re-scan ||M_eps^k(t, xi)|| on the certificate grids.
 
@@ -204,7 +157,7 @@ def verify_perturbed_contraction(
     nxi = int(cert.grids.get("contraction_xi_points", 256))
     t_grid = np.linspace(0.0, cert.T, nt)
     xi_grid = np.linspace(0.0, cert.N, nxi)
-    M = monodromy_grid(spec_eps, t_grid, xi_grid, tol, map_fn)
+    M = monodromy_grid(spec_eps, t_grid, xi_grid, tol)
     worst = float(np.max(power_norms(M, cert.k)))
     return worst < 1.0 - PERTURBED_CONTRACTION_SLACK, worst
 
@@ -213,7 +166,6 @@ def perturbed_certificate(
     spec_eps: ModelSpec,
     cert: ContractionCertificate,
     tol: float = DEFAULT_TOL,
-    map_fn=map,
     worst: float | None = None,
 ) -> ContractionCertificate:
     """Certificate whose c1 is the directly verified perturbed contraction.
@@ -226,7 +178,7 @@ def perturbed_certificate(
     ``worst`` carries the norm only, as (nan, nan, norm).
     """
     if worst is None:
-        _, worst = verify_perturbed_contraction(spec_eps, cert, tol, map_fn)
+        _, worst = verify_perturbed_contraction(spec_eps, cert, tol)
     if not worst < 1.0 - PERTURBED_CONTRACTION_SLACK:
         raise NoContractionError(
             f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",

@@ -16,9 +16,6 @@ Richardson correction.  Coefficient jumps and kinks are forced as step
 boundaries.  The state is kept in the real form R = S^-1 E S, S = diag(1, -i),
 in which the generator [[0, h], [-h, -2b]] and every product are real.
 
-A truncated Peano-Baker series on a fixed fine grid serves as an independent
-oracle for short intervals.
-
 All 2x2 operations (determinant, eigenvalues, spectral norm, inverse) are
 closed-form and broadcast over leading batch dimensions.
 """
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import ConstantMass, ModelSpec
-from .errors import IntegrationFailureError, PreconditionError
+from .errors import IntegrationFailureError
 
 DEFAULT_TOL = 1e-10
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
@@ -123,42 +120,12 @@ def spectral_norm_2x2(M):
     return out
 
 
-def spectral_radius_2x2(M):
-    """Largest eigenvalue modulus."""
-    ev = eigenvalues_2x2(np.asarray(M))
-    if np.asarray(M).ndim == 2:
-        return max(abs(ev[0]), abs(ev[1]))
-    return np.max(np.abs(ev), axis=-1)
-
-
-# -- system matrix ------------------------------------------------------------
-
-
-def system_matrix(spec: ModelSpec, t: float, xi: float) -> np.ndarray:
-    """The coefficient matrix [[0, h], [h, 2ib(t)]] with h = sqrt(xi^2 + m(t)^2)."""
-    h = float(spec.symbol(t, abs(xi)))
-    b = spec.b.eval_scalar(t)
-    return np.array([[0.0, h], [h, 2.0j * b]], dtype=complex)
-
-
-def _system_matrices(spec, ts, xi):
-    """A(t, xi) stacked over a time grid (len(ts), 2, 2)."""
-    ts = np.asarray(ts, dtype=float)
-    h = spec.symbol(ts, abs(xi))
-    b = spec.b.eval(ts)
-    out = np.zeros((ts.size, 2, 2), dtype=complex)
-    out[:, 0, 1] = h
-    out[:, 1, 0] = h
-    out[:, 1, 1] = 2.0j * b
-    return out
-
-
 # -- adaptive propagation ------------------------------------------------------
 
 
 @dataclass
 class PropagationResult:
-    """Propagator matrix plus integration statistics.
+    """Integration statistics of one :func:`propagate_grid` call.
 
     ``steps_taken`` counts accepted steps.  ``rhs_evaluations`` is the
     integration cost in right-hand-side evaluations of a seven-stage explicit
@@ -167,7 +134,6 @@ class PropagationResult:
     six times, two Gauss nodes each for the full step and its two halves.)
     """
 
-    matrix: np.ndarray
     local_error_estimate: float
     steps_taken: int
     rhs_evaluations: int
@@ -320,8 +286,7 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     Returns
     -------
     (Y_end, chk, result) : final states (n, 2, 2), recorded states
-        (len(checkpoints), n, 2, 2) and a :class:`PropagationResult` whose
-        ``matrix`` field is None (batch form).
+        (len(checkpoints), n, 2, 2) and a :class:`PropagationResult`.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
@@ -340,7 +305,7 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     span = abs(t - s)
     if span == 0.0:
         chk[:] = Y
-        return _from_real_form(Y), _from_real_form(chk), PropagationResult(None, 0.0, 0, 0)
+        return _from_real_form(Y), _from_real_form(chk), PropagationResult(0.0, 0, 0)
 
     direction = 1.0 if t > s else -1.0
     breaks = spec.breakpoints_in(s, t)
@@ -367,22 +332,11 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         cur = nxt
         for i in slots.get(float(nxt), []):
             chk[i] = Y
-    result = PropagationResult(None, stats.max_err * tol, stats.steps, stats.evals)
+    result = PropagationResult(stats.max_err * tol, stats.steps, stats.evals)
     return _from_real_form(Y), _from_real_form(chk), result
 
 
-def propagate(spec: ModelSpec, s: float, t: float, xi: float, tol: float = DEFAULT_TOL) -> PropagationResult:
-    """Fundamental solution E(t, s, xi) with adaptive error control.
-
-    Satisfies the flow property E(t, s) = E(t, r) E(r, s) and the inverse
-    relation E(t, s) E(s, t) = I to within a small multiple of ``tol``.
-    """
-    Y, _, res = propagate_grid(spec, s, t, [abs(xi)], tol)
-    res.matrix = Y[0]
-    return res
-
-
-# -- Peano-Baker series oracle -------------------------------------------------
+# -- quadrature ----------------------------------------------------------------
 
 
 def _cumulative_simpson_uniform(y, h):
@@ -408,35 +362,3 @@ def _cumulative_simpson_uniform(y, h):
         -y[n - 4] + 13.0 * y[n - 3] + 13.0 * y[n - 2] - y[n - 1]
     )
     return out
-
-
-def peano_baker_truncated(
-    spec: ModelSpec, s: float, t: float, xi: float, terms: int, npoints: int = 4097
-) -> np.ndarray:
-    """Truncated iterated-integral series for E(t, s, xi).  ORACLE ONLY.
-
-    Evaluates I + sum_{l=1}^{terms} i^l (nested integrals of A) on a fixed
-    fine grid with cumulative Simpson quadrature.  Truncation error scales
-    like (||A|| |t-s|)^(terms+1) / (terms+1)!, so the practical window is
-    ``|t-s| * sup||A|| <= 5``; outside it a PreconditionError is raised.
-    """
-    if terms < 0 or terms > 30:
-        raise PreconditionError(f"terms must lie in [0, 30], got {terms}")
-    if npoints % 2 == 0:
-        npoints += 1
-    if t == s or terms == 0:
-        return np.eye(2, dtype=complex)
-    grid = np.linspace(s, t, npoints)
-    Avals = _system_matrices(spec, grid, xi)
-    supA = float(np.max(spectral_norm_2x2(Avals)))
-    if abs(t - s) * supA > 5.0 + 1e-12:
-        raise PreconditionError(
-            f"|t-s|*sup||A|| = {abs(t - s) * supA:.3g} exceeds the convergence window 5"
-        )
-    h = (t - s) / (npoints - 1)
-    P = np.broadcast_to(np.eye(2, dtype=complex), Avals.shape).copy()
-    E = np.eye(2, dtype=complex)
-    for _ in range(terms):
-        P = 1j * _cumulative_simpson_uniform(Avals @ P, h)
-        E = E + P[-1]
-    return E

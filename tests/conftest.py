@@ -3,7 +3,17 @@ import cmath
 import numpy as np
 import pytest
 
-from kgdecay import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient
+from kgdecay import (
+    ConstantMass,
+    ModelSpec,
+    PerturbedMass,
+    PeriodicCoefficient,
+    assemble_certificate,
+    contraction_search,
+    monodromy_grid,
+    propagate_grid,
+)
+from kgdecay.propagator import DEFAULT_TOL
 
 
 def triangle_samples(n=1024, lo=0.2, hi=1.0):
@@ -54,6 +64,26 @@ def m1_cos():
 
 def make_perturbed(b, m0, eps, m1):
     return ModelSpec(b, PerturbedMass(m0, eps, m1))
+
+
+def propagate(spec, s, t, xi, tol=DEFAULT_TOL):
+    """E(t, s, xi) at one frequency."""
+    return propagate_grid(spec, s, t, [xi], tol)[0][0]
+
+
+def contraction_k(spec, N, k_max=64, nt=64, nxi=256, margin=1e-3):
+    """(k, c1) of the contraction search on t in [0, T] (nt points), xi in [0, N] (nxi points)."""
+    t_grid = np.linspace(0.0, spec.T, nt)
+    xi_grid = np.linspace(0.0, N, nxi)
+    return contraction_search(monodromy_grid(spec, t_grid, xi_grid), k_max, margin, t_grid, xi_grid)
+
+
+def certificate(spec, N, nt, nxi):
+    """A contraction certificate on the (nt, nxi) grid, with those grids recorded."""
+    k, c1 = contraction_k(spec, N, nt=nt, nxi=nxi)
+    return assemble_certificate(
+        spec, N, k, c1, grids={"contraction_t_points": nt, "contraction_xi_points": nxi}
+    )
 
 
 def const_coeff_propagator(b0, h, dt):

@@ -35,7 +35,7 @@ def _make_rhs(spec, xi):
         ih = 1j * np.sqrt(xi2 + spec.m_squared(t))
         out = np.empty_like(Y)
         out[:, 0, :] = ih[:, None] * Y[:, 1, :]
-        out[:, 1, :] = ih[:, None] * Y[:, 0, :] - (2.0 * spec.b.eval_scalar(t)) * Y[:, 1, :]
+        out[:, 1, :] = ih[:, None] * Y[:, 0, :] - (2.0 * float(spec.b.eval(t))) * Y[:, 1, :]
         return out
 
     return rhs

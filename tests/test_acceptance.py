@@ -21,17 +21,12 @@ from kgdecay import (
     PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
-    find_contraction_k,
     find_threshold_N,
-    gronwall_difference_bound,
     lambert_w0,
     monodromy_grid,
-    peano_baker_truncated,
-    propagate,
     propagate_grid,
     spectral_norm_2x2,
     sup_norm_curve,
-    system_matrix,
     verify_highfreq_contraction,
     verify_perturbed_contraction,
 )
@@ -39,7 +34,8 @@ from kgdecay.monodromy import power_norms
 from kgdecay.propagator import det2
 from kgdecay.cli import main as cli_main
 
-from conftest import const_coeff_propagator
+from conftest import const_coeff_propagator, contraction_k, propagate
+from oracles import gronwall_difference_bound, peano_baker_truncated, system_matrix
 from test_perturbation import bisection_w
 
 
@@ -71,7 +67,7 @@ def certificates(specs_m1, thresholds):
     certs = {}
     for name, spec in specs_m1.items():
         N = thresholds[name].N
-        k, c1 = find_contraction_k(spec, N, k_max=64, nt=64, nxi=256)
+        k, c1 = contraction_k(spec, N, k_max=64, nt=64, nxi=256)
         certs[name] = assemble_certificate(
             spec,
             N,
@@ -110,7 +106,7 @@ def test_criterion_2_oracle_equivalence(spec_sin):
             if A_norm * dt > 2.0:
                 continue
             series = peano_baker_truncated(spec_sin, s, s + dt, xi, 20)
-            direct = propagate(spec_sin, s, s + dt, xi, 1e-12).matrix
+            direct = propagate(spec_sin, s, s + dt, xi, 1e-12)
             assert np.max(np.abs(series - direct)) <= 1e-8
             done += 1
 
@@ -123,7 +119,7 @@ def test_criterion_3_constant_coefficient_analytics():
             for xi in (0.0, 2.0):
                 h = math.hypot(xi, 1.0)
                 for t in (0.5, 1.0, 3.0):
-                    got = propagate(spec, 0.0, t, xi).matrix
+                    got = propagate(spec, 0.0, t, xi)
                     ref = const_coeff_propagator(b0, h, t)
                     assert np.max(np.abs(got - ref)) <= 1e-9
 
@@ -146,7 +142,7 @@ def test_criterion_5_contraction_power_search(profiles, thresholds):
             N = thresholds[name].N
             for m0 in (0.5, 1.0):
                 spec = ModelSpec(b, ConstantMass(m0))
-                k, c1 = find_contraction_k(spec, N, k_max=64, nt=64, nxi=256)
+                k, c1 = contraction_k(spec, N, k_max=64, nt=64, nxi=256)
                 assert k <= 64 and 0.0 < c1 < 1.0
                 M2 = monodromy_grid(
                     spec, np.linspace(0.0, spec.T, 128), np.linspace(0.0, N, 512)
@@ -183,8 +179,8 @@ def test_criterion_7_perturbation_soundness(specs_m1, certificates, m1_cos):
                 t = s + float(rng.uniform(0.1, 2.0))
                 xi = float(rng.uniform(0.0, cert.N))
                 bound = gronwall_difference_bound(sp, spec, cert, s, t, xi)
-                a = propagate(sp, s, t, xi, 1e-11).matrix
-                b_ = propagate(spec, s, t, xi, 1e-11).matrix
+                a = propagate(sp, s, t, xi, 1e-11)
+                b_ = propagate(spec, s, t, xi, 1e-11)
                 assert spectral_norm_2x2(a - b_) <= bound + 1e-9
 
 
@@ -227,7 +223,6 @@ m0 = 1.0
 
 [run]
 stages = threshold contraction epsilon decay
-seed = 7
 
 [grids]
 threshold_xi_points = 64

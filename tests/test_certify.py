@@ -9,22 +9,25 @@ from kgdecay import (
     PeriodicCoefficient,
     assemble_certificate,
     decay_constants,
-    find_contraction_k,
     fit_rate,
-    gamma_of,
-    propagate,
+    gamma_curve,
     sup_norm_curve,
 )
-from kgdecay.certify import certified_bound, decay_to_csv, gamma_curve
+from kgdecay.certify import certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
+
+from conftest import certificate, contraction_k, propagate
+from oracles import monodromy_at
+
+
+def gamma_of(spec, t, points_per_period=4096):
+    """gamma at one time, the end of its own grid."""
+    return float(gamma_curve(spec, [0.0, t], points_per_period)[-1])
 
 
 @pytest.fixture(scope="module")
 def const_cert(spec_const):
-    k, c1 = find_contraction_k(spec_const, N=6.0, nt=16, nxi=64)
-    return assemble_certificate(
-        spec_const, 6.0, k, c1, grids={"contraction_t_points": 16, "contraction_xi_points": 64}
-    )
+    return certificate(spec_const, 6.0, nt=16, nxi=64)
 
 
 class TestFitRate:
@@ -91,20 +94,18 @@ class TestSupNormCurve:
 
     def test_period_decomposition_matches_direct(self, spec_sin, const_cert):
         # M(s, xi)^l E(s, 0, xi) against one long integration at l = 8
-        from kgdecay import monodromy_at
-
         xi, s, ell = 2.0, 0.25, 8
-        E_s = propagate(spec_sin, 0.0, s, xi, 1e-12).matrix
-        M_s = monodromy_at(spec_sin, s, xi, 1e-12).matrix
+        E_s = propagate(spec_sin, 0.0, s, xi, 1e-12)
+        M_s = monodromy_at(spec_sin, s, xi, 1e-12)
         composed = np.linalg.matrix_power(M_s, ell) @ E_s
-        direct = propagate(spec_sin, 0.0, s + ell * spec_sin.T, xi, 1e-12).matrix
+        direct = propagate(spec_sin, 0.0, s + ell * spec_sin.T, xi, 1e-12)
         assert np.max(np.abs(composed - direct)) <= 1e-6 * np.max(np.abs(direct))
 
     def test_high_band_bounded_by_delta0_envelope(self, spec_sin):
         from kgdecay import find_threshold_N
 
         thr = find_threshold_N(spec_sin, xi_points=32, t_points=32)
-        k, c1 = find_contraction_k(spec_sin, thr.N, nt=16, nxi=64)
+        k, c1 = contraction_k(spec_sin, thr.N, nt=16, nxi=64)
         cert = assemble_certificate(spec_sin, thr.N, k, c1)
         rep = sup_norm_curve(
             spec_sin,
@@ -117,7 +118,7 @@ class TestSupNormCurve:
         assert np.all(rep.sup_norm_curve <= envelope * (1.0 + 1e-6))
 
     def test_domination_and_fit(self, spec_sin):
-        k, c1 = find_contraction_k(spec_sin, N=8.0, nt=32, nxi=96)
+        k, c1 = contraction_k(spec_sin, N=8.0, nt=32, nxi=96)
         cert = assemble_certificate(spec_sin, 8.0, k, c1)
         rep = sup_norm_curve(spec_sin, cert, 30.0, nxi_low=96, nxi_high=24)
         assert rep.verdict == "Pass"

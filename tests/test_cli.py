@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import highfreq, perturbation
-from kgdecay.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_NUMERICAL, load_config, main
+from kgdecay.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_NUMERICAL, MODEL_KEYS, load_config, main
 from kgdecay.errors import FitError, FrameError, PreconditionError
 
 FAST_GRIDS = """
@@ -34,7 +34,6 @@ m0 = 1.0
 
 [run]
 stages = threshold contraction epsilon decay
-seed = 0
 """
     + FAST_GRIDS
 )
@@ -119,6 +118,34 @@ class TestConfigParsing:
 
 FUZZED_GRIDS = ("threshold_xi_points", "threshold_t_points", "verify_t_points", "verify_xi_points")
 
+TINY_GRIDS = """[grids]
+threshold_xi_points = 4
+threshold_t_points = 4
+verify_t_points = 2
+verify_xi_points = 2
+contraction_t_points = 2
+contraction_xi_points = 4
+"""
+
+BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "abc", ""]
+
+# Coefficient declarations, well-formed and malformed.  Every dissipation the
+# strategy can declare is negative somewhere or has a mean of at least 0.5:
+# a mean near zero pushes the threshold search to frequencies whose profiles
+# take gigabytes.
+_PARAM = st.one_of(
+    st.floats(0.5, 2.0).map(repr), st.floats(-0.5, -0.01).map(repr), st.sampled_from(BAD_NUMBERS[1:])
+)
+COEFFICIENTS = st.one_of(
+    st.builds("constant value={}".format, st.one_of(st.floats(-0.5, -0.01), st.floats(0.5, 2.0))),
+    st.builds("sin_offset mean=1 amp={} phase={}".format, st.floats(0.0, 1.5), st.floats(-4.0, 4.0)),
+    st.builds("triangle lo={} hi=1".format, st.floats(-0.5, 1.5)),
+    st.builds("square lo={} hi=1 duty={}".format, st.floats(0.5, 1.5), st.floats(0.05, 0.95)),
+    st.builds("{} {}={}".format, st.sampled_from(["constant", "sin_offset", "square", "bogus"]),
+              st.sampled_from(["value", "mean", "lo", "duty", "extra"]), _PARAM),
+    st.sampled_from(["", "constant", "constant value", "custom_csv", "custom_csv path=missing.csv order=1"]),
+)
+
 
 class TestExitCodes:
     """Config mistakes exit 2 with a one-line message, never as a certificate failure."""
@@ -200,6 +227,67 @@ class TestExitCodes:
         assert code in (0, 2, 3, 4, 5), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "model, run_lines, expected",
+        [
+            ("m0 = 0\n", "", EXIT_MODEL),
+            ("mo = 1\n", "", EXIT_CONFIG),
+            ("m0 = 1\nmo = 1\n", "", EXIT_CONFIG),
+            ("m0 = 1\n", "seed = 0\n", EXIT_CONFIG),
+            ("m0 = 1\n", "workers = 2\n", EXIT_CONFIG),
+            ("m0 = 1\nepsilon = -0.5\n", "", EXIT_MODEL),
+            ("m0 = 1\nepsilon = -0.5\nm1 = sin_offset mean=0 amp=1\n", "", EXIT_MODEL),
+            ("m0 = 1\nepsilon = nan\n", "", EXIT_CONFIG),
+            ("m0 = nan\n", "", EXIT_CONFIG),
+            ("m0 = inf\n", "", EXIT_CONFIG),
+            ("m0 = 1\nb = square lo=0.5 hi=1 duty=nan\n", "", EXIT_CONFIG),
+            ("m0 = 1\nb = custom_csv path=missing.csv\n", "", EXIT_CONFIG),
+        ],
+        ids=["m0-zero", "m0-typo", "extra-key", "seed", "workers", "epsilon-negative",
+             "epsilon-negative-m1", "epsilon-nan", "m0-nan", "m0-inf", "duty-nan", "csv-missing"],
+    )
+    def test_model_and_run_values(self, tmp_path, capsys, monkeypatch, model, run_lines, expected):
+        # a threshold and contraction run on tiny grids; b = constant unless declared
+        monkeypatch.chdir(tmp_path)
+        if "b =" not in model:
+            model = "b = constant value=1.0\n" + model
+        text = f"[model]\nT = 1.0\n{model}[run]\nstages = threshold contraction\n{run_lines}" + TINY_GRIDS
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == expected, err
+        assert err.startswith("config error:" if expected == EXIT_CONFIG else "model assumption violated:")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.fixed_dictionaries(
+            {
+                "T": st.one_of(st.floats(0.5, 2.0), st.sampled_from(BAD_NUMBERS)),
+                "m0": st.one_of(st.floats(0.0, 3.0), st.sampled_from(BAD_NUMBERS)),
+                "b": COEFFICIENTS,
+            },
+            optional={
+                "epsilon": st.one_of(st.floats(0.0, 1e-3), st.sampled_from(BAD_NUMBERS)),
+                "m1": COEFFICIENTS,
+                "extra": st.sampled_from(["mo", "eps", "seed", "workers"]),
+            },
+        )
+    )
+    def test_fuzzed_model_keeps_the_exit_contract(self, model):
+        # a threshold-only run on tiny grids with any [model] section
+        extra = model.pop("extra", None)
+        if extra is not None:
+            model[extra] = "1"
+        text = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in model.items())
+        text += "[run]\nstages = threshold\n" + TINY_GRIDS
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if extra is not None or any(k not in MODEL_KEYS for k in model):
+            assert code == EXIT_CONFIG
+
 
 class TestDeterminism:
     def test_byte_identical_certificates(self, tmp_path):
@@ -210,18 +298,6 @@ class TestDeterminism:
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append((out / "certificate.json").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_worker_count_invariance(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        blobs = []
-        for name, workers in (("w1", "1"), ("w4", "4")):
-            out = tmp_path / name
-            code = main(
-                ["run", "--config", str(cfg), "--out", str(out), "--workers", workers]
-            )
-            assert code == 0
-            blobs.append((out / "certificate.json").read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_summary_numbers_trace_to_certificate(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -280,7 +356,7 @@ m1 = sin_offset mean=0.0 amp=1.0
 
 class TestPerturbedPipeline:
     def test_perturbed_model_all_stages(self, tmp_path):
-        text = PERTURBED_MODEL + "[run]\nstages = threshold contraction epsilon decay\nseed = 1\n" + FAST_GRIDS
+        text = PERTURBED_MODEL + "[run]\nstages = threshold contraction epsilon decay\n" + FAST_GRIDS
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0

@@ -9,8 +9,6 @@ from kgdecay import (
     ModelSpec,
     PeriodicCoefficient,
     find_threshold_N,
-    frame_at,
-    n_pm,
     spectral_norm_2x2,
     suplarge_quantity,
     verify_highfreq_contraction,
@@ -19,16 +17,14 @@ from kgdecay import highfreq
 from kgdecay.errors import FrameError, PreconditionError
 from kgdecay.highfreq import (
     FRAME_DET_GUARD,
-    _corrector_profile,
     _points_per_period,
     _suplarge_from_profile,
     _window_sup,
-    corrector_sup,
-    frame_matrices,
-    frame_ode_residual,
     threshold_trace_to_csv,
 )
 from kgdecay.propagator import _cumulative_simpson_uniform
+
+from oracles import corrector_profile, frame_matrices, frame_matrices_at, frame_ode_residual, n_pm
 
 # The frequencies at which the scalar frame product is checked against the
 # complex-matrix route; xi = 2 lies below the frame guard on massless sin_offset.
@@ -39,7 +35,7 @@ def suplarge_matrix_oracle(spec, xi, t_points=64):
     """The frame product from full complex 2x2 matrices, n+ and n- integrated apart."""
     per = _points_per_period(spec, xi)
     per = t_points * math.ceil(per / t_points)
-    _, npl, nmi, b, dt = _corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
+    _, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
     n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
     if float(np.min(np.abs(det))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
@@ -80,7 +76,7 @@ class TestCorrectorIntegrals:
             for sign, target in ((-1.0, npl), (+1.0, nmi)):
                 sol = solve_ivp(
                     lambda tt, y: [
-                        complex(spec_sin.b.eval_scalar(tt))
+                        complex(spec_sin.b.eval(tt))
                         + sign * 1j * complex(spec_sin.symbol(tt, xi)) * y[0]
                     ],
                     (0.0, t),
@@ -93,8 +89,13 @@ class TestCorrectorIntegrals:
 
     def test_decay_law_in_frequency(self, spec_sin):
         # bounded-variation decay: sup_t |n+-| * xi stays bounded up to 1e3
+        def corrector_sup(x):
+            # max over the [0, 2T] grid of |n+| and |n-|
+            _, npl, nmi, _, _ = corrector_profile(spec_sin, x, 2.0, 2 * _points_per_period(spec_sin, x) + 1)
+            return max(np.max(np.abs(npl)), np.max(np.abs(nmi)))
+
         xis = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 1000.0])
-        sups = np.array([corrector_sup(spec_sin, x) for x in xis])
+        sups = np.array([corrector_sup(x) for x in xis])
         scaled = sups * xis
         assert np.all(scaled < 10.0)
         # fitted constant stable under refinement of the quadrature grid
@@ -130,17 +131,17 @@ class TestFrames:
         for _ in range(10):
             t = rng.uniform(0.0, 2.0)
             xi = rng.uniform(6.0, 30.0)
-            f = frame_at(spec_sin, float(t), float(xi))
-            b = spec_sin.b.eval_scalar(t)
-            lhs = spectral_norm_2x2(f.r2)
-            rhs = spectral_norm_2x2(f.n1_inv) * b * spectral_norm_2x2(np.eye(2) - f.n1)
+            n1, n1_inv, r2, _ = frame_matrices_at(spec_sin, float(t), float(xi))
+            b = float(spec_sin.b.eval(t))
+            lhs = spectral_norm_2x2(r2)
+            rhs = spectral_norm_2x2(n1_inv) * b * spectral_norm_2x2(np.eye(2) - n1)
             assert lhs <= rhs + 1e-12
 
     def test_corrector_frame_is_hermitian(self, spec_sin, spec_square, spec_tri):
         # real b and h: the two corrector integrals are complex conjugates
         for spec in (spec_sin, spec_square, spec_tri):
             for xi in (3.0, 20.0, 100.0):
-                _, npl, nmi, _, _ = _corrector_profile(spec, xi, 2.0 * spec.T, 4097)
+                _, npl, nmi, _, _ = corrector_profile(spec, xi, 2.0 * spec.T, 4097)
                 assert np.max(np.abs(nmi - np.conj(npl))) < 1e-14
 
     def test_hermitian_closed_forms_match_matrices(self):
@@ -156,15 +157,15 @@ class TestFrames:
         assert np.max(np.abs(np.abs(1.0 - r * r) - np.abs(det))) < 1e-12
 
     def test_unit_diagonal_and_inverse(self, spec_sin):
-        f = frame_at(spec_sin, 0.8, 12.0)
-        assert f.n1[0, 0] == 1.0 and f.n1[1, 1] == 1.0
-        assert np.max(np.abs(f.n1 @ f.n1_inv - np.eye(2))) < 1e-10
+        n1, n1_inv, _, _ = frame_matrices_at(spec_sin, 0.8, 12.0)
+        assert n1[0, 0] == 1.0 and n1[1, 1] == 1.0
+        assert np.max(np.abs(n1 @ n1_inv - np.eye(2))) < 1e-10
 
     def test_remainder_shrinks_with_frequency(self, spec_sin):
         sups = []
         for xi in (10.0, 20.0, 40.0, 80.0):
             vals = [
-                spectral_norm_2x2(frame_at(spec_sin, t, xi).r2)
+                spectral_norm_2x2(frame_matrices_at(spec_sin, t, xi)[2])
                 for t in np.linspace(0.0, 1.0, 9)
             ]
             sups.append(max(vals))
@@ -174,8 +175,9 @@ class TestFrames:
         # slow phase keeps n+ n- = |n+|^2 near one, landing inside the guard
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
         spec = ModelSpec(b, ConstantMass(0.05))
+        assert abs(frame_matrices_at(spec, 1.0, 0.05)[3]) < FRAME_DET_GUARD
         with pytest.raises(FrameError):
-            frame_at(spec, 1.0, 0.05)
+            suplarge_quantity(spec, 0.05)
 
     def test_frame_ode_residual_small(self, spec_sin, spec_tri):
         # the triangle's slope jumps force a denser difference grid
@@ -259,7 +261,22 @@ class TestThresholdSearch:
         assert thr.sup_value <= thr.target
         assert thr.xi_max_checked == 10.0 * thr.N
         # survives a doubled verification grid
-        assert _window_sup(spec_const.constant_mass_version(), thr.N, 128, 64, map) <= thr.target
+        assert _window_sup(spec_const.constant_mass_version(), thr.N, 128, 64) <= thr.target
+
+    def test_window_scan_stops_at_first_violation(self, spec_sin, monkeypatch):
+        # 130 frequencies, one value above the cut at the third
+        calls = []
+
+        def fake(spec, xi, t_points):
+            calls.append(xi)
+            return 5.0 if len(calls) == 3 else 1.0
+
+        monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
+        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=2.0) == 5.0
+        assert len(calls) == 3
+        calls.clear()
+        assert _window_sup(spec_sin, 2.0, 130, 8) == 5.0
+        assert len(calls) == 130
 
     def test_search_decisions_match_matrix_oracle(self, spec_sin, monkeypatch):
         thr = find_threshold_N(spec_sin)

@@ -9,16 +9,15 @@ from kgdecay import (
     PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
-    find_contraction_k,
-    gronwall_difference_bound,
     lambert_w0,
     perturbed_certificate,
-    propagate,
     spectral_norm_2x2,
     verify_perturbed_contraction,
 )
 from kgdecay.errors import NoContractionError
-from kgdecay.perturbation import epsilon_threshold_at
+
+from conftest import certificate, propagate
+from oracles import gronwall_difference_bound
 
 
 def bisection_w(x, lo=0.0, hi=None, tol=1e-15):
@@ -38,12 +37,17 @@ def bisection_w(x, lo=0.0, hi=None, tol=1e-15):
     return 0.5 * (lo + hi)
 
 
+def epsilon_threshold_at(xi, cert, m0):
+    """The exact per-frequency amplitude at which the budget inequality binds."""
+    kT = cert.k * cert.T
+    h = math.hypot(xi, m0)
+    L = math.log(1.0 / cert.c1)
+    return (h / kT) * lambert_w0(cert.c1 * L * math.exp(-(h + 2.0 * cert.beta) * kT))
+
+
 @pytest.fixture(scope="module")
 def sin_cert(spec_sin):
-    k, c1 = find_contraction_k(spec_sin, N=8.0, nt=32, nxi=96)
-    return assemble_certificate(
-        spec_sin, 8.0, k, c1, grids={"contraction_t_points": 32, "contraction_xi_points": 96}
-    )
+    return certificate(spec_sin, 8.0, nt=32, nxi=96)
 
 
 class TestLambertW:
@@ -145,8 +149,8 @@ class TestGronwallBound:
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.0, m1_cos))
         val = gronwall_difference_bound(spec_eps, spec0, sin_cert, 0.2, 1.7, 1.0)
         assert val == 0.0
-        a = propagate(spec_eps, 0.2, 1.7, 1.0).matrix
-        b = propagate(spec0, 0.2, 1.7, 1.0).matrix
+        a = propagate(spec_eps, 0.2, 1.7, 1.0)
+        b = propagate(spec0, 0.2, 1.7, 1.0)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_dominates_measured_difference(self, spec_sin, sin_cert, m1_cos):
@@ -159,8 +163,8 @@ class TestGronwallBound:
             t = s + float(rng.uniform(0.1, 2.0))
             xi = float(rng.uniform(0.0, sin_cert.N))
             bound = gronwall_difference_bound(spec_eps, spec_sin, sin_cert, s, t, xi)
-            a = propagate(spec_eps, s, t, xi, 1e-11).matrix
-            b = propagate(spec_sin, s, t, xi, 1e-11).matrix
+            a = propagate(spec_eps, s, t, xi, 1e-11)
+            b = propagate(spec_sin, s, t, xi, 1e-11)
             measured = spectral_norm_2x2(a - b)
             assert measured <= bound + 1e-9
 
