@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +52,7 @@ class DecayReport:
     fit_residual: float
     burn_in: float
     verdict: str
-    k: int
-    T: float
     gamma_curve: np.ndarray | None = None
-    failures: list = field(default_factory=list)
 
     def summary_dict(self):
         d = {
@@ -75,25 +72,15 @@ class DecayReport:
 
 def certified_bound(cert: ContractionCertificate, t):
     """The certified envelope C * exp(-delta (t - kT)) with the combined constants."""
-    delta = min(cert.delta0, cert.delta1)
-    pref = max(math.exp(cert.delta0 * cert.T), math.exp(cert.delta1 * cert.k * cert.T))
-    return pref * np.exp(-delta * (np.asarray(t, dtype=float) - cert.k * cert.T))
+    return cert.prefactor * np.exp(-cert.rate * (np.asarray(t, dtype=float) - cert.k * cert.T))
 
 
-def _fit_log_slope(times, values):
-    """Least-squares line through (t, log v); returns (slope, rms residual)."""
-    x = np.asarray(times, dtype=float)
-    y = np.log(np.asarray(values, dtype=float))
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
-
-
-def fit_rate(times, values, burn_in: float = 0.0) -> float:
+def fit_rate(times, values, burn_in: float = 0.0):
     """Fitted exponential decay rate (positive = decay) after ``burn_in``.
 
-    Least-squares slope of the log curve on [burn_in, end]; requires at least
-    8 points after burn-in and strictly positive values.
+    Least-squares line through (t, log v) on [burn_in, end]; requires at
+    least 8 points after burn-in and strictly positive finite values.
+    Returns (rate, rms residual of the log fit).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -102,8 +89,10 @@ def fit_rate(times, values, burn_in: float = 0.0) -> float:
         raise FitError(f"need >= 8 points after burn-in, got {int(np.sum(mask))}")
     if np.any(values[mask] <= 0.0) or not np.all(np.isfinite(values[mask])):
         raise FitError("rate fit requires positive finite values")
-    slope, _ = _fit_log_slope(times[mask], values[mask])
-    return -slope
+    x, y = times[mask], np.log(values[mask])
+    coef = np.polyfit(x, y, 1)
+    resid = y - np.polyval(coef, x)
+    return -float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
 def sup_norm_curve(
@@ -114,8 +103,6 @@ def sup_norm_curve(
     nxi_high: int = 64,
     xi_grid=None,
     tol: float = DEFAULT_TOL,
-    burn_in: float | None = None,
-    with_gamma: bool = False,
 ) -> DecayReport:
     """Evolve sup over frequencies of ||E(t, 0, xi)|| up to ``t_end``.
 
@@ -123,7 +110,8 @@ def sup_norm_curve(
     default to the union of nxi_low points on [0, N] and nxi_high points on
     [N, 4N]; pass ``xi_grid`` to override.  Each time t = l T + s is evaluated
     as ||M(s, xi)^l E(s, 0, xi)|| from one checkpointed sweep over [0, 2T]
-    per frequency chunk.
+    per frequency chunk.  The rate is fitted after a burn-in of 2kT; the
+    mass-influence diagnostic is added when b > 0 on the validation grid.
     """
     T, k = spec.T, cert.k
     if t_end < 10.0 * k * T:
@@ -141,13 +129,13 @@ def sup_norm_curve(
     checkpoints = np.concatenate([offsets, offsets + T])
     n_periods = n_steps // 4 + 1
 
-    failures = []
+    failed = False
     curves = []
     for xis in _chunks(xi_grid, SCAN_CHUNK):
         try:
             _, chk, _ = propagate_grid(spec, 0.0, 2.0 * T, xis, tol, checkpoints)
-        except IntegrationFailureError as exc:
-            failures.append({"t_fail": exc.t_fail, "xi_first": float(xis[0])})
+        except IntegrationFailureError:
+            failed = True
             continue
         E0 = chk[:4]  # E(s, 0) at the four base offsets
         M = chk[4:] @ inv2(E0)  # M(s) = E(s + T, 0) E(s, 0)^{-1}
@@ -167,37 +155,27 @@ def sup_norm_curve(
     curve = np.max(np.concatenate(curves, axis=1), axis=1)
 
     bound = certified_bound(cert, times)
-    delta = min(cert.delta0, cert.delta1)
-    pref = max(math.exp(cert.delta0 * cert.T), math.exp(cert.delta1 * cert.k * cert.T))
+    burn_in = 2.0 * k * T
+    fitted, resid = fit_rate(times, curve, burn_in)
 
-    if burn_in is None:
-        burn_in = 2.0 * k * T
-    fit_mask = times >= burn_in
-    slope, resid = _fit_log_slope(times[fit_mask], curve[fit_mask])
-    fitted = -slope
-
-    if failures:
+    if failed:
         verdict = VERDICT_INCONCLUSIVE
     elif np.all(curve <= bound * (1.0 + DOMINATION_SLACK)):
         verdict = VERDICT_PASS
     else:
         verdict = VERDICT_FAIL
 
-    gamma = gamma_curve(spec, times) if with_gamma else None
     return DecayReport(
         time_grid=times,
         sup_norm_curve=curve,
         bound_curve=bound,
-        certified_rate=delta,
-        certified_prefactor=pref,
+        certified_rate=cert.rate,
+        certified_prefactor=cert.prefactor,
         fitted_rate=fitted,
         fit_residual=resid,
         burn_in=burn_in,
         verdict=verdict,
-        k=k,
-        T=T,
-        gamma_curve=gamma,
-        failures=failures,
+        gamma_curve=gamma_curve(spec, times) if spec.b_strictly_positive else None,
     )
 
 
@@ -220,16 +198,15 @@ def gamma_curve(spec: ModelSpec, times, points_per_period: int = 4096) -> np.nda
     return np.exp(-np.interp(times, tau, cum))
 
 
-def decay_constants(report: DecayReport, cert: ContractionCertificate, perturbed: bool = False):
-    """The norm-estimate constants implied by a report and its certificate.
+def decay_constants(cert: ContractionCertificate, perturbed: bool = False):
+    """The norm-estimate constants implied by a certificate.
 
     Returns a dict holding the decay rate (named "delta" for constant mass,
     "sigma" for perturbed mass, where sigma is the proof-implied certified
     rate of the perturbed run), the combined prefactor, and the three energy
     inequalities stated with those constants.
     """
-    delta = min(cert.delta0, cert.delta1)
-    pref = max(math.exp(cert.delta0 * cert.T), math.exp(cert.delta1 * cert.k * cert.T))
+    delta, pref = cert.rate, cert.prefactor
     name = "sigma" if perturbed else "delta"
     decay = f"{pref:.6g} * exp(-{delta:.6g} * t)"
     return {

@@ -32,7 +32,6 @@ from .errors import (
     KgDecayError,
     ModelAssumptionError,
     NoContractionError,
-    PreconditionError,
     ThresholdSearchError,
 )
 from .propagator import TOL_MAX, TOL_MIN
@@ -42,6 +41,17 @@ EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_CERTIFICATE = 4
 EXIT_NUMERICAL = 5
+
+# Package errors -> (exit code, message prefix); every error class is listed.
+EXIT_CODES = (
+    ((ConfigError, InvalidCoefficientError), EXIT_CONFIG, "config error"),
+    ((ModelAssumptionError,), EXIT_MODEL, "model assumption violated"),
+    ((ThresholdSearchError, NoContractionError), EXIT_CERTIFICATE, "certificate failure"),
+    ((IntegrationFailureError, FrameError, FitError), EXIT_NUMERICAL, "numerical failure"),
+)
+
+# Largest argument of exp that stays finite, ln(DBL_MAX).
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 STAGES = ("threshold", "contraction", "epsilon", "decay")
 STAGE_DEPS = {
@@ -169,7 +179,8 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
         epsilon = float(model.get("epsilon", "0.0"))
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in [model]: {exc}") from exc
-    for key, value in (("T", T), ("m0", m0), ("epsilon", epsilon)):
+    for key, value in (("T", T), ("m0", m0), ("epsilon", epsilon), ("m0^2", m0 * m0),
+                       ("m0^2 + epsilon", m0 * m0 + epsilon)):
         if not math.isfinite(value):
             raise ConfigError(f"[model] {key} = {value} is not finite")
     if epsilon < 0.0:
@@ -185,6 +196,9 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
     else:
         mass = ConstantMass(m0)
     spec = ModelSpec(b, mass, T)
+    half_beta_T = spec.beta * T / 2.0
+    if half_beta_T > LOG_FLOAT_MAX:
+        raise ConfigError(f"[model] beta*T/2 = {half_beta_T:g} overflows exp (above {LOG_FLOAT_MAX:g})")
 
     run_sec = cp["run"] if "run" in cp else {}
     _check_keys(run_sec, "run", RUN_KEYS)
@@ -250,7 +264,10 @@ def write_summary(path, cert: dict) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the requested stages and write all artifacts."""
+    """Execute the requested stages and write all artifacts.
+
+    Package errors propagate; :func:`main` maps them to exit codes.
+    """
     spec = config.spec
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -270,121 +287,102 @@ def run(config: RunConfig) -> int:
         ],
     }
     verdicts = {}
-
-    try:
-        thr = None
-        cert = None
-        pert_worst = None  # sup ||M_eps^k|| of the perturbed rescan, once run
-        if "threshold" in config.stages:
-            thr = highfreq.find_threshold_N(
-                spec,
-                xi_points=g["threshold_xi_points"],
-                t_points=g["threshold_t_points"],
+    if "threshold" in config.stages:
+        thr = highfreq.find_threshold_N(
+            spec,
+            xi_points=g["threshold_xi_points"],
+            t_points=g["threshold_t_points"],
+        )
+        highfreq.threshold_trace_to_csv(out / "threshold_trace.csv", thr)
+        base = spec.constant_mass_version()
+        mx, bnd, ok = highfreq.verify_highfreq_contraction(
+            base, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
+        )
+        doc = {
+            "N": thr.N,
+            "sup_value": thr.sup_value,
+            "target": thr.target,
+            "xi_max_checked": thr.xi_max_checked,
+            "monodromy_norm_max": mx,
+            "monodromy_norm_bound": bnd,
+            "verified": ok,
+        }
+        if perturbed:
+            mx_p, _, ok_p = highfreq.verify_highfreq_contraction(
+                spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
             )
-            highfreq.threshold_trace_to_csv(out / "threshold_trace.csv", thr)
-            base = spec.constant_mass_version()
-            mx, bnd, ok = highfreq.verify_highfreq_contraction(
-                base, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
-            )
-            doc = {
-                "N": thr.N,
-                "sup_value": thr.sup_value,
-                "target": thr.target,
-                "xi_max_checked": thr.xi_max_checked,
-                "monodromy_norm_max": mx,
-                "monodromy_norm_bound": bnd,
-                "verified": ok,
-            }
-            if perturbed:
-                mx_p, _, ok_p = highfreq.verify_highfreq_contraction(
-                    spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
-                )
-                doc["monodromy_norm_max_perturbed"] = mx_p
-                doc["verified_perturbed"] = ok_p
-                ok = ok and ok_p
-            cert_doc["threshold"] = doc
-            verdicts["threshold"] = "Pass" if ok else "Fail"
+            doc["monodromy_norm_max_perturbed"] = mx_p
+            doc["verified_perturbed"] = ok_p
+            ok = ok and ok_p
+        cert_doc["threshold"] = doc
+        verdicts["threshold"] = "Pass" if ok else "Fail"
 
-        if "contraction" in config.stages:
-            base = spec.constant_mass_version()
-            t_grid = np.linspace(0.0, spec.T, g["contraction_t_points"])
-            xi_grid = np.linspace(0.0, thr.N, g["contraction_xi_points"])
-            M = monodromy.monodromy_grid(base, t_grid, xi_grid, tol)
-            samples = monodromy.samples_from_grid(t_grid, xi_grid, M)
-            monodromy.scan_to_csv(out / "monodromy_scan.csv", samples)
-            rho_max = float(np.max(samples["rho"]))
-            k, c1 = monodromy.contraction_search(
-                M, g["contraction_k_max"], margin, t_grid, xi_grid
+    if "contraction" in config.stages:
+        base = spec.constant_mass_version()
+        t_grid = np.linspace(0.0, spec.T, g["contraction_t_points"])
+        xi_grid = np.linspace(0.0, thr.N, g["contraction_xi_points"])
+        M = monodromy.monodromy_grid(base, t_grid, xi_grid, tol)
+        samples = monodromy.samples_from_grid(t_grid, xi_grid, M)
+        monodromy.scan_to_csv(out / "monodromy_scan.csv", samples)
+        rho_max = float(np.max(samples["rho"]))
+        k, c1 = monodromy.contraction_search(
+            M, g["contraction_k_max"], margin, t_grid, xi_grid
+        )
+        cert = monodromy.assemble_certificate(
+            base,
+            thr.N,
+            k,
+            c1,
+            grids={
+                "contraction_t_points": g["contraction_t_points"],
+                "contraction_xi_points": g["contraction_xi_points"],
+                "threshold_xi_points": g["threshold_xi_points"],
+                "threshold_t_points": g["threshold_t_points"],
+            },
+            tolerances={"propagate_tol": tol, "contraction_margin": margin},
+        )
+        cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max}
+        verdicts["contraction"] = "Pass"
+        if perturbed and ("epsilon" in config.stages or "decay" in config.stages):
+            # one rescan of sup ||M_eps^k|| on this grid serves both later stages
+            ok_pc, pert_worst = perturbation.verify_perturbed_contraction(
+                spec, cert, t_grid, xi_grid, tol
             )
-            cert = monodromy.assemble_certificate(
-                base,
-                thr.N,
-                k,
-                c1,
-                grids={
-                    "contraction_t_points": g["contraction_t_points"],
-                    "contraction_xi_points": g["contraction_xi_points"],
-                    "threshold_xi_points": g["threshold_xi_points"],
-                    "threshold_t_points": g["threshold_t_points"],
-                },
-                tolerances={"propagate_tol": tol, "contraction_margin": margin},
+
+    if "epsilon" in config.stages:
+        eb = perturbation.epsilon_bound(cert, spec.m0)
+        doc = eb.as_dict()
+        ok = eb.audit_pass
+        if perturbed:
+            doc["model_epsilon"] = spec.epsilon
+            doc["model_within_bound"] = spec.epsilon <= eb.epsilon_max
+            doc["perturbed_contraction_ok"] = ok_pc
+            doc["perturbed_contraction_worst"] = pert_worst
+            ok = ok and ok_pc
+        cert_doc["epsilon"] = doc
+        verdicts["epsilon"] = "Pass" if ok else "Fail"
+
+    if "decay" in config.stages:
+        if g["decay_periods"] < 10 * cert.k:
+            raise ConfigError(
+                f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
             )
-            cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max}
-            verdicts["contraction"] = "Pass"
-
-        if "epsilon" in config.stages:
-            eb = perturbation.epsilon_bound(cert, spec.m0)
-            doc = eb.as_dict()
-            ok = eb.audit_pass
-            if perturbed:
-                ok_pc, pert_worst = perturbation.verify_perturbed_contraction(spec, cert, tol)
-                doc["model_epsilon"] = spec.epsilon
-                doc["model_within_bound"] = spec.epsilon <= eb.epsilon_max
-                doc["perturbed_contraction_ok"] = ok_pc
-                doc["perturbed_contraction_worst"] = pert_worst
-                ok = ok and ok_pc
-            cert_doc["epsilon"] = doc
-            verdicts["epsilon"] = "Pass" if ok else "Fail"
-
-        if "decay" in config.stages:
-            if g["decay_periods"] < 10 * cert.k:
-                raise ConfigError(
-                    f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
-                )
-            if perturbed:
-                cert_eff = perturbation.perturbed_certificate(spec, cert, tol, worst=pert_worst)
-            else:
-                cert_eff = cert
-            report = certify.sup_norm_curve(
-                spec,
-                cert_eff,
-                t_end=g["decay_periods"] * spec.T,
-                nxi_low=g["decay_xi_low_points"],
-                nxi_high=g["decay_xi_high_points"],
-                tol=tol,
-                with_gamma=spec.b_strictly_positive,
-            )
-            certify.decay_to_csv(out / "decay.csv", report)
-            constants = certify.decay_constants(report, cert_eff, perturbed=perturbed)
-            cert_doc["decay"] = {
-                **report.summary_dict(),
-                "certificate_used": cert_eff.as_dict(),
-                "constants": constants,
-            }
-            verdicts["decay"] = report.verdict
-
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ModelAssumptionError as exc:
-        print(f"model assumption violated: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except (ThresholdSearchError, NoContractionError) as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except (IntegrationFailureError, FrameError, PreconditionError, FitError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        cert_eff = perturbation.perturbed_certificate(spec, cert, pert_worst) if perturbed else cert
+        report = certify.sup_norm_curve(
+            spec,
+            cert_eff,
+            t_end=g["decay_periods"] * spec.T,
+            nxi_low=g["decay_xi_low_points"],
+            nxi_high=g["decay_xi_high_points"],
+            tol=tol,
+        )
+        certify.decay_to_csv(out / "decay.csv", report)
+        cert_doc["decay"] = {
+            **report.summary_dict(),
+            "certificate_used": cert_eff.as_dict(),
+            "constants": certify.decay_constants(cert_eff, perturbed=perturbed),
+        }
+        verdicts["decay"] = report.verdict
 
     cert_doc["verdicts"] = verdicts
     all_pass = all(v == "Pass" for v in verdicts.values())
@@ -424,22 +422,15 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         return EXIT_OK
 
+    stages = tuple(args.stage) if args.stage else None
     try:
-        config = load_config(
-            args.config,
-            out_override=args.out,
-            stage_override=tuple(args.stage) if args.stage else None,
-        )
-    except (ConfigError, InvalidCoefficientError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ModelAssumptionError as exc:
-        print(f"model assumption violated: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return run(load_config(args.config, out_override=args.out, stage_override=stages))
     except KgDecayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(config)
+        for classes, code, label in EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ m0^2 + eps*m1(t)), and the shared period T, and validates the standing model
 assumptions on a fixed grid at construction time.
 
 All objects are immutable after construction; derived quantities (mean,
-total variation) are cached eagerly, never lazily.
+grid minimum, sup norm) are cached eagerly, never lazily.
 """
 
 from __future__ import annotations
@@ -184,20 +184,13 @@ class PeriodicCoefficient:
         if not np.all(np.isfinite(vals)):
             raise InvalidCoefficientError("coefficient evaluates to non-finite values")
         self.grid_min = float(np.min(vals))
-        self.grid_max = float(np.max(vals))
         self.sup_abs = float(np.max(np.abs(vals)))
 
         if self.samples is not None:
-            s = self.samples
-            # total variation of the periodic extension over one period
-            self.total_variation = float(np.sum(np.abs(np.diff(s))) + abs(s[0] - s[-1]))
             # uniform samples integrate exactly to the sample mean for both
             # step and linear (trapezoid with wrap-around) interpolation
-            self.mean = float(np.mean(s))
+            self.mean = float(np.mean(self.samples))
         else:
-            self.total_variation = float(
-                np.sum(np.abs(np.diff(vals))) + abs(vals[0] - vals[-1])
-            )
             val, _ = quad(
                 lambda x: float(self._eval_fn(np.asarray(x % self.period))),
                 0.0,

@@ -21,10 +21,6 @@ class IntegrationFailureError(KgDecayError):
         self.t_fail = t_fail
 
 
-class PreconditionError(KgDecayError):
-    """An operation was called outside its documented window."""
-
-
 class FrameError(KgDecayError):
     """The diagonalization frame is (near-)singular at the requested point."""
 

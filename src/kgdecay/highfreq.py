@@ -38,6 +38,18 @@ POINTS_PER_PHASE_UNIT = 64
 # Default base-time resolution for supremum scans over [0, T).
 SUP_T_POINTS = 64
 
+# Every threshold window, and the verify scan above the threshold, spans the
+# frequency band [N, WINDOW_FACTOR * N].
+WINDOW_FACTOR = 10.0
+
+# The search gives up before a window whose top frequency needs more points
+# per period than this (2^20, N of about 1,600 at T = 1); profiles hold
+# 2 * points + 1 complex values.
+MAX_PROFILE_POINTS = 2**20
+
+# verify_highfreq_contraction passes when sup ||M|| <= exp(-beta T / 2) + this.
+VERIFY_SLACK = 1e-6
+
 # The threshold search accepts a window only when its supremum clears the
 # target by this relative margin, so the result survives grid refinement.
 THRESHOLD_ACCEPT_MARGIN = 1e-3
@@ -56,8 +68,6 @@ class ThresholdResult:
     sup_value: float
     target: float
     xi_max_checked: float
-    xi_points: int
-    t_points: int
     trace: tuple = field(default_factory=tuple)  # (N_candidate, sup_value, accepted)
 
 
@@ -105,17 +115,15 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     return _suplarge_from_profile(1.0 + r, 1.0 / gap, r2_cum, idx, per)
 
 
-def _window_sup(
-    spec: ModelSpec, N: float, xi_points: int, t_points: int, window_factor=10.0, stop_above=None
-) -> float:
-    """sup over xi in [N, window_factor*N] (xi_points samples) of the frame product.
+def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None) -> float:
+    """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product.
 
     With ``stop_above`` set, the scan stops at the first value beyond it (the
     window is already disqualified); the returned value is then only a lower
     bound for the true supremum.
     """
     vals = []
-    for x in np.linspace(N, window_factor * N, xi_points):
+    for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         try:
             vals.append(suplarge_quantity(spec, float(x), t_points))
         except FrameError:
@@ -129,15 +137,14 @@ def find_threshold_N(
     spec: ModelSpec,
     xi_points: int = 128,
     t_points: int = SUP_T_POINTS,
-    n_max: float = 1e6,
-    window_factor: float = 10.0,
 ) -> ThresholdResult:
     """Locate the smallest frequency threshold N with the window criterion.
 
     Doubles N from 1 until the supremum of the frame product over
-    xi in [N, window_factor*N] falls below exp(beta T / 2) (with a small interior margin
-    so the accepted window survives grid refinement), then bisects to three
-    significant digits.
+    xi in [N, WINDOW_FACTOR * N] falls below exp(beta T / 2) (with a small
+    interior margin so the accepted window survives grid refinement), then
+    bisects to three significant digits.  Raises ThresholdSearchError before
+    a window whose profiles would exceed MAX_PROFILE_POINTS per period.
 
     The search itself runs with the massless symbol h = |xi|, so the returned
     threshold depends on the dissipation alone.  A constant mass m0 acts on
@@ -151,23 +158,23 @@ def find_threshold_N(
     accept = target * (1.0 - THRESHOLD_ACCEPT_MARGIN)
     trace = []
 
-    N = 1.0
-    sup = _window_sup(base, N, xi_points, t_points, window_factor, stop_above=accept)
-    trace.append((N, sup, sup <= accept))
+    N, sup = 0.5, math.inf
     while sup > accept:
         N *= 2.0
-        if N > n_max:
+        points = _points_per_period(base, WINDOW_FACTOR * N)
+        if points > MAX_PROFILE_POINTS:
             raise ThresholdSearchError(
-                f"no threshold found up to N = {n_max:g} (last sup {sup:.6g} > target {target:.6g})"
+                f"no threshold found below N = {N:g}: its window needs {points} profile points "
+                f"per period, above the cap {MAX_PROFILE_POINTS} (last sup {sup:.6g} > target {target:.6g})"
             )
-        sup = _window_sup(base, N, xi_points, t_points, window_factor, stop_above=accept)
+        sup = _window_sup(base, N, xi_points, t_points, stop_above=accept)
         trace.append((N, sup, sup <= accept))
 
     lo = N / 2.0  # known failing (or 0.5 when N = 1 passed immediately)
     hi, hi_sup = N, sup
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
-        sup = _window_sup(base, mid, xi_points, t_points, window_factor, stop_above=accept)
+        sup = _window_sup(base, mid, xi_points, t_points, stop_above=accept)
         ok = sup <= accept
         trace.append((mid, sup, ok))
         if ok:
@@ -178,9 +185,7 @@ def find_threshold_N(
         N=hi,
         sup_value=hi_sup,
         target=target,
-        xi_max_checked=window_factor * hi,
-        xi_points=xi_points,
-        t_points=t_points,
+        xi_max_checked=WINDOW_FACTOR * hi,
         trace=tuple(trace),
     )
 
@@ -190,23 +195,21 @@ def verify_highfreq_contraction(
     N: float,
     nt: int = 64,
     nxi: int = 128,
-    xi_factor: float = 10.0,
     tol: float = DEFAULT_TOL,
-    slack: float = 1e-6,
 ):
-    """Direct check that ||M(t, xi)|| <= exp(-beta T / 2) + slack above N.
+    """Direct check that ||M(t, xi)|| <= exp(-beta T / 2) + VERIFY_SLACK above N.
 
-    Scans t on [0, T] (nt points) and xi on [N, xi_factor * N] (nxi points)
+    Scans t on [0, T] (nt points) and xi on [N, WINDOW_FACTOR * N] (nxi points)
     with the actual mass specification of ``spec`` (constant or perturbed).
 
     Returns (max_norm, bound, ok).
     """
     t_grid = np.linspace(0.0, spec.T, nt)
-    xi_grid = np.linspace(N, xi_factor * N, nxi)
+    xi_grid = np.linspace(N, WINDOW_FACTOR * N, nxi)
     M = monodromy_grid(spec, t_grid, xi_grid, tol)
     max_norm = float(np.max(spectral_norm_2x2(M)))
     bound = math.exp(-spec.beta * spec.T / 2.0)
-    return max_norm, bound, max_norm <= bound + slack
+    return max_norm, bound, max_norm <= bound + VERIFY_SLACK
 
 
 def threshold_trace_to_csv(path, result: ThresholdResult) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import ModelSpec
-from .errors import NoContractionError
+from .errors import IntegrationFailureError, NoContractionError
 from .propagator import (
     DEFAULT_TOL,
     det2,
@@ -26,6 +26,7 @@ from .propagator import (
     inv2,
     propagate_grid,
     spectral_norm_2x2,
+    trace2,
 )
 
 # Degenerate-discriminant band: |tr^2 - 4 det| below this is a double root.
@@ -36,6 +37,9 @@ RHO_BLOCKER_TOL = 1e-9
 
 # Contraction margin: the grid supremum of ||M^k|| must fall below 1 - margin.
 DEFAULT_CONTRACTION_MARGIN = 1e-3
+
+# M(t, xi) may differ from M(0, xi) in trace or determinant by at most this.
+MONODROMY_DRIFT_TOL = 1e-6
 
 # Frequencies are swept in batches of this size.  All frequencies of a batch
 # share one adaptive step sequence, so the batch size is part of what fixes
@@ -68,6 +72,16 @@ class ContractionCertificate:
     grids: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
+    @property
+    def rate(self) -> float:
+        """The certified decay rate delta = min(delta0, delta1)."""
+        return min(self.delta0, self.delta1)
+
+    @property
+    def prefactor(self) -> float:
+        """The combined prefactor max(e^{delta0 T}, e^{delta1 k T})."""
+        return max(math.exp(self.delta0 * self.T), math.exp(self.delta1 * self.k * self.T))
+
     def as_dict(self):
         return {
             "N": self.N,
@@ -98,7 +112,10 @@ def monodromy_grid(
 
     One checkpointed sweep of E(., 0, xi) over [0, max(t) + T] per frequency
     chunk supplies every base time at once:
-    M(t, xi) = E(t + T, 0, xi) E(t, 0, xi)^{-1}.
+    M(t, xi) = E(t + T, 0, xi) E(t, 0, xi)^{-1}.  Trace and determinant do
+    not depend on t; when strong damping makes E(t, 0) too ill-conditioned to
+    invert, they drift from those of M(0, xi) = E(T, 0, xi), which needs no
+    inverse, and IntegrationFailureError is raised.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -108,11 +125,21 @@ def monodromy_grid(
         raise ValueError("t_grid must lie within [0, T]")
     T = spec.T
     nt = t_grid.size
-    checkpoints = np.concatenate([t_grid, t_grid + T])
+    checkpoints = np.concatenate([t_grid, t_grid + T, [T]])
     parts = []
     for xis in _chunks(xi_grid, SCAN_CHUNK):
         _, chk, _ = propagate_grid(spec, 0.0, float(t_grid.max()) + T, xis, tol, checkpoints)
-        parts.append(chk[nt:] @ inv2(chk[:nt]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # det E(t, 0) may underflow
+            M = chk[nt:-1] @ inv2(chk[:nt])
+            drift = np.maximum(np.abs(trace2(M) - trace2(chk[-1])), np.abs(det2(M) - det2(chk[-1])))
+        if not np.max(drift) <= MONODROMY_DRIFT_TOL:
+            it = int(np.argmax(np.max(drift, axis=1)))
+            raise IntegrationFailureError(
+                f"monodromy trace/determinant drift {np.max(drift):.3g} at t = {t_grid[it]:.6g}: "
+                "E(t, 0) is too ill-conditioned to invert",
+                t_fail=float(t_grid[it]),
+            )
+        parts.append(M)
     return np.concatenate(parts, axis=1)
 
 
@@ -207,7 +234,7 @@ def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
     xi_grid = np.asarray(xi_grid, dtype=float)
     M = np.asarray(M_grid).reshape(-1, 2, 2)
     ev = eigenvalues_2x2(M)
-    tr = M[:, 0, 0] + M[:, 1, 1]
+    tr = trace2(M)
     disc = tr * tr - 4.0 * det2(M)
     real_pair = (np.hypot(disc.real, disc.imag) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
 

@@ -145,40 +145,32 @@ def epsilon_bound(cert: ContractionCertificate, m0: float) -> EpsilonBound:
 def verify_perturbed_contraction(
     spec_eps: ModelSpec,
     cert: ContractionCertificate,
+    t_grid,
+    xi_grid,
     tol: float = DEFAULT_TOL,
 ):
-    """Re-scan ||M_eps^k(t, xi)|| on the certificate grids.
+    """Re-scan ||M_eps^k(t, xi)|| on the certificate's (t, xi) grid.
 
     Returns (ok, worst): ok when the grid supremum stays below
     1 - PERTURBED_CONTRACTION_SLACK.  Amplitudes beyond the closed-form bound
     are allowed here (exploration); the scan reports rather than raises.
     """
-    nt = int(cert.grids.get("contraction_t_points", 64))
-    nxi = int(cert.grids.get("contraction_xi_points", 256))
-    t_grid = np.linspace(0.0, cert.T, nt)
-    xi_grid = np.linspace(0.0, cert.N, nxi)
     M = monodromy_grid(spec_eps, t_grid, xi_grid, tol)
     worst = float(np.max(power_norms(M, cert.k)))
     return worst < 1.0 - PERTURBED_CONTRACTION_SLACK, worst
 
 
 def perturbed_certificate(
-    spec_eps: ModelSpec,
-    cert: ContractionCertificate,
-    tol: float = DEFAULT_TOL,
-    worst: float | None = None,
+    spec_eps: ModelSpec, cert: ContractionCertificate, worst: float
 ) -> ContractionCertificate:
     """Certificate whose c1 is the directly verified perturbed contraction.
 
     The threshold N and power k carry over; c1 (and so delta1, C) is replaced
-    by the verified grid supremum of ||M_eps^k||.  ``worst`` is that supremum
-    from an earlier :func:`verify_perturbed_contraction` on the same model and
-    certificate; when it is None the re-scan runs here.  Raises
-    NoContractionError when the perturbed scan is not contractive; its
+    by ``worst``, the grid supremum of ||M_eps^k|| from
+    :func:`verify_perturbed_contraction` on the same model and certificate.
+    Raises NoContractionError when that supremum is not contractive; its
     ``worst`` carries the norm only, as (nan, nan, norm).
     """
-    if worst is None:
-        _, worst = verify_perturbed_contraction(spec_eps, cert, tol)
     if not worst < 1.0 - PERTURBED_CONTRACTION_SLACK:
         raise NoContractionError(
             f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",

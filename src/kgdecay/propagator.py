@@ -84,8 +84,8 @@ def eigenvalues_2x2(M):
     """Both roots of lambda^2 - tr(M) lambda + det(M).
 
     The larger-magnitude root is computed first from the stable branch of the
-    quadratic formula; the other follows as det / root.  Returns a pair of
-    complex scalars for a single matrix, or an array of shape (..., 2).
+    quadratic formula; the other follows as det / root.  Returns an array of
+    shape (..., 2).
     """
     M = np.asarray(M)
     tr = trace2(M).astype(complex)
@@ -97,8 +97,6 @@ def eigenvalues_2x2(M):
     l1 = 0.5 * (tr + sq)
     small = np.abs(l1) == 0.0
     l2 = np.where(small, 0.5 * (tr - sq), dt / np.where(small, 1.0, l1))
-    if M.ndim == 2:
-        return complex(l1), complex(l2)
     return np.stack([l1, l2], axis=-1)
 
 
@@ -114,10 +112,7 @@ def spectral_norm_2x2(M):
     g12 = np.conj(a) * b + np.conj(c) * d
     mid = 0.5 * (g11 + g22)
     rad = np.hypot(0.5 * (g11 - g22), np.abs(g12))
-    out = np.sqrt(mid + rad)
-    if M.ndim == 2:
-        return float(out)
-    return out
+    return np.sqrt(mid + rad)
 
 
 # -- adaptive propagation ------------------------------------------------------

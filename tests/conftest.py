@@ -86,6 +86,12 @@ def certificate(spec, N, nt, nxi):
     )
 
 
+def contraction_grids(cert):
+    """The (t, xi) grid recorded in a certificate: [0, T] x [0, N]."""
+    t_grid = np.linspace(0.0, cert.T, cert.grids["contraction_t_points"])
+    return t_grid, np.linspace(0.0, cert.N, cert.grids["contraction_xi_points"])
+
+
 def const_coeff_propagator(b0, h, dt):
     """Closed-form E(dt) for constant dissipation b0 and constant symbol h.
 

@@ -14,9 +14,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from kgdecay import inv2, propagate_grid, spectral_norm_2x2
-from kgdecay.errors import PreconditionError
 from kgdecay.highfreq import _points_per_period
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
+
+
+class PreconditionError(Exception):
+    """An oracle was called outside the window on which it is accurate."""
 
 
 def system_matrix(spec, t, xi):

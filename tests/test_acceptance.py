@@ -34,7 +34,7 @@ from kgdecay.monodromy import power_norms
 from kgdecay.propagator import det2
 from kgdecay.cli import main as cli_main
 
-from conftest import const_coeff_propagator, contraction_k, propagate
+from conftest import const_coeff_propagator, contraction_grids, contraction_k, propagate
 from oracles import gronwall_difference_bound, peano_baker_truncated, system_matrix
 from test_perturbation import bisection_w
 
@@ -169,7 +169,7 @@ def test_criterion_7_perturbation_soundness(specs_m1, certificates, m1_cos):
             eb = epsilon_bound(cert, 1.0)
             assert eb.audit_pass
             spec_eps = ModelSpec(spec.b, PerturbedMass(1.0, eb.epsilon_max, m1_cos))
-            ok, worst = verify_perturbed_contraction(spec_eps, cert)
+            ok, worst = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
             assert ok, f"{name}: perturbed contraction failed, worst {worst}"
             # Gronwall domination at 10 random samples per profile
             for _ in range(10):

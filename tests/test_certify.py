@@ -33,16 +33,16 @@ def const_cert(spec_const):
 class TestFitRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 30.0, 121)
-        assert abs(fit_rate(t, np.exp(-0.3 * t)) - 0.3) < 1e-9
+        assert abs(fit_rate(t, np.exp(-0.3 * t))[0] - 0.3) < 1e-9
 
     def test_constant_data(self):
         t = np.linspace(0.0, 10.0, 41)
-        assert abs(fit_rate(t, np.full_like(t, 2.5))) < 1e-12
+        assert abs(fit_rate(t, np.full_like(t, 2.5))[0]) < 1e-12
 
     def test_oscillatory_decay(self):
         t = np.linspace(0.0, 60.0, 241)
         y = np.exp(-0.5 * t) * (2.0 + np.sin(t))
-        assert abs(fit_rate(t, y, burn_in=10.0) - 0.5) < 1e-2
+        assert abs(fit_rate(t, y, burn_in=10.0)[0] - 0.5) < 1e-2
 
     def test_rejects_nonpositive(self):
         t = np.linspace(0.0, 10.0, 41)
@@ -152,7 +152,7 @@ class TestSupNormCurve:
 
 class TestDecayConstants:
     def test_prefactor_covers_small_frequency_term(self, const_cert):
-        out = decay_constants(None, const_cert)
+        out = decay_constants(const_cert)
         assert out["prefactor"] >= math.exp(const_cert.delta1 * const_cert.k * const_cert.T)
         assert out["rate_name"] == "delta"
         assert len(out["inequalities"]) == 3
@@ -164,11 +164,11 @@ class TestDecayConstants:
         c1 = math.exp(-beta * k * spec_const.T / 2.0)
         cert = assemble_certificate(spec_const, 5.0, k, c1)
         assert abs(cert.delta1 - cert.delta0) < 1e-14
-        out = decay_constants(None, cert)
+        out = decay_constants(cert)
         assert abs(out["prefactor"] - math.exp(cert.delta0 * k * spec_const.T)) < 1e-12
 
     def test_perturbed_mode_reports_sigma(self, const_cert):
-        out = decay_constants(None, const_cert, perturbed=True)
+        out = decay_constants(const_cert, perturbed=True)
         assert out["rate_name"] == "sigma"
         assert out["proof_implied"]
 
@@ -176,6 +176,6 @@ class TestDecayConstants:
         rep = sup_norm_curve(spec_const, const_cert, 15.0, nxi_low=24, nxi_high=8)
         if rep.verdict == "Pass":
             bound = rep.certified_prefactor * np.exp(
-                -rep.certified_rate * (rep.time_grid - rep.k * rep.T)
+                -rep.certified_rate * (rep.time_grid - const_cert.k * const_cert.T)
             )
             assert np.all(rep.sup_norm_curve <= bound * 1.001)

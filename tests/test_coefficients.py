@@ -198,13 +198,3 @@ class TestSquareForm:
         pts = c.breakpoints_in(0.0, 1.0)
         assert np.allclose(pts, [0.5])
 
-
-class TestTotalVariation:
-    def test_sampled_triangle(self):
-        c = PeriodicCoefficient.from_samples(triangle_samples(1024, 0.2, 1.0), 1.0, order=1)
-        # up 0.8 and down 0.8 over one period
-        assert abs(c.total_variation - 1.6) < 1e-2
-
-    def test_finite_for_closed_forms(self, profiles):
-        for c in profiles.values():
-            assert np.isfinite(c.total_variation)

@@ -14,7 +14,7 @@ from kgdecay import (
     verify_highfreq_contraction,
 )
 from kgdecay import highfreq
-from kgdecay.errors import FrameError, PreconditionError
+from kgdecay.errors import FrameError
 from kgdecay.highfreq import (
     FRAME_DET_GUARD,
     _points_per_period,
@@ -24,7 +24,14 @@ from kgdecay.highfreq import (
 )
 from kgdecay.propagator import _cumulative_simpson_uniform
 
-from oracles import corrector_profile, frame_matrices, frame_matrices_at, frame_ode_residual, n_pm
+from oracles import (
+    PreconditionError,
+    corrector_profile,
+    frame_matrices,
+    frame_matrices_at,
+    frame_ode_residual,
+    n_pm,
+)
 
 # The frequencies at which the scalar frame product is checked against the
 # complex-matrix route; xi = 2 lies below the frame guard on massless sin_offset.
@@ -298,11 +305,14 @@ class TestThresholdSearch:
         assert ok
         assert mx <= bound + 1e-6
 
-    def test_search_range_exhausted(self, spec_const):
+    def test_search_range_exhausted(self, spec_const, monkeypatch):
         from kgdecay.errors import ThresholdSearchError
 
+        # the windows at N = 1, 2, 4 fail and fit in 4096 points per period;
+        # the window at N = 8 would need 5120
+        monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 4096)
         with pytest.raises(ThresholdSearchError):
-            find_threshold_N(spec_const, xi_points=16, t_points=32, n_max=2.0)
+            find_threshold_N(spec_const, xi_points=16, t_points=32)
 
     def test_trace_csv(self, spec_const, tmp_path):
         thr = find_threshold_N(spec_const, xi_points=32, t_points=32)

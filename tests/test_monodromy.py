@@ -15,7 +15,7 @@ from kgdecay import (
     scan_to_csv,
     spectral_norm_2x2,
 )
-from kgdecay.errors import NoContractionError
+from kgdecay.errors import IntegrationFailureError, NoContractionError
 from kgdecay.monodromy import (
     CLASS_COMPLEX_PAIR,
     CLASS_REAL_PAIR,
@@ -174,6 +174,15 @@ class TestMonodromyGrid:
             for j, xi in enumerate(xi_grid):
                 direct = monodromy_at(spec_sin, float(t), float(xi))
                 assert np.max(np.abs(M[i, j] - direct)) < 1e-8
+
+    def test_ill_conditioned_inverse_raises(self):
+        # mean damping 17 leaves det E(t, 0) near e^{-34 t}: the inverted rows
+        # drift from M(0) = E(T, 0) in trace or determinant by about 5e-4
+        b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=17.0, amp=8.5)
+        t_grid = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(IntegrationFailureError) as err:
+            monodromy_grid(ModelSpec(b, ConstantMass(1.0)), t_grid, np.linspace(0.0, 14.0, 8))
+        assert err.value.t_fail in t_grid[1:]
 
 
 class TestContractionSearch:

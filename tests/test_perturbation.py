@@ -16,7 +16,7 @@ from kgdecay import (
 )
 from kgdecay.errors import NoContractionError
 
-from conftest import certificate, propagate
+from conftest import certificate, contraction_grids, propagate
 from oracles import gronwall_difference_bound
 
 
@@ -187,27 +187,27 @@ class TestGronwallBound:
 class TestPerturbedContraction:
     def test_zero_amplitude_reproduces_c1(self, spec_sin, sin_cert, m1_cos):
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.0, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert)
+        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok
         assert abs(worst - sin_cert.c1) < 1e-10
 
     def test_half_bound_is_contractive(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eb.epsilon_max / 2.0, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert)
+        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok
         assert worst < 1.0
 
     def test_huge_amplitude_reports_not_raises(self, spec_sin, sin_cert, m1_cos):
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(2.0, 3.0, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert)
+        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert isinstance(ok, bool) and worst > 0.0
 
     def test_perturbed_certificate_uses_verified_worst(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eb.epsilon_max, m1_cos))
-        cert_eps = perturbed_certificate(spec_eps, sin_cert)
-        _, worst = verify_perturbed_contraction(spec_eps, sin_cert)
+        _, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        cert_eps = perturbed_certificate(spec_eps, sin_cert, worst)
         assert cert_eps.c1 == worst
         assert cert_eps.k == sin_cert.k and cert_eps.N == sin_cert.N
         assert cert_eps.delta1 == math.log(1.0 / worst) / (sin_cert.k * sin_cert.T)
@@ -218,6 +218,7 @@ class TestPerturbedContraction:
         spec_eps = ModelSpec(b, PerturbedMass(1.0, 0.5, m1_cos))
         grids = {"contraction_t_points": 4, "contraction_xi_points": 33}
         cert = assemble_certificate(spec_eps.constant_mass_version(), 4.0, 1, 0.99, grids)
+        _, worst = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
         with pytest.raises(NoContractionError) as err:
-            perturbed_certificate(spec_eps, cert)
+            perturbed_certificate(spec_eps, cert, worst)
         assert err.value.worst[2] >= 1.0 - 1e-6

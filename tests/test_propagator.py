@@ -14,12 +14,12 @@ from kgdecay import (
     propagate_grid,
     spectral_norm_2x2,
 )
-from kgdecay.errors import IntegrationFailureError, PreconditionError
+from kgdecay.errors import IntegrationFailureError
 from kgdecay.propagator import _cumulative_simpson_uniform
 
 from conftest import const_coeff_propagator, power_iteration_norm, propagate, triangle_samples
 from dp5_oracle import dp5_propagate
-from oracles import integral, peano_baker_truncated, system_matrix
+from oracles import PreconditionError, integral, peano_baker_truncated, system_matrix
 
 
 def random_mat2(rng, scale=1.0):
