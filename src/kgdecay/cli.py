@@ -50,9 +50,6 @@ EXIT_CODES = (
     ((IntegrationFailureError, FrameError, FitError), EXIT_NUMERICAL, "numerical failure"),
 )
 
-# Largest argument of exp that stays finite, ln(DBL_MAX).
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
 STAGES = ("threshold", "contraction", "epsilon", "decay")
 STAGE_DEPS = {
     "threshold": (),
@@ -197,8 +194,10 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
         mass = ConstantMass(m0)
     spec = ModelSpec(b, mass, T)
     half_beta_T = spec.beta * T / 2.0
-    if half_beta_T > LOG_FLOAT_MAX:
-        raise ConfigError(f"[model] beta*T/2 = {half_beta_T:g} overflows exp (above {LOG_FLOAT_MAX:g})")
+    if half_beta_T > highfreq.LOG_FLOAT_MAX:
+        raise ConfigError(
+            f"[model] beta*T/2 = {half_beta_T:g} overflows exp (above {highfreq.LOG_FLOAT_MAX:g})"
+        )
 
     run_sec = cp["run"] if "run" in cp else {}
     _check_keys(run_sec, "run", RUN_KEYS)
@@ -303,6 +302,9 @@ def run(config: RunConfig) -> int:
             "sup_value": thr.sup_value,
             "target": thr.target,
             "xi_max_checked": thr.xi_max_checked,
+            "tail_C_b": thr.tail_C_b,
+            "tail_xi": thr.tail_xi,
+            "tail_covered": thr.tail_xi <= thr.xi_max_checked,
             "monodromy_norm_max": mx,
             "monodromy_norm_bound": bnd,
             "verified": ok,

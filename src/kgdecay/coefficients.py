@@ -7,8 +7,10 @@ bundles the dissipation b(t), the mass specification (constant m0, or
 m0^2 + eps*m1(t)), and the shared period T, and validates the standing model
 assumptions on a fixed grid at construction time.
 
-All objects are immutable after construction; derived quantities (mean,
-grid minimum, sup norm) are cached eagerly, never lazily.
+All objects are immutable after construction; derived quantities are cached
+eagerly, never lazily: the mean, sup norm and total variation over one period
+are exact (closed-form rules supply them, samples give them by sums), and the
+minimum is taken on the validation grid.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidCoefficientError, ModelAssumptionError
 
@@ -37,13 +38,19 @@ KINK_ROUNDING_UNITS = 64
 
 def _form_constant(period, value):
     value = float(value)
-    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), []
+    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, abs(value), 0.0
 
 
 def _form_sin_offset(period, mean, amp, phase=0.0):
     mean, amp, phase = float(mean), float(amp), float(phase)
     w = 2.0 * math.pi / period
-    return (lambda tr: mean + amp * np.sin(w * np.asarray(tr, dtype=float) + phase)), []
+    return (
+        (lambda tr: mean + amp * np.sin(w * np.asarray(tr, dtype=float) + phase)),
+        [],
+        mean,
+        abs(mean) + abs(amp),
+        4.0 * abs(amp),
+    )
 
 
 def _form_triangle(period, lo, hi):
@@ -54,7 +61,7 @@ def _form_triangle(period, lo, hi):
         u = np.asarray(tr, dtype=float) / period
         return lo + (hi - lo) * (1.0 - np.abs(2.0 * u - 1.0))
 
-    return f, [0.5 * period]
+    return f, [0.5 * period], 0.5 * (lo + hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo)
 
 
 def _form_square(period, lo, hi, duty=0.5):
@@ -65,11 +72,15 @@ def _form_square(period, lo, hi, duty=0.5):
         u = np.asarray(tr, dtype=float) / period
         return np.where(u < duty, hi, lo)
 
-    return f, [duty * period]
+    d = min(max(duty, 0.0), 1.0)  # the share of the period at hi
+    sup = max(abs(hi) if d > 0.0 else 0.0, abs(lo) if d < 1.0 else 0.0)
+    variation = 2.0 * abs(hi - lo) if 0.0 < d < 1.0 else 0.0
+    return f, [duty * period], d * hi + (1.0 - d) * lo, sup, variation
 
 
 #: Registered closed-form rules: name -> factory(period, **params) returning
-#: (vectorized eval on reduced time, list of kink/jump offsets within [0, T)).
+#: (vectorized eval on reduced time, list of kink/jump offsets within [0, T),
+#: exact mean, exact sup|c|, exact total variation over one period).
 FORMS = {
     "constant": _form_constant,
     "sin_offset": _form_sin_offset,
@@ -109,6 +120,12 @@ class PeriodicCoefficient:
                 raise InvalidCoefficientError(f"interpolation order must be 0 or 1, got {order}")
             self.samples = samples
             self.order = int(order)
+            # uniform samples integrate exactly to the sample mean for both
+            # step and linear (trapezoid with wrap-around) interpolation; both
+            # interpolants peak at a sample and vary by the wrap-around jumps
+            self.mean = float(np.mean(samples))
+            self.sup_abs = float(np.max(np.abs(samples)))
+            self.variation = float(np.sum(np.abs(np.roll(samples, -1) - samples)))
             if self.order == 1:
                 second = np.roll(samples, -1) - 2.0 * samples + np.roll(samples, 1)
                 noise = KINK_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(samples))
@@ -120,7 +137,9 @@ class PeriodicCoefficient:
                     f"unknown coefficient form {name!r}; known: {sorted(FORMS)}"
                 )
             try:
-                self._eval_fn, self._kinks = FORMS[name](period, **(params or {}))
+                self._eval_fn, self._kinks, self.mean, self.sup_abs, self.variation = FORMS[name](
+                    period, **(params or {})
+                )
             except TypeError as exc:
                 raise InvalidCoefficientError(f"bad parameters for form {name!r}: {exc}") from exc
             self.samples = None
@@ -181,26 +200,10 @@ class PeriodicCoefficient:
         n = VALIDATION_GRID_SIZE
         grid = np.arange(n) * (self.period / n)
         vals = self.eval(grid)
-        if not np.all(np.isfinite(vals)):
+        exact = (self.mean, self.sup_abs, self.variation)
+        if not (np.all(np.isfinite(vals)) and all(math.isfinite(v) for v in exact)):
             raise InvalidCoefficientError("coefficient evaluates to non-finite values")
         self.grid_min = float(np.min(vals))
-        self.sup_abs = float(np.max(np.abs(vals)))
-
-        if self.samples is not None:
-            # uniform samples integrate exactly to the sample mean for both
-            # step and linear (trapezoid with wrap-around) interpolation
-            self.mean = float(np.mean(self.samples))
-        else:
-            val, _ = quad(
-                lambda x: float(self._eval_fn(np.asarray(x % self.period))),
-                0.0,
-                self.period,
-                limit=200,
-                epsabs=1e-13,
-                epsrel=1e-13,
-                points=self._kinks or None,
-            )
-            self.mean = val / self.period
 
     # -- evaluation --------------------------------------------------------
 
@@ -279,8 +282,8 @@ class ModelSpec:
     """A full problem instance: dissipation, mass and shared period.
 
     Validates at construction: non-negative dissipation, matching periods,
-    positivity of the perturbed mass square and normalization sup|m1| = 1 on
-    the validation grid.  Instances are immutable.
+    positivity of the perturbed mass square on the validation grid and the
+    normalization sup|m1| = 1.  Instances are immutable.
     """
 
     def __init__(self, b: PeriodicCoefficient, mass, T=None):

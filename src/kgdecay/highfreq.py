@@ -12,12 +12,19 @@ R2 = -N1^{-1} R1 (I - N1) shrinks as the frequency grows, the product
 approaches one, and the first window whose supremum falls below
 exp(beta T / 2) fixes the threshold.  The resulting bound is then re-checked
 by direct monodromy norms (see :func:`verify_highfreq_contraction`).
+
+Integrating c+ by parts bounds the corrector, r <= rho = C_b / xi with
+C_b = 2 sup|b| + V_0^{2T}(b), so the massless frame product never exceeds the
+closed form P(xi) of :func:`_tail_bound`, which decreases in xi.  Each window
+scan stops once P falls to the largest value already found, and the first xi
+with P(xi) below the accept level covers every higher frequency.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +61,9 @@ VERIFY_SLACK = 1e-6
 # target by this relative margin, so the result survives grid refinement.
 THRESHOLD_ACCEPT_MARGIN = 1e-3
 
+# Largest argument of exp that stays finite, ln(DBL_MAX).
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 # The threshold search runs with the massless symbol, so N depends on b alone.
 # A constant mass m0 acts as the shift xi -> sqrt(xi^2 + m0^2), which can raise
 # the frame product; the verify step checks the bound under the real mass.
@@ -68,16 +78,70 @@ class ThresholdResult:
     sup_value: float
     target: float
     xi_max_checked: float
+    tail_C_b: float  # r <= tail_C_b / xi on [0, 2T]
+    tail_xi: float  # first xi with _tail_bound(xi) <= accept level; inf if none
     trace: tuple = field(default_factory=tuple)  # (N_candidate, sup_value, accepted)
 
 
-def _points_per_period(spec: ModelSpec, xi: float, per_period: int | None = None) -> int:
+def _points_per_period(
+    spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, per_period: int | None = None
+) -> int:
+    """Quadrature points per period of a frame profile at ``xi``.
+
+    A multiple of ``t_points``, so base times sit on the grid index-exactly;
+    the profile cap is checked against this count.
+    """
     h_max = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon)  # sup|m1| = 1
     p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(h_max * spec.T))
     if per_period is not None:
         p = max(p, per_period)
-    # multiple of the base-time snap resolution, keeps sup grids index-exact
-    return SUP_T_POINTS * math.ceil(p / SUP_T_POINTS)
+    return t_points * math.ceil(p / t_points)
+
+
+def _tail_constant(spec: ModelSpec) -> float:
+    """C_b = 2 sup|b| + V_0^{2T}(b), with V over two periods twice that over one."""
+    return 2.0 * spec.b.sup_abs + 2.0 * spec.b.variation
+
+
+def _tail_bound(c_b: float, beta_t: float, xi: float) -> float:
+    """Closed-form bound P(xi) on the frame product at frequency xi.
+
+    Integrating c+(t) = int_0^t exp(i xi s) b(s) ds by parts gives
+    r = |c+| <= rho = c_b / xi on [0, 2T].  With b >= 0 the integral of
+    ||R2|| = b r / (1 - r) over a period is at most beta T rho / (1 - rho), so
+    the product is at most (1 + rho) / (1 - rho) * exp(beta T rho / (1 - rho)),
+    which decreases in xi.  Returns inf where rho >= 1 or the exponent would
+    overflow.
+    """
+    rho = c_b / xi
+    if rho >= 1.0:
+        return math.inf
+    expo = beta_t * rho / (1.0 - rho)
+    if expo > LOG_FLOAT_MAX:
+        return math.inf
+    return (1.0 + rho) / (1.0 - rho) * math.exp(expo)
+
+
+def _tail_xi(c_b: float, beta_t: float, level: float) -> float:
+    """The smallest xi (to rounding) with _tail_bound(xi) <= level; inf if none.
+
+    P exceeds one at every finite xi and tends to one, so a level below one is
+    never reached; otherwise doubling brackets the crossing and bisection
+    narrows it until the midpoint rounds to an end.
+    """
+    if level < 1.0:
+        return math.inf
+    lo, hi = c_b, c_b + 1.0
+    while _tail_bound(c_b, beta_t, hi) > level:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _tail_bound(c_b, beta_t, mid) > level:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _suplarge_from_profile(n1_norms, n1inv_norms, r2_cumint, idx, per):
@@ -98,8 +162,7 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     time integral of ||R2|| uses cumulative Simpson on the same grid.
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
-    per = _points_per_period(spec, xi)
-    per = t_points * math.ceil(per / t_points)  # keep base times index-exact
+    per = _points_per_period(spec, xi, t_points)
     # phase-resolved quadrature on 2 per + 1 uniform points over [0, 2T]:
     # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h
     tau = np.linspace(0.0, 2.0 * spec.T, 2 * per + 1)
@@ -118,19 +181,32 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
 def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None) -> float:
     """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product.
 
-    With ``stop_above`` set, the scan stops at the first value beyond it (the
-    window is already disqualified); the returned value is then only a lower
-    bound for the true supremum.
+    The frequencies are scanned in ascending order, and the scan stops before
+    the first one whose tail bound :func:`_tail_bound` is no larger than the
+    largest value found so far: the bound decreases in xi, so no later
+    frequency can raise the maximum, and the result equals that of the full
+    scan.  The bound holds for the massless symbol and, through the shift
+    xi -> sqrt(xi^2 + m0^2), for any constant mass.
+
+    With ``stop_above`` set, the scan also stops at the first value beyond it
+    (the window is already disqualified); the returned value is then only a
+    lower bound for the true supremum.
     """
-    vals = []
+    c_b = _tail_constant(spec)
+    beta_t = spec.beta * spec.T
+    top = -math.inf
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
-        try:
-            vals.append(suplarge_quantity(spec, float(x), t_points))
-        except FrameError:
-            vals.append(math.inf)
-        if stop_above is not None and vals[-1] > stop_above:
+        x = float(x)
+        if top > -math.inf and _tail_bound(c_b, beta_t, x) <= top:
             break
-    return float(np.max(vals))
+        try:
+            value = suplarge_quantity(spec, x, t_points)
+        except FrameError:
+            value = math.inf
+        top = max(top, value)
+        if stop_above is not None and value > stop_above:
+            break
+    return top
 
 
 def find_threshold_N(
@@ -152,6 +228,14 @@ def find_threshold_N(
     product is not monotone in xi, so mass can raise it at a given xi; the
     massless window is not a worst case.  The bound the threshold promises
     is guaranteed under the actual mass by :func:`verify_highfreq_contraction`.
+
+    The result also records the tail: ``tail_C_b`` and ``tail_xi``, the first
+    xi at which the closed-form bound P(xi) of :func:`_tail_bound` drops to
+    the accept level, found without any frame profile.  P decreases in xi,
+    so the frame product stays below the accept level at every xi >= tail_xi,
+    and the shift sqrt(xi^2 + m0^2) >= xi carries this over to any constant
+    mass.  When tail_xi <= xi_max_checked, the closed form covers every
+    frequency above the scanned window.
     """
     base = ModelSpec(spec.b, _MASSLESS, spec.T)
     target = math.exp(base.beta * base.T / 2.0)
@@ -161,7 +245,7 @@ def find_threshold_N(
     N, sup = 0.5, math.inf
     while sup > accept:
         N *= 2.0
-        points = _points_per_period(base, WINDOW_FACTOR * N)
+        points = _points_per_period(base, WINDOW_FACTOR * N, t_points)
         if points > MAX_PROFILE_POINTS:
             raise ThresholdSearchError(
                 f"no threshold found below N = {N:g}: its window needs {points} profile points "
@@ -181,11 +265,14 @@ def find_threshold_N(
             hi, hi_sup = mid, sup
         else:
             lo = mid
+    c_b = _tail_constant(base)
     return ThresholdResult(
         N=hi,
         sup_value=hi_sup,
         target=target,
         xi_max_checked=WINDOW_FACTOR * hi,
+        tail_C_b=c_b,
+        tail_xi=_tail_xi(c_b, base.beta * base.T, accept),
         trace=tuple(trace),
     )
 

@@ -5,7 +5,8 @@
 - the Gronwall bound on the propagator deviation caused by a mass perturbation;
 - the monodromy matrix at one base time, by direct propagation or similarity;
 - the diagonalization-frame corrector integrals n+ and n-, each integrated on
-  its own, with the full complex 2x2 frame matrices built from them.
+  its own, with the full complex 2x2 frame matrices built from them;
+- the threshold window supremum by a scan of every frequency of the window.
 """
 
 import math
@@ -13,8 +14,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from kgdecay import inv2, propagate_grid, spectral_norm_2x2
-from kgdecay.highfreq import _points_per_period
+from kgdecay import highfreq, inv2, propagate_grid, spectral_norm_2x2
+from kgdecay.errors import FrameError
+from kgdecay.highfreq import WINDOW_FACTOR, _points_per_period
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
 
@@ -157,7 +159,7 @@ def n_pm(spec, t, xi, per_period=None):
         raise ValueError("xi must be non-negative")
     if t == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    points = int(_points_per_period(spec, xi, per_period) * (t / spec.T)) + 1
+    points = int(_points_per_period(spec, xi, per_period=per_period) * (t / spec.T)) + 1
     _, npl, nmi, _, _ = corrector_profile(spec, xi, t, max(points, 129))
     return complex(npl[-1]), complex(nmi[-1])
 
@@ -200,7 +202,7 @@ def frame_ode_residual(spec, xi, per_period=None):
     generating first-order equations  d/dt n+/- = b(t) -/+ i h(t) n+/-.
     Returns the max absolute residual over interior grid points.
     """
-    per = _points_per_period(spec, xi, per_period)
+    per = _points_per_period(spec, xi, per_period=per_period)
     tau, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
     h = spec.symbol(tau, abs(xi))
     res = 0.0
@@ -209,3 +211,18 @@ def frame_ode_residual(spec, xi, per_period=None):
         rhs = b[1:-1] + sign * 1j * h[1:-1] * arr[1:-1]
         res = max(res, float(np.max(np.abs(dnum - rhs))))
     return res
+
+
+def window_sup_full_scan(spec, N, xi_points, t_points, stop_above=None):
+    """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product,
+    evaluating every frequency; with ``stop_above`` set, the scan stops at the
+    first value beyond it, as in the package."""
+    vals = []
+    for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
+        try:
+            vals.append(highfreq.suplarge_quantity(spec, float(x), t_points))
+        except FrameError:
+            vals.append(math.inf)
+        if stop_above is not None and vals[-1] > stop_above:
+            break
+    return float(np.max(vals))

@@ -1,6 +1,9 @@
 """The public API holds only what the pipeline uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kgdecay
@@ -32,3 +35,11 @@ def _referenced_names():
 def test_every_public_name_is_used_by_the_package():
     unused = sorted(set(kgdecay.__all__) - _referenced_names())
     assert not unused, f"exported but unused inside the package: {unused}"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; a run must not pay for importing it
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, kgdecay.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import highfreq, perturbation
-from kgdecay.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_NUMERICAL, MODEL_KEYS, load_config, main
+from kgdecay.cli import (
+    EXIT_CERTIFICATE,
+    EXIT_CONFIG,
+    EXIT_MODEL,
+    EXIT_NUMERICAL,
+    MODEL_KEYS,
+    load_config,
+    main,
+)
 from kgdecay.errors import FitError, FrameError
 
 FAST_GRIDS = """
@@ -184,6 +192,13 @@ class TestExitCodes:
             code, err = self.run_with(tmp_path, capsys, text)
             assert code == EXIT_CONFIG
             assert err.startswith("config error:")
+
+    def test_threshold_t_points_within_the_profile_cap(self, tmp_path, capsys):
+        # 2^21 base times per period would need profiles above the 2^20 cap
+        text = BASE_CONFIG.replace("threshold_t_points = 32", "threshold_t_points = 2097152")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == EXIT_CERTIFICATE
+        assert err.startswith("certificate failure:") and "2097152 profile points" in err
 
     @pytest.mark.parametrize("error", [FrameError, FitError])
     def test_numerical_errors_exit_5(self, tmp_path, capsys, monkeypatch, error):

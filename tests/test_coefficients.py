@@ -51,6 +51,71 @@ class TestMeanValue:
             PeriodicCoefficient.from_samples([1.0, np.inf], 1.0)
 
 
+# Closed forms with their exact mean, sup|c| and total variation over a period.
+EXACT_FORMS = [
+    ("constant", {"value": 0.7}, 0.7, 0.7, 0.0),
+    ("constant", {"value": 0.0}, 0.0, 0.0, 0.0),
+    ("sin_offset", {"mean": 1.0, "amp": 0.5, "phase": 0.3}, 1.0, 1.5, 2.0),
+    ("sin_offset", {"mean": -0.2, "amp": -1.0, "phase": 2.1}, -0.2, 1.2, 4.0),
+    ("triangle", {"lo": 0.2, "hi": 1.0}, 0.6, 1.0, 1.6),
+    ("triangle", {"lo": 1.5, "hi": -0.5}, 0.5, 1.5, 4.0),
+    ("square", {"lo": 0.2, "hi": 1.0, "duty": 0.01}, 0.208, 1.0, 1.6),
+    ("square", {"lo": 0.2, "hi": 1.0, "duty": 0.3337}, 0.3337 + 0.6663 * 0.2, 1.0, 1.6),
+    ("square", {"lo": 0.2, "hi": 1.0, "duty": 0.9}, 0.92, 1.0, 1.6),
+    ("square", {"lo": -3.0, "hi": 1.0, "duty": 0.0}, -3.0, 3.0, 0.0),
+    ("square", {"lo": -3.0, "hi": 1.0, "duty": -0.5}, -3.0, 3.0, 0.0),
+    ("square", {"lo": -3.0, "hi": 1.0, "duty": 1.0}, 1.0, 1.0, 0.0),
+    ("square", {"lo": -3.0, "hi": 1.0, "duty": 1.7}, 1.0, 1.0, 0.0),
+]
+
+FINE_GRID = 2**20
+
+
+def _fine_grid_sup_and_variation(c):
+    """Maximum of |c| and the variation of c over a 2^20-point grid of one period."""
+    vals = c.eval(np.arange(FINE_GRID) * (c.period / FINE_GRID))
+    return float(np.max(np.abs(vals))), float(np.sum(np.abs(np.roll(vals, -1) - vals)))
+
+
+def _period_integral(c):
+    """int_0^T c by the oracle's quadrature: just below T, so the cached mean is not used."""
+    return integral(c, math.nextafter(c.period, 0.0))
+
+
+class TestExactConstants:
+    @pytest.mark.parametrize("name, params, mean, sup, variation", EXACT_FORMS)
+    def test_closed_forms(self, name, params, mean, sup, variation):
+        c = PeriodicCoefficient.from_closed_form(name, 1.5, **params)
+        assert c.mean == pytest.approx(mean, rel=1e-15, abs=1e-15)
+        assert (c.sup_abs, c.variation) == pytest.approx((sup, variation), rel=1e-15, abs=0.0)
+        assert abs(_period_integral(c) / c.period - c.mean) <= 1e-13
+        grid_sup, grid_var = _fine_grid_sup_and_variation(c)
+        assert c.sup_abs - 1e-9 <= grid_sup <= c.sup_abs * (1.0 + 1e-15)
+        assert c.variation - 1e-9 <= grid_var <= c.variation * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("order, n", [(0, 64), (1, 128)])
+    def test_samples(self, order, n):
+        # the fine grid holds every sample and every cell edge
+        s = np.random.default_rng(n).uniform(-1.0, 2.0, n)
+        c = PeriodicCoefficient.from_samples(s, 1.5, order=order)
+        assert c.sup_abs == np.max(np.abs(s))
+        assert c.variation == pytest.approx(np.sum(np.abs(np.diff(np.append(s, s[0])))), rel=1e-15)
+        assert abs(_period_integral(c) / c.period - c.mean) <= 1e-13
+        grid_sup, grid_var = _fine_grid_sup_and_variation(c)
+        assert grid_sup == c.sup_abs
+        assert grid_var == pytest.approx(c.variation, rel=1e-12)
+
+    def test_sup_of_a_shifted_sinusoid_is_exact(self):
+        # the 4096-point validation grid misses this peak
+        c = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=0.1)
+        vals = c.eval(np.arange(4096) / 4096)
+        assert np.max(np.abs(vals)) < 1.0 == c.sup_abs
+
+    def test_non_finite_constants_rejected(self):
+        with pytest.raises(InvalidCoefficientError):
+            PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1e308)
+
+
 class TestPeriodicity:
     def test_bit_exact_modular_reduction(self):
         rng = np.random.default_rng(3)

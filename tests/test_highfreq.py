@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from kgdecay import (
@@ -14,11 +15,14 @@ from kgdecay import (
     verify_highfreq_contraction,
 )
 from kgdecay import highfreq
-from kgdecay.errors import FrameError
+from kgdecay.errors import FrameError, ThresholdSearchError
 from kgdecay.highfreq import (
     FRAME_DET_GUARD,
     _points_per_period,
     _suplarge_from_profile,
+    _tail_bound,
+    _tail_constant,
+    _tail_xi,
     _window_sup,
     threshold_trace_to_csv,
 )
@@ -31,6 +35,7 @@ from oracles import (
     frame_matrices_at,
     frame_ode_residual,
     n_pm,
+    window_sup_full_scan,
 )
 
 # The frequencies at which the scalar frame product is checked against the
@@ -40,8 +45,7 @@ ORACLE_XIS = (2.0, 5.0, 20.0, 64.0, 100.0, 206.0)
 
 def suplarge_matrix_oracle(spec, xi, t_points=64):
     """The frame product from full complex 2x2 matrices, n+ and n- integrated apart."""
-    per = _points_per_period(spec, xi)
-    per = t_points * math.ceil(per / t_points)
+    per = _points_per_period(spec, xi, t_points)
     _, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
     n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
     if float(np.min(np.abs(det))) < FRAME_DET_GUARD:
@@ -49,6 +53,50 @@ def suplarge_matrix_oracle(spec, xi, t_points=64):
     r2_cum = _cumulative_simpson_uniform(spectral_norm_2x2(r2), dt)
     idx = np.arange(t_points) * (per // t_points)
     return _suplarge_from_profile(spectral_norm_2x2(n1), spectral_norm_2x2(n1_inv), r2_cum, idx, per)
+
+
+def _random_samples(order, seed):
+    rng = np.random.default_rng(seed)
+    return PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 16), 1.0, order=order)
+
+
+# Dissipations on which the pruned window scan must reproduce the full scan.
+PRUNING_CASES = {
+    "sin_offset": lambda: PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5),
+    "square-0.01": lambda: PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.01),
+    "square-0.3337": lambda: PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.3337),
+    "square-0.9": lambda: PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.9),
+    "triangle": lambda: PeriodicCoefficient.from_closed_form("triangle", 1.0, lo=0.2, hi=1.0),
+    "samples-0": lambda: _random_samples(0, 11),
+    "samples-1": lambda: _random_samples(1, 12),
+    "constant": lambda: PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.8),
+    "constant-0": lambda: PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0),
+}
+
+
+def _dissipations():
+    """Non-negative dissipations of every representation, with T in [0.5, 2]."""
+    unit = st.floats(0.0, 2.0)
+    period = st.floats(0.5, 2.0)
+    closed = st.one_of(
+        st.builds(lambda T, v: ("constant", T, {"value": v}), period, unit),
+        st.builds(
+            lambda T, a, extra, ph: ("sin_offset", T, {"mean": a + extra, "amp": a, "phase": ph}),
+            period, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+        ),
+        st.builds(lambda T, lo, hi: ("triangle", T, {"lo": lo, "hi": hi}), period, unit, unit),
+        st.builds(
+            lambda T, lo, hi, d: ("square", T, {"lo": lo, "hi": hi, "duty": d}),
+            period, unit, unit, st.floats(0.01, 0.99),
+        ),
+    ).map(lambda c: PeriodicCoefficient.from_closed_form(c[0], c[1], **c[2]))
+    sampled = st.builds(
+        PeriodicCoefficient.from_samples,
+        st.lists(unit, min_size=2, max_size=32),
+        period,
+        st.sampled_from([0, 1]),
+    )
+    return st.one_of(closed, sampled)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +310,72 @@ class TestSupLarge:
         assert raised > 0
 
 
+class TestTailBound:
+    @settings(max_examples=60, deadline=None)
+    @given(b=_dissipations(), scale=st.floats(2.0001, 6.0), m0=st.sampled_from([0.0, 0.7, 3.0]))
+    def test_profile_below_the_closed_form(self, b, scale, m0):
+        # wherever rho = C_b / xi < 1/2 the discrete frame product stays below
+        # P(xi), with or without a constant mass
+        c_b = 2.0 * b.sup_abs + 2.0 * b.variation
+        assume(c_b > 0.0)
+        spec = ModelSpec(b, ConstantMass(m0))
+        xi = scale * c_b
+        assert _tail_constant(spec) == c_b
+        assert suplarge_quantity(spec, xi) <= _tail_bound(c_b, spec.beta * spec.T, xi)
+
+    def test_closed_form_decreases_and_never_raises(self):
+        xis = np.geomspace(5.3, 1e6, 200)
+        vals = [_tail_bound(5.2, 0.6, float(x)) for x in xis]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert vals[-1] > 1.0
+        assert _tail_bound(5.2, 0.6, 5.2) == math.inf
+        assert _tail_bound(5.2, 0.6, 1.0) == math.inf
+        assert _tail_bound(5.2, 1e300, 5.3) == math.inf
+
+    def test_tail_frequency_is_the_first_crossing(self, spec_square):
+        thr = find_threshold_N(spec_square)
+        accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
+        beta_t = spec_square.beta * spec_square.T
+        assert thr.tail_C_b == 2.0 * 1.0 + 2.0 * 1.6
+        assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi) <= accept
+        assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0)) > accept
+        assert thr.tail_xi == pytest.approx(46.67, abs=0.01)
+        assert thr.tail_xi <= thr.xi_max_checked
+        # a level below one is never reached
+        assert _tail_xi(thr.tail_C_b, beta_t, 0.999) == math.inf
+
+
 class TestThresholdSearch:
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_pruned_search_equals_the_full_scan(self, case, monkeypatch):
+        spec = ModelSpec(PRUNING_CASES[case](), ConstantMass(1.0))
+        try:
+            thr = find_threshold_N(spec)
+        except ThresholdSearchError as exc:
+            thr = str(exc)
+        monkeypatch.setattr(highfreq, "_window_sup", window_sup_full_scan)
+        try:
+            ref = find_threshold_N(spec)
+        except ThresholdSearchError as exc:
+            ref = str(exc)
+        if case == "constant-0":
+            assert isinstance(ref, str)
+        assert thr == ref
+
+    def test_square_search_profile_count(self, spec_square, monkeypatch):
+        # the full scan evaluates 906 frame profiles on this search
+        calls = []
+        profile = highfreq.suplarge_quantity
+
+        def counted(*args):
+            calls.append(args[1])
+            return profile(*args)
+
+        monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
+        find_threshold_N(spec_square)
+        assert len(calls) <= 200
+
+
     def test_constant_profile(self, spec_const):
         thr = find_threshold_N(spec_const, xi_points=64, t_points=32)
         assert thr.sup_value <= thr.target
@@ -271,7 +384,26 @@ class TestThresholdSearch:
         assert _window_sup(spec_const.constant_mass_version(), thr.N, 128, 64) <= thr.target
 
     def test_window_scan_stops_at_first_violation(self, spec_sin, monkeypatch):
-        # 130 frequencies, one value above the cut at the third
+        # 130 frequencies, one value above the cut at the third; the tail bound
+        # stays above that value on the whole window, so it prunes nothing
+        calls = []
+
+        def fake(spec, xi, t_points):
+            calls.append(xi)
+            return 2.0 if len(calls) == 3 else 1.0
+
+        c_b = _tail_constant(spec_sin)
+        assert _tail_bound(c_b, spec_sin.beta * spec_sin.T, 20.0) > 2.0
+        monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
+        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=1.5) == 2.0
+        assert len(calls) == 3
+        calls.clear()
+        assert _window_sup(spec_sin, 2.0, 130, 8) == 2.0
+        assert len(calls) == 130
+
+    def test_window_scan_stops_at_the_tail_bound(self, spec_sin, monkeypatch):
+        # the scan ends before the first frequency whose bound P(xi) is no
+        # larger than the maximum so far, which the third value sets
         calls = []
 
         def fake(spec, xi, t_points):
@@ -279,11 +411,13 @@ class TestThresholdSearch:
             return 5.0 if len(calls) == 3 else 1.0
 
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
-        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=2.0) == 5.0
-        assert len(calls) == 3
-        calls.clear()
+        xis = np.linspace(2.0, 20.0, 130)
+        c_b, beta_t = _tail_constant(spec_sin), spec_sin.beta * spec_sin.T
+        bounds = np.array([_tail_bound(c_b, beta_t, float(x)) for x in xis])
+        first = int(np.argmax(bounds <= 5.0))
+        assert 3 < first < 130
         assert _window_sup(spec_sin, 2.0, 130, 8) == 5.0
-        assert len(calls) == 130
+        assert calls == [float(x) for x in xis[:first]]
 
     def test_search_decisions_match_matrix_oracle(self, spec_sin, monkeypatch):
         thr = find_threshold_N(spec_sin)
