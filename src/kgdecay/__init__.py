@@ -12,7 +12,6 @@ from .propagator import (
     PropagationResult,
     det2,
     eigenvalues_2x2,
-    inv2,
     propagate_grid,
     spectral_norm_2x2,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "find_threshold_N",
     "fit_rate",
     "gamma_curve",
-    "inv2",
     "lambert_w0",
     "monodromy_grid",
     "perturbed_certificate",

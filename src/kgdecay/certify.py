@@ -9,7 +9,7 @@ min(delta0, delta1) with prefactor max(e^{delta0 T}, e^{delta1 k T}).
 
 Long horizons use the period decomposition t = l T + s: the propagator is the
 cached one-period monodromy power applied to a cached base segment, so no
-integration ever spans more than two periods.
+integration ever spans more than one period.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .errors import FitError, IntegrationFailureError, ModelAssumptionError
-from .monodromy import SCAN_CHUNK, ContractionCertificate, _chunks
-from .propagator import (
-    DEFAULT_TOL,
-    _cumulative_simpson_uniform,
-    inv2,
-    propagate_grid,
-    spectral_norm_2x2,
-)
+from .monodromy import SCAN_CHUNK, ContractionCertificate, _chunks, _period_products
+from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, propagate_grid, spectral_norm_2x2
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
@@ -109,9 +103,10 @@ def sup_norm_curve(
     The time grid holds every multiple of T/4 up to ``t_end``.  Frequencies
     default to the union of nxi_low points on [0, N] and nxi_high points on
     [N, 4N]; pass ``xi_grid`` to override.  Each time t = l T + s is evaluated
-    as ||M(s, xi)^l E(s, 0, xi)|| from one checkpointed sweep over [0, 2T]
-    per frequency chunk.  The rate is fitted after a burn-in of 2kT; the
-    mass-influence diagnostic is added when b > 0 on the validation grid.
+    as ||M(s, xi)^l E(s, 0, xi)||, composed by
+    :func:`~kgdecay.monodromy._period_products` from one checkpointed sweep
+    over [0, T] per frequency chunk.  The rate is fitted after a burn-in of
+    2kT; the mass-influence diagnostic is added when b > 0 everywhere.
     """
     T, k = spec.T, cert.k
     if t_end < 10.0 * k * T:
@@ -125,22 +120,21 @@ def sup_norm_curve(
 
     n_steps = int(math.floor(t_end / (T / 4.0) + 1e-9))
     times = np.arange(n_steps + 1) * (T / 4.0)
-    offsets = np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T])
-    checkpoints = np.concatenate([offsets, offsets + T])
+    checkpoints = np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T, T])
     n_periods = n_steps // 4 + 1
 
     failed = False
     curves = []
     for xis in _chunks(xi_grid, SCAN_CHUNK):
         try:
-            _, chk, _ = propagate_grid(spec, 0.0, 2.0 * T, xis, tol, checkpoints)
+            _, segments, _ = propagate_grid(spec, 0.0, T, xis, tol, checkpoints)
         except IntegrationFailureError:
             failed = True
             continue
-        E0 = chk[:4]  # E(s, 0) at the four base offsets
-        M = chk[4:] @ inv2(E0)  # M(s) = E(s + T, 0) E(s, 0)^{-1}
+        prefix, M = _period_products(segments)
+        E0, M = prefix[:4], M[:4]  # E(s, 0) and M(s) at the four base offsets
         out = np.empty((n_steps + 1, xis.size))
-        P = E0.copy()
+        P = E0
         for ell in range(n_periods):
             norms = spectral_norm_2x2(P)  # (4, nxi)
             for r in range(4):
@@ -186,7 +180,7 @@ def gamma_curve(spec: ModelSpec, times, points_per_period: int = 4096) -> np.nda
     positive dissipation.
     """
     if not spec.b_strictly_positive:
-        raise ModelAssumptionError("the mass-influence diagnostic requires b > 0 on the grid")
+        raise ModelAssumptionError("the mass-influence diagnostic requires b > 0")
     times = np.asarray(times, dtype=float)
     t_end = float(times[-1])
     if t_end == 0.0:

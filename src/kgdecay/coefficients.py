@@ -5,12 +5,12 @@ a closed-form rule registered by name, or by uniform samples over one period
 with step (order 0) or linear (order 1) interpolation.  A :class:`ModelSpec`
 bundles the dissipation b(t), the mass specification (constant m0, or
 m0^2 + eps*m1(t)), and the shared period T, and validates the standing model
-assumptions on a fixed grid at construction time.
+assumptions at construction time.
 
 All objects are immutable after construction; derived quantities are cached
-eagerly, never lazily: the mean, sup norm and total variation over one period
-are exact (closed-form rules supply them, samples give them by sums), and the
-minimum is taken on the validation grid.
+eagerly, never lazily: the mean, minimum, sup norm and total variation over
+one period are exact (closed-form rules supply them, samples give them by
+sums and extrema).
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCoefficientError, ModelAssumptionError
-
-# Number of uniform points per period used for assumption checks.
-VALIDATION_GRID_SIZE = 4096
 
 # Relative tolerance for "all coefficients share the same period".
 PERIOD_MATCH_RTOL = 1e-12
@@ -38,7 +35,7 @@ KINK_ROUNDING_UNITS = 64
 
 def _form_constant(period, value):
     value = float(value)
-    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, abs(value), 0.0
+    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0
 
 
 def _form_sin_offset(period, mean, amp, phase=0.0):
@@ -48,6 +45,7 @@ def _form_sin_offset(period, mean, amp, phase=0.0):
         (lambda tr: mean + amp * np.sin(w * np.asarray(tr, dtype=float) + phase)),
         [],
         mean,
+        mean - abs(amp),
         abs(mean) + abs(amp),
         4.0 * abs(amp),
     )
@@ -61,7 +59,7 @@ def _form_triangle(period, lo, hi):
         u = np.asarray(tr, dtype=float) / period
         return lo + (hi - lo) * (1.0 - np.abs(2.0 * u - 1.0))
 
-    return f, [0.5 * period], 0.5 * (lo + hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo)
+    return f, [0.5 * period], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo)
 
 
 def _form_square(period, lo, hi, duty=0.5):
@@ -73,14 +71,17 @@ def _form_square(period, lo, hi, duty=0.5):
         return np.where(u < duty, hi, lo)
 
     d = min(max(duty, 0.0), 1.0)  # the share of the period at hi
-    sup = max(abs(hi) if d > 0.0 else 0.0, abs(lo) if d < 1.0 else 0.0)
-    variation = 2.0 * abs(hi - lo) if 0.0 < d < 1.0 else 0.0
-    return f, [duty * period], d * hi + (1.0 - d) * lo, sup, variation
+    on_hi, on_lo = d > 0.0, d < 1.0  # which pieces occur
+    minimum = min(hi if on_hi else math.inf, lo if on_lo else math.inf)
+    sup = max(abs(hi) if on_hi else 0.0, abs(lo) if on_lo else 0.0)
+    variation = 2.0 * abs(hi - lo) if on_hi and on_lo else 0.0
+    return f, [duty * period], d * hi + (1.0 - d) * lo, minimum, sup, variation
 
 
 #: Registered closed-form rules: name -> factory(period, **params) returning
 #: (vectorized eval on reduced time, list of kink/jump offsets within [0, T),
-#: exact mean, exact sup|c|, exact total variation over one period).
+#: exact mean, exact minimum, exact sup|c|, exact total variation over one
+#: period).
 FORMS = {
     "constant": _form_constant,
     "sin_offset": _form_sin_offset,
@@ -122,8 +123,10 @@ class PeriodicCoefficient:
             self.order = int(order)
             # uniform samples integrate exactly to the sample mean for both
             # step and linear (trapezoid with wrap-around) interpolation; both
-            # interpolants peak at a sample and vary by the wrap-around jumps
+            # interpolants take their extrema at a sample and vary by the
+            # wrap-around jumps
             self.mean = float(np.mean(samples))
+            self.minimum = float(np.min(samples))
             self.sup_abs = float(np.max(np.abs(samples)))
             self.variation = float(np.sum(np.abs(np.roll(samples, -1) - samples)))
             if self.order == 1:
@@ -137,17 +140,17 @@ class PeriodicCoefficient:
                     f"unknown coefficient form {name!r}; known: {sorted(FORMS)}"
                 )
             try:
-                self._eval_fn, self._kinks, self.mean, self.sup_abs, self.variation = FORMS[name](
-                    period, **(params or {})
-                )
+                form = FORMS[name](period, **(params or {}))
             except TypeError as exc:
                 raise InvalidCoefficientError(f"bad parameters for form {name!r}: {exc}") from exc
+            self._eval_fn, self._kinks, self.mean, self.minimum, self.sup_abs, self.variation = form
             self.samples = None
             self.order = None
         else:
             raise InvalidCoefficientError("either samples or a registered form name is required")
 
-        self._finalize()
+        if not all(math.isfinite(v) for v in (self.mean, self.minimum, self.sup_abs, self.variation)):
+            raise InvalidCoefficientError("coefficient evaluates to non-finite values")
 
     # -- constructors -----------------------------------------------------
 
@@ -193,17 +196,6 @@ class PeriodicCoefficient:
         if np.max(np.abs(np.diff(ts) - dt)) > 1e-9 * dt:
             raise InvalidCoefficientError(f"{path}: time column is not uniform")
         return cls(float(len(vals) * dt), samples=vals, order=order)
-
-    # -- construction-time caches -----------------------------------------
-
-    def _finalize(self):
-        n = VALIDATION_GRID_SIZE
-        grid = np.arange(n) * (self.period / n)
-        vals = self.eval(grid)
-        exact = (self.mean, self.sup_abs, self.variation)
-        if not (np.all(np.isfinite(vals)) and all(math.isfinite(v) for v in exact)):
-            raise InvalidCoefficientError("coefficient evaluates to non-finite values")
-        self.grid_min = float(np.min(vals))
 
     # -- evaluation --------------------------------------------------------
 
@@ -281,8 +273,8 @@ class PerturbedMass:
 class ModelSpec:
     """A full problem instance: dissipation, mass and shared period.
 
-    Validates at construction: non-negative dissipation, matching periods,
-    positivity of the perturbed mass square on the validation grid and the
+    Validates at construction, on exact minima: non-negative dissipation,
+    matching periods, positivity of the perturbed mass square and the
     normalization sup|m1| = 1.  Instances are immutable.
     """
 
@@ -296,12 +288,11 @@ class ModelSpec:
             raise ModelAssumptionError(
                 f"dissipation period {b.period} does not match T = {self.T}"
             )
-        if b.grid_min < 0.0:
+        if b.minimum < 0.0:
             raise ModelAssumptionError("dissipation must be non-negative")
-        #: True when b > 0 on the whole validation grid (required for
-        #: certificate-grade runs; b >= 0 with zeros is accepted with this
-        #: flag cleared).
-        self.b_strictly_positive = b.grid_min > 0.0
+        #: True when b > 0 everywhere (required for certificate-grade runs;
+        #: b >= 0 with zeros is accepted with this flag cleared).
+        self.b_strictly_positive = b.minimum > 0.0
 
         if isinstance(mass, ConstantMass):
             if mass.m0 < 0.0:
@@ -319,13 +310,8 @@ class ModelSpec:
                 raise ModelAssumptionError(
                     f"sup|m1| must equal 1 (got {mass.m1.sup_abs!r}); rescale m1"
                 )
-            n = VALIDATION_GRID_SIZE
-            grid = np.arange(n) * (self.T / n)
-            msq = mass.m0**2 + mass.epsilon * mass.m1.eval(grid)
-            if np.min(msq) <= 0.0:
-                raise ModelAssumptionError(
-                    "m0^2 + epsilon*m1(t) must stay positive on the validation grid"
-                )
+            if not mass.m0**2 + mass.epsilon * mass.m1.minimum > 0.0:
+                raise ModelAssumptionError("m0^2 + epsilon*m1(t) must stay positive")
 
     # -- derived quantities --------------------------------------------------
 
@@ -375,7 +361,7 @@ class ModelSpec:
             "T": self.T,
             "b": self.b.describe(),
             "beta": self.beta,
-            "b_min": self.b.grid_min,
+            "b_min": self.b.minimum,
             "b_strictly_positive": self.b_strictly_positive,
             "m0": self.m0,
             "epsilon": self.epsilon,

@@ -83,9 +83,7 @@ class ThresholdResult:
     trace: tuple = field(default_factory=tuple)  # (N_candidate, sup_value, accepted)
 
 
-def _points_per_period(
-    spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, per_period: int | None = None
-) -> int:
+def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> int:
     """Quadrature points per period of a frame profile at ``xi``.
 
     A multiple of ``t_points``, so base times sit on the grid index-exactly;
@@ -93,8 +91,6 @@ def _points_per_period(
     """
     h_max = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon)  # sup|m1| = 1
     p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(h_max * spec.T))
-    if per_period is not None:
-        p = max(p, per_period)
     return t_points * math.ceil(p / t_points)
 
 

@@ -23,7 +23,6 @@ from .propagator import (
     DEFAULT_TOL,
     det2,
     eigenvalues_2x2,
-    inv2,
     propagate_grid,
     spectral_norm_2x2,
     trace2,
@@ -102,6 +101,24 @@ def _chunks(values, size):
         yield values[i : i + size]
 
 
+def _period_products(segments):
+    """Prefixes E(c_j, 0) and monodromies M(c_j) from one period's segments.
+
+    ``segments`` (m, ..., 2, 2) holds E(c_j, c_{j-1}) for checkpoints
+    c_0 <= ... <= c_{m-1} = T, with c_{-1} = 0.  By periodicity
+    M(c_j) = E(c_j + T, T) E(T, c_j) = E(c_j, 0) E(T, c_j): a prefix product
+    times a suffix product, with no inverse.
+    """
+    prefix = np.empty_like(segments)
+    suffix = np.empty_like(segments)
+    prefix[0] = segments[0]
+    suffix[-1] = np.eye(2)
+    for j in range(1, len(segments)):
+        prefix[j] = segments[j] @ prefix[j - 1]
+        suffix[-1 - j] = suffix[-j] @ segments[-j]
+    return prefix, prefix @ suffix
+
+
 def monodromy_grid(
     spec: ModelSpec,
     t_grid,
@@ -110,12 +127,13 @@ def monodromy_grid(
 ) -> np.ndarray:
     """Monodromy matrices on a (t, xi) grid, shape (nt, nxi, 2, 2).
 
-    One checkpointed sweep of E(., 0, xi) over [0, max(t) + T] per frequency
-    chunk supplies every base time at once:
-    M(t, xi) = E(t + T, 0, xi) E(t, 0, xi)^{-1}.  Trace and determinant do
-    not depend on t; when strong damping makes E(t, 0) too ill-conditioned to
-    invert, they drift from those of M(0, xi) = E(T, 0, xi), which needs no
-    inverse, and IntegrationFailureError is raised.
+    One checkpointed sweep over [0, T] per frequency chunk records the
+    segment propagators between the sorted base times, and
+    :func:`_period_products` composes them into every M(t, xi) at once.
+    As a safety check, IntegrationFailureError is raised when a row's trace
+    or determinant drifts from those of M(0, xi) = E(T, 0, xi).  Both are
+    products of the same segments, so the check catches non-finite or badly
+    rounded products, not integration error.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -124,19 +142,19 @@ def monodromy_grid(
     if np.any(t_grid < 0.0) or np.any(t_grid > spec.T + 1e-12):
         raise ValueError("t_grid must lie within [0, T]")
     T = spec.T
-    nt = t_grid.size
-    checkpoints = np.concatenate([t_grid, t_grid + T, [T]])
+    t_grid = np.minimum(t_grid, T)
+    checkpoints = np.unique(np.append(t_grid, T))
+    rows = np.searchsorted(checkpoints, t_grid)
     parts = []
     for xis in _chunks(xi_grid, SCAN_CHUNK):
-        _, chk, _ = propagate_grid(spec, 0.0, float(t_grid.max()) + T, xis, tol, checkpoints)
-        with np.errstate(divide="ignore", invalid="ignore"):  # det E(t, 0) may underflow
-            M = chk[nt:-1] @ inv2(chk[:nt])
-            drift = np.maximum(np.abs(trace2(M) - trace2(chk[-1])), np.abs(det2(M) - det2(chk[-1])))
+        E_T, segments, _ = propagate_grid(spec, 0.0, T, xis, tol, checkpoints)
+        M = _period_products(segments)[1][rows]
+        drift = np.maximum(np.abs(trace2(M) - trace2(E_T)), np.abs(det2(M) - det2(E_T)))
         if not np.max(drift) <= MONODROMY_DRIFT_TOL:
             it = int(np.argmax(np.max(drift, axis=1)))
             raise IntegrationFailureError(
                 f"monodromy trace/determinant drift {np.max(drift):.3g} at t = {t_grid[it]:.6g}: "
-                "E(t, 0) is too ill-conditioned to invert",
+                "the period's segment products are not finite or lost accuracy to rounding",
                 t_fail=float(t_grid[it]),
             )
         parts.append(M)

@@ -16,8 +16,8 @@ Richardson correction.  Coefficient jumps and kinks are forced as step
 boundaries.  The state is kept in the real form R = S^-1 E S, S = diag(1, -i),
 in which the generator [[0, h], [-h, -2b]] and every product are real.
 
-All 2x2 operations (determinant, eigenvalues, spectral norm, inverse) are
-closed-form and broadcast over leading batch dimensions.
+All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form
+and broadcast over leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -67,17 +67,6 @@ def det2(M):
 
 def trace2(M):
     return M[..., 0, 0] + M[..., 1, 1]
-
-
-def inv2(M):
-    """Inverse of 2x2 matrices via the adjugate."""
-    out = np.empty_like(M)
-    d = det2(M)
-    out[..., 0, 0] = M[..., 1, 1]
-    out[..., 1, 1] = M[..., 0, 0]
-    out[..., 0, 1] = -M[..., 0, 1]
-    out[..., 1, 0] = -M[..., 1, 0]
-    return out / d[..., None, None]
 
 
 def eigenvalues_2x2(M):
@@ -275,13 +264,16 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         internally so the realized global error stays below roughly
         ``tol * max(1, |t - s|)``.
     checkpoints : array_like, optional
-        Times between s and t (inclusive) at which to record the state.  The
-        integrator lands on them exactly, no interpolation.
+        Times c_0, c_1, ... running monotonically from s toward t (ends
+        included, repeats allowed).  The integrator lands on each exactly,
+        records the segment propagator E(c_i, c_{i-1}, xi) with c_{-1} = s,
+        and restarts its state at the identity; the step size carries over.
 
     Returns
     -------
-    (Y_end, chk, result) : final states (n, 2, 2), recorded states
-        (len(checkpoints), n, 2, 2) and a :class:`PropagationResult`.
+    (Y_end, segments, result) : E(t, s, xi) (n, 2, 2), the running product of
+        the segments; the segment propagators (len(checkpoints), n, 2, 2);
+        and a :class:`PropagationResult`.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
@@ -290,45 +282,42 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xi < 0.0):
         raise ValueError("xi must be non-negative")
-    coefficients = _make_coefficients(spec, xi * xi)
-    Y = np.zeros((xi.size, 2, 2))  # real form, see _from_real_form
-    Y[:, 0, 0] = Y[:, 1, 1] = 1.0
-
+    direction = 1.0 if t >= s else -1.0
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
+    if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) * direction >= 0.0):
+        raise ValueError("checkpoints must run monotonically from s to t")
+    coefficients = _make_coefficients(spec, xi * xi)
+    identity = np.broadcast_to(np.eye(2), (xi.size, 2, 2))  # real form, see _from_real_form
     chk = np.empty((chk_times.size, xi.size, 2, 2))
+    chk[:] = identity
     stats = _Stats()
     span = abs(t - s)
     if span == 0.0:
-        chk[:] = Y
-        return _from_real_form(Y), _from_real_form(chk), PropagationResult(0.0, 0, 0)
+        return _from_real_form(identity), _from_real_form(chk), PropagationResult(0.0, 0, 0)
 
-    direction = 1.0 if t > s else -1.0
     breaks = spec.breakpoints_in(s, t)
-    forced = np.unique(np.concatenate([breaks, chk_times, [s, t]]))
+    forced = np.unique(np.concatenate([breaks, chk_times, [t]]))
     if direction < 0:
         forced = forced[::-1]
     # only times strictly inside the travel direction
     forced = [x for x in forced if (x - s) * direction > 0.0 and (t - x) * direction >= 0.0]
-    if not forced or forced[-1] != t:
-        forced.append(t)
-
-    # map checkpoint time -> output slots (tolerate duplicates)
-    slots = {}
-    for i, ct in enumerate(chk_times):
-        slots.setdefault(float(ct), []).append(i)
-    for i in slots.get(float(s), []):
-        chk[i] = Y
 
     step_tol = tol * _STEP_SAFETY
     dt_hint = span / 100.0
+    Y = identity
+    done = identity  # E(last checkpoint, s)
+    i = int(np.sum(chk_times == s))  # checkpoints at s record E(s, s) = I
     cur = s
     for nxt in forced:
         Y, dt_hint = _integrate_segment(coefficients, cur, nxt, Y, step_tol, dt_hint, span, stats)
         cur = nxt
-        for i in slots.get(float(nxt), []):
+        while i < chk_times.size and chk_times[i] == nxt:
             chk[i] = Y
+            done = Y @ done
+            Y = identity
+            i += 1
     result = PropagationResult(stats.max_err * tol, stats.steps, stats.evals)
-    return _from_real_form(Y), _from_real_form(chk), result
+    return _from_real_form(Y @ done), _from_real_form(chk), result
 
 
 # -- quadrature ----------------------------------------------------------------

@@ -66,6 +66,11 @@ def make_perturbed(b, m0, eps, m1):
     return ModelSpec(b, PerturbedMass(m0, eps, m1))
 
 
+def strongly_damped(beta):
+    """b = beta (1 + sin(2 pi t) / 2), m0 = 1, T = 1: det E(t, 0) = e^{-2 beta t} at whole periods."""
+    return ModelSpec(PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=beta, amp=beta / 2), ConstantMass(1.0))
+
+
 def propagate(spec, s, t, xi, tol=DEFAULT_TOL):
     """E(t, s, xi) at one frequency."""
     return propagate_grid(spec, s, t, [xi], tol)[0][0]

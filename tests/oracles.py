@@ -6,7 +6,8 @@
 - the monodromy matrix at one base time, by direct propagation or similarity;
 - the diagonalization-frame corrector integrals n+ and n-, each integrated on
   its own, with the full complex 2x2 frame matrices built from them;
-- the threshold window supremum by a scan of every frequency of the window.
+- the threshold window supremum by a scan of every frequency of the window;
+- the 2x2 inverse, and the cumulative fold of checkpointed segment propagators.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from kgdecay import highfreq, inv2, propagate_grid, spectral_norm_2x2
+from kgdecay import det2, highfreq, propagate_grid, spectral_norm_2x2
 from kgdecay.errors import FrameError
 from kgdecay.highfreq import WINDOW_FACTOR, _points_per_period
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
@@ -22,6 +23,24 @@ from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
 class PreconditionError(Exception):
     """An oracle was called outside the window on which it is accurate."""
+
+
+def inv2(M):
+    """Inverse of 2x2 matrices via the adjugate."""
+    out = np.empty_like(M)
+    out[..., 0, 0] = M[..., 1, 1]
+    out[..., 1, 1] = M[..., 0, 0]
+    out[..., 0, 1] = -M[..., 0, 1]
+    out[..., 1, 0] = -M[..., 1, 0]
+    return out / det2(M)[..., None, None]
+
+
+def cumulative(segments):
+    """E(c_i, s) from the segment propagators E(c_i, c_{i-1}) of a checkpointed sweep."""
+    out = np.array(segments)
+    for i in range(1, len(out)):
+        out[i] = out[i] @ out[i - 1]
+    return out
 
 
 def system_matrix(spec, t, xi):
@@ -147,7 +166,7 @@ def corrector_profile(spec, xi, t_max, points):
     return tau, np.conj(osc) * c_plus, osc * c_minus, b, dt
 
 
-def n_pm(spec, t, xi, per_period=None):
+def n_pm(spec, t, xi, per_period=0):
     """The two oscillatory corrector integrals (n+, n-) at time ``t``.
 
     n+/-(t) = int_0^t exp(-/+ i int_s^t h(r) dr) b(s) ds with h the symbol.
@@ -159,7 +178,7 @@ def n_pm(spec, t, xi, per_period=None):
         raise ValueError("xi must be non-negative")
     if t == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    points = int(_points_per_period(spec, xi, per_period=per_period) * (t / spec.T)) + 1
+    points = int(max(_points_per_period(spec, xi), per_period) * (t / spec.T)) + 1
     _, npl, nmi, _, _ = corrector_profile(spec, xi, t, max(points, 129))
     return complex(npl[-1]), complex(nmi[-1])
 
@@ -195,14 +214,14 @@ def frame_matrices_at(spec, t, xi):
     return frame_matrices(np.array(npl), np.array(nmi), float(spec.b.eval(t)))
 
 
-def frame_ode_residual(spec, xi, per_period=None):
+def frame_ode_residual(spec, xi, per_period=0):
     """Discretized-derivative residual of the corrector equations on [0, 2T].
 
     Central differences of the quadrature-built n+/- are compared with the
     generating first-order equations  d/dt n+/- = b(t) -/+ i h(t) n+/-.
     Returns the max absolute residual over interior grid points.
     """
-    per = _points_per_period(spec, xi, per_period=per_period)
+    per = max(_points_per_period(spec, xi), per_period)
     tau, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
     h = spec.symbol(tau, abs(xi))
     res = 0.0

@@ -35,7 +35,7 @@ from kgdecay.propagator import det2
 from kgdecay.cli import main as cli_main
 
 from conftest import const_coeff_propagator, contraction_grids, contraction_k, propagate
-from oracles import gronwall_difference_bound, peano_baker_truncated, system_matrix
+from oracles import cumulative, gronwall_difference_bound, peano_baker_truncated, system_matrix
 from test_perturbation import bisection_w
 
 
@@ -202,10 +202,10 @@ def test_criterion_9_energy_monotonicity(specs_m1):
                 if done >= 20:
                     break
                 xi = float(rng.uniform(0.0, 6.0))
-                _, chk, _ = propagate_grid(spec, 0.0, 3.0, [xi], 1e-10, checkpoints)
+                _, segments, _ = propagate_grid(spec, 0.0, 3.0, [xi], 1e-10, checkpoints)
                 v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 v0 /= np.linalg.norm(v0)
-                energy = 0.5 * np.sum(np.abs(chk[:, 0] @ v0) ** 2, axis=1)
+                energy = 0.5 * np.sum(np.abs(cumulative(segments)[:, 0] @ v0) ** 2, axis=1)
                 assert np.all(np.diff(energy) <= 1e-8)
                 done += 1
         assert done == 20

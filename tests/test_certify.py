@@ -11,12 +11,13 @@ from kgdecay import (
     decay_constants,
     fit_rate,
     gamma_curve,
+    spectral_norm_2x2,
     sup_norm_curve,
 )
 from kgdecay.certify import certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
 
-from conftest import certificate, contraction_k, propagate
+from conftest import certificate, contraction_k, propagate, strongly_damped
 from oracles import monodromy_at
 
 
@@ -100,6 +101,17 @@ class TestSupNormCurve:
         composed = np.linalg.matrix_power(M_s, ell) @ E_s
         direct = propagate(spec_sin, 0.0, s + ell * spec_sin.T, xi, 1e-12)
         assert np.max(np.abs(composed - direct)) <= 1e-6 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("beta", [15.0, 17.0])
+    def test_strong_damping_matches_direct(self, beta):
+        # every fifth quarter period, so each base offset is checked
+        spec = strongly_damped(beta)
+        cert = assemble_certificate(spec, 4.0, 1, 0.5)
+        xi_grid = np.array([0.0, 0.5, 2.0, 8.0])
+        rep = sup_norm_curve(spec, cert, 10.0, xi_grid=xi_grid)
+        for t, got in list(zip(rep.time_grid, rep.sup_norm_curve))[::5]:
+            direct = max(spectral_norm_2x2(propagate(spec, 0.0, float(t), xi)) for xi in xi_grid)
+            assert abs(got - direct) <= 1e-10 * direct
 
     def test_high_band_bounded_by_delta0_envelope(self, spec_sin):
         from kgdecay import find_threshold_N

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgdecay import highfreq, perturbation
+from kgdecay import highfreq, monodromy, perturbation
 from kgdecay.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -185,6 +185,12 @@ class TestExitCodes:
         code, err = self.run_with(tmp_path, capsys, text + "[tolerances]\npropagate_tol = 1e-13\n")
         assert code == 0, err
 
+    def test_strong_damping(self, tmp_path, capsys):
+        # mean damping 17: every monodromy sweep composes segments, no inverse
+        text = BASE_CONFIG.replace("b = constant value=1.0", "b = sin_offset mean=17 amp=8.5")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == 0, err
+
     def test_unparsable_ini(self, tmp_path, capsys):
         # no section header, a duplicate key, and a literal percent sign
         for text in ("T = 1.0\n", BASE_CONFIG.replace("m0 = 1.0", "m0 = 1.0\nm0 = 2.0"),
@@ -209,6 +215,20 @@ class TestExitCodes:
         code, err = self.run_with(tmp_path, capsys, BASE_CONFIG)
         assert code == EXIT_NUMERICAL
         assert err == "numerical failure: injected\n"
+
+    def test_monodromy_drift_exits_5(self, tmp_path, capsys, monkeypatch):
+        real = monodromy.propagate_grid
+
+        def broken(*args, **kwargs):
+            Y_end, segments, res = real(*args, **kwargs)
+            segments[..., 0, 0] = np.nan
+            return Y_end, segments, res
+
+        monkeypatch.setattr(monodromy, "propagate_grid", broken)
+        text = BASE_CONFIG.replace("threshold contraction epsilon decay", "threshold contraction")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: monodromy trace/determinant drift")
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -259,10 +279,11 @@ class TestExitCodes:
             ("m0 = 1\nb = constant value=1e200\n", "", EXIT_CONFIG),
             ("T = 1e300\nm0 = 1\n", "", EXIT_CONFIG),
             ("m0 = 1e160\n", "", EXIT_CONFIG),
+            ("m0 = 1\nb = sin_offset mean=1 amp=1.0000002 phase=0.007\n", "", EXIT_MODEL),
         ],
         ids=["m0-zero", "m0-typo", "extra-key", "seed", "workers", "epsilon-negative",
              "epsilon-negative-m1", "epsilon-nan", "m0-nan", "m0-inf", "duty-nan", "csv-missing",
-             "beta-T-800", "b-1e200", "T-1e300", "m0-1e160"],
+             "beta-T-800", "b-1e200", "T-1e300", "m0-1e160", "b-dips-below-zero"],
     )
     def test_model_and_run_values(self, tmp_path, capsys, monkeypatch, model, run_lines, expected):
         # a threshold and contraction run on tiny grids; T = 1 and b = constant unless declared

@@ -105,6 +105,17 @@ class TestExactConstants:
         assert grid_sup == c.sup_abs
         assert grid_var == pytest.approx(c.variation, rel=1e-12)
 
+    @pytest.mark.parametrize("name, params", [form[:2] for form in EXACT_FORMS])
+    def test_minimum_against_the_fine_grid(self, name, params):
+        c = PeriodicCoefficient.from_closed_form(name, 1.5, **params)
+        grid_min = float(np.min(c.eval(np.arange(FINE_GRID) * (c.period / FINE_GRID))))
+        assert c.minimum - 1e-15 <= grid_min <= c.minimum + 1e-9
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_samples_minimum(self, order):
+        s = np.random.default_rng(order).uniform(-1.0, 2.0, 96)
+        assert PeriodicCoefficient.from_samples(s, 1.0, order=order).minimum == np.min(s)
+
     def test_sup_of_a_shifted_sinusoid_is_exact(self):
         # the 4096-point validation grid misses this peak
         c = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=0.1)
@@ -195,6 +206,14 @@ class TestModelSpec:
         with pytest.raises(ModelAssumptionError):
             ModelSpec(b, ConstantMass(1.0))
 
+    def test_negative_dip_between_grid_points_rejected(self):
+        # the true minimum is 1 - 1.0000002 = -2e-7, and a 4096-point grid
+        # of one period sees only values above 2e-8
+        b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=1.0000002, phase=0.007)
+        assert np.min(b.eval(np.arange(4096) / 4096)) > 0.0
+        with pytest.raises(ModelAssumptionError):
+            ModelSpec(b, ConstantMass(1.0))
+
     def test_zero_touching_dissipation_flagged(self):
         b = PeriodicCoefficient.from_samples([0.0, 1.0, 2.0, 1.0], 1.0, order=0)
         spec = ModelSpec(b, ConstantMass(1.0))
@@ -213,6 +232,12 @@ class TestModelSpec:
     def test_perturbed_positivity_enforced(self, b_const, m1_cos):
         with pytest.raises(ModelAssumptionError):
             ModelSpec(b_const, PerturbedMass(1.0, 1.5, m1_cos))
+
+    def test_perturbed_positivity_uses_the_exact_minimum(self, b_const):
+        # m1 = -1 only on the last 1e-6 of the period: m0^2 + eps * min(m1) = 0
+        m1 = PeriodicCoefficient.from_closed_form("square", 1.0, lo=-1.0, hi=1.0, duty=1.0 - 1e-6)
+        with pytest.raises(ModelAssumptionError):
+            ModelSpec(b_const, PerturbedMass(1.0, 1.0, m1))
 
     def test_perturbed_epsilon_zero_equivalent_to_constant(self, b_const, m1_cos):
         spec = ModelSpec(b_const, PerturbedMass(1.0, 0.0, m1_cos))

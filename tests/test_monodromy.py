@@ -10,6 +10,7 @@ from kgdecay import (
     assemble_certificate,
     contraction_search,
     eigenvalues_2x2,
+    monodromy,
     monodromy_grid,
     samples_from_grid,
     scan_to_csv,
@@ -23,7 +24,7 @@ from kgdecay.monodromy import (
     power_norms,
 )
 
-from conftest import contraction_k
+from conftest import contraction_k, strongly_damped
 from oracles import monodromy_at
 
 
@@ -175,14 +176,39 @@ class TestMonodromyGrid:
                 direct = monodromy_at(spec_sin, float(t), float(xi))
                 assert np.max(np.abs(M[i, j] - direct)) < 1e-8
 
-    def test_ill_conditioned_inverse_raises(self):
-        # mean damping 17 leaves det E(t, 0) near e^{-34 t}: the inverted rows
-        # drift from M(0) = E(T, 0) in trace or determinant by about 5e-4
-        b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=17.0, amp=8.5)
+    @pytest.mark.parametrize("beta", [15.0, 17.0, 20.0])
+    def test_strong_damping_matches_direct(self, beta):
+        # det E(t, 0) is near e^{-2 beta t}; composing segments needs no inverse
+        # of it, so the grid keeps the accuracy of a direct E(t + T, t)
+        spec = strongly_damped(beta)
         t_grid = np.linspace(0.0, 1.0, 8)
-        with pytest.raises(IntegrationFailureError) as err:
-            monodromy_grid(ModelSpec(b, ConstantMass(1.0)), t_grid, np.linspace(0.0, 14.0, 8))
-        assert err.value.t_fail in t_grid[1:]
+        xi_grid = np.linspace(0.0, 14.0, 8)
+        M = monodromy_grid(spec, t_grid, xi_grid)
+        for i, t in enumerate(t_grid):
+            for j, xi in enumerate(xi_grid):
+                assert np.max(np.abs(M[i, j] - monodromy_at(spec, float(t), float(xi)))) < 1e-10
+
+    def test_drift_guard_raises_on_a_broken_segment(self, spec_sin, monkeypatch):
+        real = monodromy.propagate_grid
+
+        def broken(*args, **kwargs):
+            Y_end, segments, res = real(*args, **kwargs)
+            segments[1, 0, 0, 0] = np.nan
+            return Y_end, segments, res
+
+        monkeypatch.setattr(monodromy, "propagate_grid", broken)
+        with pytest.raises(IntegrationFailureError, match="drift") as info:
+            monodromy_grid(spec_sin, np.array([0.0, 0.25, 0.5]), np.array([0.5, 2.0]))
+        assert info.value.t_fail in (0.0, 0.25, 0.5)
+
+    def test_unsorted_repeated_base_times(self, spec_sin):
+        t_grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5, 0.75, 0.0])
+        xi_grid = np.array([0.5, 2.0, 6.0])
+        M = monodromy_grid(spec_sin, t_grid, xi_grid)
+        ordered = np.unique(t_grid)
+        M_sorted = monodromy_grid(spec_sin, ordered, xi_grid)
+        for i, t in enumerate(t_grid):
+            assert np.array_equal(M[i], M_sorted[np.searchsorted(ordered, t)])
 
 
 class TestContractionSearch:

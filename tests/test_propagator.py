@@ -10,7 +10,6 @@ from kgdecay import (
     PeriodicCoefficient,
     det2,
     eigenvalues_2x2,
-    inv2,
     propagate_grid,
     spectral_norm_2x2,
 )
@@ -19,7 +18,7 @@ from kgdecay.propagator import _cumulative_simpson_uniform
 
 from conftest import const_coeff_propagator, power_iteration_norm, propagate, triangle_samples
 from dp5_oracle import dp5_propagate
-from oracles import PreconditionError, integral, peano_baker_truncated, system_matrix
+from oracles import PreconditionError, cumulative, integral, inv2, peano_baker_truncated, system_matrix
 
 
 def random_mat2(rng, scale=1.0):
@@ -108,10 +107,22 @@ class TestPropagate:
     def test_backward_checkpoints(self, spec_sin):
         tol = 1e-10
         chk = np.array([1.5, 1.0, 0.5])
-        _, states, _ = propagate_grid(spec_sin, 2.0, 0.0, [3.0], tol, chk)
-        for time, got in zip(chk, states):
+        _, segments, _ = propagate_grid(spec_sin, 2.0, 0.0, [3.0], tol, chk)
+        for time, got in zip(chk, cumulative(segments)):
             fwd = propagate(spec_sin, float(time), 2.0, 3.0, tol)
             assert np.max(np.abs(got[0] @ fwd - np.eye(2))) < 10 * tol
+
+    def test_checkpoints_record_segments(self, spec_sin):
+        tol = 1e-10
+        chk = [0.0, 0.5, 0.5, 1.25, 2.0]
+        E, segments, _ = propagate_grid(spec_sin, 0.0, 2.0, [3.0], tol, chk)
+        assert np.array_equal(segments[0, 0], np.eye(2)) and np.array_equal(segments[2, 0], np.eye(2))
+        for prev, time, got in zip([0.0] + chk, chk, segments):
+            assert np.max(np.abs(got[0] - propagate(spec_sin, prev, time, 3.0, tol))) < 10 * tol
+        assert np.max(np.abs(E - cumulative(segments)[-1])) < 1e-14
+        for bad in ([1.0, 0.5], [0.5, 2.5], [-0.1]):
+            with pytest.raises(ValueError):
+                propagate_grid(spec_sin, 0.0, 2.0, [3.0], tol, bad)
 
     def test_translation_invariance(self, spec_sin):
         tol = 1e-10
@@ -125,16 +136,16 @@ class TestPropagate:
         checkpoints = np.linspace(0.0, 3.0, 301)
         for _ in range(5):
             xi = rng.uniform(0.0, 5.0)
-            _, chk, _ = propagate_grid(spec_sin, 0.0, 3.0, [xi], 1e-10, checkpoints)
+            _, segments, _ = propagate_grid(spec_sin, 0.0, 3.0, [xi], 1e-10, checkpoints)
             v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            traj = chk[:, 0] @ v0
+            traj = cumulative(segments)[:, 0] @ v0
             energy = 0.5 * np.sum(np.abs(traj) ** 2, axis=1)
             assert np.all(np.diff(energy) <= 1e-8)
 
     def test_dissipative_norm_bound(self, spec_tri):
         ss = np.linspace(0.0, 1.0, 41)
-        _, chk, _ = propagate_grid(spec_tri, 0.0, 1.0, [0.0, 1.0, 7.7], 1e-10, ss)
-        norms = spectral_norm_2x2(chk)
+        _, segments, _ = propagate_grid(spec_tri, 0.0, 1.0, [0.0, 1.0, 7.7], 1e-10, ss)
+        norms = spectral_norm_2x2(cumulative(segments))
         assert np.all(norms <= 1.0 + 1e-6)
 
     def test_tol_validated(self, spec_const):
