@@ -1,16 +1,16 @@
 """Periodic coefficients and model instances.
 
-A :class:`PeriodicCoefficient` is a T-periodic scalar function given either by
-a closed-form rule registered by name, or by uniform samples over one period
-with step (order 0) or linear (order 1) interpolation.  A :class:`ModelSpec`
-bundles the dissipation b(t), the mass specification (constant m0, or
-m0^2 + eps*m1(t)), and the shared period T, and validates the standing model
-assumptions at construction time.
+A :class:`PeriodicCoefficient` is a T-periodic scalar function given by one
+form: a closed-form rule registered by name, or uniform samples over one
+period with step (order 0) or linear (order 1) interpolation.  A form is the
+evaluation on reduced time, the jump and kink offsets within one period, and
+the exact mean, minimum, sup norm and total variation over one period
+(closed-form rules give them in closed form, samples by sums and extrema).
+A :class:`ModelSpec` bundles the dissipation b(t), the mass specification
+(constant m0, or m0^2 + eps*m1(t)), and the shared period T, and validates
+the standing model assumptions at construction time.
 
-All objects are immutable after construction; derived quantities are cached
-eagerly, never lazily: the mean, minimum, sup norm and total variation over
-one period are exact (closed-form rules supply them, samples give them by
-sums and extrema).
+All objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _form_triangle(period, lo, hi):
         u = np.asarray(tr, dtype=float) / period
         return lo + (hi - lo) * (1.0 - np.abs(2.0 * u - 1.0))
 
-    return f, [0.5 * period], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo)
+    return f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo)
 
 
 def _form_square(period, lo, hi, duty=0.5):
@@ -75,13 +75,44 @@ def _form_square(period, lo, hi, duty=0.5):
     minimum = min(hi if on_hi else math.inf, lo if on_lo else math.inf)
     sup = max(abs(hi) if on_hi else 0.0, abs(lo) if on_lo else 0.0)
     variation = 2.0 * abs(hi - lo) if on_hi and on_lo else 0.0
-    return f, [duty * period], d * hi + (1.0 - d) * lo, minimum, sup, variation
+    return f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation
 
 
-#: Registered closed-form rules: name -> factory(period, **params) returning
-#: (vectorized eval on reduced time, list of kink/jump offsets within [0, T),
+def _form_samples(period, samples, order):
+    # Uniform samples integrate exactly to the sample mean for both step and
+    # linear (trapezoid with wrap-around) interpolation; both interpolants take
+    # their extrema at a sample and vary by the wrap-around jumps.
+    n = samples.size
+    step = period / n
+    nxt = np.roll(samples, -1)
+
+    def f(tr):
+        pos = tr * (n / period)
+        idx = np.minimum(pos.astype(np.int64), n - 1)
+        if order == 0:
+            return samples[idx]
+        return samples[idx] + (pos - idx) * (nxt[idx] - samples[idx])
+
+    if order == 0:  # every cell edge is a jump
+        offsets = np.arange(n) * step
+    else:
+        second = nxt - 2.0 * samples + np.roll(samples, 1)
+        noise = KINK_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(samples))
+        offsets = [float(i) * step for i in np.flatnonzero(np.abs(second) > noise)]
+    return (
+        f,
+        offsets,
+        float(np.mean(samples)),
+        float(np.min(samples)),
+        float(np.max(np.abs(samples))),
+        float(np.sum(np.abs(nxt - samples))),
+    )
+
+
+#: Registered closed-form rules: name -> factory(period, **params) returning a
+#: form: (vectorized eval on reduced time, kink/jump offsets within [0, T),
 #: exact mean, exact minimum, exact sup|c|, exact total variation over one
-#: period).
+#: period).  :func:`_form_samples` returns the same tuple for samples.
 FORMS = {
     "constant": _form_constant,
     "sin_offset": _form_sin_offset,
@@ -90,8 +121,15 @@ FORMS = {
 }
 
 
+def _checked_period(period):
+    period = float(period)
+    if not (period > 0.0 and math.isfinite(period)):
+        raise InvalidCoefficientError(f"period must be positive and finite, got {period}")
+    return period
+
+
 class PeriodicCoefficient:
-    """A T-periodic scalar coefficient with cached derived quantities.
+    """A T-periodic scalar coefficient held as one form (see :data:`FORMS`).
 
     Evaluation reduces time modulo the period before interpolation, so
     ``eval(t + T)`` and ``eval(t)`` agree bit-exactly whenever ``t + T`` is
@@ -101,54 +139,11 @@ class PeriodicCoefficient:
     :meth:`from_csv` instead of the constructor.
     """
 
-    def __init__(self, period, *, samples=None, order=1, name=None, params=None):
-        period = float(period)
-        if not (period > 0.0 and math.isfinite(period)):
-            raise InvalidCoefficientError(f"period must be positive and finite, got {period}")
+    def __init__(self, period, form, description):
         self.period = period
-        self.name = name
-        self.params = dict(params) if params else None
-        self._eval_fn = None
-        self._kinks = []
-
-        if samples is not None:
-            samples = np.asarray(samples, dtype=float)
-            if samples.ndim != 1 or samples.size < 1:
-                raise InvalidCoefficientError("samples must be a non-empty 1-d array")
-            if not np.all(np.isfinite(samples)):
-                raise InvalidCoefficientError("coefficient samples contain non-finite values")
-            if order not in (0, 1):
-                raise InvalidCoefficientError(f"interpolation order must be 0 or 1, got {order}")
-            self.samples = samples
-            self.order = int(order)
-            # uniform samples integrate exactly to the sample mean for both
-            # step and linear (trapezoid with wrap-around) interpolation; both
-            # interpolants take their extrema at a sample and vary by the
-            # wrap-around jumps
-            self.mean = float(np.mean(samples))
-            self.minimum = float(np.min(samples))
-            self.sup_abs = float(np.max(np.abs(samples)))
-            self.variation = float(np.sum(np.abs(np.roll(samples, -1) - samples)))
-            if self.order == 1:
-                second = np.roll(samples, -1) - 2.0 * samples + np.roll(samples, 1)
-                noise = KINK_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(samples))
-                step = period / samples.size
-                self._kinks = [float(i) * step for i in np.flatnonzero(np.abs(second) > noise)]
-        elif name is not None:
-            if name not in FORMS:
-                raise InvalidCoefficientError(
-                    f"unknown coefficient form {name!r}; known: {sorted(FORMS)}"
-                )
-            try:
-                form = FORMS[name](period, **(params or {}))
-            except TypeError as exc:
-                raise InvalidCoefficientError(f"bad parameters for form {name!r}: {exc}") from exc
-            self._eval_fn, self._kinks, self.mean, self.minimum, self.sup_abs, self.variation = form
-            self.samples = None
-            self.order = None
-        else:
-            raise InvalidCoefficientError("either samples or a registered form name is required")
-
+        self._eval_fn, offsets, self.mean, self.minimum, self.sup_abs, self.variation = form
+        self._offsets = np.asarray(offsets, dtype=float)
+        self._description = description
         if not all(math.isfinite(v) for v in (self.mean, self.minimum, self.sup_abs, self.variation)):
             raise InvalidCoefficientError("coefficient evaluates to non-finite values")
 
@@ -157,12 +152,28 @@ class PeriodicCoefficient:
     @classmethod
     def from_samples(cls, values, period, order=1):
         """Coefficient from uniform samples over [0, T)."""
-        return cls(period, samples=values, order=order)
+        period = _checked_period(period)
+        samples = np.array(values, dtype=float)
+        if samples.ndim != 1 or samples.size < 1:
+            raise InvalidCoefficientError("samples must be a non-empty 1-d array")
+        if not np.all(np.isfinite(samples)):
+            raise InvalidCoefficientError("coefficient samples contain non-finite values")
+        if order not in (0, 1):
+            raise InvalidCoefficientError(f"interpolation order must be 0 or 1, got {order}")
+        return cls(period, _form_samples(period, samples, order), f"samples n={samples.size} order={order}")
 
     @classmethod
     def from_closed_form(cls, name, period, **params):
         """Coefficient from a registered closed-form rule."""
-        return cls(period, name=name, params=params)
+        period = _checked_period(period)
+        if name not in FORMS:
+            raise InvalidCoefficientError(f"unknown coefficient form {name!r}; known: {sorted(FORMS)}")
+        try:
+            form = FORMS[name](period, **params)
+        except TypeError as exc:
+            raise InvalidCoefficientError(f"bad parameters for form {name!r}: {exc}") from exc
+        args = " ".join(f"{k}={v:g}" for k, v in params.items())
+        return cls(period, form, f"{name} {args}".strip())
 
     @classmethod
     def from_csv(cls, path, order=1):
@@ -195,60 +206,31 @@ class PeriodicCoefficient:
             raise InvalidCoefficientError(f"{path}: time column must be uniform starting at 0")
         if np.max(np.abs(np.diff(ts) - dt)) > 1e-9 * dt:
             raise InvalidCoefficientError(f"{path}: time column is not uniform")
-        return cls(float(len(vals) * dt), samples=vals, order=order)
+        return cls.from_samples(vals, float(len(vals) * dt), order)
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, t):
         """Evaluate at time(s) ``t`` (vectorized, T-periodic)."""
-        tr = np.mod(np.asarray(t, dtype=float), self.period)
-        if self._eval_fn is not None:
-            return self._eval_fn(tr)
-        s = self.samples
-        n = s.size
-        pos = tr * (n / self.period)
-        idx = np.minimum(pos.astype(np.int64), n - 1)
-        if self.order == 0:
-            return s[idx]
-        frac = pos - idx
-        nxt = s[(idx + 1) % n]
-        return s[idx] + frac * (nxt - s[idx])
+        return self._eval_fn(np.mod(np.asarray(t, dtype=float), self.period))
 
     def breakpoints_in(self, t0, t1):
-        """Interior non-smooth points of the representation in (t0, t1).
+        """Interior non-smooth points in (t0, t1): the form's offsets, repeated over periods.
 
-        Step-interpolated samples contribute every cell edge; linearly
-        interpolated samples contribute the sample points where the slope
-        changes; closed forms contribute their registered kink/jump offsets and
-        the period boundary.  The propagator samples coefficients only inside a
-        step, so a kink it is not told about is invisible to its error control.
+        Step-interpolated samples jump at every cell edge, linearly
+        interpolated samples kink where the slope changes, and closed forms
+        list their kinks, jumps and the period boundary.  The propagator
+        samples coefficients only inside a step, so a kink it is not told
+        about is invisible to its error control.
         """
-        t0, t1 = float(t0), float(t1)
-        lo, hi = min(t0, t1), max(t0, t1)
-        pts = []
-        if self.samples is not None and self.order == 0:
-            dt = self.period / self.samples.size
-            k0 = math.floor(lo / dt) + 1
-            k1 = math.ceil(hi / dt) - 1
-            if k1 >= k0:
-                pts.append(np.arange(k0, k1 + 1) * dt)
-        elif self._kinks:
-            j0 = math.floor(lo / self.period) - 1
-            j1 = math.ceil(hi / self.period) + 1
-            offs = np.asarray(self._kinks if self.samples is not None else self._kinks + [0.0])
-            cand = (np.arange(j0, j1 + 1)[:, None] * self.period + offs[None, :]).ravel()
-            pts.append(cand)
-        if not pts:
-            return np.empty(0)
-        out = np.concatenate(pts)
+        lo, hi = sorted((float(t0), float(t1)))
+        periods = np.arange(math.floor(lo / self.period) - 1, math.ceil(hi / self.period) + 2)
+        out = (periods[:, None] * self.period + self._offsets[None, :]).ravel()
         return np.unique(out[(out > lo) & (out < hi)])
 
     def describe(self):
         """Config-style one-line description (used in reports)."""
-        if self.name is not None:
-            args = " ".join(f"{k}={v:g}" for k, v in (self.params or {}).items())
-            return f"{self.name} {args}".strip()
-        return f"samples n={self.samples.size} order={self.order}"
+        return self._description
 
 
 # -- mass specifications ----------------------------------------------------

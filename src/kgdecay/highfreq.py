@@ -22,7 +22,6 @@ with P(xi) below the accept level covers every higher frequency.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -298,7 +297,5 @@ def verify_highfreq_contraction(
 def threshold_trace_to_csv(path, result: ThresholdResult) -> None:
     """Write the search trace as CSV: N_candidate, sup_value, accepted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["N_candidate", "sup_value", "accepted"])
-        for cand, sup, ok in result.trace:
-            w.writerow([f"{cand:.17g}", f"{sup:.17g}", int(ok)])
+        fh.write("N_candidate,sup_value,accepted\n")
+        fh.writelines("%.17g,%.17g,%d\n" % row for row in result.trace)

@@ -212,19 +212,22 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
     """Adaptive Magnus stepping from t0 to t1 (either direction); mutates nothing.
 
     Returns (Y_end, dt_hint).  ``dt_hint`` carries the controller state across
-    segment boundaries.
+    segment boundaries.  A segment shorter than the step floor is one step and
+    leaves ``dt_hint`` unchanged; a remainder below the floor joins the step
+    before it.  The floor raises only when the controller shrinks a step below it.
     """
     if t1 == t0:
         return Y, dt_hint
     direction = 1.0 if t1 > t0 else -1.0
     dt_floor = 1e-13 * max(1.0, span)
+    short = abs(t1 - t0) < dt_floor
     t = t0
     dt = direction * min(abs(dt_hint), abs(t1 - t0))
     while (t1 - t) * direction > 0.0:
-        last = abs(dt) >= abs(t1 - t)
+        last = abs(dt) >= abs(t1 - t) - dt_floor
         if last:
             dt = t1 - t
-        if abs(dt) < dt_floor:
+        if abs(dt) < dt_floor and not short:
             raise IntegrationFailureError(
                 f"step size underflow at t = {t} (coefficient structure denser than resolvable)",
                 t_fail=t,
@@ -246,7 +249,8 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
             dt = dt * grow
         else:
             dt = dt * max(0.2, 0.9 * ratio ** -0.2)
-    return Y, dt
+            short = False  # a rejected step below the floor raises on the next pass
+    return Y, dt_hint if short else dt
 
 
 def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT_TOL, checkpoints=None):

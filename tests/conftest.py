@@ -15,6 +15,9 @@ from kgdecay import (
 )
 from kgdecay.propagator import DEFAULT_TOL
 
+# Floats the artifact writers must format exactly as the reference CSV writer.
+CSV_EDGE_VALUES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0]
+
 
 def triangle_samples(n=1024, lo=0.2, hi=1.0):
     u = np.arange(n) / n

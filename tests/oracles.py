@@ -7,9 +7,12 @@
 - the diagonalization-frame corrector integrals n+ and n-, each integrated on
   its own, with the full complex 2x2 frame matrices built from them;
 - the threshold window supremum by a scan of every frequency of the window;
-- the 2x2 inverse, and the cumulative fold of checkpointed segment propagators.
+- the 2x2 inverse, and the cumulative fold of checkpointed segment propagators;
+- the artifact CSV text, written by ``csv.writer`` with floats as f"{v:.17g}".
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -245,3 +248,13 @@ def window_sup_full_scan(spec, N, xi_points, t_points, stop_above=None):
         if stop_above is not None and vals[-1] > stop_above:
             break
     return float(np.max(vals))
+
+
+def reference_csv(header, rows):
+    """CSV text by ``csv.writer`` with LF line ends; floats as f"{v:.17g}", anything else as is."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()

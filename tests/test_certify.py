@@ -14,11 +14,11 @@ from kgdecay import (
     spectral_norm_2x2,
     sup_norm_curve,
 )
-from kgdecay.certify import certified_bound, decay_to_csv
+from kgdecay.certify import DecayReport, certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
 
-from conftest import certificate, contraction_k, propagate, strongly_damped
-from oracles import monodromy_at
+from conftest import CSV_EDGE_VALUES, certificate, contraction_k, propagate, strongly_damped
+from oracles import monodromy_at, reference_csv
 
 
 def gamma_of(spec, t, points_per_period=4096):
@@ -160,6 +160,17 @@ class TestSupNormCurve:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,sup_norm,bound"
         assert len(lines) == 1 + rep.time_grid.size
+
+    def test_csv_matches_the_reference_writer(self, tmp_path):
+        values = np.array(CSV_EDGE_VALUES)
+        rep = DecayReport(
+            time_grid=values, sup_norm_curve=values[::-1].copy(), bound_curve=-values, certified_rate=0.1,
+            certified_prefactor=1.0, fitted_rate=0.1, fit_residual=0.0, burn_in=0.0, verdict="Pass",
+        )
+        path = tmp_path / "decay.csv"
+        decay_to_csv(path, rep)
+        rows = zip(rep.time_grid, rep.sup_norm_curve, rep.bound_curve)
+        assert path.read_bytes() == reference_csv(["t", "sup_norm", "bound"], rows).encode()
 
 
 class TestDecayConstants:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgdecay import highfreq, monodromy, perturbation
+from kgdecay import certify, highfreq, monodromy, perturbation
 from kgdecay.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -18,7 +18,7 @@ from kgdecay.cli import (
     load_config,
     main,
 )
-from kgdecay.errors import FitError, FrameError
+from kgdecay.errors import FitError, FrameError, IntegrationFailureError
 
 FAST_GRIDS = """
 [grids]
@@ -121,7 +121,7 @@ class TestConfigParsing:
         )
         cfg = write_config(tmp_path, text)
         config = load_config(cfg)
-        assert config.spec.b.samples.size == 16
+        assert config.spec.b.describe() == "samples n=16 order=1"
 
 
 FUZZED_GRIDS = ("threshold_xi_points", "threshold_t_points", "verify_t_points", "verify_xi_points")
@@ -190,6 +190,40 @@ class TestExitCodes:
         text = BASE_CONFIG.replace("b = constant value=1.0", "b = sin_offset mean=17 amp=8.5")
         code, err = self.run_with(tmp_path, capsys, text)
         assert code == 0, err
+
+    def test_base_times_near_a_jump(self, tmp_path, capsys):
+        # base times of linspace(0, 1, 25) and the jump at 0.45 force steps closer than the floor
+        text = BASE_CONFIG.replace("b = constant value=1.0", "b = square lo=0.2 hi=1 duty=0.45")
+        text = text.replace("contraction_t_points = 16", "contraction_t_points = 25")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_33_sample_coefficient(self, tmp_path, capsys, order):
+        # the cell edges k/33 force steps closer than the floor to base times and step ends
+        ts = np.arange(33) / 33.0
+        vals = 1.0 + 0.25 * np.sin(2 * np.pi * ts)
+        csv_path = tmp_path / "b.csv"
+        csv_path.write_text("\n".join(f"{t:.17g},{v:.17g}" for t, v in zip(ts, vals)), encoding="utf-8")
+        text = BASE_CONFIG.replace("b = constant value=1.0", f"b = custom_csv path={csv_path} order={order}")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == 0, err
+
+    def test_decay_integration_failure_exits_5(self, tmp_path, capsys, monkeypatch):
+        real = certify.propagate_grid
+        calls = []
+
+        def fail_first_chunk(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise IntegrationFailureError("injected", t_fail=0.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "propagate_grid", fail_first_chunk)
+        text = BASE_CONFIG.split("[run]")[0] + "[run]\nstages = threshold contraction decay\n" + TINY_GRIDS
+        code, err = self.run_with(tmp_path, capsys, text + "decay_xi_low_points = 64\n")
+        assert code == EXIT_NUMERICAL
+        assert err == "numerical failure: injected\n"
 
     def test_unparsable_ini(self, tmp_path, capsys):
         # no section header, a duplicate key, and a literal percent sign

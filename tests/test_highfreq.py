@@ -9,6 +9,7 @@ from kgdecay import (
     ConstantMass,
     ModelSpec,
     PeriodicCoefficient,
+    ThresholdResult,
     find_threshold_N,
     spectral_norm_2x2,
     suplarge_quantity,
@@ -28,6 +29,7 @@ from kgdecay.highfreq import (
 )
 from kgdecay.propagator import _cumulative_simpson_uniform
 
+from conftest import CSV_EDGE_VALUES
 from oracles import (
     PreconditionError,
     corrector_profile,
@@ -35,6 +37,7 @@ from oracles import (
     frame_matrices_at,
     frame_ode_residual,
     n_pm,
+    reference_csv,
     window_sup_full_scan,
 )
 
@@ -456,3 +459,13 @@ class TestThresholdSearch:
         assert lines[0] == "N_candidate,sup_value,accepted"
         assert len(lines) == 1 + len(thr.trace)
         assert lines[-1].split(",")[2] in ("0", "1")
+
+    def test_trace_csv_matches_the_reference_writer(self, tmp_path):
+        flags = [True, np.False_, np.True_, False] * 2
+        trace = tuple(zip(CSV_EDGE_VALUES, CSV_EDGE_VALUES[::-1], flags))
+        thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_xi=2.0,
+                              trace=trace)
+        path = tmp_path / "trace.csv"
+        threshold_trace_to_csv(path, thr)
+        rows = [(cand, sup, int(ok)) for cand, sup, ok in trace]
+        assert path.read_bytes() == reference_csv(["N_candidate", "sup_value", "accepted"], rows).encode()

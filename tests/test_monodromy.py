@@ -21,11 +21,12 @@ from kgdecay.monodromy import (
     CLASS_COMPLEX_PAIR,
     CLASS_REAL_PAIR,
     DEGENERATE_DISC_TOL,
+    SAMPLE_FLOATS,
     power_norms,
 )
 
-from conftest import contraction_k, strongly_damped
-from oracles import monodromy_at
+from conftest import CSV_EDGE_VALUES, contraction_k, strongly_damped
+from oracles import monodromy_at, reference_csv
 
 
 def sample_at(spec, t, xi):
@@ -201,6 +202,19 @@ class TestMonodromyGrid:
             monodromy_grid(spec_sin, np.array([0.0, 0.25, 0.5]), np.array([0.5, 2.0]))
         assert info.value.t_fail in (0.0, 0.25, 0.5)
 
+    @pytest.mark.parametrize("nt", [7, 11, 21])
+    def test_base_times_within_the_step_floor_of_a_jump(self, nt):
+        # a base time or a step end of these grids lands within the step floor
+        # of the jump at 0.3 (for nt = 11 and 21, 3/10 is one ulp from 0.3)
+        b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.3)
+        spec = ModelSpec(b, ConstantMass(1.0))
+        t_grid = np.linspace(0.0, 1.0, nt)
+        xi_grid = np.array([0.0, 0.5, 3.0, 9.0])
+        M = monodromy_grid(spec, t_grid, xi_grid)
+        for i, t in enumerate(t_grid):
+            for j, xi in enumerate(xi_grid):
+                assert np.max(np.abs(M[i, j] - monodromy_at(spec, float(t), float(xi)))) < 1e-12
+
     def test_unsorted_repeated_base_times(self, spec_sin):
         t_grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5, 0.75, 0.0])
         xi_grid = np.array([0.5, 2.0, 6.0])
@@ -245,6 +259,20 @@ class TestContractionSearch:
         k, c1 = contraction_search(M, 64)
         rho = np.max(np.abs(eigenvalues_2x2(M)), axis=-1)
         assert np.all(power_norms(M, k) >= rho**k - 1e-12)
+
+    def test_blocker_radius_is_the_samples_table_radius(self):
+        # scaled rotations with eigenvalues r e^{+-i theta}, r within 1e-10 of one;
+        # numpy's complex abs and hypot disagree by one ulp on many of them
+        rng = np.random.default_rng(0)
+        theta = rng.uniform(0.0, np.pi, (16, 16))
+        r = 1.0 + rng.uniform(-1e-10, 1e-10, theta.shape)
+        c, s = r * np.cos(theta), r * np.sin(theta)
+        M = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+        t_grid, xi_grid = np.arange(16.0), np.arange(16.0)
+        with pytest.raises(NoContractionError) as err:
+            contraction_search(M, 4, 1e-3, t_grid, xi_grid)
+        rho = samples_from_grid(t_grid, xi_grid, M)["rho"]
+        assert err.value.worst[2] == np.max(rho)
 
     def test_exhausted_power_budget_reports_worst(self, spec_sin):
         with pytest.raises(NoContractionError) as err:
@@ -305,3 +333,13 @@ class TestScanExport:
         first = lines[1].split(",")
         assert len(first) == 9
         assert first[-1] in ("ComplexConjugatePair", "RealPair")
+
+    def test_csv_matches_the_reference_writer(self, tmp_path):
+        n = len(CSV_EDGE_VALUES)
+        table = np.empty(n, dtype=[(name, float) for name in SAMPLE_FLOATS] + [("class", "U20")])
+        for k, name in enumerate(SAMPLE_FLOATS):
+            table[name] = np.roll(CSV_EDGE_VALUES, k)
+        table["class"] = np.where(np.arange(n) % 2 == 0, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR)
+        path = tmp_path / "scan.csv"
+        scan_to_csv(path, table)
+        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), table.tolist()).encode()

@@ -162,14 +162,36 @@ class TestPropagate:
         assert res.rhs_evaluations % 7 == 0
 
     def test_step_coefficient_breakpoints(self):
-        b = PeriodicCoefficient.from_samples([0.2, 1.0, 0.4, 0.8], 1.0, order=0)
+        samples = [0.2, 1.0, 0.4, 0.8]
+        b = PeriodicCoefficient.from_samples(samples, 1.0, order=0)
         spec = ModelSpec(b, ConstantMass(1.0))
         E = propagate(spec, 0.0, 1.0, 1.0, 1e-10)
         # piecewise-constant coefficients compose exactly from cell flows
         ref = np.eye(2, dtype=complex)
-        for cell in range(4):
-            ref = const_coeff_propagator(b.samples[cell], math.sqrt(2.0), 0.25) @ ref
+        for value in samples:
+            ref = const_coeff_propagator(value, math.sqrt(2.0), 0.25) @ ref
         assert np.max(np.abs(E - ref)) < 1e-9
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_checkpoints_within_the_step_floor_of_cell_edges(self, order):
+        # the checkpoint 21/63 and the cell edge 11/33 are one ulp apart
+        b = PeriodicCoefficient.from_samples(np.random.default_rng(5).uniform(0.2, 1.5, 33), 1.0, order=order)
+        spec = ModelSpec(b, ConstantMass(1.0))
+        xi = [0.0, 1.0, 5.0, 20.0]
+        E, _, _ = propagate_grid(spec, 0.0, 1.0, xi, 1e-10, np.linspace(0.0, 1.0, 64))
+        free, _, _ = propagate_grid(spec, 0.0, 1.0, xi, 1e-10)
+        assert np.max(np.abs(E - free)) < 1e-9
+
+    def test_rejected_step_below_the_floor_raises(self, monkeypatch):
+        # the one-ulp segment between two checkpoints sees a non-finite b, so its
+        # single step is rejected: that raises instead of retrying forever
+        a, a_next = 1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)
+        b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
+        monkeypatch.setattr(b, "eval", lambda ts: np.where((ts >= a) & (ts <= a_next), np.nan, 1.0))
+        spec = ModelSpec(b, ConstantMass(1.0))
+        with pytest.raises(IntegrationFailureError) as err:
+            propagate_grid(spec, 0.0, 1.0, [1.0], 1e-10, [a, a_next])
+        assert err.value.t_fail == a
 
     def test_square_wave_splits_at_jumps(self):
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.5)
