@@ -21,7 +21,7 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .errors import FitError, ModelAssumptionError
-from .monodromy import SCAN_CHUNK, ContractionCertificate, _chunks, _period_products
+from .monodromy import ContractionCertificate, _period_products
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, propagate_grid, spectral_norm_2x2
 
 VERDICT_PASS = "Pass"
@@ -103,7 +103,7 @@ def sup_norm_curve(
     [N, 4N]; pass ``xi_grid`` to override.  Each time t = l T + s is evaluated
     as ||M(s, xi)^l E(s, 0, xi)||, composed by
     :func:`~kgdecay.monodromy._period_products` from one checkpointed sweep
-    over [0, T] per frequency chunk.  The rate is fitted after a burn-in of
+    over [0, T] for the whole frequency grid.  The rate is fitted after a burn-in of
     2kT; the mass-influence diagnostic is added when b > 0 everywhere.
     """
     T, k = spec.T, cert.k
@@ -121,23 +121,18 @@ def sup_norm_curve(
     checkpoints = np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T, T])
     n_periods = n_steps // 4 + 1
 
-    curves = []
-    for xis in _chunks(xi_grid, SCAN_CHUNK):
-        _, segments, _ = propagate_grid(spec, 0.0, T, xis, tol, checkpoints)
-        prefix, M = _period_products(segments)
-        E0, M = prefix[:4], M[:4]  # E(s, 0) and M(s) at the four base offsets
-        out = np.empty((n_steps + 1, xis.size))
-        P = E0
-        for ell in range(n_periods):
-            norms = spectral_norm_2x2(P)  # (4, nxi)
-            for r in range(4):
-                j = 4 * ell + r
-                if j <= n_steps:
-                    out[j] = norms[r]
-            if ell + 1 < n_periods:
-                P = M @ P
-        curves.append(out)
-    curve = np.max(np.concatenate(curves, axis=1), axis=1)
+    _, segments, _ = propagate_grid(spec, 0.0, T, xi_grid, tol, checkpoints)
+    prefix, M = _period_products(segments)
+    # E(s, 0) and M(s) at the four base offsets, in the real form, which has
+    # the spectral norms of the propagator
+    P, M = prefix[:4], M[:4]
+    curve = np.empty(n_steps + 1)
+    for ell in range(n_periods):
+        norms = np.max(spectral_norm_2x2(P), axis=1)  # (4,)
+        top = min(4, n_steps + 1 - 4 * ell)
+        curve[4 * ell : 4 * ell + top] = norms[:top]
+        if ell + 1 < n_periods:
+            P = M @ P
 
     bound = certified_bound(cert, times)
     burn_in = 2.0 * k * T

@@ -33,6 +33,19 @@ M1_NORMALIZATION_TOL = 1e-12
 KINK_ROUNDING_UNITS = 64
 
 
+def _sorted_unique(values):
+    """The distinct values of a 1-d float array, ascending.
+
+    np.unique does the same, but under numpy 2 its first call imports
+    numpy.ma, which costs more than a small run's sorting.
+    """
+    out = np.sort(np.asarray(values, dtype=float))
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _form_constant(period, value):
     value = float(value)
     return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0
@@ -226,7 +239,7 @@ class PeriodicCoefficient:
         lo, hi = sorted((float(t0), float(t1)))
         periods = np.arange(math.floor(lo / self.period) - 1, math.ceil(hi / self.period) + 2)
         out = (periods[:, None] * self.period + self._offsets[None, :]).ravel()
-        return np.unique(out[(out > lo) & (out < hi)])
+        return _sorted_unique(out[(out > lo) & (out < hi)])
 
     def describe(self):
         """Config-style one-line description (used in reports)."""
@@ -328,8 +341,7 @@ class ModelSpec:
         pts = [self.b.breakpoints_in(t0, t1)]
         if isinstance(self.mass, PerturbedMass):
             pts.append(self.mass.m1.breakpoints_in(t0, t1))
-        out = np.unique(np.concatenate(pts))
-        return out
+        return _sorted_unique(np.concatenate(pts))
 
     def constant_mass_version(self):
         """The same model with the perturbation switched off."""

@@ -155,16 +155,23 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     ||R2|| = |b| r / |1 - r|.
     Base times sit on the quadrature grid exactly (t_j = j T / t_points); the
     time integral of ||R2|| uses cumulative Simpson on the same grid.
+    The mass must be constant: the phase is then exactly sqrt(xi^2 + m0^2) t.
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
+    if spec.epsilon != 0.0:
+        raise ValueError("the frame product is defined for a constant mass")
     per = _points_per_period(spec, xi, t_points)
     # phase-resolved quadrature on 2 per + 1 uniform points over [0, 2T]:
-    # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h
+    # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h = h t
     tau = np.linspace(0.0, 2.0 * spec.T, 2 * per + 1)
     dt = 2.0 * spec.T / (2 * per)
     b = spec.b.eval(tau)
-    osc = np.exp(1j * _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)), dt))
-    r = np.abs(_cumulative_simpson_uniform(osc * b, dt))
+    phase = math.hypot(xi, spec.m0) * tau
+    osc = np.empty(tau.size, dtype=complex)
+    np.cos(phase, out=osc.real)
+    np.sin(phase, out=osc.imag)
+    osc *= b
+    r = np.abs(_cumulative_simpson_uniform(osc, dt))
     gap = np.abs(1.0 - r)
     if float(np.min(gap * (1.0 + r))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")

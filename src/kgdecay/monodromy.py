@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import ModelSpec
+from .coefficients import ModelSpec, _sorted_unique
 from .errors import IntegrationFailureError, NoContractionError
 from .propagator import (
     DEFAULT_TOL,
+    _from_real_form_in_imag,
+    _to_real_form,
     det2,
     eigenvalues_2x2,
     propagate_grid,
@@ -38,11 +40,6 @@ DEFAULT_CONTRACTION_MARGIN = 1e-3
 
 # M(t, xi) may differ from M(0, xi) in trace or determinant by at most this.
 MONODROMY_DRIFT_TOL = 1e-6
-
-# Frequencies are swept in batches of this size.  All frequencies of a batch
-# share one adaptive step sequence, so the batch size is part of what fixes
-# the certificate's bytes.
-SCAN_CHUNK = 64
 
 CLASS_COMPLEX_PAIR = "ComplexConjugatePair"
 CLASS_REAL_PAIR = "RealPair"
@@ -96,11 +93,6 @@ class ContractionCertificate:
         }
 
 
-def _chunks(values, size):
-    for i in range(0, len(values), size):
-        yield values[i : i + size]
-
-
 def _spectral_radius(ev):
     """max |lambda| over the last axis of eigenvalue pairs ``ev``.
 
@@ -110,21 +102,27 @@ def _spectral_radius(ev):
 
 
 def _period_products(segments):
-    """Prefixes E(c_j, 0) and monodromies M(c_j) from one period's segments.
+    """Prefixes E(c_j, 0) and monodromies M(c_j) from one period's segments, in place.
 
     ``segments`` (m, ..., 2, 2) holds E(c_j, c_{j-1}) for checkpoints
     c_0 <= ... <= c_{m-1} = T, with c_{-1} = 0.  By periodicity
     M(c_j) = E(c_j + T, T) E(T, c_j) = E(c_j, 0) E(T, c_j): a prefix product
-    times a suffix product, with no inverse.
+    times a suffix product, with no inverse.  The products are taken in the
+    real form of the propagator, and both arrays of them fit in ``segments``:
+    on return its real parts hold the prefixes and its imaginary parts the
+    monodromies, each in the real form, and these two views are returned.
+    So composing a whole frequency grid allocates no array of its size.
     """
-    prefix = np.empty_like(segments)
-    suffix = np.empty_like(segments)
-    prefix[0] = segments[0]
-    suffix[-1] = np.eye(2)
-    for j in range(1, len(segments)):
-        prefix[j] = segments[j] @ prefix[j - 1]
-        suffix[-1 - j] = suffix[-j] @ segments[-j]
-    return prefix, prefix @ suffix
+    prefix = _to_real_form(segments)
+    M = segments.imag
+    M[-1] = np.eye(2)
+    for j in range(len(M) - 1, 0, -1):
+        M[j - 1] = M[j] @ prefix[j]  # the suffix E(T, c_{j-1})
+    M[0] = prefix[0] @ M[0]
+    for j in range(1, len(M)):
+        prefix[j] = prefix[j] @ prefix[j - 1]
+        M[j] = prefix[j] @ M[j]
+    return prefix, M
 
 
 def monodromy_grid(
@@ -135,13 +133,16 @@ def monodromy_grid(
 ) -> np.ndarray:
     """Monodromy matrices on a (t, xi) grid, shape (nt, nxi, 2, 2).
 
-    One checkpointed sweep over [0, T] per frequency chunk records the
-    segment propagators between the sorted base times, and
-    :func:`_period_products` composes them into every M(t, xi) at once.
-    As a safety check, IntegrationFailureError is raised when a row's trace
-    or determinant drifts from those of M(0, xi) = E(T, 0, xi).  Both are
-    products of the same segments, so the check catches non-finite or badly
-    rounded products, not integration error.
+    One checkpointed sweep over [0, T] for the whole frequency grid records
+    the segment propagators between the sorted base times, and
+    :func:`_period_products` composes them, in the real form, into every
+    M(t, xi) at once.  All frequencies share one adaptive step sequence, which
+    the highest frequency sets; every matrix is accurate to the requested
+    tolerance whatever the grid holds.  As a safety check,
+    IntegrationFailureError is raised when a row's trace or determinant
+    drifts from those of M(0, xi) = E(T, 0, xi).  Both are products of the
+    same segments, so the check catches non-finite or badly rounded
+    products, not integration error.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -151,22 +152,21 @@ def monodromy_grid(
         raise ValueError("t_grid must lie within [0, T]")
     T = spec.T
     t_grid = np.minimum(t_grid, T)
-    checkpoints = np.unique(np.append(t_grid, T))
+    checkpoints = _sorted_unique(np.append(t_grid, T))
     rows = np.searchsorted(checkpoints, t_grid)
-    parts = []
-    for xis in _chunks(xi_grid, SCAN_CHUNK):
-        E_T, segments, _ = propagate_grid(spec, 0.0, T, xis, tol, checkpoints)
-        M = _period_products(segments)[1][rows]
-        drift = np.maximum(np.abs(trace2(M) - trace2(E_T)), np.abs(det2(M) - det2(E_T)))
-        if not np.max(drift) <= MONODROMY_DRIFT_TOL:
-            it = int(np.argmax(np.max(drift, axis=1)))
-            raise IntegrationFailureError(
-                f"monodromy trace/determinant drift {np.max(drift):.3g} at t = {t_grid[it]:.6g}: "
-                "the period's segment products are not finite or lost accuracy to rounding",
-                t_fail=float(t_grid[it]),
-            )
-        parts.append(M)
-    return np.concatenate(parts, axis=1)
+    E_T, segments, _ = propagate_grid(spec, 0.0, T, xi_grid, tol, checkpoints)
+    M = _period_products(segments)[1]
+    drift = np.maximum(np.abs(trace2(M) - trace2(E_T)), np.abs(det2(M) - det2(E_T)))
+    if not np.max(drift) <= MONODROMY_DRIFT_TOL:
+        j = int(np.argmax(np.max(drift, axis=1)))
+        raise IntegrationFailureError(
+            f"monodromy trace/determinant drift {np.max(drift):.3g} at t = {checkpoints[j]:.6g}: "
+            "the period's segment products are not finite or lost accuracy to rounding",
+            t_fail=float(checkpoints[j]),
+        )
+    M = _from_real_form_in_imag(segments)  # the same memory, now the complex propagators
+    # sorted distinct base times are the leading rows: no copy of the grid then
+    return M[: rows.size] if np.array_equal(rows, np.arange(rows.size)) else M[rows]
 
 
 def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:

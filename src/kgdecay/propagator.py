@@ -1,20 +1,24 @@
 """Fundamental-solution propagation and 2x2 complex linear algebra.
 
 The frequency-space system d/dt E = i A(t, xi) E, E(s, s) = I is integrated
-with an adaptive fourth-order Magnus scheme, vectorized over a batch of
-frequencies.  Each step samples the generator B = iA = [[0, ih], [ih, -2b]]
-at the two Gauss-Legendre nodes t + (1/2 -/+ sqrt(3)/6) dt, forms
+with an adaptive sixth-order Magnus scheme (Blanes, Casas & Ros, BIT 40,
+2000), vectorized over a batch of frequencies.  The state is kept in the real
+form R = S^-1 E S, S = diag(1, -i), in which the generator is
+K = [[0, h], [-h, -2b]] and every product is real.  Each step samples K at
+the three Gauss-Legendre nodes t + (1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10) dt,
+forms
 
-    Omega = dt/2 (B1 + B2) + sqrt(3)/12 dt^2 [B2, B1]
+    a1 = dt K2,  a2 = sqrt(15)/3 dt (K3 - K1),  a3 = 10/3 dt (K3 - 2 K2 + K1),
+    C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2] / 240
 
-and applies exp(Omega), computed in closed form.  The nodes are interior to
-the step, so a coefficient jump at a segment end is never sampled from the
-wrong side.  The step is exact wherever b and m are constant on it, and it
-needs no dt * xi << 1, so the step count grows only slowly with xi.  Error
-control is step doubling (one full step against two half steps) with a
-Richardson correction.  Coefficient jumps and kinks are forced as step
-boundaries.  The state is kept in the real form R = S^-1 E S, S = diag(1, -i),
-in which the generator [[0, h], [-h, -2b]] and every product are real.
+with every commutator written out entry by entry, and applies exp(Omega),
+computed in closed form.  The nodes are interior to the step, so a
+coefficient jump at a segment end is never sampled from the wrong side.  The
+step is exact wherever b and m are constant on it, and it needs no
+dt * xi << 1, so the step count grows only slowly with xi.  Error control is
+step doubling (one full step against two half steps) with a Richardson
+correction.  Coefficient jumps and kinks are forced as step boundaries.
 
 All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form
 and broadcast over leading batch dimensions.
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ConstantMass, ModelSpec
+from .coefficients import ConstantMass, ModelSpec, _sorted_unique
 from .errors import IntegrationFailureError
 
 DEFAULT_TOL = 1e-10
@@ -37,20 +41,25 @@ TOL_MIN, TOL_MAX = 1e-14, 1e-4
 # global error stays within the requested tolerance over multi-period spans.
 _STEP_SAFETY = 0.02
 
-# Gauss-Legendre nodes of the full step, then of its two half steps, as
-# fractions of the step; and the commutator weight of the Magnus expansion.
-_GAUSS_LO, _GAUSS_HI = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
-_NODES = np.array(
-    [_GAUSS_LO, _GAUSS_HI, 0.5 * _GAUSS_LO, 0.5 * _GAUSS_HI, 0.5 + 0.5 * _GAUSS_LO, 0.5 + 0.5 * _GAUSS_HI]
-)
+# Gauss-Legendre nodes as fractions of a step.  The coefficients are sampled
+# at _NODES, node-major: node j of the full step and of its two half steps
+# (which start at 0 and 1/2 and have length _SUBSTEP) sit at 3 j .. 3 j + 2.
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _SUBSTEP = np.array([1.0, 0.5, 0.5])[:, None]
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+_NODES = (np.array([0.0, 0.0, 0.5]) + _SUBSTEP[:, 0] * _GAUSS[:, None]).ravel()
+_SQRT15_3 = math.sqrt(15.0) / 3.0
+
+# Step doubling of a sixth-order step: the two half steps' error is about
+# (two halves - full step) / (2^6 - 1), and the step size scales as the
+# error ratio to the power -1/7.
+_RICHARDSON = 63.0
+_CONTROL_EXPONENT = -1.0 / 7.0
 
 # ``rhs_evaluations`` charged per attempted step.  The count is kept in the
 # unit of a seven-stage explicit Runge-Kutta step (Dormand-Prince 5(4)), so
 # that attempted steps read as rhs_evaluations / 7 for every consumer of
 # PropagationResult; the Magnus step itself samples the coefficients at the
-# six times in _NODES.
+# nine times in _NODES.
 EVALS_PER_STEP = 7
 
 # Below this |sqrt(z)| the sinh(r)/r factor of the exponential uses its series.
@@ -115,7 +124,7 @@ class PropagationResult:
     integration cost in right-hand-side evaluations of a seven-stage explicit
     Runge-Kutta step: seven per attempted step, so ``rhs_evaluations / 7`` is
     the number of attempted steps.  (Each attempt samples the coefficients at
-    six times, two Gauss nodes each for the full step and its two halves.)
+    nine times, three Gauss nodes each for the full step and its two halves.)
     """
 
     local_error_estimate: float
@@ -133,24 +142,24 @@ class _Stats:
 
 
 def _make_coefficients(spec: ModelSpec, xi2: np.ndarray):
-    """Map node times (6,) to (h at the lower nodes, h at the upper nodes, b).
+    """Map the node times (9,) to (h, b) at the three Gauss nodes.
 
-    h = sqrt(xi^2 + m(t)^2) broadcasts against (3, n): it is the same (n,)
-    array at every node for a constant mass.
+    h is a triple of arrays that broadcast against (3, n), one per node; for
+    a constant mass it is the same (n,) array three times.  b is (3, 3, 1),
+    node-major like _NODES.
     """
     b_eval = spec.b.eval
     if isinstance(spec.mass, ConstantMass):
         h = np.sqrt(xi2 + spec.m0 * spec.m0)
 
         def coefficients(ts):
-            return h, h, b_eval(ts)
+            return (h, h, h), b_eval(ts).reshape(3, 3, 1)
 
     else:
         m_squared = spec.m_squared
 
         def coefficients(ts):
-            h = np.sqrt(xi2 + m_squared(ts)[:, None])
-            return h[0::2], h[1::2], b_eval(ts)
+            return np.sqrt(xi2 + m_squared(ts)[:, None]).reshape(3, 3, -1), b_eval(ts).reshape(3, 3, 1)
 
     return coefficients
 
@@ -172,31 +181,49 @@ def _cosh_sinhc(z):
 def _magnus_factors(coefficients, t, dt):
     """exp(Omega) for the step [t, t + dt] and its two halves, real form (3, n, 2, 2).
 
-    In the real form the generator is K = [[0, h], [-h, -2b]].  With K1, K2 at
-    the Gauss nodes, Omega = [[0, U], [-V, w]] where
-    U, V = dt/2 (h1 + h2) +/- sqrt(3)/6 dt^2 (h1 b2 - h2 b1) and
-    w = -dt (b1 + b2), so exp(Omega) = e^{w/2} (cosh(r) I + sinh(r)/r (Omega - w/2 I))
-    with r^2 = w^2/4 - U V real.
+    Every a_i of the module docstring is [[0, p_i], [-p_i, q_i]].  A 2x2
+    matrix is held as its half trace and its traceless part [[u, v], [w, -u]];
+    the commutator of two matrices with traceless parts (u, v, w) and
+    (u', v', w') is (v w' - w v', 2 (u v' - u' v), 2 (u' w - u w')).  So
+    C1 = [[0, s], [s, 0]] with s = p1 q2 - q1 p2, and Omega comes out as
+    half trace g plus traceless (u, v, w), whence
+    exp(Omega) = e^g (cosh(r) I + sinh(r)/r [[u, v], [w, -u]]), r^2 = u^2 + v w.
     """
-    h1, h2, b = coefficients(t + dt * _NODES)
-    b1 = b[0::2, None]
-    b2 = b[1::2, None]
+    (h1, h2, h3), (b1, b2, b3) = coefficients(t + dt * _NODES)
     dts = dt * _SUBSTEP
-    mean = (h1 + h2) * (0.5 * dts)
-    comm = (h1 * b2 - h2 * b1) * ((2.0 * _COMMUTATOR) * dts * dts)
-    U = mean + comm
-    V = mean - comm
-    half_tr = -0.5 * dts * (b1 + b2)
-    c, s = _cosh_sinhc(half_tr * half_tr - U * V)
-    scale = np.exp(half_tr)
+    p1 = dts * h2
+    q1 = -2.0 * dts * b2
+    p2 = (_SQRT15_3 * dts) * (h3 - h1)
+    q2 = (-2.0 * _SQRT15_3 * dts) * (b3 - b1)
+    p3 = (dts * (10.0 / 3.0)) * (h3 - 2.0 * h2 + h1)
+    q3 = (dts * (-20.0 / 3.0)) * (b3 - 2.0 * b2 + b1)
+    s = p1 * q2 - q1 * p2
+    # [a1, 2 a3 + C1] = (2 p1 s, e - q1 s, e + q1 s) with e = 2 (p1 q3 - q1 p3)
+    e = 2.0 * (p1 * q3 - q1 * p3)
+    q1s = q1 * s
+    # F = -20 a1 - a3 + C1 and G = a2 + C2, traceless parts
+    fu = 10.0 * q1 + 0.5 * q3
+    fv = s - 20.0 * p1 - p3
+    fw = s + 20.0 * p1 + p3
+    gu = -0.5 * q2 - p1 * s / 30.0
+    gv = p2 - (e - q1s) / 60.0
+    gw = -p2 - (e + q1s) / 60.0
+    # Omega = a1 + a3/12 + [F, G]/240
+    g = 0.5 * q1 + q3 / 24.0
+    pm = p1 + p3 / 12.0
+    u = (fv * gw - fw * gv) / 240.0 - g
+    v = pm + (fu * gv - gu * fv) / 120.0
+    w = (gu * fw - fu * gw) / 120.0 - pm
+    c, sh = _cosh_sinhc(u * u + v * w)
+    scale = np.exp(g)
     c *= scale
-    s *= scale
-    sw = s * half_tr
-    G = np.empty(U.shape + (2, 2))
-    G[..., 0, 0] = c - sw
-    G[..., 1, 1] = c + sw
-    G[..., 0, 1] = s * U
-    G[..., 1, 0] = -s * V
+    sh *= scale
+    su = sh * u
+    G = np.empty(u.shape + (2, 2))
+    G[..., 0, 0] = c + su
+    G[..., 1, 1] = c - su
+    G[..., 0, 1] = sh * v
+    G[..., 1, 0] = sh * w
     return G
 
 
@@ -205,6 +232,32 @@ def _from_real_form(R):
     E = R.astype(complex)
     E[..., 0, 1] *= 1j
     E[..., 1, 0] *= -1j
+    return E
+
+
+def _to_real_form(E):
+    """The real form R of propagators E = [[R00, i R01], [-i R10, R11]], in place.
+
+    R is written over the real parts of E and returned as a view of E, so a
+    large batch is converted without a copy; _from_real_form inverts it exactly.
+    """
+    R = E.real
+    R[..., 0, 1] = E.imag[..., 0, 1]
+    R[..., 1, 0] = E.imag[..., 1, 0]
+    R[..., 1, 0] *= -1.0  # np.negative(x, out=x) misreads strided views under numpy 2.4
+    return R
+
+
+def _from_real_form_in_imag(E):
+    """The propagators whose real form R is held in E.imag, written over E in place."""
+    R = E.imag
+    E.real[..., 0, 0] = R[..., 0, 0]
+    E.real[..., 1, 1] = R[..., 1, 1]
+    E.real[..., 0, 1] = 0.0
+    E.real[..., 1, 0] = 0.0
+    R[..., 0, 0] = 0.0
+    R[..., 1, 1] = 0.0
+    R[..., 1, 0] *= -1.0
     return E
 
 
@@ -235,7 +288,7 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
         G = _magnus_factors(coefficients, t, dt)
         stats.evals += EVALS_PER_STEP
         two = G[2] @ G[1]
-        err = ((two - G[0]) / 15.0) @ Y  # Richardson estimate of the half steps' error
+        err = ((two - G[0]) / _RICHARDSON) @ Y  # Richardson estimate of the half steps' error
         y_new = two @ Y + err
         scale = step_tol * (1.0 + np.maximum(np.abs(Y), np.abs(y_new)))
         ratio = float((np.abs(err) / scale).max())
@@ -245,10 +298,10 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
             stats.steps += 1
             if ratio > stats.max_err:
                 stats.max_err = ratio
-            grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+            grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio**_CONTROL_EXPONENT))
             dt = dt * grow
         else:
-            dt = dt * max(0.2, 0.9 * ratio ** -0.2)
+            dt = dt * max(0.2, 0.9 * ratio**_CONTROL_EXPONENT)
             short = False  # a rejected step below the floor raises on the next pass
     return Y, dt_hint if short else dt
 
@@ -292,15 +345,15 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         raise ValueError("checkpoints must run monotonically from s to t")
     coefficients = _make_coefficients(spec, xi * xi)
     identity = np.broadcast_to(np.eye(2), (xi.size, 2, 2))  # real form, see _from_real_form
-    chk = np.empty((chk_times.size, xi.size, 2, 2))
-    chk[:] = identity
+    chk = np.empty((chk_times.size, xi.size, 2, 2), dtype=complex)
+    chk[:] = np.eye(2)
     stats = _Stats()
     span = abs(t - s)
     if span == 0.0:
-        return _from_real_form(identity), _from_real_form(chk), PropagationResult(0.0, 0, 0)
+        return _from_real_form(identity), chk, PropagationResult(0.0, 0, 0)
 
     breaks = spec.breakpoints_in(s, t)
-    forced = np.unique(np.concatenate([breaks, chk_times, [t]]))
+    forced = _sorted_unique(np.concatenate([breaks, chk_times, [t]]))
     if direction < 0:
         forced = forced[::-1]
     # only times strictly inside the travel direction
@@ -316,12 +369,12 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         Y, dt_hint = _integrate_segment(coefficients, cur, nxt, Y, step_tol, dt_hint, span, stats)
         cur = nxt
         while i < chk_times.size and chk_times[i] == nxt:
-            chk[i] = Y
+            chk[i] = _from_real_form(Y)
             done = Y @ done
             Y = identity
             i += 1
     result = PropagationResult(stats.max_err * tol, stats.steps, stats.evals)
-    return _from_real_form(Y @ done), _from_real_form(chk), result
+    return _from_real_form(Y @ done), chk, result
 
 
 # -- quadrature ----------------------------------------------------------------

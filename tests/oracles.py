@@ -156,14 +156,17 @@ def monodromy_at(spec, t, xi, tol=DEFAULT_TOL, base=None):
 def corrector_profile(spec, xi, t_max, points):
     """n+/-(t) on a uniform grid over [0, t_max] via phase-resolved quadrature.
 
-    n+ and n- are integrated apart, with no use of n- = conj(n+).
+    n+ and n- are integrated apart, with no use of n- = conj(n+).  The phase
+    int_0^t h is accumulated in extended precision, so its rounding does not
+    grow with the number of points.
     Returns (tau, n_plus, n_minus, b_vals, dt).
     """
     n = points if points % 2 == 1 else points + 1
     tau = np.linspace(0.0, t_max, n)
     dt = t_max / (n - 1)
     b = spec.b.eval(tau)
-    osc = np.exp(1j * _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)), dt))
+    phase = _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)).astype(np.longdouble), dt)
+    osc = np.exp(1j * phase.astype(float))
     c_plus = _cumulative_simpson_uniform(osc * b, dt)
     c_minus = _cumulative_simpson_uniform(np.conj(osc) * b, dt)
     return tau, np.conj(osc) * c_plus, osc * c_minus, b, dt

@@ -43,3 +43,40 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, kgdecay.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# A tiny-grid run of every stage: jumps in b, a perturbed mass and every sweep.
+TINY_RUN = """[model]
+T = 1.0
+b = square lo=0.2 hi=1
+m0 = 1.0
+epsilon = 5e-9
+m1 = sin_offset mean=0 amp=1
+[run]
+stages = threshold contraction epsilon decay
+[grids]
+threshold_xi_points = 4
+threshold_t_points = 4
+verify_t_points = 2
+verify_xi_points = 4
+contraction_t_points = 4
+contraction_xi_points = 8
+decay_periods = 10
+decay_xi_low_points = 8
+decay_xi_high_points = 4
+"""
+
+
+def test_run_leaves_numpy_ma_out(tmp_path):
+    # under numpy 2 the first np.unique imports numpy.ma, a start-up cost of
+    # every run; the package dedupes its sorted times without it
+    config = tmp_path / "run.ini"
+    config.write_text(TINY_RUN, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import sys; from kgdecay import cli; "
+        f"code = cli.main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 False"

@@ -213,13 +213,13 @@ class TestExitCodes:
         real = certify.propagate_grid
         calls = []
 
-        def fail_first_chunk(*args, **kwargs):
+        def fail_first_sweep(*args, **kwargs):
             calls.append(args)
             if len(calls) == 1:
                 raise IntegrationFailureError("injected", t_fail=0.0)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(certify, "propagate_grid", fail_first_chunk)
+        monkeypatch.setattr(certify, "propagate_grid", fail_first_sweep)
         text = BASE_CONFIG.split("[run]")[0] + "[run]\nstages = threshold contraction decay\n" + TINY_GRIDS
         code, err = self.run_with(tmp_path, capsys, text + "decay_xi_low_points = 64\n")
         assert code == EXIT_NUMERICAL

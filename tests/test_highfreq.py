@@ -29,7 +29,7 @@ from kgdecay.highfreq import (
 )
 from kgdecay.propagator import _cumulative_simpson_uniform
 
-from conftest import CSV_EDGE_VALUES
+from conftest import CSV_EDGE_VALUES, make_perturbed
 from oracles import (
     PreconditionError,
     corrector_profile,
@@ -268,6 +268,11 @@ class TestSupLarge:
     def test_low_frequency_frame_error(self, spec_sin):
         with pytest.raises(FrameError):
             suplarge_quantity(spec_sin, 0.05)
+
+    def test_perturbed_mass_is_refused(self, b_sin, m1_cos):
+        # the profile takes the phase of a constant mass, sqrt(xi^2 + m0^2) t
+        with pytest.raises(ValueError, match="constant mass"):
+            suplarge_quantity(make_perturbed(b_sin, 1.0, 0.4, m1_cos), 20.0)
 
     def test_matches_complex_matrix_oracle(self, spec_sin, spec_square):
         for spec in (spec_sin, spec_square):

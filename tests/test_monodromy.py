@@ -215,6 +215,15 @@ class TestMonodromyGrid:
             for j, xi in enumerate(xi_grid):
                 assert np.max(np.abs(M[i, j] - monodromy_at(spec, float(t), float(xi)))) < 1e-12
 
+    def test_one_sweep_equals_its_halves(self, spec_sin):
+        # all frequencies of a sweep share one step sequence, set by the
+        # hardest of them; each matrix is accurate whatever the batch holds
+        t_grid = np.linspace(0.0, 1.0, 16)
+        xi_grid = np.linspace(0.0, 60.0, 128)
+        whole = monodromy_grid(spec_sin, t_grid, xi_grid)
+        halves = [monodromy_grid(spec_sin, t_grid, part) for part in (xi_grid[:64], xi_grid[64:])]
+        assert np.max(np.abs(whole - np.concatenate(halves, axis=1))) < 1e-10
+
     def test_unsorted_repeated_base_times(self, spec_sin):
         t_grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5, 0.75, 0.0])
         xi_grid = np.array([0.5, 2.0, 6.0])

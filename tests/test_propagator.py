@@ -14,7 +14,7 @@ from kgdecay import (
     spectral_norm_2x2,
 )
 from kgdecay.errors import IntegrationFailureError
-from kgdecay.propagator import _cumulative_simpson_uniform
+from kgdecay.propagator import _cumulative_simpson_uniform, _from_real_form, _magnus_factors, _make_coefficients
 
 from conftest import const_coeff_propagator, power_iteration_norm, propagate, triangle_samples
 from dp5_oracle import dp5_propagate
@@ -226,6 +226,19 @@ class TestMagnusStepper:
         got, _, _ = propagate_grid(spec, 0.0, 2.0 * spec.T, xi, tol)
         ref = dp5_propagate(spec, 0.0, 2.0 * spec.T, xi, 1e-13)
         assert np.max(np.abs(got - ref)) <= tol
+
+    @pytest.mark.parametrize("mass", ["constant", "perturbed"])
+    @pytest.mark.parametrize("xi", [5.0, 30.0])
+    def test_step_is_sixth_order(self, mass, xi):
+        # the local error of one step is O(dt^7): halving dt divides it by
+        # about 128, where a fourth-order step gives 32
+        spec = _sin_specs()[mass]
+        coefficients = _make_coefficients(spec, np.array([xi * xi]))
+        errors = []
+        for dt in (0.05, 0.025):
+            step = _from_real_form(_magnus_factors(coefficients, 0.0, dt)[0, 0])
+            errors.append(np.max(np.abs(step - dp5_propagate(spec, 0.0, dt, [xi], 1e-14)[0])))
+        assert errors[0] >= 100.0 * errors[1]
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_square_wave_is_exact_per_piece(self, tol):
