@@ -21,7 +21,7 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .errors import FitError, ModelAssumptionError
-from .monodromy import ContractionCertificate, _period_products
+from .monodromy import ContractionCertificate, _period_products, _write_csv
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, propagate_grid, spectral_norm_2x2
 
 VERDICT_PASS = "Pass"
@@ -157,20 +157,20 @@ def sup_norm_curve(
 def gamma_curve(spec: ModelSpec, times, points_per_period: int = 4096) -> np.ndarray:
     """Mass-influence diagnostic exp(-int_0^t m^2(tau)/b(tau) dtau) on an ascending time grid.
 
-    Monotone non-increasing in t; one cumulative pass.  Requires strictly
-    positive dissipation.
+    Monotone non-increasing in t.  The integrand is T-periodic, so one
+    cumulative pass over [0, T], on points_per_period cells (an even count,
+    at least 130), gives the integral at every t = l T + s as l I(T) + I(s).
+    Requires strictly positive dissipation.
     """
     if not spec.b_strictly_positive:
         raise ModelAssumptionError("the mass-influence diagnostic requires b > 0")
     times = np.asarray(times, dtype=float)
-    t_end = float(times[-1])
-    if t_end == 0.0:
-        return np.ones_like(times)
-    n = 2 * max(65, int(points_per_period * t_end / spec.T) // 2) + 1
-    tau = np.linspace(0.0, t_end, n)
-    integrand = spec.m_squared(tau) / spec.b.eval(tau)
-    cum = _cumulative_simpson_uniform(integrand, t_end / (n - 1))
-    return np.exp(-np.interp(times, tau, cum))
+    T = spec.T
+    n = 2 * max(65, points_per_period // 2) + 1
+    tau = np.linspace(0.0, T, n)
+    cum = _cumulative_simpson_uniform(spec.m_squared(tau) / spec.b.eval(tau), T / (n - 1))
+    periods, offsets = np.divmod(times, T)
+    return np.exp(-(periods * cum[-1] + np.interp(offsets, tau, cum)))
 
 
 def decay_constants(cert: ContractionCertificate, perturbed: bool = False):
@@ -199,7 +199,4 @@ def decay_constants(cert: ContractionCertificate, perturbed: bool = False):
 
 def decay_to_csv(path, report: DecayReport) -> None:
     """Write the decay curve as CSV: t, sup_norm, bound."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,sup_norm,bound\n")
-        columns = (report.time_grid, report.sup_norm_curve, report.bound_curve)
-        fh.writelines("%.17g,%.17g,%.17g\n" % row for row in zip(*(c.tolist() for c in columns)))
+    _write_csv(path, ("t", "sup_norm", "bound"), [report.time_grid, report.sup_norm_curve, report.bound_curve])

@@ -22,6 +22,7 @@ with P(xi) below the accept level covers every higher frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ import numpy as np
 
 from .coefficients import ConstantMass, ModelSpec
 from .errors import FrameError, ThresholdSearchError
-from .monodromy import monodromy_grid
+from .monodromy import _write_csv, monodromy_grid
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_2x2
 
 # Frames with |det N1| below this are treated as singular (frequency too low).
@@ -146,6 +147,18 @@ def _suplarge_from_profile(n1_norms, n1inv_norms, r2_cumint, idx, per):
     return float(np.max(n1_norms[idx + per] * growth * n1inv_norms[idx]))
 
 
+@functools.lru_cache(maxsize=1)
+def _b_profile(b, T, per):
+    """b on the 2 per + 1 uniform profile points over [0, 2T], read-only.
+
+    Every profile with the same points per period samples b on the same
+    grid; :func:`find_threshold_N` clears the cache when it ends.
+    """
+    values = b.eval(np.linspace(0.0, 2.0 * T, 2 * per + 1))
+    values.flags.writeable = False
+    return values
+
+
 def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> float:
     """Supremum over base times in [0, T) of the frame contraction product.
 
@@ -156,6 +169,8 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     Base times sit on the quadrature grid exactly (t_j = j T / t_points); the
     time integral of ||R2|| uses cumulative Simpson on the same grid.
     The mass must be constant: the phase is then exactly sqrt(xi^2 + m0^2) t.
+    b depends on the grid alone, not on xi, and is evaluated once per grid
+    length (:func:`_b_profile`).
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
     if spec.epsilon != 0.0:
@@ -165,7 +180,7 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) 
     # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h = h t
     tau = np.linspace(0.0, 2.0 * spec.T, 2 * per + 1)
     dt = 2.0 * spec.T / (2 * per)
-    b = spec.b.eval(tau)
+    b = _b_profile(spec.b, spec.T, per)
     phase = math.hypot(xi, spec.m0) * tau
     osc = np.empty(tau.size, dtype=complex)
     np.cos(phase, out=osc.real)
@@ -244,29 +259,33 @@ def find_threshold_N(
     accept = target * (1.0 - THRESHOLD_ACCEPT_MARGIN)
     trace = []
 
-    N, sup = 0.5, math.inf
-    while sup > accept:
-        N *= 2.0
-        points = _points_per_period(base, WINDOW_FACTOR * N, t_points)
-        if points > MAX_PROFILE_POINTS:
-            raise ThresholdSearchError(
-                f"no threshold found below N = {N:g}: its window needs {points} profile points "
-                f"per period, above the cap {MAX_PROFILE_POINTS} (last sup {sup:.6g} > target {target:.6g})"
-            )
-        sup = _window_sup(base, N, xi_points, t_points, stop_above=accept)
-        trace.append((N, sup, sup <= accept))
+    # the profiles of a search share one b grid per length; keep none past it
+    try:
+        N, sup = 0.5, math.inf
+        while sup > accept:
+            N *= 2.0
+            points = _points_per_period(base, WINDOW_FACTOR * N, t_points)
+            if points > MAX_PROFILE_POINTS:
+                raise ThresholdSearchError(
+                    f"no threshold found below N = {N:g}: its window needs {points} profile points "
+                    f"per period, above the cap {MAX_PROFILE_POINTS} (last sup {sup:.6g} > target {target:.6g})"
+                )
+            sup = _window_sup(base, N, xi_points, t_points, stop_above=accept)
+            trace.append((N, sup, sup <= accept))
 
-    lo = N / 2.0  # known failing (or 0.5 when N = 1 passed immediately)
-    hi, hi_sup = N, sup
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        sup = _window_sup(base, mid, xi_points, t_points, stop_above=accept)
-        ok = sup <= accept
-        trace.append((mid, sup, ok))
-        if ok:
-            hi, hi_sup = mid, sup
-        else:
-            lo = mid
+        lo = N / 2.0  # known failing (or 0.5 when N = 1 passed immediately)
+        hi, hi_sup = N, sup
+        while hi - lo > 1e-3 * hi:
+            mid = 0.5 * (lo + hi)
+            sup = _window_sup(base, mid, xi_points, t_points, stop_above=accept)
+            ok = sup <= accept
+            trace.append((mid, sup, ok))
+            if ok:
+                hi, hi_sup = mid, sup
+            else:
+                lo = mid
+    finally:
+        _b_profile.cache_clear()
     c_b = _tail_constant(base)
     return ThresholdResult(
         N=hi,
@@ -303,6 +322,6 @@ def verify_highfreq_contraction(
 
 def threshold_trace_to_csv(path, result: ThresholdResult) -> None:
     """Write the search trace as CSV: N_candidate, sup_value, accepted."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("N_candidate,sup_value,accepted\n")
-        fh.writelines("%.17g,%.17g,%d\n" % row for row in result.trace)
+    trace = result.trace
+    floats = [[row[0] for row in trace], [row[1] for row in trace]]
+    _write_csv(path, ("N_candidate", "sup_value", "accepted"), floats, [["1" if row[2] else "0" for row in trace]])

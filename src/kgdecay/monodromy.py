@@ -46,7 +46,9 @@ CLASS_REAL_PAIR = "RealPair"
 
 # The float columns of the samples table, in CSV order.
 SAMPLE_FLOATS = ("t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm")
-_SAMPLE_ROW = "%.17g," * len(SAMPLE_FLOATS) + "%s\n"
+
+# The CSV writer joins and writes this many rows at a time.
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -275,8 +277,52 @@ def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
     return table
 
 
-def scan_to_csv(path, samples) -> None:
-    """Write the samples table as CSV: t, xi, eigenvalue parts, rho, norm, class."""
+def _column_text(column):
+    """The "%.17g" text of a float column, as a function of a slice of rows.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0, and NaNs of
+    different sign or payload, each keep their own text.  When at most half
+    the entries are distinct, each distinct value is formatted once and its
+    text is held for the whole write; otherwise each slice is formatted when
+    asked for.  Either way, text is held for at most half the column's entries.
+    """
+    column = np.ascontiguousarray(column, dtype=float)
+    bits = column.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    if 2 * np.count_nonzero(first) > bits.size:
+        return lambda rows: ["%.17g" % v for v in column[rows].tolist()]
+    text = np.array(["%.17g" % v for v in column[order[first]].tolist()], dtype=object)
+    index = np.empty(bits.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return lambda rows: text[index[rows]].tolist()
+
+
+def _write_csv(path, header, floats, strings=()):
+    """Write float columns, then pre-formatted string columns, as CSV with LF line ends.
+
+    Floats are written as "%.17g" (see :func:`_column_text`); rows are joined
+    and written CSV_BLOCK_ROWS at a time, so the text of the whole table is
+    never held at once.
+    """
+    columns = [_column_text(c) for c in floats]
+    n = len(floats[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(SAMPLE_FLOATS + ("class",)) + "\n")
-        fh.writelines(_SAMPLE_ROW % row for row in samples.tolist())
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            cells = [text(block) for text in columns] + [s[block] for s in strings]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def scan_to_csv(path, samples) -> None:
+    """Write the samples table as CSV: t, xi, eigenvalue parts, rho, norm, class.
+
+    Byte for byte the "%.17g" text of every float.  The table repeats most of
+    its values (t over xi, xi over t, and the spectrum, which does not depend
+    on t), so each distinct value of those columns is formatted once; rows are
+    streamed in blocks of CSV_BLOCK_ROWS.
+    """
+    _write_csv(path, SAMPLE_FLOATS + ("class",), [samples[name] for name in SAMPLE_FLOATS], [samples["class"]])

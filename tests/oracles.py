@@ -8,7 +8,8 @@
   its own, with the full complex 2x2 frame matrices built from them;
 - the threshold window supremum by a scan of every frequency of the window;
 - the 2x2 inverse, and the cumulative fold of checkpointed segment propagators;
-- the artifact CSV text, written by ``csv.writer`` with floats as f"{v:.17g}".
+- the artifact CSV text, written by ``csv.writer`` with floats as f"{v:.17g}";
+- the mass-influence diagnostic by one cumulative pass over the whole time span.
 """
 
 import csv
@@ -261,3 +262,15 @@ def reference_csv(header, rows):
     for row in rows:
         w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
     return buf.getvalue()
+
+
+def gamma_curve_long(spec, times, points_per_period=4096):
+    """exp(-int_0^t m^2/b) by one cumulative Simpson pass over [0, t_end], no periodicity used."""
+    times = np.asarray(times, dtype=float)
+    t_end = float(times[-1])
+    if t_end == 0.0:
+        return np.ones_like(times)
+    n = 2 * max(65, int(points_per_period * t_end / spec.T) // 2) + 1
+    tau = np.linspace(0.0, t_end, n)
+    cum = _cumulative_simpson_uniform(spec.m_squared(tau) / spec.b.eval(tau), t_end / (n - 1))
+    return np.exp(-np.interp(times, tau, cum))

@@ -18,7 +18,7 @@ from kgdecay.certify import DecayReport, certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
 
 from conftest import CSV_EDGE_VALUES, certificate, contraction_k, propagate, strongly_damped
-from oracles import monodromy_at, reference_csv
+from oracles import gamma_curve_long, monodromy_at, reference_csv
 
 
 def gamma_of(spec, t, points_per_period=4096):
@@ -76,6 +76,17 @@ class TestGamma:
         ts = np.linspace(0.0, 8.0, 33)
         vals = gamma_curve(spec_sin, ts)
         assert np.all(np.diff(vals) <= 1e-10)
+
+    @pytest.mark.parametrize("t_end", [10.0, 40.0])
+    @pytest.mark.parametrize("form,params", [("square", dict(lo=0.2, hi=1.0, duty=0.5)),
+                                             ("sin_offset", dict(mean=1.0, amp=0.5))])
+    def test_one_period_pass_matches_the_long_grid(self, form, params, t_end):
+        spec = ModelSpec(PeriodicCoefficient.from_closed_form(form, 1.0, **params), ConstantMass(1.0))
+        times = np.arange(int(4 * t_end) + 1) * 0.25
+        # compared as integrals int_0^t m^2/b: the long pass adds up to 160,000
+        # cells, and its own rounding moves gamma by 1.2e-12 relative at t = 40
+        got, want = -np.log(gamma_curve(spec, times)), -np.log(gamma_curve_long(spec, times))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_requires_positive_dissipation(self):
         b = PeriodicCoefficient.from_samples([0.0, 1.0, 1.0, 1.0], 1.0, order=0)

@@ -366,12 +366,15 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_byte_identical_certificates(self, tmp_path):
+        # every output, not only the certificate, so that a writer whose bytes
+        # depend on an ordering shows up
+        files = ("certificate.json", "summary.txt", "threshold_trace.csv", "monodromy_scan.csv", "decay.csv")
         cfg = write_config(tmp_path, BASE_CONFIG)
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            outs.append((out / "certificate.json").read_bytes())
+            outs.append([(out / f).read_bytes() for f in files])
         assert outs[0] == outs[1]
 
     def test_summary_numbers_trace_to_certificate(self, tmp_path):

@@ -386,6 +386,7 @@ class TestThresholdSearch:
 
     def test_constant_profile(self, spec_const):
         thr = find_threshold_N(spec_const, xi_points=64, t_points=32)
+        assert highfreq._b_profile.cache_info().currsize == 0  # no b grid outlives the search
         assert thr.sup_value <= thr.target
         assert thr.xi_max_checked == 10.0 * thr.N
         # survives a doubled verification grid
@@ -455,6 +456,7 @@ class TestThresholdSearch:
         monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 4096)
         with pytest.raises(ThresholdSearchError):
             find_threshold_N(spec_const, xi_points=16, t_points=32)
+        assert highfreq._b_profile.cache_info().currsize == 0
 
     def test_trace_csv(self, spec_const, tmp_path):
         thr = find_threshold_N(spec_const, xi_points=32, t_points=32)

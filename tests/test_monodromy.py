@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
     ConstantMass,
@@ -16,7 +18,9 @@ from kgdecay import (
     scan_to_csv,
     spectral_norm_2x2,
 )
+from kgdecay.certify import DecayReport, decay_to_csv
 from kgdecay.errors import IntegrationFailureError, NoContractionError
+from kgdecay.highfreq import ThresholdResult, threshold_trace_to_csv
 from kgdecay.monodromy import (
     CLASS_COMPLEX_PAIR,
     CLASS_REAL_PAIR,
@@ -27,6 +31,16 @@ from kgdecay.monodromy import (
 
 from conftest import CSV_EDGE_VALUES, contraction_k, strongly_damped
 from oracles import monodromy_at, reference_csv
+
+
+# Values a column draws from, so that most rows repeat values: the edge
+# values, +0.0 beside their -0.0, and NaNs of either sign and several payloads.
+CSV_POOL = np.concatenate([
+    CSV_EDGE_VALUES,
+    [0.0],
+    np.array([0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFF0000000000123],
+             dtype=np.uint64).view(float),
+])
 
 
 def sample_at(spec, t, xi):
@@ -352,3 +366,50 @@ class TestScanExport:
         path = tmp_path / "scan.csv"
         scan_to_csv(path, table)
         assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), table.tolist()).encode()
+
+    @settings(max_examples=24, deadline=None)
+    @given(rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8195]), seed=st.integers(0, 2**32 - 1))
+    def test_writers_match_the_reference_on_repeated_values(self, tmp_path_factory, rows, seed):
+        rng = np.random.default_rng(seed)
+        cols = CSV_POOL[rng.integers(0, CSV_POOL.size, (len(SAMPLE_FLOATS), rows))]
+        # the last column mostly distinct, like the norm column of a scan
+        cols[-1] = np.where(rng.random(rows) < 0.3, cols[-1], rng.random(rows))
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+
+        table = np.empty(rows, dtype=[(name, float) for name in SAMPLE_FLOATS] + [("class", "U20")])
+        for name, col in zip(SAMPLE_FLOATS, cols):
+            table[name] = col
+        table["class"] = np.where(rng.random(rows) < 0.5, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR)
+        scan_to_csv(path, table)
+        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), table.tolist()).encode()
+
+        trace = tuple(zip(cols[0].tolist(), cols[1].tolist(), (rng.random(rows) < 0.5).tolist()))
+        thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_xi=2.0,
+                              trace=trace)
+        threshold_trace_to_csv(path, thr)
+        rows_out = [(cand, sup, int(ok)) for cand, sup, ok in trace]
+        assert path.read_bytes() == reference_csv(["N_candidate", "sup_value", "accepted"], rows_out).encode()
+
+        rep = DecayReport(time_grid=cols[0], sup_norm_curve=cols[1], bound_curve=cols[-1], certified_rate=0.1,
+                          certified_prefactor=1.0, fitted_rate=0.1, fit_residual=0.0, burn_in=0.0, verdict="Pass")
+        decay_to_csv(path, rep)
+        assert path.read_bytes() == reference_csv(["t", "sup_norm", "bound"], zip(*cols[[0, 1, -1]].tolist())).encode()
+
+    @pytest.mark.parametrize("table", ["scan", "distinct"])
+    def test_writer_memory_stays_near_the_table(self, spec_sin, tmp_path, table):
+        # 65,536 rows: a 64 x 1,024 scan, or every float distinct; the writer
+        # holds the text of repeated values and one block of rows, not the
+        # text of the table
+        t_grid, xi_grid = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 8.0, 1024)
+        samples = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_sin, t_grid, xi_grid))
+        if table == "distinct":
+            rng = np.random.default_rng(0)
+            for name in SAMPLE_FLOATS:
+                samples[name] = rng.random(samples.size)
+        tracemalloc.start()
+        try:
+            scan_to_csv(tmp_path / "scan.csv", samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * samples.nbytes
