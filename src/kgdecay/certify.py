@@ -123,8 +123,7 @@ def sup_norm_curve(
 
     _, segments, _ = propagate_grid(spec, 0.0, T, xi_grid, tol, checkpoints)
     prefix, M = _period_products(segments)
-    # E(s, 0) and M(s) at the four base offsets, in the real form, which has
-    # the spectral norms of the propagator
+    # E(s, 0) and M(s) at the four base offsets; the real form has the norms of E
     P, M = prefix[:4], M[:4]
     curve = np.empty(n_steps + 1)
     for ell in range(n_periods):

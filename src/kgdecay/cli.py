@@ -161,8 +161,8 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
     """Read and validate an INI-style run configuration."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -269,7 +269,10 @@ def run(config: RunConfig) -> int:
     """
     spec = config.spec
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     tol = float(config.tolerances["propagate_tol"])
     margin = float(config.tolerances["contraction_margin"])
     g = config.grids

@@ -324,4 +324,5 @@ def threshold_trace_to_csv(path, result: ThresholdResult) -> None:
     """Write the search trace as CSV: N_candidate, sup_value, accepted."""
     trace = result.trace
     floats = [[row[0] for row in trace], [row[1] for row in trace]]
-    _write_csv(path, ("N_candidate", "sup_value", "accepted"), floats, [["1" if row[2] else "0" for row in trace]])
+    _write_csv(path, ("N_candidate", "sup_value", "accepted"), floats,
+               [lambda rows: ["1" if row[2] else "0" for row in trace[rows]]])

@@ -20,8 +20,6 @@ from .coefficients import ModelSpec, _sorted_unique
 from .errors import IntegrationFailureError, NoContractionError
 from .propagator import (
     DEFAULT_TOL,
-    _from_real_form_in_imag,
-    _to_real_form,
     det2,
     eigenvalues_2x2,
     propagate_grid,
@@ -44,8 +42,10 @@ MONODROMY_DRIFT_TOL = 1e-6
 CLASS_COMPLEX_PAIR = "ComplexConjugatePair"
 CLASS_REAL_PAIR = "RealPair"
 
-# The float columns of the samples table, in CSV order.
+# The float columns of the samples table, in CSV order, and its record type;
+# the pair class is one bool, written as CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.
 SAMPLE_FLOATS = ("t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm")
+SAMPLE_DTYPE = [(name, float) for name in SAMPLE_FLOATS] + [("real_pair", bool)]
 
 # The CSV writer joins and writes this many rows at a time.
 CSV_BLOCK_ROWS = 4096
@@ -104,19 +104,17 @@ def _spectral_radius(ev):
 
 
 def _period_products(segments):
-    """Prefixes E(c_j, 0) and monodromies M(c_j) from one period's segments, in place.
+    """Prefixes E(c_j, 0) and monodromies M(c_j) from one period's segments.
 
-    ``segments`` (m, ..., 2, 2) holds E(c_j, c_{j-1}) for checkpoints
-    c_0 <= ... <= c_{m-1} = T, with c_{-1} = 0.  By periodicity
+    ``segments`` (m, ..., 2, 2) holds the real forms of E(c_j, c_{j-1}) for
+    checkpoints c_0 <= ... <= c_{m-1} = T, with c_{-1} = 0.  By periodicity
     M(c_j) = E(c_j + T, T) E(T, c_j) = E(c_j, 0) E(T, c_j): a prefix product
-    times a suffix product, with no inverse.  The products are taken in the
-    real form of the propagator, and both arrays of them fit in ``segments``:
-    on return its real parts hold the prefixes and its imaginary parts the
-    monodromies, each in the real form, and these two views are returned.
-    So composing a whole frequency grid allocates no array of its size.
+    times a suffix product, with no inverse.  The prefixes are written over
+    ``segments``, the monodromies go to one new array of the same shape, and
+    both are returned, real like the segments.
     """
-    prefix = _to_real_form(segments)
-    M = segments.imag
+    prefix = segments
+    M = np.empty_like(segments)
     M[-1] = np.eye(2)
     for j in range(len(M) - 1, 0, -1):
         M[j - 1] = M[j] @ prefix[j]  # the suffix E(T, c_{j-1})
@@ -133,23 +131,24 @@ def monodromy_grid(
     xi_grid,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Monodromy matrices on a (t, xi) grid, shape (nt, nxi, 2, 2).
+    """Monodromy matrices on a (t, xi) grid, float64 of shape (nt, nxi, 2, 2).
 
-    One checkpointed sweep over [0, T] for the whole frequency grid records
-    the segment propagators between the sorted base times, and
-    :func:`_period_products` composes them, in the real form, into every
-    M(t, xi) at once.  All frequencies share one adaptive step sequence, which
-    the highest frequency sets; every matrix is accurate to the requested
-    tolerance whatever the grid holds.  As a safety check,
-    IntegrationFailureError is raised when a row's trace or determinant
-    drifts from those of M(0, xi) = E(T, 0, xi).  Both are products of the
-    same segments, so the check catches non-finite or badly rounded
-    products, not integration error.
+    Each matrix is the real form S^-1 M S of the monodromy, S = diag(1, -i)
+    (see :mod:`kgdecay.propagator`), which has its norm and spectrum.  One
+    checkpointed sweep over [0, T] for the whole frequency grid records the
+    segment propagators between the sorted base times, and
+    :func:`_period_products` composes them into every M(t, xi) at once.  All
+    frequencies share one adaptive step sequence, which the highest frequency
+    sets; every matrix is accurate to the requested tolerance whatever the
+    grid holds.  As a safety check, IntegrationFailureError is raised when a
+    row's trace or determinant drifts from those of M(0, xi) = E(T, 0, xi).
+    Both are products of the same segments, so the check catches non-finite
+    or badly rounded products, not integration error.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
     if t_grid.size == 0 or xi_grid.size == 0:
-        return np.empty((t_grid.size, xi_grid.size, 2, 2), dtype=complex)
+        return np.empty((t_grid.size, xi_grid.size, 2, 2))
     if np.any(t_grid < 0.0) or np.any(t_grid > spec.T + 1e-12):
         raise ValueError("t_grid must lie within [0, T]")
     T = spec.T
@@ -166,7 +165,6 @@ def monodromy_grid(
             "the period's segment products are not finite or lost accuracy to rounding",
             t_fail=float(checkpoints[j]),
         )
-    M = _from_real_form_in_imag(segments)  # the same memory, now the complex propagators
     # sorted distinct base times are the leading rows: no copy of the grid then
     return M[: rows.size] if np.array_equal(rows, np.arange(rows.size)) else M[rows]
 
@@ -250,13 +248,12 @@ def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
     """The samples table of a precomputed grid, one row per (t, xi), row-major in t.
 
     A structured array with the float fields of :data:`SAMPLE_FLOATS` and the
-    string field ``class``: the eigenvalue pair, the spectral radius, the
+    bool field ``real_pair``: the eigenvalue pair, the spectral radius, the
     spectral norm and the pair class of every matrix.  The class comes from
-    the characteristic-polynomial discriminant.  The monodromy matrix is
-    similar to a real matrix, so the discriminant is real up to numerical
-    noise: positive real part means two real eigenvalues, negative means a
-    complex-conjugate pair, and a degenerate band around zero is a real
-    (double) root.
+    the characteristic-polynomial discriminant, which is real for the real
+    form of :func:`monodromy_grid`: positive means two real eigenvalues
+    (``real_pair``), negative a complex-conjugate pair, and a degenerate band
+    around zero is a real (double) root.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -264,16 +261,16 @@ def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
     ev = eigenvalues_2x2(M)
     tr = trace2(M)
     disc = tr * tr - 4.0 * det2(M)
-    real_pair = (np.hypot(disc.real, disc.imag) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
+    real_pair = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
 
-    table = np.empty(len(M), dtype=[(name, float) for name in SAMPLE_FLOATS] + [("class", "U20")])
+    table = np.empty(len(M), dtype=SAMPLE_DTYPE)
     table["t"] = np.repeat(t_grid, xi_grid.size)
     table["xi"] = np.tile(xi_grid, t_grid.size)
     table["re_eig1"], table["im_eig1"] = ev[:, 0].real, ev[:, 0].imag
     table["re_eig2"], table["im_eig2"] = ev[:, 1].real, ev[:, 1].imag
     table["rho"] = _spectral_radius(ev)
     table["norm"] = spectral_norm_2x2(M)
-    table["class"] = np.where(real_pair, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR)
+    table["real_pair"] = real_pair
     return table
 
 
@@ -284,36 +281,40 @@ def _column_text(column):
     different sign or payload, each keep their own text.  When at most half
     the entries are distinct, each distinct value is formatted once and its
     text is held for the whole write; otherwise each slice is formatted when
-    asked for.  Either way, text is held for at most half the column's entries.
+    asked for.  Either way, text is held for at most half the column's entries,
+    and no copy of the column: an index into the distinct values, in the
+    narrowest integer type that holds their count, or the column as given.
     """
-    column = np.ascontiguousarray(column, dtype=float)
-    bits = column.view(np.int64)
+    column = np.asarray(column, dtype=float)
+    bits = np.ascontiguousarray(column).view(np.int64)
     order = np.argsort(bits, kind="stable")
     ordered = bits[order]
     first = np.ones(bits.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    if 2 * np.count_nonzero(first) > bits.size:
+    distinct = np.count_nonzero(first)
+    if 2 * distinct > bits.size:
         return lambda rows: ["%.17g" % v for v in column[rows].tolist()]
     text = np.array(["%.17g" % v for v in column[order[first]].tolist()], dtype=object)
-    index = np.empty(bits.size, dtype=np.intp)
+    index = np.empty(bits.size, dtype=np.min_scalar_type(distinct))
     index[order] = np.cumsum(first) - 1
     return lambda rows: text[index[rows]].tolist()
 
 
-def _write_csv(path, header, floats, strings=()):
-    """Write float columns, then pre-formatted string columns, as CSV with LF line ends.
+def _write_csv(path, header, floats, texts=()):
+    """Write float columns, then text columns, as CSV with LF line ends.
 
-    Floats are written as "%.17g" (see :func:`_column_text`); rows are joined
-    and written CSV_BLOCK_ROWS at a time, so the text of the whole table is
-    never held at once.
+    Floats are written as "%.17g" (see :func:`_column_text`); a text column
+    is a function from a slice of rows to their list of strings.  Rows are
+    joined and written CSV_BLOCK_ROWS at a time, so the text of the whole
+    table is never held at once.
     """
-    columns = [_column_text(c) for c in floats]
+    columns = [_column_text(c) for c in floats] + list(texts)
     n = len(floats[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
             block = slice(lo, lo + CSV_BLOCK_ROWS)
-            cells = [text(block) for text in columns] + [s[block] for s in strings]
+            cells = [text(block) for text in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -323,6 +324,9 @@ def scan_to_csv(path, samples) -> None:
     Byte for byte the "%.17g" text of every float.  The table repeats most of
     its values (t over xi, xi over t, and the spectrum, which does not depend
     on t), so each distinct value of those columns is formatted once; rows are
-    streamed in blocks of CSV_BLOCK_ROWS.
+    streamed in blocks of CSV_BLOCK_ROWS, and each block's ``real_pair`` flags
+    are written as CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.
     """
-    _write_csv(path, SAMPLE_FLOATS + ("class",), [samples[name] for name in SAMPLE_FLOATS], [samples["class"]])
+    real_pair = samples["real_pair"]
+    _write_csv(path, SAMPLE_FLOATS + ("class",), [samples[name] for name in SAMPLE_FLOATS],
+               [lambda rows: np.where(real_pair[rows], CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR).tolist()])

@@ -1,10 +1,12 @@
-"""Fundamental-solution propagation and 2x2 complex linear algebra.
+"""Fundamental-solution propagation and closed-form 2x2 linear algebra.
 
-The frequency-space system d/dt E = i A(t, xi) E, E(s, s) = I is integrated
-with an adaptive sixth-order Magnus scheme (Blanes, Casas & Ros, BIT 40,
-2000), vectorized over a batch of frequencies.  The state is kept in the real
-form R = S^-1 E S, S = diag(1, -i), in which the generator is
-K = [[0, h], [-h, -2b]] and every product is real.  Each step samples K at
+The frequency-space system d/dt E = i A(t, xi) E, E(s, s) = I is integrated,
+and returned, in its real form R = S^-1 E S, S = diag(1, -i): the system
+d/dt R = K R with K = [[0, h], [-h, -2b]], in which every product is real.
+S is unitary, so R has the spectral norm, eigenvalues, trace and determinant
+of E, and E = S R S^-1 where the complex propagator itself is wanted.  The
+integrator is an adaptive sixth-order Magnus scheme (Blanes, Casas & Ros,
+BIT 40, 2000), vectorized over a batch of frequencies.  Each step samples K at
 the three Gauss-Legendre nodes t + (1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10) dt,
 forms
 
@@ -20,8 +22,8 @@ dt * xi << 1, so the step count grows only slowly with xi.  Error control is
 step doubling (one full step against two half steps) with a Richardson
 correction.  Coefficient jumps and kinks are forced as step boundaries.
 
-All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form
-and broadcast over leading batch dimensions.
+All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form,
+take real or complex matrices, and broadcast over leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -227,40 +229,6 @@ def _magnus_factors(coefficients, t, dt):
     return G
 
 
-def _from_real_form(R):
-    """The propagator E = [[R00, i R01], [-i R10, R11]] from its real form R."""
-    E = R.astype(complex)
-    E[..., 0, 1] *= 1j
-    E[..., 1, 0] *= -1j
-    return E
-
-
-def _to_real_form(E):
-    """The real form R of propagators E = [[R00, i R01], [-i R10, R11]], in place.
-
-    R is written over the real parts of E and returned as a view of E, so a
-    large batch is converted without a copy; _from_real_form inverts it exactly.
-    """
-    R = E.real
-    R[..., 0, 1] = E.imag[..., 0, 1]
-    R[..., 1, 0] = E.imag[..., 1, 0]
-    R[..., 1, 0] *= -1.0  # np.negative(x, out=x) misreads strided views under numpy 2.4
-    return R
-
-
-def _from_real_form_in_imag(E):
-    """The propagators whose real form R is held in E.imag, written over E in place."""
-    R = E.imag
-    E.real[..., 0, 0] = R[..., 0, 0]
-    E.real[..., 1, 1] = R[..., 1, 1]
-    E.real[..., 0, 1] = 0.0
-    E.real[..., 1, 0] = 0.0
-    R[..., 0, 0] = 0.0
-    R[..., 1, 1] = 0.0
-    R[..., 1, 0] *= -1.0
-    return E
-
-
 def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
     """Adaptive Magnus stepping from t0 to t1 (either direction); mutates nothing.
 
@@ -307,7 +275,7 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
 
 
 def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT_TOL, checkpoints=None):
-    """Propagate E(., s, xi) for a batch of frequencies at once.
+    """Propagate E(., s, xi) for a batch of frequencies at once, in the real form.
 
     Parameters
     ----------
@@ -330,7 +298,9 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     -------
     (Y_end, segments, result) : E(t, s, xi) (n, 2, 2), the running product of
         the segments; the segment propagators (len(checkpoints), n, 2, 2);
-        and a :class:`PropagationResult`.
+        and a :class:`PropagationResult`.  Both arrays are float64 and hold
+        the real form R = S^-1 E S of each propagator (see the module
+        docstring), which has the norms and spectra of E.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
@@ -344,13 +314,13 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) * direction >= 0.0):
         raise ValueError("checkpoints must run monotonically from s to t")
     coefficients = _make_coefficients(spec, xi * xi)
-    identity = np.broadcast_to(np.eye(2), (xi.size, 2, 2))  # real form, see _from_real_form
-    chk = np.empty((chk_times.size, xi.size, 2, 2), dtype=complex)
+    identity = np.broadcast_to(np.eye(2), (xi.size, 2, 2))
+    chk = np.empty((chk_times.size, xi.size, 2, 2))
     chk[:] = np.eye(2)
     stats = _Stats()
     span = abs(t - s)
     if span == 0.0:
-        return _from_real_form(identity), chk, PropagationResult(0.0, 0, 0)
+        return identity.copy(), chk, PropagationResult(0.0, 0, 0)
 
     breaks = spec.breakpoints_in(s, t)
     forced = _sorted_unique(np.concatenate([breaks, chk_times, [t]]))
@@ -369,12 +339,12 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         Y, dt_hint = _integrate_segment(coefficients, cur, nxt, Y, step_tol, dt_hint, span, stats)
         cur = nxt
         while i < chk_times.size and chk_times[i] == nxt:
-            chk[i] = _from_real_form(Y)
+            chk[i] = Y
             done = Y @ done
             Y = identity
             i += 1
     result = PropagationResult(stats.max_err * tol, stats.steps, stats.evals)
-    return _from_real_form(Y @ done), chk, result
+    return Y @ done, chk, result
 
 
 # -- quadrature ----------------------------------------------------------------

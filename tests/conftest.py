@@ -74,9 +74,17 @@ def strongly_damped(beta):
     return ModelSpec(PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=beta, amp=beta / 2), ConstantMass(1.0))
 
 
+def complex_form(R):
+    """The propagators E = S R S^-1 = [[R00, i R01], [-i R10, R11]], S = diag(1, -i), of real forms R."""
+    E = R.astype(complex)
+    E[..., 0, 1] *= 1j
+    E[..., 1, 0] *= -1j
+    return E
+
+
 def propagate(spec, s, t, xi, tol=DEFAULT_TOL):
-    """E(t, s, xi) at one frequency."""
-    return propagate_grid(spec, s, t, [xi], tol)[0][0]
+    """E(t, s, xi) at one frequency, complex."""
+    return complex_form(propagate_grid(spec, s, t, [xi], tol)[0][0])
 
 
 def contraction_k(spec, N, k_max=64, nt=64, nxi=256, margin=1e-3):

@@ -24,6 +24,8 @@ from kgdecay.errors import FrameError
 from kgdecay.highfreq import WINDOW_FACTOR, _points_per_period
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
+from conftest import complex_form
+
 
 class PreconditionError(Exception):
     """An oracle was called outside the window on which it is accurate."""
@@ -138,7 +140,7 @@ def gronwall_difference_bound(spec_eps, spec_0, cert, s, t, xi):
 
 
 def monodromy_at(spec, t, xi, tol=DEFAULT_TOL, base=None):
-    """Monodromy matrix M(t, xi) = E(t + T, t, xi) at one base time.
+    """Monodromy matrix M(t, xi) = E(t + T, t, xi) at one base time, complex.
 
     With ``base`` = M(0, xi) given, uses the similarity
     M(t, xi) = E(t, 0, xi) M(0, xi) E(t, 0, xi)^{-1} (one integration over
@@ -147,10 +149,10 @@ def monodromy_at(spec, t, xi, tol=DEFAULT_TOL, base=None):
     if not (0.0 <= t <= spec.T + 1e-12):
         raise ValueError(f"base time t must lie in [0, T], got {t}")
     if base is None:
-        return propagate_grid(spec, t, t + spec.T, [abs(xi)], tol)[0][0]
+        return complex_form(propagate_grid(spec, t, t + spec.T, [abs(xi)], tol)[0][0])
     if t == 0.0:
         return np.array(base, dtype=complex)
-    Et0 = propagate_grid(spec, 0.0, t, [abs(xi)], tol)[0][0]
+    Et0 = complex_form(propagate_grid(spec, 0.0, t, [abs(xi)], tol)[0][0])
     return Et0 @ np.asarray(base, dtype=complex) @ inv2(Et0)
 
 

@@ -233,6 +233,24 @@ class TestExitCodes:
             assert code == EXIT_CONFIG
             assert err.startswith("config error:")
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_directory(self, tmp_path, capsys, out):
+        # --out names an existing file, or a path under one
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"# \xff\n" + BASE_CONFIG.encode("utf-8"))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_threshold_t_points_within_the_profile_cap(self, tmp_path, capsys):
         # 2^21 base times per period would need profiles above the 2^20 cap
         text = BASE_CONFIG.replace("threshold_t_points = 32", "threshold_t_points = 2097152")

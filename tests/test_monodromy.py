@@ -25,11 +25,12 @@ from kgdecay.monodromy import (
     CLASS_COMPLEX_PAIR,
     CLASS_REAL_PAIR,
     DEGENERATE_DISC_TOL,
+    SAMPLE_DTYPE,
     SAMPLE_FLOATS,
     power_norms,
 )
 
-from conftest import CSV_EDGE_VALUES, contraction_k, strongly_damped
+from conftest import CSV_EDGE_VALUES, complex_form, contraction_k, strongly_damped
 from oracles import monodromy_at, reference_csv
 
 
@@ -46,6 +47,16 @@ CSV_POOL = np.concatenate([
 def sample_at(spec, t, xi):
     """The samples-table row of M(t, xi)."""
     return samples_from_grid([t], [xi], monodromy_at(spec, t, xi)[None, None])[0]
+
+
+def pair_class(row):
+    """The class text of a samples-table row, as written to the CSV."""
+    return CLASS_REAL_PAIR if row["real_pair"] else CLASS_COMPLEX_PAIR
+
+
+def scan_rows(table):
+    """The rows of a samples table as the CSV holds them: the floats, then the class text."""
+    return [row[:-1] + (CLASS_REAL_PAIR if row[-1] else CLASS_COMPLEX_PAIR,) for row in table.tolist()]
 
 
 def eigenvalue_pair(row):
@@ -109,11 +120,11 @@ class TestMonodromyAt:
         for _ in range(30):
             s = sample_at(spec_sin, rng.uniform(0, 1), rng.uniform(0, 8))
             e1, e2 = eigenvalue_pair(s)
-            if s["class"] == CLASS_COMPLEX_PAIR:
+            if pair_class(s) == CLASS_COMPLEX_PAIR:
                 assert abs(abs(e1) - eBT) < 1e-6 * eBT
                 assert abs(abs(e2) - eBT) < 1e-6 * eBT
             else:
-                assert s["class"] == CLASS_REAL_PAIR
+                assert pair_class(s) == CLASS_REAL_PAIR
                 assert abs(e2 - eBT * eBT / e1) < 1e-6 * abs(e2)
 
     def test_base_time_window_checked(self, spec_sin):
@@ -147,7 +158,7 @@ class TestSpectralRadiusScan:
         e2bt = math.exp(-2.0 * spec.beta * spec.T)
         xi = np.linspace(0.0, 4.0, 40)
         samples = samples_from_grid([0.0], xi, monodromy_grid(spec, [0.0], xi))
-        real_ones = samples[samples["class"] == CLASS_REAL_PAIR]
+        real_ones = samples[samples["real_pair"]]
         assert len(real_ones)
         for s in real_ones:
             e1 = max(eigenvalue_pair(s), key=abs)
@@ -175,17 +186,48 @@ class TestSamplesTable:
             assert eigenvalue_pair(row) == (e1, e2)
             assert row["rho"] == max(abs(e1), abs(e2))
             assert row["norm"] == spectral_norm_2x2(M[i, j])
-            assert row["class"] == classify_pair(M[i, j])
-            classes.append(row["class"])
+            assert pair_class(row) == classify_pair(M[i, j])
+            classes.append(pair_class(row))
         assert classes[:6].count(CLASS_REAL_PAIR) >= 1 and CLASS_COMPLEX_PAIR in classes
         assert classes[18:] == [CLASS_REAL_PAIR] * 3 + [CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR, CLASS_REAL_PAIR]
+
+
+class TestRealFormInvariance:
+    """Every quantity taken from a grid is the same for the real form R and for E = S R S^-1."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, b_tri):
+        # real pairs at low xi and complex pairs above, then a row of real
+        # matrices with zero, tiny and just-too-large discriminants
+        spec = ModelSpec(b_tri, ConstantMass(0.25))
+        t_grid, xi_grid = np.array([0.0, 0.3, 0.7, 1.0]), np.linspace(0.0, 4.0, 6)
+        synthetic = [(0.5, 0.0), (0.5, 2e-11), (0.5, -2e-11), (0.5, -1e-9), (-0.5, 0.0), (0.5, 1e-3)]
+        row = np.array([[[a, 1.0], [c, a]] for a, c in synthetic])  # discriminant 4c
+        return t_grid, xi_grid, np.concatenate([monodromy_grid(spec, t_grid[:3], xi_grid), row[None]])
+
+    def test_samples_table_is_bit_equal(self, grid):
+        t_grid, xi_grid, M = grid
+        real = samples_from_grid(t_grid, xi_grid, M)
+        cplx = samples_from_grid(t_grid, xi_grid, complex_form(M))
+        assert real["real_pair"][:6].any() and not real["real_pair"][:18].all()
+        assert real["real_pair"][18:].tolist() == [True, True, True, False, True, True]
+        assert real.dtype == cplx.dtype
+        for name in real.dtype.names:
+            assert real[name].tobytes() == cplx[name].tobytes(), name
+
+    def test_contraction_and_power_norms_agree(self, grid):
+        t_grid, xi_grid, M = grid
+        E = complex_form(M)
+        assert contraction_search(M, 64, 1e-3, t_grid, xi_grid) == contraction_search(E, 64, 1e-3, t_grid, xi_grid)
+        for k in range(1, 6):
+            assert np.array_equal(power_norms(M, k), power_norms(E, k)), k
 
 
 class TestMonodromyGrid:
     def test_matches_pointwise(self, spec_sin):
         t_grid = np.array([0.0, 0.25, 0.5])
         xi_grid = np.array([0.5, 2.0])
-        M = monodromy_grid(spec_sin, t_grid, xi_grid)
+        M = complex_form(monodromy_grid(spec_sin, t_grid, xi_grid))
         for i, t in enumerate(t_grid):
             for j, xi in enumerate(xi_grid):
                 direct = monodromy_at(spec_sin, float(t), float(xi))
@@ -198,7 +240,7 @@ class TestMonodromyGrid:
         spec = strongly_damped(beta)
         t_grid = np.linspace(0.0, 1.0, 8)
         xi_grid = np.linspace(0.0, 14.0, 8)
-        M = monodromy_grid(spec, t_grid, xi_grid)
+        M = complex_form(monodromy_grid(spec, t_grid, xi_grid))
         for i, t in enumerate(t_grid):
             for j, xi in enumerate(xi_grid):
                 assert np.max(np.abs(M[i, j] - monodromy_at(spec, float(t), float(xi)))) < 1e-10
@@ -224,7 +266,7 @@ class TestMonodromyGrid:
         spec = ModelSpec(b, ConstantMass(1.0))
         t_grid = np.linspace(0.0, 1.0, nt)
         xi_grid = np.array([0.0, 0.5, 3.0, 9.0])
-        M = monodromy_grid(spec, t_grid, xi_grid)
+        M = complex_form(monodromy_grid(spec, t_grid, xi_grid))
         for i, t in enumerate(t_grid):
             for j, xi in enumerate(xi_grid):
                 assert np.max(np.abs(M[i, j] - monodromy_at(spec, float(t), float(xi)))) < 1e-12
@@ -359,13 +401,13 @@ class TestScanExport:
 
     def test_csv_matches_the_reference_writer(self, tmp_path):
         n = len(CSV_EDGE_VALUES)
-        table = np.empty(n, dtype=[(name, float) for name in SAMPLE_FLOATS] + [("class", "U20")])
+        table = np.empty(n, dtype=SAMPLE_DTYPE)
         for k, name in enumerate(SAMPLE_FLOATS):
             table[name] = np.roll(CSV_EDGE_VALUES, k)
-        table["class"] = np.where(np.arange(n) % 2 == 0, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR)
+        table["real_pair"] = np.arange(n) % 2 == 0
         path = tmp_path / "scan.csv"
         scan_to_csv(path, table)
-        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), table.tolist()).encode()
+        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table)).encode()
 
     @settings(max_examples=24, deadline=None)
     @given(rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8195]), seed=st.integers(0, 2**32 - 1))
@@ -376,12 +418,12 @@ class TestScanExport:
         cols[-1] = np.where(rng.random(rows) < 0.3, cols[-1], rng.random(rows))
         path = tmp_path_factory.mktemp("csv") / "out.csv"
 
-        table = np.empty(rows, dtype=[(name, float) for name in SAMPLE_FLOATS] + [("class", "U20")])
+        table = np.empty(rows, dtype=SAMPLE_DTYPE)
         for name, col in zip(SAMPLE_FLOATS, cols):
             table[name] = col
-        table["class"] = np.where(rng.random(rows) < 0.5, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR)
+        table["real_pair"] = rng.random(rows) < 0.5
         scan_to_csv(path, table)
-        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), table.tolist()).encode()
+        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table)).encode()
 
         trace = tuple(zip(cols[0].tolist(), cols[1].tolist(), (rng.random(rows) < 0.5).tolist()))
         thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_xi=2.0,
