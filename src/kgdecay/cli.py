@@ -265,14 +265,20 @@ def write_summary(path, cert: dict) -> None:
 def run(config: RunConfig) -> int:
     """Execute the requested stages and write all artifacts.
 
-    Package errors propagate; :func:`main` maps them to exit codes.
+    Package errors propagate; :func:`main` maps them to exit codes.  An output
+    directory that cannot be created or written to is a config error.
     """
-    spec = config.spec
     out = config.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
+        return _run_stages(config, out)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+        raise ConfigError(f"cannot write to output directory {out}: {exc}") from None
+
+
+def _run_stages(config: RunConfig, out: Path) -> int:
+    """The stages of :func:`run`, each writing its artifacts into ``out``."""
+    spec = config.spec
     tol = float(config.tolerances["propagate_tol"])
     margin = float(config.tolerances["contraction_margin"])
     g = config.grids

@@ -326,15 +326,8 @@ class ModelSpec:
     def m_squared(self, t):
         """m(t)^2, vectorized over ``t``."""
         if isinstance(self.mass, ConstantMass):
-            return np.broadcast_to(self.mass.m0**2, np.shape(t)).copy() if np.ndim(t) else self.mass.m0**2
+            return np.full(np.shape(t), self.mass.m0**2)
         return self.mass.m0**2 + self.mass.epsilon * self.mass.m1.eval(t)
-
-    def symbol(self, t, xi):
-        """The coupling symbol sqrt(xi^2 + m(t)^2); ``t`` and ``xi`` broadcast."""
-        rad = np.asarray(xi, dtype=float) ** 2 + self.m_squared(t)
-        if np.any(np.asarray(rad) < 0.0):
-            raise ModelAssumptionError("negative radicand in symbol: perturbed mass not positive")
-        return np.sqrt(rad)
 
     def breakpoints_in(self, t0, t1):
         """Union of coefficient breakpoints within (t0, t1)."""

@@ -87,10 +87,13 @@ def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS)
     """Quadrature points per period of a frame profile at ``xi``.
 
     A multiple of ``t_points``, so base times sit on the grid index-exactly;
-    the profile cap is checked against this count.
+    the profile cap is checked against this count.  Where the phase over one
+    period overflows, the count is inf, above any cap.
     """
-    h_max = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon)  # sup|m1| = 1
-    p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(h_max * spec.T))
+    phase = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon) * spec.T  # sup|m1| = 1
+    if not math.isfinite(phase):
+        return math.inf
+    p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(phase))
     return t_points * math.ceil(p / t_points)
 
 
@@ -237,7 +240,9 @@ def find_threshold_N(
     xi in [N, WINDOW_FACTOR * N] falls below exp(beta T / 2) (with a small
     interior margin so the accepted window survives grid refinement), then
     bisects to three significant digits.  Raises ThresholdSearchError before
-    a window whose profiles would exceed MAX_PROFILE_POINTS per period.
+    a window whose profiles would exceed MAX_PROFILE_POINTS per period, and
+    before the first window when the accept level is below one: the frame
+    product is at least one at every frequency, so no window could pass.
 
     The search itself runs with the massless symbol h = |xi|, so the returned
     threshold depends on the dissipation alone.  A constant mass m0 acts on
@@ -257,6 +262,11 @@ def find_threshold_N(
     base = ModelSpec(spec.b, _MASSLESS, spec.T)
     target = math.exp(base.beta * base.T / 2.0)
     accept = target * (1.0 - THRESHOLD_ACCEPT_MARGIN)
+    if accept < 1.0:
+        raise ThresholdSearchError(
+            f"no threshold can exist: the accept level {accept:.6g} = exp(beta T / 2) (1 - "
+            f"{THRESHOLD_ACCEPT_MARGIN:g}) is below 1, the least value of the frame product"
+        )
     trace = []
 
     # the profiles of a search share one b grid per length; keep none past it

@@ -21,6 +21,7 @@ step is exact wherever b and m are constant on it, and it needs no
 dt * xi << 1, so the step count grows only slowly with xi.  Error control is
 step doubling (one full step against two half steps) with a Richardson
 correction.  Coefficient jumps and kinks are forced as step boundaries.
+Integration runs forward only, and one PropagationResult counts a whole sweep.
 
 All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form,
 take real or complex matrices, and broadcast over leading batch dimensions.
@@ -120,27 +121,20 @@ def spectral_norm_2x2(M):
 
 @dataclass
 class PropagationResult:
-    """Integration statistics of one :func:`propagate_grid` call.
+    """Integration statistics of one :func:`propagate_grid` sweep, added to as it runs.
 
-    ``steps_taken`` counts accepted steps.  ``rhs_evaluations`` is the
-    integration cost in right-hand-side evaluations of a seven-stage explicit
-    Runge-Kutta step: seven per attempted step, so ``rhs_evaluations / 7`` is
-    the number of attempted steps.  (Each attempt samples the coefficients at
-    nine times, three Gauss nodes each for the full step and its two halves.)
+    ``local_error_estimate`` is ``tol`` times the largest error ratio of an
+    accepted step, and ``steps_taken`` counts accepted steps.
+    ``rhs_evaluations`` is the integration cost in right-hand-side evaluations
+    of a seven-stage explicit Runge-Kutta step: seven per attempted step, so
+    ``rhs_evaluations / 7`` is the number of attempted steps.  (Each attempt
+    samples the coefficients at nine times, three Gauss nodes each for the full
+    step and its two halves.)
     """
 
     local_error_estimate: float
     steps_taken: int
     rhs_evaluations: int
-
-
-class _Stats:
-    __slots__ = ("steps", "evals", "max_err")
-
-    def __init__(self):
-        self.steps = 0
-        self.evals = 0
-        self.max_err = 0.0
 
 
 def _make_coefficients(spec: ModelSpec, xi2: np.ndarray):
@@ -229,32 +223,30 @@ def _magnus_factors(coefficients, t, dt):
     return G
 
 
-def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
-    """Adaptive Magnus stepping from t0 to t1 (either direction); mutates nothing.
+def _integrate_segment(coefficients, t0, t1, Y, tol, dt_hint, dt_floor, result):
+    """Adaptive Magnus stepping forward from t0 to t1 > t0; mutates only ``result``.
 
-    Returns (Y_end, dt_hint).  ``dt_hint`` carries the controller state across
+    Returns (Y_end, dt_hint) and adds the steps, evaluations and largest error
+    estimate to ``result``.  ``dt_hint`` carries the controller state across
     segment boundaries.  A segment shorter than the step floor is one step and
     leaves ``dt_hint`` unchanged; a remainder below the floor joins the step
     before it.  The floor raises only when the controller shrinks a step below it.
     """
-    if t1 == t0:
-        return Y, dt_hint
-    direction = 1.0 if t1 > t0 else -1.0
-    dt_floor = 1e-13 * max(1.0, span)
-    short = abs(t1 - t0) < dt_floor
+    step_tol = tol * _STEP_SAFETY
+    short = t1 - t0 < dt_floor
     t = t0
-    dt = direction * min(abs(dt_hint), abs(t1 - t0))
-    while (t1 - t) * direction > 0.0:
-        last = abs(dt) >= abs(t1 - t) - dt_floor
+    dt = min(dt_hint, t1 - t0)
+    while t < t1:
+        last = dt >= t1 - t - dt_floor
         if last:
             dt = t1 - t
-        if abs(dt) < dt_floor and not short:
+        if dt < dt_floor and not short:
             raise IntegrationFailureError(
                 f"step size underflow at t = {t} (coefficient structure denser than resolvable)",
                 t_fail=t,
             )
         G = _magnus_factors(coefficients, t, dt)
-        stats.evals += EVALS_PER_STEP
+        result.rhs_evaluations += EVALS_PER_STEP
         two = G[2] @ G[1]
         err = ((two - G[0]) / _RICHARDSON) @ Y  # Richardson estimate of the half steps' error
         y_new = two @ Y + err
@@ -263,9 +255,8 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
         if ratio <= 1.0:
             t = t1 if last else t + dt
             Y = y_new
-            stats.steps += 1
-            if ratio > stats.max_err:
-                stats.max_err = ratio
+            result.steps_taken += 1
+            result.local_error_estimate = max(result.local_error_estimate, ratio * tol)
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio**_CONTROL_EXPONENT))
             dt = dt * grow
         else:
@@ -275,32 +266,33 @@ def _integrate_segment(coefficients, t0, t1, Y, step_tol, dt_hint, span, stats):
 
 
 def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT_TOL, checkpoints=None):
-    """Propagate E(., s, xi) for a batch of frequencies at once, in the real form.
+    """Propagate E(., s, xi) forward for a batch of frequencies at once, in the real form.
 
     Parameters
     ----------
     spec : ModelSpec
     s, t : float
-        Start and end times (t < s integrates backwards).
+        Start and end times; the sweep runs forward only, so t < s raises ValueError.
     xi : array_like
         Non-negative frequencies; the state is batched over them.
     tol : float
         Requested accuracy; the integrator's per-step tolerance is tightened
         internally so the realized global error stays below roughly
-        ``tol * max(1, |t - s|)``.
+        ``tol * max(1, t - s)``.
     checkpoints : array_like, optional
-        Times c_0, c_1, ... running monotonically from s toward t (ends
-        included, repeats allowed).  The integrator lands on each exactly,
-        records the segment propagator E(c_i, c_{i-1}, xi) with c_{-1} = s,
-        and restarts its state at the identity; the step size carries over.
+        Non-decreasing times c_0, c_1, ... in [s, t] (ends included, repeats
+        allowed).  The integrator lands on each exactly, records the segment
+        propagator E(c_i, c_{i-1}, xi) with c_{-1} = s, and restarts its state
+        at the identity; the step size carries over.
 
     Returns
     -------
     (Y_end, segments, result) : E(t, s, xi) (n, 2, 2), the running product of
         the segments; the segment propagators (len(checkpoints), n, 2, 2);
-        and a :class:`PropagationResult`.  Both arrays are float64 and hold
-        the real form R = S^-1 E S of each propagator (see the module
-        docstring), which has the norms and spectra of E.
+        and the :class:`PropagationResult` of the whole sweep.  Both arrays
+        are float64 and hold the real form R = S^-1 E S of each propagator
+        (see the module docstring), which has the norms and spectra of E.
+        With s == t both are identities and every count is zero.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
@@ -309,41 +301,30 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xi < 0.0):
         raise ValueError("xi must be non-negative")
-    direction = 1.0 if t >= s else -1.0
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
-    if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) * direction >= 0.0):
-        raise ValueError("checkpoints must run monotonically from s to t")
+    if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) >= 0.0):
+        raise ValueError("the sweep runs forward only: need s <= checkpoints <= t, non-decreasing")
     coefficients = _make_coefficients(spec, xi * xi)
     identity = np.broadcast_to(np.eye(2), (xi.size, 2, 2))
     chk = np.empty((chk_times.size, xi.size, 2, 2))
     chk[:] = np.eye(2)
-    stats = _Stats()
-    span = abs(t - s)
-    if span == 0.0:
-        return identity.copy(), chk, PropagationResult(0.0, 0, 0)
+    result = PropagationResult(0.0, 0, 0)
 
-    breaks = spec.breakpoints_in(s, t)
-    forced = _sorted_unique(np.concatenate([breaks, chk_times, [t]]))
-    if direction < 0:
-        forced = forced[::-1]
-    # only times strictly inside the travel direction
-    forced = [x for x in forced if (x - s) * direction > 0.0 and (t - x) * direction >= 0.0]
-
-    step_tol = tol * _STEP_SAFETY
-    dt_hint = span / 100.0
+    forced = _sorted_unique(np.concatenate([spec.breakpoints_in(s, t), chk_times, [t]]))
+    dt_floor = 1e-13 * max(1.0, t - s)
+    dt_hint = (t - s) / 100.0
     Y = identity
     done = identity  # E(last checkpoint, s)
     i = int(np.sum(chk_times == s))  # checkpoints at s record E(s, s) = I
     cur = s
-    for nxt in forced:
-        Y, dt_hint = _integrate_segment(coefficients, cur, nxt, Y, step_tol, dt_hint, span, stats)
+    for nxt in forced[forced > s]:
+        Y, dt_hint = _integrate_segment(coefficients, cur, nxt, Y, tol, dt_hint, dt_floor, result)
         cur = nxt
         while i < chk_times.size and chk_times[i] == nxt:
             chk[i] = Y
             done = Y @ done
             Y = identity
             i += 1
-    result = PropagationResult(stats.max_err * tol, stats.steps, stats.evals)
     return Y @ done, chk, result
 
 

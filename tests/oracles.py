@@ -1,6 +1,8 @@
 """Independent references the tests compare the package against.  TEST ORACLES ONLY.
 
+- the coupling symbol h(t, xi) = sqrt(xi^2 + m(t)^2);
 - the system matrix A(t, xi) and a truncated Peano-Baker series for E(t, s, xi);
+- the monodromy of the scalar equation u'' + 2 b u' + h^2 u = 0, by solve_ivp;
 - the running integral of a coefficient, by quadrature between breakpoints;
 - the Gronwall bound on the propagator deviation caused by a mass perturbation;
 - the monodromy matrix at one base time, by direct propagation or similarity;
@@ -17,10 +19,10 @@ import io
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from kgdecay import det2, highfreq, propagate_grid, spectral_norm_2x2
-from kgdecay.errors import FrameError
+from kgdecay.errors import FrameError, ModelAssumptionError
 from kgdecay.highfreq import WINDOW_FACTOR, _points_per_period
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
@@ -49,9 +51,17 @@ def cumulative(segments):
     return out
 
 
+def symbol(spec, t, xi):
+    """The coupling symbol sqrt(xi^2 + m(t)^2); ``t`` and ``xi`` broadcast."""
+    rad = np.asarray(xi, dtype=float) ** 2 + spec.m_squared(t)
+    if np.any(np.asarray(rad) < 0.0):
+        raise ModelAssumptionError("negative radicand in symbol: perturbed mass not positive")
+    return np.sqrt(rad)
+
+
 def system_matrix(spec, t, xi):
     """The coefficient matrix [[0, h], [h, 2ib(t)]] with h = sqrt(xi^2 + m(t)^2)."""
-    h = float(spec.symbol(t, abs(xi)))
+    h = float(symbol(spec, t, abs(xi)))
     b = float(spec.b.eval(t))
     return np.array([[0.0, h], [h, 2.0j * b]], dtype=complex)
 
@@ -60,21 +70,23 @@ def _system_matrices(spec, ts, xi):
     """A(t, xi) stacked over a time grid (len(ts), 2, 2)."""
     ts = np.asarray(ts, dtype=float)
     out = np.zeros((ts.size, 2, 2), dtype=complex)
-    out[:, 0, 1] = out[:, 1, 0] = spec.symbol(ts, abs(xi))
+    out[:, 0, 1] = out[:, 1, 0] = symbol(spec, ts, abs(xi))
     out[:, 1, 1] = 2.0j * spec.b.eval(ts)
     return out
 
 
 def peano_baker_truncated(spec, s, t, xi, terms, npoints=4097):
-    """Truncated iterated-integral series for E(t, s, xi).
+    """Truncated iterated-integral series for E(t, s, xi), s <= t.
 
     Evaluates I + sum_{l=1}^{terms} i^l (nested integrals of A) on a fixed
     fine grid with cumulative Simpson quadrature.  Truncation error scales
-    like (||A|| |t-s|)^(terms+1) / (terms+1)!, so the practical window is
-    ``|t-s| * sup||A|| <= 5``; outside it a PreconditionError is raised.
+    like (||A|| (t-s))^(terms+1) / (terms+1)!, so the practical window is
+    ``(t-s) * sup||A|| <= 5``; outside it a PreconditionError is raised.
     """
     if terms < 0 or terms > 30:
         raise PreconditionError(f"terms must lie in [0, 30], got {terms}")
+    if t < s:
+        raise PreconditionError(f"the series runs forward, got t = {t} < s = {s}")
     if npoints % 2 == 0:
         npoints += 1
     if t == s or terms == 0:
@@ -82,9 +94,9 @@ def peano_baker_truncated(spec, s, t, xi, terms, npoints=4097):
     grid = np.linspace(s, t, npoints)
     Avals = _system_matrices(spec, grid, xi)
     supA = float(np.max(spectral_norm_2x2(Avals)))
-    if abs(t - s) * supA > 5.0 + 1e-12:
+    if (t - s) * supA > 5.0 + 1e-12:
         raise PreconditionError(
-            f"|t-s|*sup||A|| = {abs(t - s) * supA:.3g} exceeds the convergence window 5"
+            f"(t-s)*sup||A|| = {(t - s) * supA:.3g} exceeds the convergence window 5"
         )
     h = (t - s) / (npoints - 1)
     P = np.broadcast_to(np.eye(2, dtype=complex), Avals.shape).copy()
@@ -156,6 +168,27 @@ def monodromy_at(spec, t, xi, tol=DEFAULT_TOL, base=None):
     return Et0 @ np.asarray(base, dtype=complex) @ inv2(Et0)
 
 
+def scalar_monodromy(spec, xi):
+    """Monodromy over [0, T] of u'' + 2 b(t) u' + h(t, xi)^2 u = 0 in the state (u, u').
+
+    The Klein-Gordon equation itself, integrated by solve_ivp (DOP853,
+    rtol 1e-12, atol 1e-14) between the coefficient breakpoints, with no use
+    of the package's first-order system.
+    """
+
+    def rhs(t, y):
+        u, v = y
+        return [v, -2.0 * float(spec.b.eval(t)) * v - float(symbol(spec, t, xi)) ** 2 * u]
+
+    ends = np.concatenate([[0.0], spec.breakpoints_in(0.0, spec.T), [spec.T]])
+    M = np.eye(2)
+    for t0, t1 in zip(ends[:-1], ends[1:]):
+        for j in range(2):
+            sol = solve_ivp(rhs, (t0, t1), M[:, j], method="DOP853", rtol=1e-12, atol=1e-14)
+            M[:, j] = sol.y[:, -1]
+    return M
+
+
 def corrector_profile(spec, xi, t_max, points):
     """n+/-(t) on a uniform grid over [0, t_max] via phase-resolved quadrature.
 
@@ -168,7 +201,7 @@ def corrector_profile(spec, xi, t_max, points):
     tau = np.linspace(0.0, t_max, n)
     dt = t_max / (n - 1)
     b = spec.b.eval(tau)
-    phase = _cumulative_simpson_uniform(spec.symbol(tau, abs(xi)).astype(np.longdouble), dt)
+    phase = _cumulative_simpson_uniform(symbol(spec, tau, abs(xi)).astype(np.longdouble), dt)
     osc = np.exp(1j * phase.astype(float))
     c_plus = _cumulative_simpson_uniform(osc * b, dt)
     c_minus = _cumulative_simpson_uniform(np.conj(osc) * b, dt)
@@ -232,7 +265,7 @@ def frame_ode_residual(spec, xi, per_period=0):
     """
     per = max(_points_per_period(spec, xi), per_period)
     tau, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
-    h = spec.symbol(tau, abs(xi))
+    h = symbol(spec, tau, abs(xi))
     res = 0.0
     for arr, sign in ((npl, -1.0), (nmi, +1.0)):
         dnum = (arr[2:] - arr[:-2]) / (2.0 * dt)

@@ -243,6 +243,26 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("artifact", ["certificate.json", "threshold_trace.csv"])
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys, artifact):
+        (tmp_path / "o" / artifact).mkdir(parents=True)
+        code, err = self.run_with(tmp_path, capsys, BASE_CONFIG)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and artifact in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1", "accept level 0.999"), ("1e298", "inf profile points")],
+        ids=["below-one", "point-count-overflows"],
+    )
+    def test_tiny_beta_T_threshold_search(self, tmp_path, capsys, value, message):
+        # T = 1e-300: at value 1 the accept level e^{beta T / 2} (1 - 1e-3) is
+        # below one; at 1e298 it is 1.004, and xi^2 overflows before any window passes
+        text = f"[model]\nT = 1e-300\nb = constant value={value}\nm0 = 1.0\n"
+        code, err = self.run_with(tmp_path, capsys, text + "[run]\nstages = threshold contraction\n" + TINY_GRIDS)
+        assert code == EXIT_CERTIFICATE
+        assert err.startswith("certificate failure:") and message in err
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_bytes(b"# \xff\n" + BASE_CONFIG.encode("utf-8"))

@@ -38,6 +38,7 @@ from oracles import (
     frame_ode_residual,
     n_pm,
     reference_csv,
+    symbol,
     window_sup_full_scan,
 )
 
@@ -135,7 +136,7 @@ class TestCorrectorIntegrals:
                 sol = solve_ivp(
                     lambda tt, y: [
                         complex(spec_sin.b.eval(tt))
-                        + sign * 1j * complex(spec_sin.symbol(tt, xi)) * y[0]
+                        + sign * 1j * complex(symbol(spec_sin, tt, xi)) * y[0]
                     ],
                     (0.0, t),
                     [0.0 + 0.0j],
