@@ -185,10 +185,11 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
     if "b" not in model:
         raise ConfigError("[model] must declare the dissipation b")
     b = parse_coefficient(model["b"], T)
+    # a declared m1 is parsed even at epsilon = 0, so a malformed one is reported
+    m1 = parse_coefficient(model["m1"], T) if "m1" in model else None
     if epsilon > 0.0:
-        if "m1" not in model:
+        if m1 is None:
             raise ConfigError("epsilon > 0 requires an m1 declaration")
-        m1 = parse_coefficient(model["m1"], T)
         mass = PerturbedMass(m0, epsilon, m1)
     else:
         mass = ConstantMass(m0)
@@ -319,11 +320,18 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             "verified": ok,
         }
         if perturbed:
-            mx_p, _, ok_p = highfreq.verify_highfreq_contraction(
-                spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
-            )
+            # h >= sqrt(N^2 + m0^2) on the verify band, so the closed-form
+            # difference bound decides unless it is too weak
+            mx_p = mx + perturbation.difference_bound(spec, spec.T, math.hypot(thr.N, spec.m0))
+            ok_p, route = True, "bound"
+            if not mx_p <= bnd + highfreq.VERIFY_SLACK:
+                mx_p, _, ok_p = highfreq.verify_highfreq_contraction(
+                    spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
+                )
+                route = "sweep"
             doc["monodromy_norm_max_perturbed"] = mx_p
             doc["verified_perturbed"] = ok_p
+            doc["perturbed_route"] = route
             ok = ok and ok_p
         cert_doc["threshold"] = doc
         verdicts["threshold"] = "Pass" if ok else "Fail"
@@ -355,10 +363,11 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max}
         verdicts["contraction"] = "Pass"
         if perturbed and ("epsilon" in config.stages or "decay" in config.stages):
-            # one rescan of sup ||M_eps^k|| on this grid serves both later stages
+            # one bound on sup ||M_eps^k|| over this grid serves both later stages
             ok_pc, pert_worst = perturbation.verify_perturbed_contraction(
                 spec, cert, t_grid, xi_grid, tol
             )
+            pert_route = "sweep" if perturbation.contraction_bound(spec, cert) is None else "bound"
 
     if "epsilon" in config.stages:
         eb = perturbation.epsilon_bound(cert, spec.m0)
@@ -369,6 +378,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             doc["model_within_bound"] = spec.epsilon <= eb.epsilon_max
             doc["perturbed_contraction_ok"] = ok_pc
             doc["perturbed_contraction_worst"] = pert_worst
+            doc["perturbed_route"] = pert_route
             ok = ok and ok_pc
         cert_doc["epsilon"] = doc
         verdicts["epsilon"] = "Pass" if ok else "Fail"
@@ -393,6 +403,8 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             "certificate_used": cert_eff.as_dict(),
             "constants": certify.decay_constants(cert_eff, perturbed=perturbed),
         }
+        if perturbed:
+            cert_doc["decay"]["perturbed_route"] = pert_route
         verdicts["decay"] = report.verdict
 
     cert_doc["verdicts"] = verdicts

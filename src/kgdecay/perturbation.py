@@ -1,4 +1,4 @@
-"""Admissible mass perturbations: Lambert W bound and perturbed re-scan.
+"""Admissible mass perturbations: Lambert W bound and perturbed contraction.
 
 Once a constant-mass certificate (N, k, c1) exists, a periodic perturbation
 m0^2 + eps * m1(t) with sup|m1| = 1 keeps the k-th monodromy power
@@ -13,9 +13,16 @@ frequency is xi = N and the prefactor is minimized at xi = 0, giving
     eps_max = (m0 / kT) * W(c1 * log(1/c1) * exp(-(h_N + 2 beta) kT)).
 
 Everything here is audited numerically: the inequality is re-checked at
-xi in {0, N} and the perturbed monodromy powers are re-scanned directly.
-The tests add a third check: the Gronwall difference bound behind the
-inequality (tests/oracles.py) dominates the measured propagator deviation.
+xi in {0, N}.  The perturbed monodromy powers are bounded in closed form
+from the constant-mass ones: the generator K_0 = [[0, h0], [-h0, -2b]] has
+symmetric part diag(0, -2b) <= 0, so ||E_0(t, s)|| <= 1, and the perturbation
+changes K by at most delta = eps sup|m1| / h0.  Variation of constants then
+gives ||E_eps(t, s) - E_0(t, s)|| <= exp(delta (t - s)) - 1
+(:func:`difference_bound`), far sharper than the Gronwall step behind the
+inequality, which does not use dissipativity.  Only when that bound cannot
+decide are the perturbed powers re-scanned directly.  The tests add a third
+check: the Gronwall difference bound (tests/oracles.py) dominates the
+measured propagator deviation.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .errors import NoContractionError
+from .highfreq import LOG_FLOAT_MAX
 from .monodromy import ContractionCertificate, assemble_certificate, monodromy_grid, power_norms
 from .propagator import DEFAULT_TOL
 
@@ -142,6 +150,31 @@ def epsilon_bound(cert: ContractionCertificate, m0: float) -> EpsilonBound:
     )
 
 
+def difference_bound(spec_eps: ModelSpec, span: float, h0: float) -> float:
+    """Bound on ||E_eps(t, s) - E_0(t, s)|| for t - s <= span at every xi with h >= h0.
+
+    E_0 is the propagator of the same model with the perturbation switched
+    off and h = sqrt(xi^2 + m0^2).  The bound is exp(delta span) - 1 with
+    delta = eps sup|m1| / h0, and inf when the exponent overflows.
+    """
+    if spec_eps.epsilon == 0.0:
+        return 0.0
+    exponent = spec_eps.epsilon * spec_eps.mass.m1.sup_abs * span / h0
+    return math.expm1(exponent) if exponent <= LOG_FLOAT_MAX else math.inf
+
+
+def contraction_bound(spec_eps: ModelSpec, cert: ContractionCertificate):
+    """Closed-form bound on sup ||M_eps^k|| over the certificate's grid, or None.
+
+    c1 bounds ||M_0^k|| on that grid and M^k(t) = E(t + kT, t), so
+    c1 + difference_bound(spec_eps, kT, m0) bounds ||M_eps^k|| there.  None
+    when this is not below 1 - PERTURBED_CONTRACTION_SLACK: the bound cannot
+    decide, and only a direct scan can.
+    """
+    bound = cert.c1 + difference_bound(spec_eps, cert.k * cert.T, spec_eps.m0)
+    return bound if bound < 1.0 - PERTURBED_CONTRACTION_SLACK else None
+
+
 def verify_perturbed_contraction(
     spec_eps: ModelSpec,
     cert: ContractionCertificate,
@@ -149,12 +182,18 @@ def verify_perturbed_contraction(
     xi_grid,
     tol: float = DEFAULT_TOL,
 ):
-    """Re-scan ||M_eps^k(t, xi)|| on the certificate's (t, xi) grid.
+    """Bound ||M_eps^k(t, xi)|| on the certificate's (t, xi) grid.
 
-    Returns (ok, worst): ok when the grid supremum stays below
-    1 - PERTURBED_CONTRACTION_SLACK.  Amplitudes beyond the closed-form bound
-    are allowed here (exploration); the scan reports rather than raises.
+    Returns (ok, worst): ok when worst stays below
+    1 - PERTURBED_CONTRACTION_SLACK.  ``worst`` is the closed-form
+    :func:`contraction_bound` when it decides, and otherwise the supremum of
+    a direct re-scan on ``t_grid`` x ``xi_grid``.  Amplitudes beyond the
+    closed-form epsilon bound are allowed here (exploration); the scan
+    reports rather than raises.
     """
+    bound = contraction_bound(spec_eps, cert)
+    if bound is not None:
+        return True, bound
     M = monodromy_grid(spec_eps, t_grid, xi_grid, tol)
     worst = float(np.max(power_norms(M, cert.k)))
     return worst < 1.0 - PERTURBED_CONTRACTION_SLACK, worst
@@ -163,11 +202,12 @@ def verify_perturbed_contraction(
 def perturbed_certificate(
     spec_eps: ModelSpec, cert: ContractionCertificate, worst: float
 ) -> ContractionCertificate:
-    """Certificate whose c1 is the directly verified perturbed contraction.
+    """Certificate whose c1 is the verified bound on the perturbed contraction.
 
     The threshold N and power k carry over; c1 (and so delta1, C) is replaced
-    by ``worst``, the grid supremum of ||M_eps^k|| from
-    :func:`verify_perturbed_contraction` on the same model and certificate.
+    by ``worst``, the bound on the grid supremum of ||M_eps^k|| from
+    :func:`verify_perturbed_contraction` on the same model and certificate:
+    the closed-form bound, or the directly scanned supremum.
     Raises NoContractionError when that supremum is not contractive; its
     ``worst`` carries the norm only, as (nan, nan, norm).
     """
@@ -176,6 +216,4 @@ def perturbed_certificate(
             f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",
             worst=(math.nan, math.nan, worst),
         )
-    grids = dict(cert.grids)
-    grids["perturbed_rescan"] = True
-    return assemble_certificate(spec_eps, cert.N, cert.k, worst, grids, dict(cert.tolerances))
+    return assemble_certificate(spec_eps, cert.N, cert.k, worst, dict(cert.grids), dict(cert.tolerances))

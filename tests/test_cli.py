@@ -263,6 +263,13 @@ class TestExitCodes:
         assert code == EXIT_CERTIFICATE
         assert err.startswith("certificate failure:") and message in err
 
+    def test_malformed_m1_at_zero_epsilon(self, tmp_path, capsys):
+        # a declared m1 is parsed even when epsilon = 0 leaves it unused
+        text = BASE_CONFIG.replace("m0 = 1.0", "m0 = 1.0\nepsilon = 0\nm1 = bogus x=1")
+        code, err = self.run_with(tmp_path, capsys, text)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "bogus" in err
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_bytes(b"# \xff\n" + BASE_CONFIG.encode("utf-8"))
@@ -483,18 +490,31 @@ class TestPerturbedPipeline:
         assert cert["decay"]["constants"]["rate_name"] == "sigma"
 
     def test_one_perturbed_sweep_per_run(self, tmp_path, monkeypatch):
+        # the closed-form difference bound decides at the default amplitude, so
+        # no perturbed model is swept; where it cannot decide (m0 = 3, eps = 5)
         # the decay stage reuses the epsilon stage's rescan, or runs it once itself
-        sweeps = []
-        grid = perturbation.monodromy_grid
-        monkeypatch.setattr(
-            perturbation, "monodromy_grid", lambda *a, **kw: sweeps.append(1) or grid(*a, **kw)
-        )
+        sweeps = {}
+
+        def counting(name, grid):
+            def counted(spec, *a, **kw):
+                sweeps[name] += spec.epsilon > 0.0
+                return grid(spec, *a, **kw)
+
+            return counted
+
+        for name, module in (("highfreq", highfreq), ("perturbation", perturbation)):
+            monkeypatch.setattr(module, "monodromy_grid", counting(name, module.monodromy_grid))
         tiny = FAST_GRIDS.replace("contraction_xi_points = 48", "contraction_xi_points = 8")
-        for stages in ("threshold contraction epsilon decay", "threshold contraction decay"):
-            sweeps.clear()
-            out = tmp_path / stages.replace(" ", "_")
-            cfg = write_config(tmp_path, PERTURBED_MODEL + f"[run]\nstages = {stages}\n" + tiny)
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            assert len(sweeps) == 1, stages
-        cert = json.loads((tmp_path / "threshold_contraction_epsilon_decay" / "certificate.json").read_text())
-        assert cert["decay"]["certificate_used"]["c1"] == cert["epsilon"]["perturbed_contraction_worst"]
+        undecided = PERTURBED_MODEL.replace("m0 = 1.0", "m0 = 3.0").replace("epsilon = 1e-9", "epsilon = 5.0")
+        for model, expected in ((PERTURBED_MODEL, 0), (undecided, 1)):
+            for stages in ("threshold contraction epsilon decay", "threshold contraction decay"):
+                sweeps.update(highfreq=0, perturbation=0)
+                out = tmp_path / f"{expected}_{stages.replace(' ', '_')}"
+                cfg = write_config(tmp_path, model + f"[run]\nstages = {stages}\n" + tiny)
+                assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+                assert sweeps == {"highfreq": expected, "perturbation": expected}, (expected, stages)
+            cert = json.loads((tmp_path / f"{expected}_threshold_contraction_epsilon_decay" / "certificate.json").read_text())
+            route = "sweep" if expected else "bound"
+            assert cert["threshold"]["perturbed_route"] == cert["epsilon"]["perturbed_route"] == route
+            assert cert["decay"]["perturbed_route"] == route
+            assert cert["decay"]["certificate_used"]["c1"] == cert["epsilon"]["perturbed_contraction_worst"]

@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
+    ConstantMass,
     ModelSpec,
     PerturbedMass,
     PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
     lambert_w0,
+    monodromy_grid,
+    perturbation,
     perturbed_certificate,
     spectral_norm_2x2,
     verify_perturbed_contraction,
 )
 from kgdecay.errors import NoContractionError
+from kgdecay.monodromy import power_norms
+from kgdecay.perturbation import PERTURBED_CONTRACTION_SLACK, contraction_bound, difference_bound
 
 from conftest import certificate, contraction_grids, propagate
 from oracles import gronwall_difference_bound
@@ -222,3 +228,66 @@ class TestPerturbedContraction:
         with pytest.raises(NoContractionError) as err:
             perturbed_certificate(spec_eps, cert, worst)
         assert err.value.worst[2] >= 1.0 - 1e-6
+
+    def test_bound_route_when_it_decides(self, spec_sin, sin_cert, m1_cos, monkeypatch):
+        # the closed-form bound c1 + expm1(k eps T / m0) decides, and nothing is swept
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the closed-form bound should decide")
+
+        monkeypatch.setattr(perturbation, "monodromy_grid", no_sweep)
+        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-6, m1_cos))
+        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        assert ok
+        assert worst == sin_cert.c1 + math.expm1(sin_cert.k * sin_cert.T * 1e-6 * m1_cos.sup_abs)
+
+    def test_sweep_route_when_the_bound_cannot_decide(self, spec_sin, sin_cert, m1_cos):
+        # at eps = 0.2 the bound exceeds 1 - slack: the direct rescan decides
+        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.2, m1_cos))
+        assert contraction_bound(spec_eps, sin_cert) is None
+        grids = contraction_grids(sin_cert)
+        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *grids)
+        direct = float(np.max(power_norms(monodromy_grid(spec_eps, *grids), sin_cert.k)))
+        assert worst == direct
+        assert ok == (direct < 1.0 - PERTURBED_CONTRACTION_SLACK)
+
+
+class TestDifferenceBound:
+    def test_overflowing_exponent_is_inf(self, spec_sin, m1_cos):
+        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(2.0, 1.0, m1_cos))
+        assert difference_bound(spec_eps, 1e4, 1.0) == math.inf
+        assert difference_bound(spec_eps, 700.0, 1.0) == math.expm1(700.0 * m1_cos.sup_abs)
+        assert difference_bound(spec_sin, 1e4, 1.0) == 0.0  # constant mass
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shape=st.sampled_from(["sin_offset", "square"]),
+        lo=st.floats(0.0, 1.0),
+        hi=st.floats(0.1, 2.0),
+        T=st.floats(0.5, 2.0),
+        m0=st.floats(0.5, 2.0),
+        log_eps=st.floats(-9.0, -2.0),
+        N=st.floats(2.0, 8.0),
+        k=st.integers(1, 3),
+    )
+    def test_dominates_the_swept_difference(self, shape, lo, hi, T, m0, log_eps, N, k):
+        # the directly swept ||M_eps^k - M_0^k|| on [0, T] x [0, N] and
+        # ||M_eps - M_0|| on [N, 10N] stay below the closed-form bounds; the
+        # sweeps' own integration error (tol 1e-12 each) is the only slack
+        if shape == "sin_offset":
+            b = PeriodicCoefficient.from_closed_form(shape, T, mean=lo + hi, amp=hi)
+        else:
+            b = PeriodicCoefficient.from_closed_form(shape, T, lo=lo, hi=hi, duty=0.4)
+        m1 = PeriodicCoefficient.from_closed_form("sin_offset", T, mean=0.0, amp=1.0, phase=1.0)
+        eps = 10.0**log_eps
+        spec_0 = ModelSpec(b, ConstantMass(m0), T)
+        spec_eps = ModelSpec(b, PerturbedMass(m0, eps, m1), T)
+        t_grid = np.linspace(0.0, T, 6)
+        tol = 1e-12
+        for xi_grid, span, h0, power in (
+            (np.linspace(0.0, N, 10), k * T, m0, k),
+            (np.linspace(N, 10.0 * N, 10), T, math.hypot(N, m0), 1),
+        ):
+            M_0 = np.linalg.matrix_power(monodromy_grid(spec_0, t_grid, xi_grid, tol), power)
+            M_eps = np.linalg.matrix_power(monodromy_grid(spec_eps, t_grid, xi_grid, tol), power)
+            swept = float(np.max(spectral_norm_2x2(M_eps - M_0)))
+            assert swept <= difference_bound(spec_eps, span, h0) + 2.0 * tol
