@@ -103,8 +103,11 @@ def sup_norm_curve(
     [N, 4N]; pass ``xi_grid`` to override.  Each time t = l T + s is evaluated
     as ||M(s, xi)^l E(s, 0, xi)||, composed by
     :func:`~kgdecay.monodromy._period_products` from one checkpointed sweep
-    over [0, T] for the whole frequency grid.  The rate is fitted after a burn-in of
-    2kT; the mass-influence diagnostic is added when b > 0 everywhere.
+    over [0, T] for the whole frequency grid.  That sweep integrates the four
+    quarter periods (split further at coefficient jumps) as one batch on one
+    step sequence, set by the hardest frequency and quarter.  The rate is
+    fitted after a burn-in of 2kT; the mass-influence diagnostic is added when
+    b > 0 everywhere.
     """
     T, k = spec.T, cert.k
     if t_end < 10.0 * k * T:

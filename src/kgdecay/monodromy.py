@@ -137,11 +137,13 @@ def monodromy_grid(
     (see :mod:`kgdecay.propagator`), which has its norm and spectrum.  One
     checkpointed sweep over [0, T] for the whole frequency grid records the
     segment propagators between the sorted base times, and
-    :func:`_period_products` composes them into every M(t, xi) at once.  All
-    frequencies share one adaptive step sequence, which the highest frequency
-    sets; every matrix is accurate to the requested tolerance whatever the
-    grid holds.  As a safety check, IntegrationFailureError is raised when a
-    row's trace or determinant drifts from those of M(0, xi) = E(T, 0, xi).
+    :func:`_period_products` composes them into every M(t, xi) at once.  The
+    segments are integrated in batches of pieces, and all pieces and
+    frequencies of a batch share one adaptive step sequence in normalized
+    time, which the hardest of them sets; every matrix is accurate to the
+    requested tolerance whatever the grid holds.  As a safety check,
+    IntegrationFailureError is raised when a row's trace or determinant
+    drifts from those of M(0, xi) = E(T, 0, xi).
     Both are products of the same segments, so the check catches non-finite
     or badly rounded products, not integration error.
     """

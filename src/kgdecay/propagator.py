@@ -15,13 +15,23 @@ forms
     Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2] / 240
 
 with every commutator written out entry by entry, and applies exp(Omega),
-computed in closed form.  The nodes are interior to the step, so a
-coefficient jump at a segment end is never sampled from the wrong side.  The
-step is exact wherever b and m are constant on it, and it needs no
-dt * xi << 1, so the step count grows only slowly with xi.  Error control is
-step doubling (one full step against two half steps) with a Richardson
-correction.  Coefficient jumps and kinks are forced as step boundaries.
-Integration runs forward only, and one PropagationResult counts a whole sweep.
+computed in closed form.  For a constant mass h does not depend on t, and
+each entry of Omega is a polynomial in h whose coefficients depend on b and
+the step only.  The nodes are interior to the step, so a coefficient jump at
+a piece end is never sampled from the wrong side.  The step is exact wherever
+b and m are constant on it, and it needs no dt * xi << 1, so the step count
+grows only slowly with xi.  Error control is step doubling (one full step
+against two half steps) with a Richardson correction.
+
+Integration runs forward only.  A sweep splits [s, t] at its forced times
+(checkpoints, coefficient jumps and kinks, t) into pieces, each propagated
+from the identity.  The pieces are integrated together, in batches of at
+most _BATCH_ELEMENTS piece x frequency elements, on one step sequence in
+normalized time, and then composed in time order into the checkpoint
+segments.  The state and the step factors are held entry first, as arrays
+(2, 2, pieces, frequencies), so every 2x2 product is four entry-wise
+expressions.  One step of a batch advances all its pieces, and one
+PropagationResult counts a whole sweep.
 
 All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form,
 take real or complex matrices, and broadcast over leading batch dimensions.
@@ -48,8 +58,8 @@ _STEP_SAFETY = 0.02
 # at _NODES, node-major: node j of the full step and of its two half steps
 # (which start at 0 and 1/2 and have length _SUBSTEP) sit at 3 j .. 3 j + 2.
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-_SUBSTEP = np.array([1.0, 0.5, 0.5])[:, None]
-_NODES = (np.array([0.0, 0.0, 0.5]) + _SUBSTEP[:, 0] * _GAUSS[:, None]).ravel()
+_SUBSTEP = np.array([1.0, 0.5, 0.5])[:, None, None]
+_NODES = (np.array([0.0, 0.0, 0.5]) + _SUBSTEP.ravel() * _GAUSS[:, None]).ravel()
 _SQRT15_3 = math.sqrt(15.0) / 3.0
 
 # Step doubling of a sixth-order step: the two half steps' error is about
@@ -64,6 +74,11 @@ _CONTROL_EXPONENT = -1.0 / 7.0
 # PropagationResult; the Magnus step itself samples the coefficients at the
 # nine times in _NODES.
 EVALS_PER_STEP = 7
+
+# The pieces of a sweep are integrated in batches of at most this many
+# piece x frequency elements (at least one piece), so that a step's
+# temporaries stay near 100 KB.
+_BATCH_ELEMENTS = 4096
 
 # Below this |sqrt(z)| the sinh(r)/r factor of the exponential uses its series.
 _SERIES_RADIUS = 1e-3
@@ -124,12 +139,13 @@ class PropagationResult:
     """Integration statistics of one :func:`propagate_grid` sweep, added to as it runs.
 
     ``local_error_estimate`` is ``tol`` times the largest error ratio of an
-    accepted step, and ``steps_taken`` counts accepted steps.
+    accepted step, and ``steps_taken`` counts accepted batch steps: one step
+    advances every piece of a batch, at every frequency, together.
     ``rhs_evaluations`` is the integration cost in right-hand-side evaluations
-    of a seven-stage explicit Runge-Kutta step: seven per attempted step, so
-    ``rhs_evaluations / 7`` is the number of attempted steps.  (Each attempt
-    samples the coefficients at nine times, three Gauss nodes each for the full
-    step and its two halves.)
+    of a seven-stage explicit Runge-Kutta step: seven per attempted batch step,
+    so ``rhs_evaluations / 7`` is the number of attempted batch steps.  (Each
+    attempt samples the coefficients of every piece at nine times, three Gauss
+    nodes each for the full step and its two halves.)
     """
 
     local_error_estimate: float
@@ -137,27 +153,36 @@ class PropagationResult:
     rhs_evaluations: int
 
 
-def _make_coefficients(spec: ModelSpec, xi2: np.ndarray):
-    """Map the node times (9,) to (h, b) at the three Gauss nodes.
+def _make_factors(spec: ModelSpec, xi2: np.ndarray):
+    """The step factors of a batch of pieces, as a function of (t, dt).
 
-    h is a triple of arrays that broadcast against (3, n), one per node; for
-    a constant mass it is the same (n,) array three times.  b is (3, 3, 1),
-    node-major like _NODES.
+    ``t`` and ``dt`` (P,) give the step [t_j, t_j + dt_j] of each piece; the
+    function returns exp(Omega), entry first, of shape (2, 2, 3, P, n): axis 2
+    holds the full step and its two halves, n the frequencies.  A constant
+    mass takes the polynomial form :func:`_omega_constant_mass`.
     """
     b_eval = spec.b.eval
+
+    def nodes(t, dt):
+        """Node times (9 P,), node-major like _NODES, and the step lengths (3, P, 1)."""
+        return (t + dt * _NODES[:, None]).ravel(), _SUBSTEP * dt[:, None]
+
     if isinstance(spec.mass, ConstantMass):
         h = np.sqrt(xi2 + spec.m0 * spec.m0)
 
-        def coefficients(ts):
-            return (h, h, h), b_eval(ts).reshape(3, 3, 1)
+        def factors(t, dt):
+            ts, dts = nodes(t, dt)
+            return _expm(*_omega_constant_mass(h, b_eval(ts).reshape(3, 3, -1, 1), dts))
 
     else:
         m_squared = spec.m_squared
 
-        def coefficients(ts):
-            return np.sqrt(xi2 + m_squared(ts)[:, None]).reshape(3, 3, -1), b_eval(ts).reshape(3, 3, 1)
+        def factors(t, dt):
+            ts, dts = nodes(t, dt)
+            h = np.sqrt(xi2 + m_squared(ts)[:, None]).reshape(3, 3, t.size, -1)
+            return _expm(*_omega(h, b_eval(ts).reshape(3, 3, -1, 1), dts))
 
-    return coefficients
+    return factors
 
 
 def _cosh_sinhc(z):
@@ -174,19 +199,18 @@ def _cosh_sinhc(z):
     return c, np.where(small, 1.0 + (z / 6.0) * (1.0 + z / 20.0), s)
 
 
-def _magnus_factors(coefficients, t, dt):
-    """exp(Omega) for the step [t, t + dt] and its two halves, real form (3, n, 2, 2).
+def _omega(h, b, dts):
+    """Half trace g and traceless part (u, v, w) of Omega, for any mass.
 
-    Every a_i of the module docstring is [[0, p_i], [-p_i, q_i]].  A 2x2
-    matrix is held as its half trace and its traceless part [[u, v], [w, -u]];
-    the commutator of two matrices with traceless parts (u, v, w) and
-    (u', v', w') is (v w' - w v', 2 (u v' - u' v), 2 (u' w - u w')).  So
-    C1 = [[0, s], [s, 0]] with s = p1 q2 - q1 p2, and Omega comes out as
-    half trace g plus traceless (u, v, w), whence
-    exp(Omega) = e^g (cosh(r) I + sinh(r)/r [[u, v], [w, -u]]), r^2 = u^2 + v w.
+    ``h`` and ``b`` are triples, the coefficients at the three Gauss nodes,
+    and ``dts`` is the step length; all broadcast together.  Every a_i of the
+    module docstring is [[0, p_i], [-p_i, q_i]].  A 2x2 matrix is held as its
+    half trace and its traceless part [[u, v], [w, -u]]; the commutator of two
+    matrices with traceless parts (u, v, w) and (u', v', w') is
+    (v w' - w v', 2 (u v' - u' v), 2 (u' w - u w')).  So C1 = [[0, s], [s, 0]]
+    with s = p1 q2 - q1 p2.
     """
-    (h1, h2, h3), (b1, b2, b3) = coefficients(t + dt * _NODES)
-    dts = dt * _SUBSTEP
+    (h1, h2, h3), (b1, b2, b3) = h, b
     p1 = dts * h2
     q1 = -2.0 * dts * b2
     p2 = (_SQRT15_3 * dts) * (h3 - h1)
@@ -210,59 +234,117 @@ def _magnus_factors(coefficients, t, dt):
     u = (fv * gw - fw * gv) / 240.0 - g
     v = pm + (fu * gv - gu * fv) / 120.0
     w = (gu * fw - fu * gw) / 120.0 - pm
+    return g, u, v, w
+
+
+def _omega_constant_mass(h, b, dts):
+    """:func:`_omega` for an h that is constant in time, as polynomials in h.
+
+    With h1 = h2 = h3 = h, p2 = p3 = 0 and p1 = dts h, so Omega reduces to
+    u = alpha h^2 - g, v = h (beta0 + beta1 h^2) and w = h (gamma0 + gamma1 h^2),
+    whose coefficients depend on b and the step only.
+    """
+    b1, b2, b3 = b
+    q1 = -2.0 * dts * b2
+    q2 = (-2.0 * _SQRT15_3 * dts) * (b3 - b1)
+    q3 = (dts * (-20.0 / 3.0)) * (b3 - 2.0 * b2 + b1)
+    g = 0.5 * q1 + q3 / 24.0
+    fu = 10.0 * q1 + 0.5 * q3
+    q1q2 = q1 * q2
+    dts3 = dts * dts * dts / 3600.0
+    alpha = dts * dts * (40.0 * q3 - q1q2 * q2) / 7200.0
+    beta0 = dts * (1.0 + q2 * (q2 - 20.0) / 240.0 - fu * (2.0 * q3 - q1q2) / 7200.0)
+    gamma0 = -dts * (1.0 + q2 * (q2 + 20.0) / 240.0 - fu * (2.0 * q3 + q1q2) / 7200.0)
+    beta1 = dts3 * q2 * (q2 - 20.0)
+    gamma1 = -dts3 * q2 * (q2 + 20.0)
+    h2 = h * h
+    return g, alpha * h2 - g, h * (beta0 + beta1 * h2), h * (gamma0 + gamma1 * h2)
+
+
+def _expm(g, u, v, w):
+    """exp(Omega) = e^g (cosh(r) I + sinh(r)/r [[u, v], [w, -u]]), r^2 = u^2 + v w.
+
+    Entry first: the result has shape (2, 2) + the broadcast shape of u, v, w.
+    """
     c, sh = _cosh_sinhc(u * u + v * w)
     scale = np.exp(g)
     c *= scale
     sh *= scale
     su = sh * u
-    G = np.empty(u.shape + (2, 2))
-    G[..., 0, 0] = c + su
-    G[..., 1, 1] = c - su
-    G[..., 0, 1] = sh * v
-    G[..., 1, 0] = sh * w
+    G = np.empty((2, 2) + su.shape)
+    np.add(c, su, out=G[0, 0])
+    np.subtract(c, su, out=G[1, 1])
+    np.multiply(sh, v, out=G[0, 1])
+    np.multiply(sh, w, out=G[1, 0])
     return G
 
 
-def _integrate_segment(coefficients, t0, t1, Y, tol, dt_hint, dt_floor, result):
-    """Adaptive Magnus stepping forward from t0 to t1 > t0; mutates only ``result``.
+def _mul(A, B):
+    """Products of entry-first 2x2 matrices (2, 2, ...): four entry-wise expressions."""
+    return A[:, :1] * B[:1] + A[:, 1:] * B[1:]
 
-    Returns (Y_end, dt_hint) and adds the steps, evaluations and largest error
-    estimate to ``result``.  ``dt_hint`` carries the controller state across
-    segment boundaries.  A segment shorter than the step floor is one step and
-    leaves ``dt_hint`` unchanged; a remainder below the floor joins the step
-    before it.  The floor raises only when the controller shrinks a step below it.
+
+def _identity(*shape):
+    """Identity matrices, entry first: (2, 2) + shape."""
+    Y = np.zeros((2, 2) + shape)
+    Y[0, 0] = Y[1, 1] = 1.0
+    return Y
+
+
+def _integrate_pieces(factors, starts, lengths, n, tol, dt_hint, dt_floor, result):
+    """Propagators of the pieces [starts_j, starts_j + lengths_j], each from the identity.
+
+    The pieces share one adaptive step sequence in normalized time
+    tau in [0, 1]: a step dtau is the step lengths_j * dtau of piece j, and
+    its error ratio is the largest over the batch.  The step size is
+    controlled, and ``dt_hint`` and the floor are read, as the step of the
+    longest piece.  A batch whose pieces are all shorter than the floor is one
+    step and leaves ``dt_hint`` unchanged; a remainder below the floor joins
+    the step before it.  The floor raises only when the controller shrinks a
+    step below it, at the time reached by the piece with the largest (or a
+    non-finite) error ratio.  Returns the propagators, entry first
+    (2, 2, P, n), and the step hint for the next batch, and adds the steps,
+    evaluations and largest error estimate to ``result``.
     """
     step_tol = tol * _STEP_SAFETY
-    short = t1 - t0 < dt_floor
-    t = t0
-    dt = min(dt_hint, t1 - t0)
-    while t < t1:
-        last = dt >= t1 - t - dt_floor
+    span = float(lengths.max())
+    tau_floor = dt_floor / span
+    short = span < dt_floor
+    Y = _identity(lengths.size, n)
+    tau = 0.0
+    dtau = min(1.0, dt_hint / span)
+    r = None  # the error ratios of the last attempt, (2, 2, P, n)
+    while tau < 1.0:
+        last = dtau >= 1.0 - tau - tau_floor
         if last:
-            dt = t1 - t
-        if dt < dt_floor and not short:
+            dtau = 1.0 - tau
+        if dtau * span < dt_floor and not short:
+            worst = 0 if r is None else int(np.argmax(np.nan_to_num(r.max(axis=(0, 1, 3)), nan=np.inf)))
+            t_fail = float(starts[worst] + tau * lengths[worst])
             raise IntegrationFailureError(
-                f"step size underflow at t = {t} (coefficient structure denser than resolvable)",
-                t_fail=t,
+                f"step size underflow at t = {t_fail} (coefficient structure denser than resolvable)",
+                t_fail=t_fail,
             )
-        G = _magnus_factors(coefficients, t, dt)
+        G = factors(starts + tau * lengths, dtau * lengths)
         result.rhs_evaluations += EVALS_PER_STEP
-        two = G[2] @ G[1]
-        err = ((two - G[0]) / _RICHARDSON) @ Y  # Richardson estimate of the half steps' error
-        y_new = two @ Y + err
-        scale = step_tol * (1.0 + np.maximum(np.abs(Y), np.abs(y_new)))
-        ratio = float((np.abs(err) / scale).max())
+        two = _mul(G[:, :, 2], G[:, :, 1])
+        err = _mul((two - G[:, :, 0]) / _RICHARDSON, Y)  # Richardson estimate of the half steps' error
+        y_new = _mul(two, Y)
+        y_new += err
+        r = np.abs(err)
+        r /= 1.0 + np.maximum(np.abs(Y), np.abs(y_new))
+        ratio = float(r.max()) / step_tol
         if ratio <= 1.0:
-            t = t1 if last else t + dt
+            tau = 1.0 if last else tau + dtau
             Y = y_new
             result.steps_taken += 1
             result.local_error_estimate = max(result.local_error_estimate, ratio * tol)
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio**_CONTROL_EXPONENT))
-            dt = dt * grow
+            dtau = dtau * grow
         else:
-            dt = dt * max(0.2, 0.9 * ratio**_CONTROL_EXPONENT)
+            dtau = dtau * max(0.2, 0.9 * ratio**_CONTROL_EXPONENT)
             short = False  # a rejected step below the floor raises on the next pass
-    return Y, dt_hint if short else dt
+    return Y, dt_hint if short else dtau * span
 
 
 def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT_TOL, checkpoints=None):
@@ -281,9 +363,13 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         ``tol * max(1, t - s)``.
     checkpoints : array_like, optional
         Non-decreasing times c_0, c_1, ... in [s, t] (ends included, repeats
-        allowed).  The integrator lands on each exactly, records the segment
-        propagator E(c_i, c_{i-1}, xi) with c_{-1} = s, and restarts its state
-        at the identity; the step size carries over.
+        allowed).  The result records each segment propagator
+        E(c_i, c_{i-1}, xi) with c_{-1} = s.
+
+    The checkpoints, the coefficient breakpoints and t split [s, t] into
+    pieces, which are integrated from the identity in batches of about
+    _BATCH_ELEMENTS piece x frequency elements (see :func:`_integrate_pieces`)
+    and composed into the segments in time order.
 
     Returns
     -------
@@ -304,28 +390,33 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
     if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) >= 0.0):
         raise ValueError("the sweep runs forward only: need s <= checkpoints <= t, non-decreasing")
-    coefficients = _make_coefficients(spec, xi * xi)
-    identity = np.broadcast_to(np.eye(2), (xi.size, 2, 2))
-    chk = np.empty((chk_times.size, xi.size, 2, 2))
+    factors = _make_factors(spec, xi * xi)
+    n = xi.size
+    chk = np.empty((chk_times.size, n, 2, 2))
     chk[:] = np.eye(2)
     result = PropagationResult(0.0, 0, 0)
 
     forced = _sorted_unique(np.concatenate([spec.breakpoints_in(s, t), chk_times, [t]]))
+    edges = np.concatenate([[s], forced[forced > s]])
+    starts, lengths, ends = edges[:-1], np.diff(edges), edges[1:]
     dt_floor = 1e-13 * max(1.0, t - s)
     dt_hint = (t - s) / 100.0
-    Y = identity
-    done = identity  # E(last checkpoint, s)
+    batch = max(1, _BATCH_ELEMENTS // n)
+    Y = _identity(n)  # the running segment, entry first
+    done = _identity(n)  # E(last checkpoint, s)
     i = int(np.sum(chk_times == s))  # checkpoints at s record E(s, s) = I
-    cur = s
-    for nxt in forced[forced > s]:
-        Y, dt_hint = _integrate_segment(coefficients, cur, nxt, Y, tol, dt_hint, dt_floor, result)
-        cur = nxt
-        while i < chk_times.size and chk_times[i] == nxt:
-            chk[i] = Y
-            done = Y @ done
-            Y = identity
-            i += 1
-    return Y @ done, chk, result
+    for k in range(0, starts.size, batch):
+        pieces, dt_hint = _integrate_pieces(
+            factors, starts[k : k + batch], lengths[k : k + batch], n, tol, dt_hint, dt_floor, result
+        )
+        for j, end in enumerate(ends[k : k + batch]):
+            Y = _mul(pieces[:, :, j], Y)
+            while i < chk_times.size and chk_times[i] == end:
+                chk[i] = Y.transpose(2, 0, 1)
+                done = _mul(Y, done)
+                Y = _identity(n)
+                i += 1
+    return np.ascontiguousarray(_mul(Y, done).transpose(2, 0, 1)), chk, result
 
 
 # -- quadrature ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from kgdecay import (
     spectral_norm_2x2,
 )
 from kgdecay.errors import IntegrationFailureError
-from kgdecay.propagator import _cumulative_simpson_uniform, _magnus_factors, _make_coefficients
+from kgdecay.propagator import _cumulative_simpson_uniform, _expm, _make_factors, _omega, _omega_constant_mass
 
 from conftest import complex_form, const_coeff_propagator, power_iteration_norm, propagate, triangle_samples
 from dp5_oracle import dp5_propagate
@@ -173,16 +173,42 @@ class TestPropagate:
         free, _, _ = propagate_grid(spec, 0.0, 1.0, xi, 1e-10)
         assert np.max(np.abs(E - free)) < 1e-9
 
+    @pytest.mark.parametrize("model", ["sin_offset", "square", "samples0", "samples1", "perturbed"])
+    def test_batched_segments_match_separate_sweeps(self, model):
+        # 1000 frequencies put four pieces in a batch, so the pieces span many
+        # batches; the checkpoints hold s and t, a repeat and a one-ulp gap
+        rng = np.random.default_rng(41)
+        b = {
+            "square": PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.3),
+            "samples0": PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 33), 1.0, order=0),
+            "samples1": PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 33), 1.0, order=1),
+        }.get(model, PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5))
+        m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=np.pi / 2)
+        spec = ModelSpec(b, PerturbedMass(1.0, 0.4, m1) if model == "perturbed" else ConstantMass(1.0))
+        a = 1.0 / 3.0
+        chk = np.sort(np.concatenate([np.linspace(0.0, 1.0, 64), [0.5, a, np.nextafter(a, 1.0)]]))
+        xi = np.linspace(0.0, 20.0, 1000)
+        E, segments, _ = propagate_grid(spec, 0.0, 1.0, xi, 1e-10, chk)
+        product = np.broadcast_to(np.eye(2), E.shape)
+        for prev, time, got in zip(np.append(0.0, chk), chk, segments):
+            ref = propagate_grid(spec, prev, time, xi, 1e-10)[0]
+            assert np.max(np.abs(got - ref)) < 1e-12
+            product = ref @ product
+        assert np.max(np.abs(E - product)) < 1e-12
+
     def test_rejected_step_below_the_floor_raises(self, monkeypatch):
         # the one-ulp segment between two checkpoints sees a non-finite b, so its
-        # single step is rejected: that raises instead of retrying forever
+        # single step is rejected: that raises instead of retrying forever.  With
+        # 1000 frequencies a batch holds four pieces, and the one-ulp piece is the
+        # third of the second batch: the failure names it, not the batch's first
         a, a_next = 1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
         monkeypatch.setattr(b, "eval", lambda ts: np.where((ts >= a) & (ts <= a_next), np.nan, 1.0))
         spec = ModelSpec(b, ConstantMass(1.0))
-        with pytest.raises(IntegrationFailureError) as err:
-            propagate_grid(spec, 0.0, 1.0, [1.0], 1e-10, [a, a_next])
-        assert err.value.t_fail == a
+        for xi, grid in (([1.0], []), (np.linspace(0.0, 10.0, 1000), np.linspace(0.0, 1.0, 17))):
+            with pytest.raises(IntegrationFailureError) as err:
+                propagate_grid(spec, 0.0, 1.0, xi, 1e-10, np.sort(np.append(grid, [a, a_next])))
+            assert err.value.t_fail == a
 
     def test_square_wave_splits_at_jumps(self):
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.5)
@@ -224,12 +250,31 @@ class TestMagnusStepper:
         # the local error of one step is O(dt^7): halving dt divides it by
         # about 128, where a fourth-order step gives 32
         spec = _sin_specs()[mass]
-        coefficients = _make_coefficients(spec, np.array([xi * xi]))
+        factors = _make_factors(spec, np.array([xi * xi]))
         errors = []
         for dt in (0.05, 0.025):
-            step = complex_form(_magnus_factors(coefficients, 0.0, dt)[0, 0])
+            step = complex_form(factors(np.array([0.0]), np.array([dt]))[:, :, 0, 0, 0])
             errors.append(np.max(np.abs(step - dp5_propagate(spec, 0.0, dt, [xi], 1e-14)[0])))
         assert errors[0] >= 100.0 * errors[1]
+
+    def test_the_two_factor_forms_agree(self):
+        # the constant-mass polynomial form equals the general form, with dt h
+        # up to 2, on oscillatory steps and on strongly damped ones (b > h),
+        # where z = u^2 + v w > 0 takes the cosh branch
+        rng = np.random.default_rng(40)
+        n = 4000
+        h = np.concatenate([rng.uniform(0.0, 50.0, n), rng.uniform(0.0, 2.0, n)])
+        b = (rng.uniform(0.0, 3.0, (3, 2 * n)) + np.repeat([0.0, 8.0], n)).reshape(3, 1, 2 * n)
+        dts = rng.uniform(0.0, 2.0, 2 * n) / np.maximum(h, 1.0)
+        general = np.array(_omega((h, h, h), b, dts))
+        polynomial = np.array(_omega_constant_mass(h, b, dts))
+        assert np.all(np.abs(polynomial - general) <= 1e-14 * np.max(np.abs(general), axis=0))
+        _, u, v, w = general
+        assert np.any(u * u + v * w > 0.0) and np.any(u * u + v * w < 0.0)
+        # exp amplifies a relative change of Omega by up to about |Omega|
+        G, P = _expm(*general), _expm(*polynomial)
+        size = 1.0 + np.max(np.abs(general[1:]), axis=0)
+        assert np.all(np.abs(P - G) <= 1e-14 * size * np.max(np.abs(G), axis=(0, 1)))
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_square_wave_is_exact_per_piece(self, tol):
