@@ -315,6 +315,11 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             "tail_C_b": thr.tail_C_b,
             "tail_xi": thr.tail_xi,
             "tail_covered": thr.tail_xi <= thr.xi_max_checked,
+            "accept_margin": thr.accept_margin,
+            "accept_margin_sensitivity": thr.accept_margin_sensitivity,
+            "reject_margin": thr.reject_margin,
+            "reject_margin_sensitivity": thr.reject_margin_sensitivity,
+            "margin_resolved": thr.margin_resolved,
             "monodromy_norm_max": mx,
             "monodromy_norm_bound": bnd,
             "verified": ok,

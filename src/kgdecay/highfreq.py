@@ -18,6 +18,12 @@ C_b = 2 sup|b| + V_0^{2T}(b), so the massless frame product never exceeds the
 closed form P(xi) of :func:`_tail_bound`, which decreases in xi.  Each window
 scan stops once P falls to the largest value already found, and the first xi
 with P(xi) below the accept level covers every higher frequency.
+
+A frame profile splits one period at the base times of the supremum and at
+the breakpoints of b, so b is smooth inside every piece, and integrates each
+piece by Simpson's rule with the same number of intervals.  The quadrature
+then keeps its fourth order where b jumps or kinks, and a profile needs only
+enough points to resolve the phase.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import ConstantMass, ModelSpec
+from .coefficients import ConstantMass, ModelSpec, _sorted_unique
 from .errors import FrameError, ThresholdSearchError
 from .monodromy import _write_csv, monodromy_grid
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_2x2
@@ -37,10 +43,15 @@ from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_
 # Frames with |det N1| below this are treated as singular (frequency too low).
 FRAME_DET_GUARD = 0.1
 
-# Oscillation sampling: points per period, at least this many and at least
-# this many per unit of accumulated phase over one period.
-MIN_POINTS_PER_PERIOD = 4096
-POINTS_PER_PHASE_UNIT = 64
+# Oscillation sampling: Simpson intervals per period, at least this many and
+# at least this many per unit of accumulated phase over one period.
+MIN_POINTS_PER_PERIOD = 1024
+POINTS_PER_PHASE_UNIT = 16
+
+# A profile samples b this far inside each piece end, relative to the piece
+# length, so that a jump there takes its value from inside the piece.  A
+# one-ulp nudge does not survive the reduction mod T in eval.
+PIECE_END_OFFSET = 1e-9
 
 # Default base-time resolution for supremum scans over [0, T).
 SUP_T_POINTS = 64
@@ -50,8 +61,10 @@ SUP_T_POINTS = 64
 WINDOW_FACTOR = 10.0
 
 # The search gives up before a window whose top frequency needs more points
-# per period than this (2^20, N of about 1,600 at T = 1); profiles hold
-# 2 * points + 1 complex values.
+# per period than this (2^20, N of about 6,550 at T = 1, or fewer where b has
+# many breakpoints); profiles hold 2 * (points + pieces) complex values.  The
+# two sensitivity profiles of find_threshold_N take twice the count at their
+# frequencies.
 MAX_PROFILE_POINTS = 2**20
 
 # verify_highfreq_contraction passes when sup ||M|| <= exp(-beta T / 2) + this.
@@ -72,7 +85,16 @@ _MASSLESS = ConstantMass(0.0)
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of the frequency-threshold search."""
+    """Outcome of the frequency-threshold search.
+
+    The two decision margins are measured against the accept level, each at
+    its window's decisive frequency: the accepted window's largest value, and
+    the value that stopped the last rejected window's scan.  A scan stops at
+    the first value above the level, so the reject margin is a lower bound.
+    Each sensitivity is how far that value moves when its profile is taken
+    again with twice the intervals per piece.  With no window rejected (N = 1
+    passed at once), the reject margin and its sensitivity are None.
+    """
 
     N: float
     sup_value: float
@@ -80,21 +102,53 @@ class ThresholdResult:
     xi_max_checked: float
     tail_C_b: float  # r <= tail_C_b / xi on [0, 2T]
     tail_xi: float  # first xi with _tail_bound(xi) <= accept level; inf if none
+    accept_margin: float  # accept level - sup_value
+    accept_margin_sensitivity: float
+    reject_margin: float | None  # last rejected window's value - accept level
+    reject_margin_sensitivity: float | None
     trace: tuple = field(default_factory=tuple)  # (N_candidate, sup_value, accepted)
+
+    @property
+    def margin_resolved(self) -> bool:
+        """True when each decision margin exceeds its sensitivity."""
+        return self.accept_margin > self.accept_margin_sensitivity and (
+            self.reject_margin is None or self.reject_margin > self.reject_margin_sensitivity
+        )
+
+
+@functools.lru_cache(maxsize=1)
+def _profile_ends(b, T: float, t_points: int):
+    """Piece ends over [0, T], ascending and read-only: the base times
+    j T / t_points and the breakpoints of b in (0, T), then T.
+
+    Every profile of a search shares them; :func:`find_threshold_N` clears
+    the cache when it ends.
+    """
+    base = np.arange(t_points) * (T / t_points)
+    ends = np.append(_sorted_unique(np.concatenate([base, b.breakpoints_in(0.0, T)])), T)
+    ends.flags.writeable = False
+    return ends
 
 
 def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> int:
-    """Quadrature points per period of a frame profile at ``xi``.
+    """Simpson intervals per period of a frame profile at ``xi``.
 
-    A multiple of ``t_points``, so base times sit on the grid index-exactly;
-    the profile cap is checked against this count.  Where the phase over one
-    period overflows, the count is inf, above any cap.
+    Every piece of :func:`_profile_ends` gets the same even number M of
+    intervals, the least with M * pieces >= max(MIN_POINTS_PER_PERIOD,
+    POINTS_PER_PHASE_UNIT * phase); the count is M * pieces, and the profile
+    cap is checked against it.  Where the phase over one period overflows,
+    the count is inf, above any cap.  Each piece needs two intervals, so
+    where 2 t_points is above the cap, that lower bound is returned without
+    building the pieces.
     """
     phase = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon) * spec.T  # sup|m1| = 1
     if not math.isfinite(phase):
         return math.inf
+    if 2 * t_points > MAX_PROFILE_POINTS:
+        return 2 * t_points
     p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(phase))
-    return t_points * math.ceil(p / t_points)
+    pieces = _profile_ends(spec.b, spec.T, t_points).size - 1
+    return 2 * pieces * math.ceil(p / (2 * pieces))
 
 
 def _tail_constant(spec: ModelSpec) -> float:
@@ -150,56 +204,86 @@ def _suplarge_from_profile(n1_norms, n1inv_norms, r2_cumint, idx, per):
     return float(np.max(n1_norms[idx + per] * growth * n1inv_norms[idx]))
 
 
+def _simpson_totals(y, step):
+    """Composite Simpson integral over each piece: ``y`` is (..., M + 1, pieces)
+    with M even, and piece k has interval ``step[k]``."""
+    inner = 4.0 * y[..., 1::2, :].sum(axis=-2) + 2.0 * y[..., 2:-1:2, :].sum(axis=-2)
+    return (step / 3.0) * (y[..., 0, :] + y[..., -1, :] + inner)
+
+
 @functools.lru_cache(maxsize=1)
-def _b_profile(b, T, per):
-    """b on the 2 per + 1 uniform profile points over [0, 2T], read-only.
+def _b_profile(b, T, t_points, points):
+    """The profile grid over [0, T] and b on it, read-only: (tau, step, values, base).
 
-    Every profile with the same points per period samples b on the same
-    grid; :func:`find_threshold_N` clears the cache when it ends.
+    The pieces of :func:`_profile_ends`, each split into M = points / pieces
+    uniform intervals: ``tau`` holds the node times as an (M + 1, pieces)
+    array, ``step`` the interval of each piece, ``values`` b at the nodes and
+    ``base`` the pieces whose node 0 is a base time, in order.  At a piece end
+    b takes its value from inside the piece, sampled PIECE_END_OFFSET of the
+    piece length in.  Every profile with the same count shares the grid;
+    :func:`find_threshold_N` clears the cache when it ends.
     """
-    values = b.eval(np.linspace(0.0, 2.0 * T, 2 * per + 1))
-    values.flags.writeable = False
-    return values
+    ends = _profile_ends(b, T, t_points)
+    start, length = ends[:-1], np.diff(ends)
+    m = points // start.size
+    u = np.arange(m + 1) / m
+    tau = start + np.outer(u, length)
+    u[0], u[-1] = PIECE_END_OFFSET, 1.0 - PIECE_END_OFFSET
+    values = b.eval(start + np.outer(u, length))
+    step = length / m
+    base = np.searchsorted(ends, np.arange(t_points) * (T / t_points))
+    for array in (tau, step, values, base):
+        array.flags.writeable = False
+    return tau, step, values, base
 
 
-def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> float:
+def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, refine: int = 1) -> float:
     """Supremum over base times in [0, T) of the frame contraction product.
 
     For real b and h, n- = conj(n+), so N1 is Hermitian with eigenvalues
     1 +/- r, r = |n+| = |c+|.  Its norms are closed scalars:
     ||N1|| = 1 + r, ||N1inv|| = 1/|1 - r|, |det N1| = |1 - r^2| and
     ||R2|| = |b| r / |1 - r|.
-    Base times sit on the quadrature grid exactly (t_j = j T / t_points); the
-    time integral of ||R2|| uses cumulative Simpson on the same grid.
+    The profile runs on the breakpoint-aligned grid of :func:`_b_profile`
+    and on its copy shifted by T, so that b is smooth inside every piece and
+    each base time t_j = j T / t_points and t_j + T is node 0 of a piece.
+    c+ is integrated by cumulative Simpson within each piece plus the totals
+    of the pieces before it; ``refine`` multiplies the intervals per piece.
+    Since b has period T, c+(t + T) = c+(T) + exp(i h T) c+(t) node for node,
+    so only [0, T] is integrated.  The integral of ||R2|| is needed only at
+    node 0 of each piece, from the composite Simpson totals of the pieces.
     The mass must be constant: the phase is then exactly sqrt(xi^2 + m0^2) t.
-    b depends on the grid alone, not on xi, and is evaluated once per grid
-    length (:func:`_b_profile`).
+    b depends on the grid alone, not on xi, and is evaluated once per grid.
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
     if spec.epsilon != 0.0:
         raise ValueError("the frame product is defined for a constant mass")
-    per = _points_per_period(spec, xi, t_points)
-    # phase-resolved quadrature on 2 per + 1 uniform points over [0, 2T]:
-    # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h = h t
-    tau = np.linspace(0.0, 2.0 * spec.T, 2 * per + 1)
-    dt = 2.0 * spec.T / (2 * per)
-    b = _b_profile(spec.b, spec.T, per)
-    phase = math.hypot(xi, spec.m0) * tau
-    osc = np.empty(tau.size, dtype=complex)
-    np.cos(phase, out=osc.real)
-    np.sin(phase, out=osc.imag)
-    osc *= b
-    r = np.abs(_cumulative_simpson_uniform(osc, dt))
+    tau, step, b, base = _b_profile(spec.b, spec.T, t_points, refine * _points_per_period(spec, xi, t_points))
+    # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h = h t; c[0] holds
+    # c+ on the nodes over [0, T] and c[1] on the same nodes shifted by T
+    h = math.hypot(xi, spec.m0)
+    phase = h * tau
+    c = np.empty((2,) + tau.shape, dtype=complex)
+    np.cos(phase, out=c[0].real)
+    np.sin(phase, out=c[0].imag)
+    c[0] *= b
+    c[0] = _cumulative_simpson_uniform(c[0], step)
+    c[0, :, 1:] += np.cumsum(c[0, -1, :-1])
+    np.multiply(c[0], complex(math.cos(h * spec.T), math.sin(h * spec.T)), out=c[1])
+    c[1] += c[0, -1, -1]
+    r = np.abs(c)
     gap = np.abs(1.0 - r)
     if float(np.min(gap * (1.0 + r))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
-    r2_cum = _cumulative_simpson_uniform(np.abs(b) * r / gap, dt)
-    idx = np.arange(t_points) * (per // t_points)
-    return _suplarge_from_profile(1.0 + r, 1.0 / gap, r2_cum, idx, per)
+    # int ||R2|| from 0 to node 0 of each piece, pieces of [0, T] then of [T, 2T]
+    totals = _simpson_totals(np.abs(b) * r / gap, step).ravel()
+    r2_cum = np.concatenate(([0.0], np.cumsum(totals[:-1])))
+    return _suplarge_from_profile((1.0 + r[:, 0]).ravel(), (1.0 / gap[:, 0]).ravel(), r2_cum, base, step.size)
 
 
-def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None) -> float:
-    """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product.
+def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None):
+    """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame
+    product, and the first frequency that attains it.
 
     The frequencies are scanned in ascending order, and the scan stops before
     the first one whose tail bound :func:`_tail_bound` is no larger than the
@@ -214,7 +298,7 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
     """
     c_b = _tail_constant(spec)
     beta_t = spec.beta * spec.T
-    top = -math.inf
+    top, at = -math.inf, math.nan
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         x = float(x)
         if top > -math.inf and _tail_bound(c_b, beta_t, x) <= top:
@@ -223,10 +307,21 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
             value = suplarge_quantity(spec, x, t_points)
         except FrameError:
             value = math.inf
-        top = max(top, value)
+        if value > top:
+            top, at = value, x
         if stop_above is not None and value > stop_above:
             break
-    return top
+    return top, at
+
+
+def _refinement_change(spec: ModelSpec, xi: float, value: float, t_points: int) -> float:
+    """How far the frame product ``value`` at ``xi`` moves with twice the
+    intervals per piece; a FrameError counts as inf, and inf to inf is 0."""
+    try:
+        fine = suplarge_quantity(spec, xi, t_points, refine=2)
+    except FrameError:
+        fine = math.inf
+    return 0.0 if fine == value else abs(fine - value)
 
 
 def find_threshold_N(
@@ -258,6 +353,10 @@ def find_threshold_N(
     and the shift sqrt(xi^2 + m0^2) >= xi carries this over to any constant
     mass.  When tail_xi <= xi_max_checked, the closed form covers every
     frequency above the scanned window.
+
+    It records the decision margins of the accepted and the last rejected
+    window too, with their refinement sensitivities (see
+    :class:`ThresholdResult`); these cost two more profiles.
     """
     base = ModelSpec(spec.b, _MASSLESS, spec.T)
     target = math.exp(base.beta * base.T / 2.0)
@@ -269,9 +368,10 @@ def find_threshold_N(
         )
     trace = []
 
-    # the profiles of a search share one b grid per length; keep none past it
+    # the profiles of a search share one grid per length; keep none past it
     try:
         N, sup = 0.5, math.inf
+        rejected = None  # (sup, decisive xi) of the last rejected window
         while sup > accept:
             N *= 2.0
             points = _points_per_period(base, WINDOW_FACTOR * N, t_points)
@@ -280,30 +380,39 @@ def find_threshold_N(
                     f"no threshold found below N = {N:g}: its window needs {points} profile points "
                     f"per period, above the cap {MAX_PROFILE_POINTS} (last sup {sup:.6g} > target {target:.6g})"
                 )
-            sup = _window_sup(base, N, xi_points, t_points, stop_above=accept)
+            sup, at = _window_sup(base, N, xi_points, t_points, stop_above=accept)
             trace.append((N, sup, sup <= accept))
+            if sup > accept:
+                rejected = sup, at
 
         lo = N / 2.0  # known failing (or 0.5 when N = 1 passed immediately)
-        hi, hi_sup = N, sup
+        hi, accepted = N, (sup, at)
         while hi - lo > 1e-3 * hi:
             mid = 0.5 * (lo + hi)
-            sup = _window_sup(base, mid, xi_points, t_points, stop_above=accept)
+            sup, at = _window_sup(base, mid, xi_points, t_points, stop_above=accept)
             ok = sup <= accept
             trace.append((mid, sup, ok))
             if ok:
-                hi, hi_sup = mid, sup
+                hi, accepted = mid, (sup, at)
             else:
-                lo = mid
+                lo, rejected = mid, (sup, at)
+        accept_change = _refinement_change(base, accepted[1], accepted[0], t_points)
+        reject_change = None if rejected is None else _refinement_change(base, rejected[1], rejected[0], t_points)
     finally:
         _b_profile.cache_clear()
+        _profile_ends.cache_clear()
     c_b = _tail_constant(base)
     return ThresholdResult(
         N=hi,
-        sup_value=hi_sup,
+        sup_value=accepted[0],
         target=target,
         xi_max_checked=WINDOW_FACTOR * hi,
         tail_C_b=c_b,
         tail_xi=_tail_xi(c_b, base.beta * base.T, accept),
+        accept_margin=accept - accepted[0],
+        accept_margin_sensitivity=accept_change,
+        reject_margin=None if rejected is None else rejected[0] - accept,
+        reject_margin_sensitivity=reject_change,
         trace=tuple(trace),
     )
 

@@ -428,7 +428,8 @@ def _cumulative_simpson_uniform(y, h):
     Composite Simpson at even indices; odd half-cells use cubic four-point
     stencils, so polynomials up to degree three integrate exactly.  ``y`` has
     shape (n, ...) with n odd; ``h`` may be negative (descending grids
-    integrate with sign).
+    integrate with sign), or an array of spacings that broadcasts against
+    ``y[0]``, one per column.
     """
     n = y.shape[0]
     if n < 3 or n % 2 == 0:

@@ -7,7 +7,8 @@
 - the Gronwall bound on the propagator deviation caused by a mass perturbation;
 - the monodromy matrix at one base time, by direct propagation or similarity;
 - the diagonalization-frame corrector integrals n+ and n-, each integrated on
-  its own, with the full complex 2x2 frame matrices built from them;
+  its own over uniform pieces laid end to end, with the full complex 2x2
+  frame matrices built from them;
 - the threshold window supremum by a scan of every frequency of the window;
 - the 2x2 inverse, and the cumulative fold of checkpointed segment propagators;
 - the artifact CSV text, written by ``csv.writer`` with floats as f"{v:.17g}";
@@ -189,23 +190,35 @@ def scalar_monodromy(spec, xi):
     return M
 
 
-def corrector_profile(spec, xi, t_max, points):
-    """n+/-(t) on a uniform grid over [0, t_max] via phase-resolved quadrature.
+def piecewise_cumulative(y, tau):
+    """int_{tau[0, 0]}^t y at every node t of ``tau`` (M + 1, pieces): pieces laid
+    end to end, each uniform with M even, by cumulative Simpson within each
+    piece plus the totals of the pieces before it."""
+    out = _cumulative_simpson_uniform(y, (tau[-1] - tau[0]) / (tau.shape[0] - 1))
+    out[:, 1:] += np.cumsum(out[-1, :-1], axis=0)
+    return out
+
+
+def uniform_nodes(spec, t_max, points):
+    """One uniform piece over [0, t_max] with ``points`` nodes (made odd), and b on it."""
+    tau = np.linspace(0.0, t_max, points if points % 2 == 1 else points + 1)[:, None]
+    return tau, spec.b.eval(tau)
+
+
+def corrector_profile(spec, xi, tau, b):
+    """n+/-(t) at the nodes ``tau`` (M + 1, pieces), with ``b`` sampled there,
+    via phase-resolved quadrature (see :func:`piecewise_cumulative`).
 
     n+ and n- are integrated apart, with no use of n- = conj(n+).  The phase
     int_0^t h is accumulated in extended precision, so its rounding does not
     grow with the number of points.
-    Returns (tau, n_plus, n_minus, b_vals, dt).
+    Returns (n_plus, n_minus), shaped like ``tau``.
     """
-    n = points if points % 2 == 1 else points + 1
-    tau = np.linspace(0.0, t_max, n)
-    dt = t_max / (n - 1)
-    b = spec.b.eval(tau)
-    phase = _cumulative_simpson_uniform(symbol(spec, tau, abs(xi)).astype(np.longdouble), dt)
+    phase = piecewise_cumulative(symbol(spec, tau, abs(xi)).astype(np.longdouble), tau)
     osc = np.exp(1j * phase.astype(float))
-    c_plus = _cumulative_simpson_uniform(osc * b, dt)
-    c_minus = _cumulative_simpson_uniform(np.conj(osc) * b, dt)
-    return tau, np.conj(osc) * c_plus, osc * c_minus, b, dt
+    c_plus = piecewise_cumulative(osc * b, tau)
+    c_minus = piecewise_cumulative(np.conj(osc) * b, tau)
+    return np.conj(osc) * c_plus, osc * c_minus
 
 
 def n_pm(spec, t, xi, per_period=0):
@@ -221,8 +234,8 @@ def n_pm(spec, t, xi, per_period=0):
     if t == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
     points = int(max(_points_per_period(spec, xi), per_period) * (t / spec.T)) + 1
-    _, npl, nmi, _, _ = corrector_profile(spec, xi, t, max(points, 129))
-    return complex(npl[-1]), complex(nmi[-1])
+    npl, nmi = corrector_profile(spec, xi, *uniform_nodes(spec, t, max(points, 129)))
+    return complex(npl[-1, 0]), complex(nmi[-1, 0])
 
 
 def frame_matrices(n_plus, n_minus, b):
@@ -264,7 +277,9 @@ def frame_ode_residual(spec, xi, per_period=0):
     Returns the max absolute residual over interior grid points.
     """
     per = max(_points_per_period(spec, xi), per_period)
-    tau, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
+    tau, b = uniform_nodes(spec, 2.0 * spec.T, 2 * per + 1)
+    npl, nmi = corrector_profile(spec, xi, tau, b)
+    dt = float(tau[1, 0] - tau[0, 0])
     h = symbol(spec, tau, abs(xi))
     res = 0.0
     for arr, sign in ((npl, -1.0), (nmi, +1.0)):
@@ -275,18 +290,21 @@ def frame_ode_residual(spec, xi, per_period=0):
 
 
 def window_sup_full_scan(spec, N, xi_points, t_points, stop_above=None):
-    """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product,
-    evaluating every frequency; with ``stop_above`` set, the scan stops at the
-    first value beyond it, as in the package."""
-    vals = []
+    """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product
+    and the first frequency that attains it, evaluating every frequency; with
+    ``stop_above`` set, the scan stops at the first value beyond it, as in the
+    package."""
+    xis, vals = [], []
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
+        xis.append(float(x))
         try:
-            vals.append(highfreq.suplarge_quantity(spec, float(x), t_points))
+            vals.append(highfreq.suplarge_quantity(spec, xis[-1], t_points))
         except FrameError:
             vals.append(math.inf)
         if stop_above is not None and vals[-1] > stop_above:
             break
-    return float(np.max(vals))
+    top = int(np.argmax(vals))
+    return float(vals[top]), xis[top]
 
 
 def reference_csv(header, rows):

@@ -279,11 +279,12 @@ class TestExitCodes:
         assert err.startswith("config error:") and "Traceback" not in err
 
     def test_threshold_t_points_within_the_profile_cap(self, tmp_path, capsys):
-        # 2^21 base times per period would need profiles above the 2^20 cap
+        # 2^21 base times per period, each a piece of two intervals, would need
+        # profiles above the 2^20 cap
         text = BASE_CONFIG.replace("threshold_t_points = 32", "threshold_t_points = 2097152")
         code, err = self.run_with(tmp_path, capsys, text)
         assert code == EXIT_CERTIFICATE
-        assert err.startswith("certificate failure:") and "2097152 profile points" in err
+        assert err.startswith("certificate failure:") and "4194304 profile points" in err
 
     @pytest.mark.parametrize("error", [FrameError, FitError])
     def test_numerical_errors_exit_5(self, tmp_path, capsys, monkeypatch, error):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,6 @@ from kgdecay.highfreq import (
     _window_sup,
     threshold_trace_to_csv,
 )
-from kgdecay.propagator import _cumulative_simpson_uniform
-
 from conftest import CSV_EDGE_VALUES, make_perturbed
 from oracles import (
     PreconditionError,
@@ -37,8 +36,10 @@ from oracles import (
     frame_matrices_at,
     frame_ode_residual,
     n_pm,
+    piecewise_cumulative,
     reference_csv,
     symbol,
+    uniform_nodes,
     window_sup_full_scan,
 )
 
@@ -47,16 +48,19 @@ from oracles import (
 ORACLE_XIS = (2.0, 5.0, 20.0, 64.0, 100.0, 206.0)
 
 
-def suplarge_matrix_oracle(spec, xi, t_points=64):
-    """The frame product from full complex 2x2 matrices, n+ and n- integrated apart."""
-    per = _points_per_period(spec, xi, t_points)
-    _, npl, nmi, b, dt = corrector_profile(spec, xi, 2.0 * spec.T, 2 * per + 1)
+def suplarge_matrix_oracle(spec, xi, t_points=64, refine=1):
+    """The frame product from full complex 2x2 matrices, n+ and n- integrated
+    apart over [0, 2T] on the profile's nodes over [0, T] and their shift by T."""
+    points = refine * _points_per_period(spec, xi, t_points)
+    tau, _, b, base = highfreq._b_profile(spec.b, spec.T, t_points, points)
+    tau, b = np.hstack([tau, tau + spec.T]), np.hstack([b, b])
+    npl, nmi = corrector_profile(spec, xi, tau, b)
     n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
     if float(np.min(np.abs(det))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
-    r2_cum = _cumulative_simpson_uniform(spectral_norm_2x2(r2), dt)
-    idx = np.arange(t_points) * (per // t_points)
-    return _suplarge_from_profile(spectral_norm_2x2(n1), spectral_norm_2x2(n1_inv), r2_cum, idx, per)
+    r2_cum = piecewise_cumulative(spectral_norm_2x2(r2), tau)
+    norms = spectral_norm_2x2(n1)[0], spectral_norm_2x2(n1_inv)[0]
+    return _suplarge_from_profile(*norms, r2_cum[0], base, tau.shape[1] // 2)
 
 
 def _random_samples(order, seed):
@@ -101,6 +105,34 @@ def _dissipations():
         st.sampled_from([0, 1]),
     )
     return st.one_of(closed, sampled)
+
+
+def _broken_dissipations():
+    """Dissipations that jump or kink inside a period: square with a random
+    duty, step and linear samples, and triangle, with T in [0.5, 2]."""
+    level = st.floats(0.0, 2.0)
+    period = st.floats(0.5, 2.0)
+    return st.one_of(
+        st.builds(lambda T, lo, hi, d: PeriodicCoefficient.from_closed_form("square", T, lo=lo, hi=hi, duty=d),
+                  period, level, level, st.floats(0.01, 0.99)),
+        st.builds(PeriodicCoefficient.from_samples, st.lists(level, min_size=2, max_size=40), period,
+                  st.sampled_from([0, 1])),
+        st.builds(lambda T, lo, hi: PeriodicCoefficient.from_closed_form("triangle", T, lo=lo, hi=hi),
+                  period, level, level),
+    )
+
+
+def _base_norms(spec, xi, refine):
+    """||N1|| at t_j and t_j + T, and ||N1^-1|| at t_j, over the base times t_j of a profile."""
+    seen = []
+
+    def keep(n1, n1_inv, r2_cum, idx, per):
+        seen.append(np.concatenate([n1[idx], n1[idx + per], n1_inv[idx]]))
+        return _suplarge_from_profile(n1, n1_inv, r2_cum, idx, per)
+
+    with mock.patch.object(highfreq, "_suplarge_from_profile", keep):
+        suplarge_quantity(spec, xi, refine=refine)
+    return seen[0]
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +182,8 @@ class TestCorrectorIntegrals:
         # bounded-variation decay: sup_t |n+-| * xi stays bounded up to 1e3
         def corrector_sup(x):
             # max over the [0, 2T] grid of |n+| and |n-|
-            _, npl, nmi, _, _ = corrector_profile(spec_sin, x, 2.0, 2 * _points_per_period(spec_sin, x) + 1)
+            nodes = uniform_nodes(spec_sin, 2.0, 2 * _points_per_period(spec_sin, x) + 1)
+            npl, nmi = corrector_profile(spec_sin, x, *nodes)
             return max(np.max(np.abs(npl)), np.max(np.abs(nmi)))
 
         xis = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 1000.0])
@@ -200,7 +233,7 @@ class TestFrames:
         # real b and h: the two corrector integrals are complex conjugates
         for spec in (spec_sin, spec_square, spec_tri):
             for xi in (3.0, 20.0, 100.0):
-                _, npl, nmi, _, _ = corrector_profile(spec, xi, 2.0 * spec.T, 4097)
+                npl, nmi = corrector_profile(spec, xi, *uniform_nodes(spec, 2.0 * spec.T, 4097))
                 assert np.max(np.abs(nmi - np.conj(npl))) < 1e-14
 
     def test_hermitian_closed_forms_match_matrices(self):
@@ -319,6 +352,39 @@ class TestSupLarge:
         assert raised > 0
 
 
+class TestProfileQuadrature:
+    @settings(max_examples=40, deadline=None)
+    @given(b=_broken_dissipations(), xi=st.floats(14.0, 60.0))
+    def test_corrector_converges_at_fourth_order(self, b, xi):
+        # pieces end at every jump and kink of b, so c+ keeps Simpson's order:
+        # each doubling of the intervals shrinks the change at least 8-fold
+        spec = ModelSpec(b, ConstantMass(0.0))
+        norms = [_base_norms(spec, xi, refine) for refine in (1, 2, 4)]
+        first, second = (float(np.max(np.abs(y - x))) for x, y in zip(norms, norms[1:]))
+        assert second <= max(first / 8.0, 1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=_broken_dissipations(), xi=st.floats(14.0, 60.0))
+    def test_frame_product_within_the_kink_bound(self, b, xi):
+        # the integrand |b| r / (1 - r) of ||R2||, r = |c+|, has a kink wherever
+        # c+ returns to zero, as it does after each phase cycle while b stays
+        # constant from t = 0, and nearly so while b varies slowly.  Simpson
+        # is second order there: a kink costs about sup|b|^2 h^2, and a window
+        # of one period holds at most xi T / (2 pi) + 2 of them.
+        spec = ModelSpec(b, ConstantMass(0.0))
+        h = b.period / _points_per_period(spec, xi)
+        coarse, fine = suplarge_quantity(spec, xi), suplarge_quantity(spec, xi, refine=16)
+        kinks = xi * b.period / (2.0 * math.pi) + 2.0
+        assert abs(coarse - fine) <= kinks * b.sup_abs**2 * h**2 * fine + 1e-13
+
+    def test_square_frame_product_value(self):
+        # massless square at the seed-0 threshold; the uniform 4,096-point
+        # rule gave 1.3475231, 1.3474304 at 131,072 points, first order at jumps
+        b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
+        spec = ModelSpec(b, ConstantMass(0.0))
+        assert suplarge_quantity(spec, 20.609375) == pytest.approx(1.34742736, rel=0.0, abs=1e-8)
+
+
 class TestTailBound:
     @settings(max_examples=60, deadline=None)
     @given(b=_dissipations(), scale=st.floats(2.0001, 6.0), m0=st.sampled_from([0.0, 0.7, 3.0]))
@@ -376,9 +442,9 @@ class TestThresholdSearch:
         calls = []
         profile = highfreq.suplarge_quantity
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[1])
-            return profile(*args)
+            return profile(*args, **kwargs)
 
         monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
         find_threshold_N(spec_square)
@@ -387,11 +453,12 @@ class TestThresholdSearch:
 
     def test_constant_profile(self, spec_const):
         thr = find_threshold_N(spec_const, xi_points=64, t_points=32)
-        assert highfreq._b_profile.cache_info().currsize == 0  # no b grid outlives the search
+        # no grid outlives the search
+        assert highfreq._b_profile.cache_info().currsize == highfreq._profile_ends.cache_info().currsize == 0
         assert thr.sup_value <= thr.target
         assert thr.xi_max_checked == 10.0 * thr.N
         # survives a doubled verification grid
-        assert _window_sup(spec_const.constant_mass_version(), thr.N, 128, 64) <= thr.target
+        assert _window_sup(spec_const.constant_mass_version(), thr.N, 128, 64)[0] <= thr.target
 
     def test_window_scan_stops_at_first_violation(self, spec_sin, monkeypatch):
         # 130 frequencies, one value above the cut at the third; the tail bound
@@ -405,10 +472,10 @@ class TestThresholdSearch:
         c_b = _tail_constant(spec_sin)
         assert _tail_bound(c_b, spec_sin.beta * spec_sin.T, 20.0) > 2.0
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
-        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=1.5) == 2.0
+        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=1.5) == (2.0, calls[2])
         assert len(calls) == 3
         calls.clear()
-        assert _window_sup(spec_sin, 2.0, 130, 8) == 2.0
+        assert _window_sup(spec_sin, 2.0, 130, 8) == (2.0, calls[2])
         assert len(calls) == 130
 
     def test_window_scan_stops_at_the_tail_bound(self, spec_sin, monkeypatch):
@@ -426,7 +493,7 @@ class TestThresholdSearch:
         bounds = np.array([_tail_bound(c_b, beta_t, float(x)) for x in xis])
         first = int(np.argmax(bounds <= 5.0))
         assert 3 < first < 130
-        assert _window_sup(spec_sin, 2.0, 130, 8) == 5.0
+        assert _window_sup(spec_sin, 2.0, 130, 8) == (5.0, float(xis[2]))
         assert calls == [float(x) for x in xis[:first]]
 
     def test_search_decisions_match_matrix_oracle(self, spec_sin, monkeypatch):
@@ -452,12 +519,15 @@ class TestThresholdSearch:
     def test_search_range_exhausted(self, spec_const, monkeypatch):
         from kgdecay.errors import ThresholdSearchError
 
-        # the windows at N = 1, 2, 4 fail and fit in 4096 points per period;
-        # the window at N = 8 would need 5120
-        monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 4096)
+        # the massless windows at N = 1, 2, 4 fail and fit in 1024 points per
+        # period; the window at N = 8 would need 1280
+        base = ModelSpec(spec_const.b, ConstantMass(0.0))
+        assert _points_per_period(base, 40.0, 32) == 1024
+        assert _points_per_period(base, 80.0, 32) == 1280
+        monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 1024)
         with pytest.raises(ThresholdSearchError):
             find_threshold_N(spec_const, xi_points=16, t_points=32)
-        assert highfreq._b_profile.cache_info().currsize == 0
+        assert highfreq._b_profile.cache_info().currsize == highfreq._profile_ends.cache_info().currsize == 0
 
     def test_trace_csv(self, spec_const, tmp_path):
         thr = find_threshold_N(spec_const, xi_points=32, t_points=32)
@@ -472,7 +542,8 @@ class TestThresholdSearch:
         flags = [True, np.False_, np.True_, False] * 2
         trace = tuple(zip(CSV_EDGE_VALUES, CSV_EDGE_VALUES[::-1], flags))
         thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_xi=2.0,
-                              trace=trace)
+                              accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
+                              reject_margin_sensitivity=None, trace=trace)
         path = tmp_path / "trace.csv"
         threshold_trace_to_csv(path, thr)
         rows = [(cand, sup, int(ok)) for cand, sup, ok in trace]
