@@ -3,9 +3,10 @@
 A :class:`PeriodicCoefficient` is a T-periodic scalar function given by one
 form: a closed-form rule registered by name, or uniform samples over one
 period with step (order 0) or linear (order 1) interpolation.  A form is the
-evaluation on reduced time, the jump and kink offsets within one period, and
-the exact mean, minimum, sup norm and total variation over one period
-(closed-form rules give them in closed form, samples by sums and extrema).
+evaluation on reduced time, the jump and kink offsets within one period, the
+exact mean, minimum, sup norm and total variation over one period
+(closed-form rules give them in closed form, samples by sums and extrema), and
+whether b jumps anywhere.
 A :class:`ModelSpec` bundles the dissipation b(t), the mass specification
 (constant m0, or m0^2 + eps*m1(t)), and the shared period T, and validates
 the standing model assumptions at construction time.
@@ -48,7 +49,7 @@ def _sorted_unique(values):
 
 def _form_constant(period, value):
     value = float(value)
-    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0
+    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0, False
 
 
 def _form_sin_offset(period, mean, amp, phase=0.0):
@@ -61,6 +62,7 @@ def _form_sin_offset(period, mean, amp, phase=0.0):
         mean - abs(amp),
         abs(mean) + abs(amp),
         4.0 * abs(amp),
+        False,
     )
 
 
@@ -72,7 +74,7 @@ def _form_triangle(period, lo, hi):
         u = np.asarray(tr, dtype=float) / period
         return lo + (hi - lo) * (1.0 - np.abs(2.0 * u - 1.0))
 
-    return f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo)
+    return f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo), False
 
 
 def _form_square(period, lo, hi, duty=0.5):
@@ -88,7 +90,7 @@ def _form_square(period, lo, hi, duty=0.5):
     minimum = min(hi if on_hi else math.inf, lo if on_lo else math.inf)
     sup = max(abs(hi) if on_hi else 0.0, abs(lo) if on_lo else 0.0)
     variation = 2.0 * abs(hi - lo) if on_hi and on_lo else 0.0
-    return f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation
+    return f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation, variation > 0.0
 
 
 def _form_samples(period, samples, order):
@@ -119,13 +121,15 @@ def _form_samples(period, samples, order):
         float(np.min(samples)),
         float(np.max(np.abs(samples))),
         float(np.sum(np.abs(nxt - samples))),
+        order == 0 and bool(np.any(nxt != samples)),
     )
 
 
 #: Registered closed-form rules: name -> factory(period, **params) returning a
 #: form: (vectorized eval on reduced time, kink/jump offsets within [0, T),
 #: exact mean, exact minimum, exact sup|c|, exact total variation over one
-#: period).  :func:`_form_samples` returns the same tuple for samples.
+#: period, whether any offset is a jump).  :func:`_form_samples` returns the
+#: same tuple for samples.
 FORMS = {
     "constant": _form_constant,
     "sin_offset": _form_sin_offset,
@@ -154,7 +158,7 @@ class PeriodicCoefficient:
 
     def __init__(self, period, form, description):
         self.period = period
-        self._eval_fn, offsets, self.mean, self.minimum, self.sup_abs, self.variation = form
+        self._eval_fn, offsets, self.mean, self.minimum, self.sup_abs, self.variation, self.has_jumps = form
         self._offsets = np.asarray(offsets, dtype=float)
         self._description = description
         if not all(math.isfinite(v) for v in (self.mean, self.minimum, self.sup_abs, self.variation)):

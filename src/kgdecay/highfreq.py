@@ -22,8 +22,10 @@ with P(xi) below the accept level covers every higher frequency.
 A frame profile splits one period at the base times of the supremum and at
 the breakpoints of b, so b is smooth inside every piece, and integrates each
 piece by Simpson's rule with the same number of intervals.  The quadrature
-then keeps its fourth order where b jumps or kinks, and a profile needs only
-enough points to resolve the phase.
+then keeps its fourth order where b jumps or kinks.  Where b jumps, that is
+far more accurate than a grid blind to the jumps, and a quarter of the
+points suffices; a b without jumps keeps the full count.  A b with many
+breakpoints, such as a long sampled series, is split at the base times only.
 """
 
 from __future__ import annotations
@@ -45,8 +47,22 @@ FRAME_DET_GUARD = 0.1
 
 # Oscillation sampling: Simpson intervals per period, at least this many and
 # at least this many per unit of accumulated phase over one period.
-MIN_POINTS_PER_PERIOD = 1024
-POINTS_PER_PHASE_UNIT = 16
+MIN_POINTS_PER_PERIOD = 4096
+POINTS_PER_PHASE_UNIT = 64
+
+# Where b jumps and a piece ends at every jump, a profile takes this fraction
+# of the intervals above.  Over random square waves and step samples that
+# stays within 3e-6 of the converged frame product, where the full count on a
+# grid blind to the jumps was off by up to 9e-3.  On b without jumps the full
+# count stays within 1e-6, and a quarter of it would be 10 to 30 times further
+# off, so such b keeps it.
+JUMP_ALIGNED_DIVISOR = 4
+
+# A profile splits at the breakpoints of b only while that makes at most this
+# many pieces per period; a b with more, such as a long sampled series, is
+# split at the base times alone.  Splitting at breakpoints thus adds fewer
+# than 2 * MAX_ALIGNED_PIECES intervals to a profile.
+MAX_ALIGNED_PIECES = 512
 
 # A profile samples b this far inside each piece end, relative to the piece
 # length, so that a jump there takes its value from inside the piece.  A
@@ -61,10 +77,10 @@ SUP_T_POINTS = 64
 WINDOW_FACTOR = 10.0
 
 # The search gives up before a window whose top frequency needs more points
-# per period than this (2^20, N of about 6,550 at T = 1, or fewer where b has
-# many breakpoints); profiles hold 2 * (points + pieces) complex values.  The
-# two sensitivity profiles of find_threshold_N take twice the count at their
-# frequencies.
+# per period than this (2^20: N of about 1,600 at T = 1, or 6,550 where b
+# jumps and a piece ends at every jump); profiles hold 2 * (points + pieces)
+# complex values.  The two sensitivity profiles of find_threshold_N take twice
+# the count at their frequencies.
 MAX_PROFILE_POINTS = 2**20
 
 # verify_highfreq_contraction passes when sup ||M|| <= exp(-beta T / 2) + this.
@@ -118,16 +134,24 @@ class ThresholdResult:
 
 @functools.lru_cache(maxsize=1)
 def _profile_ends(b, T: float, t_points: int):
-    """Piece ends over [0, T], ascending and read-only: the base times
-    j T / t_points and the breakpoints of b in (0, T), then T.
+    """Piece ends over [0, T], ascending and read-only, and whether they
+    include every breakpoint of b.
 
-    Every profile of a search shares them; :func:`find_threshold_N` clears
-    the cache when it ends.
+    The ends are the base times j T / t_points, the breakpoints of b in
+    (0, T) while that makes at most MAX_ALIGNED_PIECES pieces, and T.  Every
+    profile of a search shares them (building them takes about a fifth of
+    the time of a square wave's profile); :func:`find_threshold_N` clears the
+    cache when it ends.
     """
-    base = np.arange(t_points) * (T / t_points)
-    ends = np.append(_sorted_unique(np.concatenate([base, b.breakpoints_in(0.0, T)])), T)
+    ends = np.arange(t_points) * (T / t_points)
+    split = t_points <= MAX_ALIGNED_PIECES
+    if split:
+        merged = _sorted_unique(np.concatenate([ends, b.breakpoints_in(0.0, T)]))
+        split = merged.size <= MAX_ALIGNED_PIECES
+        ends = merged if split else ends
+    ends = np.append(ends, T)
     ends.flags.writeable = False
-    return ends
+    return ends, split
 
 
 def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> int:
@@ -135,19 +159,19 @@ def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS)
 
     Every piece of :func:`_profile_ends` gets the same even number M of
     intervals, the least with M * pieces >= max(MIN_POINTS_PER_PERIOD,
-    POINTS_PER_PHASE_UNIT * phase); the count is M * pieces, and the profile
-    cap is checked against it.  Where the phase over one period overflows,
-    the count is inf, above any cap.  Each piece needs two intervals, so
-    where 2 t_points is above the cap, that lower bound is returned without
-    building the pieces.
+    POINTS_PER_PHASE_UNIT * phase), divided by JUMP_ALIGNED_DIVISOR where b
+    jumps and a piece ends at every breakpoint.  The count is M * pieces, and
+    the profile cap is checked against it.  Where the phase over one period
+    overflows, the count is inf, above any cap.
     """
     phase = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon) * spec.T  # sup|m1| = 1
     if not math.isfinite(phase):
         return math.inf
-    if 2 * t_points > MAX_PROFILE_POINTS:
-        return 2 * t_points
+    ends, split = _profile_ends(spec.b, spec.T, t_points)
     p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(phase))
-    pieces = _profile_ends(spec.b, spec.T, t_points).size - 1
+    if split and spec.b.has_jumps:
+        p //= JUMP_ALIGNED_DIVISOR
+    pieces = ends.size - 1
     return 2 * pieces * math.ceil(p / (2 * pieces))
 
 
@@ -213,28 +237,27 @@ def _simpson_totals(y, step):
 
 @functools.lru_cache(maxsize=1)
 def _b_profile(b, T, t_points, points):
-    """The profile grid over [0, T] and b on it, read-only: (tau, step, values, base).
+    """The profile grid over [0, T] and b on it, read-only: (start, step, values, base).
 
     The pieces of :func:`_profile_ends`, each split into M = points / pieces
-    uniform intervals: ``tau`` holds the node times as an (M + 1, pieces)
-    array, ``step`` the interval of each piece, ``values`` b at the nodes and
-    ``base`` the pieces whose node 0 is a base time, in order.  At a piece end
+    uniform intervals: ``start`` and ``step`` hold the first node and the
+    interval of each piece, ``values`` b at the nodes as an (M + 1, pieces)
+    array and ``base`` the pieces whose node 0 is a base time, in order.  At a piece end
     b takes its value from inside the piece, sampled PIECE_END_OFFSET of the
     piece length in.  Every profile with the same count shares the grid;
     :func:`find_threshold_N` clears the cache when it ends.
     """
-    ends = _profile_ends(b, T, t_points)
+    ends, _ = _profile_ends(b, T, t_points)
     start, length = ends[:-1], np.diff(ends)
     m = points // start.size
     u = np.arange(m + 1) / m
-    tau = start + np.outer(u, length)
     u[0], u[-1] = PIECE_END_OFFSET, 1.0 - PIECE_END_OFFSET
     values = b.eval(start + np.outer(u, length))
     step = length / m
     base = np.searchsorted(ends, np.arange(t_points) * (T / t_points))
-    for array in (tau, step, values, base):
+    for array in (step, values, base):
         array.flags.writeable = False
-    return tau, step, values, base
+    return start, step, values, base
 
 
 def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, refine: int = 1) -> float:
@@ -244,9 +267,10 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     1 +/- r, r = |n+| = |c+|.  Its norms are closed scalars:
     ||N1|| = 1 + r, ||N1inv|| = 1/|1 - r|, |det N1| = |1 - r^2| and
     ||R2|| = |b| r / |1 - r|.
-    The profile runs on the breakpoint-aligned grid of :func:`_b_profile`
-    and on its copy shifted by T, so that b is smooth inside every piece and
-    each base time t_j = j T / t_points and t_j + T is node 0 of a piece.
+    The profile runs on the grid of :func:`_b_profile` and on its copy
+    shifted by T, so that each base time t_j = j T / t_points and t_j + T is
+    node 0 of a piece, and b is smooth inside every piece unless it has more
+    breakpoints than MAX_ALIGNED_PIECES allows.
     c+ is integrated by cumulative Simpson within each piece plus the totals
     of the pieces before it; ``refine`` multiplies the intervals per piece.
     Since b has period T, c+(t + T) = c+(T) + exp(i h T) c+(t) node for node,
@@ -258,14 +282,16 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     """
     if spec.epsilon != 0.0:
         raise ValueError("the frame product is defined for a constant mass")
-    tau, step, b, base = _b_profile(spec.b, spec.T, t_points, refine * _points_per_period(spec, xi, t_points))
+    start, step, b, base = _b_profile(spec.b, spec.T, t_points, refine * _points_per_period(spec, xi, t_points))
     # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h = h t; c[0] holds
-    # c+ on the nodes over [0, T] and c[1] on the same nodes shifted by T
+    # c+ on the nodes over [0, T] and c[1] on the same nodes shifted by T.
+    # Along a piece exp(i h t) is exp(i h start) times powers of
+    # exp(i h step), taken as a running product: one rounding per node
     h = math.hypot(xi, spec.m0)
-    phase = h * tau
-    c = np.empty((2,) + tau.shape, dtype=complex)
-    np.cos(phase, out=c[0].real)
-    np.sin(phase, out=c[0].imag)
+    c = np.empty((2,) + b.shape, dtype=complex)
+    c[0, 0] = np.exp(1j * h * start)
+    c[0, 1:] = np.exp(1j * h * step)
+    np.cumprod(c[0], axis=0, out=c[0])
     c[0] *= b
     c[0] = _cumulative_simpson_uniform(c[0], step)
     c[0, :, 1:] += np.cumsum(c[0, -1, :-1])

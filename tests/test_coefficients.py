@@ -116,6 +116,26 @@ class TestExactConstants:
         s = np.random.default_rng(order).uniform(-1.0, 2.0, 96)
         assert PeriodicCoefficient.from_samples(s, 1.0, order=order).minimum == np.min(s)
 
+    @pytest.mark.parametrize("name, params, jumps", [
+        ("constant", {"value": 0.7}, False),
+        ("sin_offset", {"mean": 1.0, "amp": 0.5}, False),
+        ("triangle", {"lo": 0.2, "hi": 1.0}, False),
+        ("square", {"lo": 0.2, "hi": 1.0, "duty": 0.3}, True),
+        ("square", {"lo": 0.2, "hi": 1.0, "duty": 0.0}, False),
+        ("square", {"lo": 0.7, "hi": 0.7}, False),
+    ])
+    def test_jumps_of_closed_forms(self, name, params, jumps):
+        assert PeriodicCoefficient.from_closed_form(name, 1.5, **params).has_jumps is jumps
+
+    @pytest.mark.parametrize("values, order, jumps", [
+        ([0.2, 1.0, 0.5], 0, True),
+        ([0.2, 1.0, 0.5], 1, False),
+        ([0.4, 0.4], 0, False),
+        ([0.4], 0, False),
+    ])
+    def test_jumps_of_samples(self, values, order, jumps):
+        assert PeriodicCoefficient.from_samples(values, 1.5, order=order).has_jumps is jumps
+
     def test_sup_of_a_shifted_sinusoid_is_exact(self):
         # the 4096-point validation grid misses this peak
         c = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=0.1)

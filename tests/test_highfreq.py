@@ -50,17 +50,28 @@ ORACLE_XIS = (2.0, 5.0, 20.0, 64.0, 100.0, 206.0)
 
 def suplarge_matrix_oracle(spec, xi, t_points=64, refine=1):
     """The frame product from full complex 2x2 matrices, n+ and n- integrated
-    apart over [0, 2T] on the profile's nodes over [0, T] and their shift by T."""
-    points = refine * _points_per_period(spec, xi, t_points)
-    tau, _, b, base = highfreq._b_profile(spec.b, spec.T, t_points, points)
-    tau, b = np.hstack([tau, tau + spec.T]), np.hstack([b, b])
+    apart over [0, 2T] on the profile's nodes: one period split at the base
+    times and at the breakpoints of b, every piece into the same number of
+    intervals, b sampled PIECE_END_OFFSET of a piece inside its ends, and the
+    same nodes shifted by T.  Covers b with at most MAX_ALIGNED_PIECES pieces."""
+    T = spec.T
+    base = [j * (T / t_points) for j in range(t_points)]
+    ends = np.array(sorted(set(base) | set(spec.b.breakpoints_in(0.0, T).tolist())) + [T])
+    pieces = ends.size - 1
+    assert pieces <= highfreq.MAX_ALIGNED_PIECES
+    m = refine * _points_per_period(spec, xi, t_points) // pieces
+    u = np.linspace(0.0, 1.0, m + 1)[:, None]
+    tau = ends[:-1] + u * np.diff(ends)
+    u[0], u[-1] = highfreq.PIECE_END_OFFSET, 1.0 - highfreq.PIECE_END_OFFSET
+    b = spec.b.eval(ends[:-1] + u * np.diff(ends))
+    tau, b = np.hstack([tau, tau + T]), np.hstack([b, b])
     npl, nmi = corrector_profile(spec, xi, tau, b)
     n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
     if float(np.min(np.abs(det))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
     r2_cum = piecewise_cumulative(spectral_norm_2x2(r2), tau)
     norms = spectral_norm_2x2(n1)[0], spectral_norm_2x2(n1_inv)[0]
-    return _suplarge_from_profile(*norms, r2_cum[0], base, tau.shape[1] // 2)
+    return _suplarge_from_profile(*norms, r2_cum[0], np.searchsorted(ends, base), pieces)
 
 
 def _random_samples(order, seed):
@@ -377,6 +388,35 @@ class TestProfileQuadrature:
         kinks = xi * b.period / (2.0 * math.pi) + 2.0
         assert abs(coarse - fine) <= kinks * b.sup_abs**2 * h**2 * fine + 1e-13
 
+    @pytest.mark.parametrize("form, params, points", [
+        ("square", {"lo": 0.2, "hi": 1.0}, 1024),
+        ("square", {"lo": 1.0, "hi": 1.0}, 4096),
+        ("triangle", {"lo": 0.2, "hi": 1.0}, 4096),
+        ("sin_offset", {"mean": 1.0, "amp": 0.5}, 4096),
+    ])
+    def test_quarter_count_only_where_b_jumps(self, form, params, points):
+        # at xi = 14 the phase asks for fewer points than the least count
+        b = PeriodicCoefficient.from_closed_form(form, 1.0, **params)
+        assert _points_per_period(ModelSpec(b, ConstantMass(0.0)), 14.0) == points
+
+    @pytest.mark.parametrize("order, points", [(0, 1024), (1, 4096)])
+    def test_quarter_count_for_step_samples(self, order, points):
+        assert _points_per_period(ModelSpec(_random_samples(order, 7), ConstantMass(0.0)), 14.0) == points
+
+    def test_many_breakpoints_split_at_base_times(self):
+        # splitting 10,000 step samples at every jump would take more than
+        # 20,000 intervals per period; the profile splits at the base times
+        # alone and takes the count of a b without breakpoints
+        rng = np.random.default_rng(3)
+        b = PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 10_000), 1.0, order=0)
+        spec = ModelSpec(b, ConstantMass(0.0))
+        smooth = ModelSpec(PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0), ConstantMass(0.0))
+        ends, split = highfreq._profile_ends(b, 1.0, 64)
+        assert not split and ends.size == 65
+        for xi in (14.0, 200.0, 20000.0):
+            assert _points_per_period(spec, xi) == _points_per_period(smooth, xi)
+        assert 1.0 < suplarge_quantity(spec, 200.0) < math.inf
+
     def test_square_frame_product_value(self):
         # massless square at the seed-0 threshold; the uniform 4,096-point
         # rule gave 1.3475231, 1.3474304 at 131,072 points, first order at jumps
@@ -519,12 +559,12 @@ class TestThresholdSearch:
     def test_search_range_exhausted(self, spec_const, monkeypatch):
         from kgdecay.errors import ThresholdSearchError
 
-        # the massless windows at N = 1, 2, 4 fail and fit in 1024 points per
-        # period; the window at N = 8 would need 1280
+        # the windows at N = 1, 2, 4 fail and fit in 4096 points per period;
+        # the window at N = 8 would need 5120
         base = ModelSpec(spec_const.b, ConstantMass(0.0))
-        assert _points_per_period(base, 40.0, 32) == 1024
-        assert _points_per_period(base, 80.0, 32) == 1280
-        monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 1024)
+        assert _points_per_period(base, 40.0, 32) == 4096
+        assert _points_per_period(base, 80.0, 32) == 5120
+        monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 4096)
         with pytest.raises(ThresholdSearchError):
             find_threshold_N(spec_const, xi_points=16, t_points=32)
         assert highfreq._b_profile.cache_info().currsize == highfreq._profile_ends.cache_info().currsize == 0
