@@ -388,20 +388,17 @@ class TestProfileQuadrature:
         kinks = xi * b.period / (2.0 * math.pi) + 2.0
         assert abs(coarse - fine) <= kinks * b.sup_abs**2 * h**2 * fine + 1e-13
 
-    @pytest.mark.parametrize("form, params, points", [
-        ("square", {"lo": 0.2, "hi": 1.0}, 1024),
-        ("square", {"lo": 1.0, "hi": 1.0}, 4096),
-        ("triangle", {"lo": 0.2, "hi": 1.0}, 4096),
-        ("sin_offset", {"mean": 1.0, "amp": 0.5}, 4096),
+    @pytest.mark.parametrize("b, points", [
+        (PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0), 1024),
+        (PeriodicCoefficient.from_closed_form("square", 1.0, lo=1.0, hi=1.0), 4096),
+        (PeriodicCoefficient.from_closed_form("triangle", 1.0, lo=0.2, hi=1.0), 4096),
+        (PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5), 4096),
+        (_random_samples(0, 7), 1024),
+        (_random_samples(1, 7), 4096),
     ])
-    def test_quarter_count_only_where_b_jumps(self, form, params, points):
+    def test_quarter_count_only_where_b_jumps(self, b, points):
         # at xi = 14 the phase asks for fewer points than the least count
-        b = PeriodicCoefficient.from_closed_form(form, 1.0, **params)
         assert _points_per_period(ModelSpec(b, ConstantMass(0.0)), 14.0) == points
-
-    @pytest.mark.parametrize("order, points", [(0, 1024), (1, 4096)])
-    def test_quarter_count_for_step_samples(self, order, points):
-        assert _points_per_period(ModelSpec(_random_samples(order, 7), ConstantMass(0.0)), 14.0) == points
 
     def test_many_breakpoints_split_at_base_times(self):
         # splitting 10,000 step samples at every jump would take more than
