@@ -102,10 +102,11 @@ def sup_norm_curve(
     default to the union of nxi_low points on [0, N] and nxi_high points on
     [N, 4N]; pass ``xi_grid`` to override.  Each time t = l T + s is evaluated
     as ||M(s, xi)^l E(s, 0, xi)||, composed by
-    :func:`~kgdecay.monodromy._period_products` from one checkpointed sweep
-    over [0, T] for the whole frequency grid.  That sweep integrates the four
-    quarter periods (split further at coefficient jumps) as one batch on one
-    step sequence, set by the hardest frequency and quarter.  The rate is
+    :func:`~kgdecay.monodromy._period_products` from checkpointed sweeps
+    over [0, T]: one per default band, or one for a given ``xi_grid``.  A sweep
+    integrates the four quarter periods (split further at coefficient jumps)
+    as one batch on one step sequence, set by the hardest frequency and
+    quarter, so the low band does not take the high band's steps.  The rate is
     fitted after a burn-in of 2kT; the mass-influence diagnostic is added when
     b > 0 everywhere.
     """
@@ -113,18 +114,16 @@ def sup_norm_curve(
     if t_end < 10.0 * k * T:
         raise ValueError(f"t_end must be at least 10 kT = {10.0 * k * T:g}, got {t_end}")
     if xi_grid is None:
-        xi_grid = np.concatenate(
-            [np.linspace(0.0, cert.N, nxi_low), np.linspace(cert.N, 4.0 * cert.N, nxi_high)]
-        )
+        bands = [np.linspace(0.0, cert.N, nxi_low), np.linspace(cert.N, 4.0 * cert.N, nxi_high)]
     else:
-        xi_grid = np.asarray(xi_grid, dtype=float)
+        bands = [np.asarray(xi_grid, dtype=float)]
 
     n_steps = int(math.floor(t_end / (T / 4.0) + 1e-9))
     times = np.arange(n_steps + 1) * (T / 4.0)
     checkpoints = np.array([0.0, 0.25 * T, 0.5 * T, 0.75 * T, T])
     n_periods = n_steps // 4 + 1
 
-    _, segments, _ = propagate_grid(spec, 0.0, T, xi_grid, tol, checkpoints)
+    segments = np.concatenate([propagate_grid(spec, 0.0, T, xi, tol, checkpoints)[1] for xi in bands], axis=1)
     prefix, M = _period_products(segments)
     # E(s, 0) and M(s) at the four base offsets; the real form has the norms of E
     P, M = prefix[:4], M[:4]

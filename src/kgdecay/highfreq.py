@@ -467,7 +467,5 @@ def verify_highfreq_contraction(
 
 def threshold_trace_to_csv(path, result: ThresholdResult) -> None:
     """Write the search trace as CSV: N_candidate, sup_value, accepted."""
-    trace = result.trace
-    floats = [[row[0] for row in trace], [row[1] for row in trace]]
-    _write_csv(path, ("N_candidate", "sup_value", "accepted"), floats,
-               [lambda rows: ["1" if row[2] else "0" for row in trace[rows]]])
+    columns = [np.array([row[k] for row in result.trace], dtype=dt) for k, dt in enumerate((float, float, bool))]
+    _write_csv(path, ("N_candidate", "sup_value", "accepted"), columns)

@@ -182,19 +182,19 @@ def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:
 def contraction_search(M_grid: np.ndarray, k_max: int = 64, margin: float = DEFAULT_CONTRACTION_MARGIN, t_grid=None, xi_grid=None):
     """Smallest k with sup ||M^k|| <= 1 - margin over a precomputed grid.
 
-    Checks the spectral radii first (all must sit below 1 - RHO_BLOCKER_TOL),
-    then powers the whole grid iteratively.  Returns (k, c1).
+    First checks the spectral radii of the first t row, as the samples table
+    takes them (all below 1 - RHO_BLOCKER_TOL), then powers the grid.  Returns (k, c1).
     """
     t_grid = np.asarray(t_grid if t_grid is not None else np.arange(M_grid.shape[0]), dtype=float)
     xi_grid = np.asarray(xi_grid if xi_grid is not None else np.arange(M_grid.shape[1]), dtype=float)
 
-    rho = _spectral_radius(eigenvalues_2x2(M_grid))
+    rho = _spectral_radius(eigenvalues_2x2(M_grid[0]))
     if np.max(rho) >= 1.0 - RHO_BLOCKER_TOL:
-        it, ix = np.unravel_index(int(np.argmax(rho)), rho.shape)
+        ix = int(np.argmax(rho))
         raise NoContractionError(
-            f"spectral radius {rho[it, ix]:.12g} at (t={t_grid[it]:.6g}, xi={xi_grid[ix]:.6g}) "
+            f"spectral radius {rho[ix]:.12g} at (t={t_grid[0]:.6g}, xi={xi_grid[ix]:.6g}) "
             "blocks the contraction certificate",
-            worst=(float(t_grid[it]), float(xi_grid[ix]), float(rho[it, ix])),
+            worst=(float(t_grid[0]), float(xi_grid[ix]), float(rho[ix])),
         )
 
     P = M_grid.copy()
@@ -251,84 +251,86 @@ def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
 
     A structured array with the float fields of :data:`SAMPLE_FLOATS` and the
     bool field ``real_pair``: the eigenvalue pair, the spectral radius, the
-    spectral norm and the pair class of every matrix.  The class comes from
-    the characteristic-polynomial discriminant, which is real for the real
-    form of :func:`monodromy_grid`: positive means two real eigenvalues
-    (``real_pair``), negative a complex-conjugate pair, and a degenerate band
-    around zero is a real (double) root.
+    spectral norm and the pair class.  The spectrum does not depend on t, so
+    each xi's is taken once, from the first t row; the norm is taken for every
+    matrix.  The class comes from the characteristic-polynomial discriminant,
+    which is real for the real form of :func:`monodromy_grid`: positive means
+    two real eigenvalues (``real_pair``), negative a complex-conjugate pair,
+    and a degenerate band around zero is a real (double) root.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
-    M = np.asarray(M_grid).reshape(-1, 2, 2)
-    ev = eigenvalues_2x2(M)
-    tr = trace2(M)
-    disc = tr * tr - 4.0 * det2(M)
-    real_pair = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
+    M = np.asarray(M_grid).reshape(t_grid.size, xi_grid.size, 2, 2)
+    ev = eigenvalues_2x2(M[:1])
+    tr = trace2(M[:1])
+    disc = tr * tr - 4.0 * det2(M[:1])
 
-    table = np.empty(len(M), dtype=SAMPLE_DTYPE)
-    table["t"] = np.repeat(t_grid, xi_grid.size)
-    table["xi"] = np.tile(xi_grid, t_grid.size)
-    table["re_eig1"], table["im_eig1"] = ev[:, 0].real, ev[:, 0].imag
-    table["re_eig2"], table["im_eig2"] = ev[:, 1].real, ev[:, 1].imag
+    table = np.empty(M.shape[:2], dtype=SAMPLE_DTYPE)
+    table["t"] = t_grid[:, None]
+    table["xi"] = xi_grid
+    table["re_eig1"], table["im_eig1"] = ev[..., 0].real, ev[..., 0].imag
+    table["re_eig2"], table["im_eig2"] = ev[..., 1].real, ev[..., 1].imag
     table["rho"] = _spectral_radius(ev)
     table["norm"] = spectral_norm_2x2(M)
-    table["real_pair"] = real_pair
-    return table
+    table["real_pair"] = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
+    return table.reshape(-1)
 
 
-def _column_text(column):
-    """The "%.17g" text of a float column, as a function of a slice of rows.
+def _text(values, labels):
+    """The CSV text of an array's entries, "%.17g" of floats and labels[flag] of bools, as an object array."""
+    if values.dtype == bool:
+        return np.array([labels[flag] for flag in values.tolist()], dtype=object)
+    return np.array(["%.17g" % v for v in values.tolist()], dtype=object)
 
-    Values are told apart by bit pattern, so -0.0 and 0.0, and NaNs of
-    different sign or payload, each keep their own text.  When at most half
-    the entries are distinct, each distinct value is formatted once and its
-    text is held for the whole write; otherwise each slice is formatted when
-    asked for.  Either way, text is held for at most half the column's entries,
-    and no copy of the column: an index into the distinct values, in the
-    narrowest integer type that holds their count, or the column as given.
+
+def _write_csv(path, header, columns, labels=("0", "1")):
+    """Write equally long columns as CSV with LF line ends: floats as "%.17g", bools as labels[flag].
+
+    The rows are read as a grid whose rows are the runs of the first column,
+    as in a scan, whose t repeats over xi: nxi is the length of its leading
+    run of equal entries, if that divides the row count.  Entries are told
+    apart by bit pattern: a column that repeats down t is formatted once per
+    xi, one that repeats along xi once per t, neighbouring columns repeated
+    alike are joined once, and the floats of other columns go into each row's
+    format as they are.  Rows are written CSV_BLOCK_ROWS at a time, so text is
+    held for at most half of each column's entries plus one block of rows.
     """
-    column = np.asarray(column, dtype=float)
-    bits = np.ascontiguousarray(column).view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    ordered = bits[order]
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = np.count_nonzero(first)
-    if 2 * distinct > bits.size:
-        return lambda rows: ["%.17g" % v for v in column[rows].tolist()]
-    text = np.array(["%.17g" % v for v in column[order[first]].tolist()], dtype=object)
-    index = np.empty(bits.size, dtype=np.min_scalar_type(distinct))
-    index[order] = np.cumsum(first) - 1
-    return lambda rows: text[index[rows]].tolist()
-
-
-def _write_csv(path, header, floats, texts=()):
-    """Write float columns, then text columns, as CSV with LF line ends.
-
-    Floats are written as "%.17g" (see :func:`_column_text`); a text column
-    is a function from a slice of rows to their list of strings.  Rows are
-    joined and written CSV_BLOCK_ROWS at a time, so the text of the whole
-    table is never held at once.
-    """
-    columns = [_column_text(c) for c in floats] + list(texts)
-    n = len(floats[0])
+    columns = [np.asarray(c) for c in columns]
+    first, n = columns[0].view(f"u{columns[0].itemsize}"), len(columns[0])
+    run = int(np.argmax(first != first[0])) if n else 0
+    nxi = run if run and n % run == 0 else max(n, 1)
+    fields = []  # (format, axis, values): text per index of grid axis 0 or 1, or (axis None) the entries
+    for grid in (c.reshape(-1, nxi) for c in columns):
+        bits = grid.view(f"u{grid.itemsize}")
+        if len(grid) > 1 and np.all(bits == bits[:1]):
+            axis, text = 1, _text(grid[0], labels)
+        elif nxi > 1 and np.all(bits == bits[:, :1]):
+            axis, text = 0, _text(grid[:, 0], labels)
+        else:
+            fields.append(("%s" if grid.dtype == bool else "%.17g", None, grid.reshape(-1)))
+            continue
+        if fields and fields[-1][1] == axis:
+            text = fields.pop()[2] + "," + text
+        fields.append(("%s", axis, text))
+    row = ",".join(f[0] for f in fields) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            cells = [text(block) for text in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            ij = np.divmod(np.arange(lo, min(lo + CSV_BLOCK_ROWS, n)), nxi)
+            cells = np.empty((ij[0].size, len(fields)), dtype=object)  # one format call per block
+            for k, (_, axis, values) in enumerate(fields):
+                block = values[lo : lo + CSV_BLOCK_ROWS] if axis is None else values[ij[axis]]
+                cells[:, k] = _text(block, labels) if block.dtype == bool else block
+            fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def scan_to_csv(path, samples) -> None:
     """Write the samples table as CSV: t, xi, eigenvalue parts, rho, norm, class.
 
-    Byte for byte the "%.17g" text of every float.  The table repeats most of
-    its values (t over xi, xi over t, and the spectrum, which does not depend
-    on t), so each distinct value of those columns is formatted once; rows are
-    streamed in blocks of CSV_BLOCK_ROWS, and each block's ``real_pair`` flags
-    are written as CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.
+    Byte for byte the "%.17g" text of every float, with each ``real_pair``
+    flag written as CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.  For the table of
+    a grid, each t and each xi's spectrum and class are formatted once (see
+    :func:`_write_csv`), and only the norm per row.
     """
-    real_pair = samples["real_pair"]
-    _write_csv(path, SAMPLE_FLOATS + ("class",), [samples[name] for name in SAMPLE_FLOATS],
-               [lambda rows: np.where(real_pair[rows], CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR).tolist()])
+    _write_csv(path, SAMPLE_FLOATS + ("class",), [samples[name] for name in SAMPLE_FLOATS + ("real_pair",)],
+               (CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR))

@@ -14,10 +14,11 @@ from kgdecay import (
     spectral_norm_2x2,
     sup_norm_curve,
 )
+from kgdecay import certify
 from kgdecay.certify import DecayReport, certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
 
-from conftest import CSV_EDGE_VALUES, certificate, contraction_k, propagate, strongly_damped
+from conftest import CSV_EDGE_VALUES, certificate, contraction_k, make_perturbed, propagate, strongly_damped
 from oracles import gamma_curve_long, monodromy_at, reference_csv
 
 
@@ -123,6 +124,26 @@ class TestSupNormCurve:
         for t, got in list(zip(rep.time_grid, rep.sup_norm_curve))[::5]:
             direct = max(spectral_norm_2x2(propagate(spec, 0.0, float(t), xi)) for xi in xi_grid)
             assert abs(got - direct) <= 1e-10 * direct
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_two_band_sweeps_match_one_sweep(self, b_sin, m1_cos, eps, monkeypatch):
+        # by default each band gets its own sweep and step sequence; the curve
+        # and the fit equal those of one sweep over the same union to rounding
+        spec = make_perturbed(b_sin, 1.0, eps, m1_cos) if eps else ModelSpec(b_sin, ConstantMass(1.0))
+        cert = assemble_certificate(spec, 8.0, 1, 0.5)
+        sizes, sweep = [], certify.propagate_grid
+
+        def counted(spec, s, t, xi, *args):
+            sizes.append(len(xi))
+            return sweep(spec, s, t, xi, *args)
+
+        monkeypatch.setattr(certify, "propagate_grid", counted)
+        bands = sup_norm_curve(spec, cert, 12.0, nxi_low=48, nxi_high=16)
+        union = np.concatenate([np.linspace(0.0, 8.0, 48), np.linspace(8.0, 32.0, 16)])
+        one = sup_norm_curve(spec, cert, 12.0, xi_grid=union)
+        assert sizes == [48, 16, 64]
+        assert np.allclose(bands.sup_norm_curve, one.sup_norm_curve, rtol=1e-12, atol=0.0)
+        assert bands.fitted_rate == pytest.approx(one.fitted_rate, rel=1e-12, abs=0.0)
 
     def test_high_band_bounded_by_delta0_envelope(self, spec_sin):
         from kgdecay import find_threshold_N

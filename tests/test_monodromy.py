@@ -190,31 +190,42 @@ class TestSpectralRadiusScan:
             assert abs(s["rho"] - max(abs(e1), e2bt / abs(e1))) < 1e-8
 
 
+def with_edge_columns(M, synthetic):
+    """M with one more column per (a, c): [[a, 1], [c, a]], of discriminant 4c, in
+    the first t row, and in each later row i that matrix conjugated by the shear
+    [[1, i/2], [0, 1]], as M(t) is conjugate to M(0)."""
+    first = np.array([[[a, 1.0], [c, a]] for a, c in synthetic])
+    rows = [first]
+    for i in range(1, M.shape[0]):
+        shear = np.array([[1.0, i / 2], [0.0, 1.0]])
+        rows.append(shear @ first @ np.linalg.inv(shear))
+    return np.concatenate([M, np.array(rows)], axis=1)
+
+
 class TestSamplesTable:
     def test_matches_per_matrix_reference(self, b_tri):
-        # real pairs at low xi, complex pairs above, and a row of synthetic
+        # real pairs at low xi, complex pairs above, and first-row synthetic
         # matrices with a zero, a tiny and a just-too-large discriminant
         spec = ModelSpec(b_tri, ConstantMass(0.25))
         t_grid = np.array([0.0, 0.3, 0.7, 0.0])
-        xi_grid = np.linspace(0.0, 4.0, 6)
-        M = np.concatenate([monodromy_grid(spec, t_grid[:3], xi_grid), np.empty((1, 6, 2, 2), complex)])
+        xi_grid = np.linspace(0.0, 8.8, 12)
         synthetic = [(0.5, 0.0), (0.5, 2e-11), (0.5, -2e-11), (0.5, -1e-9), (0.3j, 0.0), (0.0, 1.0)]
-        for j, (a, c) in enumerate(synthetic):
-            M[3, j] = [[a, 1.0], [c, a]]  # discriminant 4c
+        M = with_edge_columns(monodromy_grid(spec, t_grid, xi_grid[:6]), synthetic)
         table = samples_from_grid(t_grid, xi_grid, M)
 
         assert len(table) == M.shape[0] * M.shape[1]
         classes = []
         for row, (i, j) in zip(table, np.ndindex(M.shape[:2])):
-            e1, e2 = eigenvalues_2x2(M[i, j])
+            e1, e2 = eigenvalues_2x2(M[0, j])
             assert (row["t"], row["xi"]) == (t_grid[i], xi_grid[j])
             assert eigenvalue_pair(row) == (e1, e2)
             assert row["rho"] == max(abs(e1), abs(e2))
             assert row["norm"] == spectral_norm_2x2(M[i, j])
-            assert pair_class(row) == classify_pair(M[i, j])
+            assert pair_class(row) == classify_pair(M[0, j])
             classes.append(pair_class(row))
-        assert classes[:6].count(CLASS_REAL_PAIR) >= 1 and CLASS_COMPLEX_PAIR in classes
-        assert classes[18:] == [CLASS_REAL_PAIR] * 3 + [CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR, CLASS_REAL_PAIR]
+        for row in np.reshape(classes, M.shape[:2]).tolist():
+            assert row[:6].count(CLASS_REAL_PAIR) >= 1 and CLASS_COMPLEX_PAIR in row[:6]
+            assert row[6:] == [CLASS_REAL_PAIR] * 3 + [CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR, CLASS_REAL_PAIR]
 
 
 class TestRealFormInvariance:
@@ -222,20 +233,20 @@ class TestRealFormInvariance:
 
     @pytest.fixture(scope="class")
     def grid(self, b_tri):
-        # real pairs at low xi and complex pairs above, then a row of real
+        # real pairs at low xi and complex pairs above, then columns of real
         # matrices with zero, tiny and just-too-large discriminants
         spec = ModelSpec(b_tri, ConstantMass(0.25))
-        t_grid, xi_grid = np.array([0.0, 0.3, 0.7, 1.0]), np.linspace(0.0, 4.0, 6)
+        t_grid, xi_grid = np.array([0.0, 0.3, 0.7, 1.0]), np.linspace(0.0, 8.8, 12)
         synthetic = [(0.5, 0.0), (0.5, 2e-11), (0.5, -2e-11), (0.5, -1e-9), (-0.5, 0.0), (0.5, 1e-3)]
-        row = np.array([[[a, 1.0], [c, a]] for a, c in synthetic])  # discriminant 4c
-        return t_grid, xi_grid, np.concatenate([monodromy_grid(spec, t_grid[:3], xi_grid), row[None]])
+        return t_grid, xi_grid, with_edge_columns(monodromy_grid(spec, t_grid, xi_grid[:6]), synthetic)
 
     def test_samples_table_is_bit_equal(self, grid):
         t_grid, xi_grid, M = grid
         real = samples_from_grid(t_grid, xi_grid, M)
         cplx = samples_from_grid(t_grid, xi_grid, complex_form(M))
-        assert real["real_pair"][:6].any() and not real["real_pair"][:18].all()
-        assert real["real_pair"][18:].tolist() == [True, True, True, False, True, True]
+        pairs = real["real_pair"].reshape(M.shape[:2])
+        assert pairs[:, :6].any() and not pairs[:, :6].all()
+        assert pairs[:, 6:].tolist() == [[True, True, True, False, True, True]] * len(t_grid)
         assert real.dtype == cplx.dtype
         for name in real.dtype.names:
             assert real[name].tobytes() == cplx[name].tobytes(), name
@@ -462,6 +473,46 @@ class TestScanExport:
                           certified_prefactor=1.0, fitted_rate=0.1, fit_residual=0.0, burn_in=0.0, verdict="Pass")
         decay_to_csv(path, rep)
         assert path.read_bytes() == reference_csv(["t", "sup_norm", "bound"], zip(*cols[[0, 1, -1]].tolist())).encode()
+
+    @settings(max_examples=24, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (1, 6), (6, 1), (3, 5), (2, 4097), (4097, 2)]),
+           kinds=st.lists(st.sampled_from(["t", "xi", "entry"]), min_size=8, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grid_writer_matches_the_reference(self, tmp_path_factory, shape, kinds, seed):
+        # a scan-like grid: t repeats along xi, and each other column repeats
+        # down t, along xi, or neither; then one entry flips its sign bit,
+        # which may change its bits and not its text, or the grid the writer reads
+        rng = np.random.default_rng(seed)
+        table = np.empty(shape, dtype=SAMPLE_DTYPE)
+        for (name, _), kind in zip(SAMPLE_DTYPE, ["t"] + kinds):
+            pool = np.array([False, True]) if name == "real_pair" else CSV_POOL
+            part = {"t": (shape[0], 1), "xi": (1, shape[1]), "entry": shape}[kind]
+            table[name] = pool[rng.integers(0, pool.size, part)]
+        i, j = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+        flipped = SAMPLE_FLOATS[rng.integers(0, len(SAMPLE_FLOATS))]
+        table[flipped].view(np.uint64)[i, j] ^= np.uint64(1 << 63)
+        table["real_pair"][rng.integers(0, shape[0]), rng.integers(0, shape[1])] ^= bool(rng.integers(0, 2))
+        path = tmp_path_factory.mktemp("csv") / "scan.csv"
+        scan_to_csv(path, table.reshape(-1))
+        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table.reshape(-1))).encode()
+
+    def test_real_scan_spectrum_is_constant_down_t(self, spec_sin, tmp_path):
+        # 64 x 256: each xi's spectrum is taken at the first t; the spectrum
+        # of every later matrix differs from it by rounding alone
+        t_grid, xi_grid = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 14.0, 256)
+        M = monodromy_grid(spec_sin, t_grid, xi_grid)
+        samples = samples_from_grid(t_grid, xi_grid, M)
+        grid = samples.reshape(M.shape[:2])
+        ev = eigenvalues_2x2(M)
+        per_matrix = {"re_eig1": ev[..., 0].real, "im_eig1": ev[..., 0].imag, "re_eig2": ev[..., 1].real,
+                      "im_eig2": ev[..., 1].imag, "rho": np.max(np.abs(ev), axis=-1)}
+        for name, ref in per_matrix.items():
+            assert np.array_equal(grid[name], np.repeat(grid[name][:1], len(t_grid), axis=0)), name
+            assert np.max(np.abs(grid[name] - ref)) <= 1e-13, name
+        assert [pair_class(row) for row in samples] == [classify_pair(m) for m in M.reshape(-1, 2, 2)]
+        path = tmp_path / "scan.csv"
+        scan_to_csv(path, samples)
+        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(samples)).encode()
 
     @pytest.mark.parametrize("table", ["scan", "distinct"])
     def test_writer_memory_stays_near_the_table(self, spec_sin, tmp_path, table):
