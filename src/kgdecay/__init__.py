@@ -35,6 +35,7 @@ from .perturbation import (
     lambert_w0,
     perturbed_certificate,
     verify_perturbed_contraction,
+    verify_perturbed_highfreq,
 )
 from .certify import (
     DecayReport,
@@ -76,6 +77,7 @@ __all__ = [
     "sup_norm_curve",
     "verify_highfreq_contraction",
     "verify_perturbed_contraction",
+    "verify_perturbed_highfreq",
 ]
 
 __version__ = "0.1.0"

@@ -313,6 +313,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             "target": thr.target,
             "xi_max_checked": thr.xi_max_checked,
             "tail_C_b": thr.tail_C_b,
+            "tail_D_b": thr.tail_D_b,
             "tail_xi": thr.tail_xi,
             "tail_covered": thr.tail_xi <= thr.xi_max_checked,
             "accept_margin": thr.accept_margin,
@@ -325,15 +326,9 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             "verified": ok,
         }
         if perturbed:
-            # h >= sqrt(N^2 + m0^2) on the verify band, so the closed-form
-            # difference bound decides unless it is too weak
-            mx_p = mx + perturbation.difference_bound(spec, spec.T, math.hypot(thr.N, spec.m0))
-            ok_p, route = True, "bound"
-            if not mx_p <= bnd + highfreq.VERIFY_SLACK:
-                mx_p, _, ok_p = highfreq.verify_highfreq_contraction(
-                    spec, thr.N, g["verify_t_points"], g["verify_xi_points"], tol=tol
-                )
-                route = "sweep"
+            ok_p, mx_p, route = perturbation.verify_perturbed_highfreq(
+                spec, thr.N, mx, g["verify_t_points"], g["verify_xi_points"], tol=tol
+            )
             doc["monodromy_norm_max_perturbed"] = mx_p
             doc["verified_perturbed"] = ok_p
             doc["perturbed_route"] = route
@@ -365,14 +360,14 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             },
             tolerances={"propagate_tol": tol, "contraction_margin": margin},
         )
-        cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max}
+        # Gelfand: rho(M)^k <= ||M^k|| <= c1, so delta1 <= spectral_rate
+        cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max, "spectral_rate": -math.log(rho_max) / spec.T}
         verdicts["contraction"] = "Pass"
         if perturbed and ("epsilon" in config.stages or "decay" in config.stages):
             # one bound on sup ||M_eps^k|| over this grid serves both later stages
-            ok_pc, pert_worst = perturbation.verify_perturbed_contraction(
+            ok_pc, pert_worst, pert_route = perturbation.verify_perturbed_contraction(
                 spec, cert, t_grid, xi_grid, tol
             )
-            pert_route = "sweep" if perturbation.contraction_bound(spec, cert) is None else "bound"
 
     if "epsilon" in config.stages:
         eb = perturbation.epsilon_bound(cert, spec.m0)

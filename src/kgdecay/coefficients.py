@@ -5,8 +5,9 @@ form: a closed-form rule registered by name, or uniform samples over one
 period with step (order 0) or linear (order 1) interpolation.  A form is the
 evaluation on reduced time, the jump and kink offsets within one period, the
 exact mean, minimum, sup norm and total variation over one period
-(closed-form rules give them in closed form, samples by sums and extrema), and
-whether b jumps anywhere.
+(closed-form rules give them in closed form, samples by sums and extrema),
+whether b jumps anywhere, and the exact slope constant
+D = 2 sup|c'| + V_0^{2T}(c') of a coefficient without jumps (inf with jumps).
 A :class:`ModelSpec` bundles the dissipation b(t), the mass specification
 (constant m0, or m0^2 + eps*m1(t)), and the shared period T, and validates
 the standing model assumptions at construction time.
@@ -49,7 +50,7 @@ def _sorted_unique(values):
 
 def _form_constant(period, value):
     value = float(value)
-    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0, False
+    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0, False, 0.0
 
 
 def _form_sin_offset(period, mean, amp, phase=0.0):
@@ -63,6 +64,7 @@ def _form_sin_offset(period, mean, amp, phase=0.0):
         abs(mean) + abs(amp),
         4.0 * abs(amp),
         False,
+        10.0 * abs(amp) * w,  # sup|c'| = |amp| w, V(c') = 4 |amp| w
     )
 
 
@@ -74,7 +76,9 @@ def _form_triangle(period, lo, hi):
         u = np.asarray(tr, dtype=float) / period
         return lo + (hi - lo) * (1.0 - np.abs(2.0 * u - 1.0))
 
-    return f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), 2.0 * abs(hi - lo), False
+    # c' = +-2 |hi - lo| / T, so V(c') is four times sup|c'|
+    variation, slope = 2.0 * abs(hi - lo), 2.0 * abs(hi - lo) / period
+    return f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), variation, False, 10.0 * slope
 
 
 def _form_square(period, lo, hi, duty=0.5):
@@ -90,13 +94,15 @@ def _form_square(period, lo, hi, duty=0.5):
     minimum = min(hi if on_hi else math.inf, lo if on_lo else math.inf)
     sup = max(abs(hi) if on_hi else 0.0, abs(lo) if on_lo else 0.0)
     variation = 2.0 * abs(hi - lo) if on_hi and on_lo else 0.0
-    return f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation, variation > 0.0
+    jumps = variation > 0.0
+    return f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation, jumps, math.inf if jumps else 0.0
 
 
 def _form_samples(period, samples, order):
     # Uniform samples integrate exactly to the sample mean for both step and
     # linear (trapezoid with wrap-around) interpolation; both interpolants take
-    # their extrema at a sample and vary by the wrap-around jumps.
+    # their extrema at a sample and vary by the wrap-around jumps.  A linear
+    # interpolant's slope is constant on each cell and jumps between cells.
     n = samples.size
     step = period / n
     nxt = np.roll(samples, -1)
@@ -108,12 +114,19 @@ def _form_samples(period, samples, order):
             return samples[idx]
         return samples[idx] + (pos - idx) * (nxt[idx] - samples[idx])
 
+    jumps = order == 0 and bool(np.any(nxt != samples))
     if order == 0:  # every cell edge is a jump
         offsets = np.arange(n) * step
+        slope_constant = math.inf if jumps else 0.0
     else:
         second = nxt - 2.0 * samples + np.roll(samples, 1)
         noise = KINK_ROUNDING_UNITS * np.finfo(float).eps * np.max(np.abs(samples))
         offsets = [float(i) * step for i in np.flatnonzero(np.abs(second) > noise)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = (nxt - samples) * (n / period)
+            slope_constant = float(2.0 * np.max(np.abs(slopes)) + 2.0 * np.sum(np.abs(np.roll(slopes, -1) - slopes)))
+        if math.isnan(slope_constant):  # overflowing slopes: no finite bound
+            slope_constant = math.inf
     return (
         f,
         offsets,
@@ -121,15 +134,17 @@ def _form_samples(period, samples, order):
         float(np.min(samples)),
         float(np.max(np.abs(samples))),
         float(np.sum(np.abs(nxt - samples))),
-        order == 0 and bool(np.any(nxt != samples)),
+        jumps,
+        slope_constant,
     )
 
 
 #: Registered closed-form rules: name -> factory(period, **params) returning a
 #: form: (vectorized eval on reduced time, kink/jump offsets within [0, T),
 #: exact mean, exact minimum, exact sup|c|, exact total variation over one
-#: period, whether any offset is a jump).  :func:`_form_samples` returns the
-#: same tuple for samples.
+#: period, whether any offset is a jump, exact slope constant
+#: D = 2 sup|c'| + V_0^{2T}(c') = 2 sup|c'| + 2 V(c'), inf where c jumps).
+#: :func:`_form_samples` returns the same tuple for samples.
 FORMS = {
     "constant": _form_constant,
     "sin_offset": _form_sin_offset,
@@ -158,7 +173,8 @@ class PeriodicCoefficient:
 
     def __init__(self, period, form, description):
         self.period = period
-        self._eval_fn, offsets, self.mean, self.minimum, self.sup_abs, self.variation, self.has_jumps = form
+        (self._eval_fn, offsets, self.mean, self.minimum, self.sup_abs, self.variation, self.has_jumps,
+         self.slope_constant) = form
         self._offsets = np.asarray(offsets, dtype=float)
         self._description = description
         if not all(math.isfinite(v) for v in (self.mean, self.minimum, self.sup_abs, self.variation)):

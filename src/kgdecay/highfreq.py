@@ -13,11 +13,14 @@ approaches one, and the first window whose supremum falls below
 exp(beta T / 2) fixes the threshold.  The resulting bound is then re-checked
 by direct monodromy norms (see :func:`verify_highfreq_contraction`).
 
-Integrating c+ by parts bounds the corrector, r <= rho = C_b / xi with
-C_b = 2 sup|b| + V_0^{2T}(b), so the massless frame product never exceeds the
-closed form P(xi) of :func:`_tail_bound`, which decreases in xi.  Each window
-scan stops once P falls to the largest value already found, and the first xi
-with P(xi) below the accept level covers every higher frequency.
+Integrating c+ by parts bounds the corrector, r <= C_b / xi with
+C_b = 2 sup|b| + V_0^{2T}(b).  Where b has no jumps, integrating twice gives
+r <= 2 sup|b| / xi + D_b / xi^2 too, with D_b = 2 sup|b'| + V_0^{2T}(b'); the
+smaller of the two, rho(xi), falls like 2 sup|b| / xi instead of C_b / xi.
+So the massless frame product never exceeds the closed form P(xi) of
+:func:`_tail_bound`, which decreases in xi.  Each window scan stops once P
+falls to the largest value already found, and the first xi with P(xi) below
+the accept level covers every higher frequency.
 
 A frame profile splits one period at the base times of the supremum and at
 the breakpoints of b, so b is smooth inside every piece, and integrates each
@@ -117,6 +120,7 @@ class ThresholdResult:
     target: float
     xi_max_checked: float
     tail_C_b: float  # r <= tail_C_b / xi on [0, 2T]
+    tail_D_b: float  # r <= 2 sup|b| / xi + tail_D_b / xi^2 there too; inf where b jumps
     tail_xi: float  # first xi with _tail_bound(xi) <= accept level; inf if none
     accept_margin: float  # accept level - sup_value
     accept_margin_sensitivity: float
@@ -180,17 +184,22 @@ def _tail_constant(spec: ModelSpec) -> float:
     return 2.0 * spec.b.sup_abs + 2.0 * spec.b.variation
 
 
-def _tail_bound(c_b: float, beta_t: float, xi: float) -> float:
+def _tail_bound(c_b: float, beta_t: float, xi: float, sup_b: float = 0.0, d_b: float = math.inf) -> float:
     """Closed-form bound P(xi) on the frame product at frequency xi.
 
     Integrating c+(t) = int_0^t exp(i xi s) b(s) ds by parts gives
-    r = |c+| <= rho = c_b / xi on [0, 2T].  With b >= 0 the integral of
-    ||R2|| = b r / (1 - r) over a period is at most beta T rho / (1 - rho), so
-    the product is at most (1 + rho) / (1 - rho) * exp(beta T rho / (1 - rho)),
-    which decreases in xi.  Returns inf where rho >= 1 or the exponent would
-    overflow.
+    r = |c+| <= c_b / xi on [0, 2T].  For b without jumps, integrating the
+    remainder int exp(i xi s) b'(s) ds by parts once more gives
+    r <= 2 sup_b / xi + d_b / xi^2 there, with sup_b = sup|b| and d_b the
+    slope constant D_b = 2 sup|b'| + V_0^{2T}(b'); the default d_b = inf
+    leaves the first bound alone.  The smaller of the two,
+    rho = min(c_b, 2 sup_b + d_b / xi) / xi, decreases in xi.  With b >= 0
+    the integral of ||R2|| = b r / (1 - r) over a period is at most
+    beta T rho / (1 - rho), so the product is at most
+    (1 + rho) / (1 - rho) * exp(beta T rho / (1 - rho)), which decreases in
+    xi.  Returns inf where rho >= 1 or the exponent would overflow.
     """
-    rho = c_b / xi
+    rho = min(c_b, 2.0 * sup_b + d_b / xi) / xi
     if rho >= 1.0:
         return math.inf
     expo = beta_t * rho / (1.0 - rho)
@@ -199,23 +208,26 @@ def _tail_bound(c_b: float, beta_t: float, xi: float) -> float:
     return (1.0 + rho) / (1.0 - rho) * math.exp(expo)
 
 
-def _tail_xi(c_b: float, beta_t: float, level: float) -> float:
+def _tail_xi(c_b: float, beta_t: float, level: float, sup_b: float = 0.0, d_b: float = math.inf) -> float:
     """The smallest xi (to rounding) with _tail_bound(xi) <= level; inf if none.
 
     P exceeds one at every finite xi and tends to one, so a level below one is
-    never reached; otherwise doubling brackets the crossing and bisection
-    narrows it until the midpoint rounds to an end.
+    never reached.  Otherwise rho >= 1, and P = inf, up to the smaller of c_b
+    and sup_b + sqrt(sup_b^2 + d_b), where each bound on r reaches one;
+    doubling from there brackets the crossing and bisection narrows it until
+    the midpoint rounds to an end.
     """
     if level < 1.0:
         return math.inf
-    lo, hi = c_b, c_b + 1.0
-    while _tail_bound(c_b, beta_t, hi) > level:
+    lo = min(c_b, sup_b + math.sqrt(sup_b * sup_b + d_b))
+    hi = lo + 1.0
+    while _tail_bound(c_b, beta_t, hi, sup_b, d_b) > level:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return hi
-        if _tail_bound(c_b, beta_t, mid) > level:
+        if _tail_bound(c_b, beta_t, mid, sup_b, d_b) > level:
             lo = mid
         else:
             hi = mid
@@ -322,12 +334,12 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
     (the window is already disqualified); the returned value is then only a
     lower bound for the true supremum.
     """
-    c_b = _tail_constant(spec)
-    beta_t = spec.beta * spec.T
+    c_b, beta_t = _tail_constant(spec), spec.beta * spec.T
+    second = spec.b.sup_abs, spec.b.slope_constant
     top, at = -math.inf, math.nan
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         x = float(x)
-        if top > -math.inf and _tail_bound(c_b, beta_t, x) <= top:
+        if top > -math.inf and _tail_bound(c_b, beta_t, x, *second) <= top:
             break
         try:
             value = suplarge_quantity(spec, x, t_points)
@@ -372,12 +384,12 @@ def find_threshold_N(
     massless window is not a worst case.  The bound the threshold promises
     is guaranteed under the actual mass by :func:`verify_highfreq_contraction`.
 
-    The result also records the tail: ``tail_C_b`` and ``tail_xi``, the first
-    xi at which the closed-form bound P(xi) of :func:`_tail_bound` drops to
-    the accept level, found without any frame profile.  P decreases in xi,
-    so the frame product stays below the accept level at every xi >= tail_xi,
-    and the shift sqrt(xi^2 + m0^2) >= xi carries this over to any constant
-    mass.  When tail_xi <= xi_max_checked, the closed form covers every
+    The result also records the tail: ``tail_C_b``, ``tail_D_b`` and
+    ``tail_xi``, the first xi at which the closed-form bound P(xi) of
+    :func:`_tail_bound` drops to the accept level, found without any frame
+    profile.  P decreases in xi, so the frame product stays below the accept
+    level at every xi >= tail_xi, and the shift sqrt(xi^2 + m0^2) >= xi
+    carries this over to any constant mass.  When tail_xi <= xi_max_checked, the closed form covers every
     frequency above the scanned window.
 
     It records the decision margins of the accepted and the last rejected
@@ -427,14 +439,15 @@ def find_threshold_N(
     finally:
         _b_profile.cache_clear()
         _profile_ends.cache_clear()
-    c_b = _tail_constant(base)
+    c_b, d_b = _tail_constant(base), base.b.slope_constant
     return ThresholdResult(
         N=hi,
         sup_value=accepted[0],
         target=target,
         xi_max_checked=WINDOW_FACTOR * hi,
         tail_C_b=c_b,
-        tail_xi=_tail_xi(c_b, base.beta * base.T, accept),
+        tail_D_b=d_b,
+        tail_xi=_tail_xi(c_b, base.beta * base.T, accept, base.b.sup_abs, d_b),
         accept_margin=accept - accepted[0],
         accept_margin_sensitivity=accept_change,
         reject_margin=None if rejected is None else rejected[0] - accept,

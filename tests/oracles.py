@@ -12,7 +12,9 @@
 - the threshold window supremum by a scan of every frequency of the window;
 - the 2x2 inverse, and the cumulative fold of checkpointed segment propagators;
 - the artifact CSV text, written by ``csv.writer`` with floats as f"{v:.17g}";
-- the mass-influence diagnostic by one cumulative pass over the whole time span.
+- the mass-influence diagnostic by one cumulative pass over the whole time span;
+- the small-mass coefficient r of the slow Floquet rate at xi = 0, by a double
+  quadrature.
 """
 
 import csv
@@ -20,7 +22,7 @@ import io
 import math
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import nquad, quad, solve_ivp
 
 from kgdecay import det2, highfreq, propagate_grid, spectral_norm_2x2
 from kgdecay.errors import FrameError, ModelAssumptionError
@@ -327,3 +329,40 @@ def gamma_curve_long(spec, times, points_per_period=4096):
     tau = np.linspace(0.0, t_end, n)
     cum = _cumulative_simpson_uniform(spec.m_squared(tau) / spec.b.eval(tau), t_end / (n - 1))
     return np.exp(-np.interp(times, tau, cum))
+
+
+def small_mass_rate(b):
+    """The coefficient r of the slow Floquet rate r m0^2 + O(m0^4) at xi = 0:
+
+        r = (1 / (1 - e^{-2 beta T})) (1/T) int_0^T int_0^T e^{-2 (B(t) - B(t - sigma))} dsigma dt
+
+    with B = int_0 b, from expanding u = 1 + m0^2 v in u'' + 2 b u' + m0^2 u = 0;
+    for constant b it is 1 / (2b).  The double integral is taken by nquad,
+    split where b breaks.  B(t) - B(t - sigma) is read a period later, on
+    [0, 2T], off the dense output of B' = b from solve_ivp (DOP853, rtol
+    1e-13), integrated between the breakpoints of b.
+    """
+    T = b.period
+    kinks = [float(p) for p in b.breakpoints_in(0.0, 2.0 * T)]
+    ends = [0.0, *kinks, 2.0 * T]
+    pieces, start = [], 0.0
+    for t0, t1 in zip(ends[:-1], ends[1:]):
+        sol = solve_ivp(lambda t, y: [float(b.eval(t))], (t0, t1), [start], method="DOP853", rtol=1e-13,
+                        atol=1e-15, dense_output=True)
+        pieces.append(sol.sol)
+        start = float(sol.y[0, -1])
+
+    def primitive(x):
+        piece = min(int(np.searchsorted(ends, x, side="right")) - 1, len(pieces) - 1)
+        return float(pieces[piece](x)[0])
+
+    def integrand(sigma, t):
+        return math.exp(-2.0 * (primitive(t + T) - primitive(t + T - sigma)))
+
+    precision = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 200}
+
+    def inner(t):
+        return {"points": [t + T - p for p in kinks if t < p < t + T], **precision}
+
+    value, _ = nquad(integrand, [(0.0, T), (0.0, T)], opts=[inner, {"points": [p for p in kinks if p < T], **precision}])
+    return value / (T * -math.expm1(-2.0 * b.mean * T))

@@ -169,7 +169,7 @@ def test_criterion_7_perturbation_soundness(specs_m1, certificates, m1_cos):
             eb = epsilon_bound(cert, 1.0)
             assert eb.audit_pass
             spec_eps = ModelSpec(spec.b, PerturbedMass(1.0, eb.epsilon_max, m1_cos))
-            ok, worst = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
+            ok, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
             assert ok, f"{name}: perturbed contraction failed, worst {worst}"
             # Gronwall domination at 10 random samples per profile
             for _ in range(10):

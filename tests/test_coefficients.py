@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def _fine_grid_sup_and_variation(c):
     return float(np.max(np.abs(vals))), float(np.sum(np.abs(np.roll(vals, -1) - vals)))
 
 
+def _fine_grid_slope(c):
+    """c' as the slope of each cell of the 2^20-point grid, as a coefficient-like
+    object that :func:`_fine_grid_sup_and_variation` can read."""
+    dt = c.period / FINE_GRID
+    return SimpleNamespace(period=c.period, eval=lambda t: (c.eval(t + dt) - c.eval(t)) / dt)
+
+
+# Smooth closed forms with their exact slope constant D = 2 sup|c'| + 2 V(c') at T = 1.5.
+SMOOTH_FORMS = [
+    ("constant", {"value": 0.7}, 0.0),
+    ("sin_offset", {"mean": 1.0, "amp": 0.5, "phase": 0.3}, 10.0 * 0.5 * 2.0 * math.pi / 1.5),
+    ("sin_offset", {"mean": -0.2, "amp": -1.0, "phase": 2.1}, 10.0 * 1.0 * 2.0 * math.pi / 1.5),
+    ("triangle", {"lo": 0.2, "hi": 1.0}, 20.0 * 0.8 / 1.5),
+    ("triangle", {"lo": 1.5, "hi": -0.5}, 20.0 * 2.0 / 1.5),
+]
+
+# Rounding in the grid's slopes sums to about 2e-5 of D over the flat pieces
+# of a triangle or linear samples.
+SLOPE_GRID_RTOL = 1e-4
+
+
 def _period_integral(c):
     """int_0^T c by the oracle's quadrature: just below T, so the cached mean is not used."""
     return integral(c, math.nextafter(c.period, 0.0))
@@ -141,6 +163,47 @@ class TestExactConstants:
         c = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=0.1)
         vals = c.eval(np.arange(4096) / 4096)
         assert np.max(np.abs(vals)) < 1.0 == c.sup_abs
+
+    @pytest.mark.parametrize("name, params, slope_constant", SMOOTH_FORMS)
+    def test_slope_constant_of_closed_forms(self, name, params, slope_constant):
+        c = PeriodicCoefficient.from_closed_form(name, 1.5, **params)
+        assert c.slope_constant == pytest.approx(slope_constant, rel=1e-15, abs=0.0)
+        grid_sup, grid_var = _fine_grid_sup_and_variation(_fine_grid_slope(c))
+        assert 2.0 * grid_sup + 2.0 * grid_var == pytest.approx(c.slope_constant, rel=SLOPE_GRID_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 128])
+    def test_slope_constant_of_linear_samples(self, n):
+        # slopes s_k = (x_{k+1} - x_k) n / T, both sums taken with wrap-around
+        x = np.random.default_rng(n).uniform(-1.0, 2.0, n)
+        c = PeriodicCoefficient.from_samples(x, 1.5, order=1)
+        s = (np.roll(x, -1) - x) * (n / 1.5)
+        assert c.slope_constant == pytest.approx(
+            2.0 * np.max(np.abs(s)) + 2.0 * np.sum(np.abs(np.roll(s, -1) - s)), rel=1e-15, abs=0.0
+        )
+        grid_sup, grid_var = _fine_grid_sup_and_variation(_fine_grid_slope(c))
+        assert 2.0 * grid_sup + 2.0 * grid_var == pytest.approx(c.slope_constant, rel=SLOPE_GRID_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("c, slope_constant", [
+        (PeriodicCoefficient.from_closed_form("square", 1.5, lo=0.2, hi=1.0, duty=0.3), math.inf),
+        (PeriodicCoefficient.from_closed_form("square", 1.5, lo=1.0, hi=0.0), math.inf),
+        (PeriodicCoefficient.from_samples([0.2, 1.0, 0.5], 1.5, order=0), math.inf),
+        (PeriodicCoefficient.from_samples([0.4, 0.4, 0.4001], 1.5, order=0), math.inf),
+        (PeriodicCoefficient.from_closed_form("square", 1.5, lo=0.7, hi=0.7), 0.0),
+        (PeriodicCoefficient.from_closed_form("square", 1.5, lo=0.2, hi=1.0, duty=0.0), 0.0),
+        (PeriodicCoefficient.from_closed_form("square", 1.5, lo=0.2, hi=1.0, duty=1.0), 0.0),
+        (PeriodicCoefficient.from_samples([0.4, 0.4], 1.5, order=0), 0.0),
+        (PeriodicCoefficient.from_samples([0.4], 1.5, order=0), 0.0),
+    ], ids=["square", "square-zero-lo", "steps", "steps-tiny-jump", "square-equal", "square-duty-0",
+            "square-duty-1", "steps-equal", "one-step"])
+    def test_slope_constant_of_jumping_forms(self, c, slope_constant):
+        # any jump leaves no finite second-order constant; equal levels are constant
+        assert c.slope_constant == slope_constant
+        assert c.has_jumps is (slope_constant == math.inf)
+
+    def test_slope_constant_of_overflowing_slopes_is_inf(self):
+        # slopes beyond the float range bound nothing, and warn nothing
+        c = PeriodicCoefficient.from_samples([0.0, 1e300, 2e300, 1e300], 1e-10, order=1)
+        assert c.slope_constant == math.inf
 
     def test_non_finite_constants_rejected(self):
         with pytest.raises(InvalidCoefficientError):

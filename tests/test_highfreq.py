@@ -435,6 +435,26 @@ class TestTailBound:
         assert _tail_constant(spec) == c_b
         assert suplarge_quantity(spec, xi) <= _tail_bound(c_b, spec.beta * spec.T, xi)
 
+    @settings(max_examples=60, deadline=None)
+    @given(b=_dissipations().filter(lambda b: not b.has_jumps), scale=st.floats(1.0001, 4.0),
+           m0=st.sampled_from([0.0, 0.7, 3.0]))
+    def test_profile_below_the_second_order_bound(self, b, scale, m0):
+        # on b without jumps (constant, sin_offset, triangle, linear samples),
+        # wherever rho = min(C_b, 2 sup|b| + D_b / xi) / xi < 1/2, |c+| stays
+        # below rho_2(h) = 2 sup|b| / h + D_b / h^2 on [0, 2T], and the frame
+        # product below P(xi).  A constant b attains rho_2 where h t = pi, so
+        # the quadrature's rounding gets a relative 1e-9.
+        sup_b, d_b = b.sup_abs, b.slope_constant
+        c_b = 2.0 * sup_b + 2.0 * b.variation
+        assume(c_b > 0.0)
+        # rho = 1/2 at xi = 2 C_b, or where rho_2 = 1/2
+        xi = scale * min(2.0 * c_b, 2.0 * sup_b + math.sqrt(4.0 * sup_b * sup_b + 2.0 * d_b))
+        spec = ModelSpec(b, ConstantMass(m0))
+        h = math.hypot(xi, m0)
+        n_plus, _ = corrector_profile(spec, xi, *uniform_nodes(spec, 2.0 * spec.T, 2 * _points_per_period(spec, xi) + 1))
+        assert np.max(np.abs(n_plus)) <= (2.0 * sup_b + d_b / h) / h * (1.0 + 1e-9)
+        assert suplarge_quantity(spec, xi) <= _tail_bound(c_b, spec.beta * spec.T, xi, sup_b, d_b)
+
     def test_closed_form_decreases_and_never_raises(self):
         xis = np.geomspace(5.3, 1e6, 200)
         vals = [_tail_bound(5.2, 0.6, float(x)) for x in xis]
@@ -455,6 +475,29 @@ class TestTailBound:
         assert thr.tail_xi <= thr.xi_max_checked
         # a level below one is never reached
         assert _tail_xi(thr.tail_C_b, beta_t, 0.999) == math.inf
+
+    def test_second_order_tail_frequency(self, spec_sin):
+        # sin_offset has D_b = 10 |amp| 2 pi / T, and the two-term bound
+        # crosses the accept level at 26.77 instead of 44.91
+        thr = find_threshold_N(spec_sin)
+        accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
+        beta_t, sup_b = spec_sin.beta * spec_sin.T, spec_sin.b.sup_abs
+        assert thr.tail_D_b == 10.0 * 0.5 * 2.0 * math.pi
+        assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi, sup_b, thr.tail_D_b) <= accept
+        assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0), sup_b, thr.tail_D_b) > accept
+        assert thr.tail_xi == pytest.approx(26.773, abs=1e-3)
+        assert _tail_xi(thr.tail_C_b, beta_t, accept) == pytest.approx(44.905, abs=1e-3)
+
+    def test_tail_frequency_below_C_b(self):
+        # 16 rises and falls of a slow linear b: large variation, small slopes.
+        # The crossing lies below C_b, where the first-order bound is inf
+        b = PeriodicCoefficient.from_samples([0.0, 1.0] * 16, 100.0, order=1)
+        c_b, sup_b, d_b = 2.0 * b.sup_abs + 2.0 * b.variation, b.sup_abs, b.slope_constant
+        level = math.exp(b.mean * 100.0 / 2.0) * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
+        xi = _tail_xi(c_b, b.mean * 100.0, level, sup_b, d_b)
+        assert xi < c_b == 66.0
+        assert _tail_bound(c_b, b.mean * 100.0, xi, sup_b, d_b) <= level
+        assert _tail_bound(c_b, b.mean * 100.0, math.nextafter(xi, 0.0), sup_b, d_b) > level
 
 
 class TestThresholdSearch:
@@ -486,6 +529,20 @@ class TestThresholdSearch:
         monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
         find_threshold_N(spec_square)
         assert len(calls) <= 200
+
+    def test_sin_offset_search_profile_count(self, spec_sin, monkeypatch):
+        # the second-order tail bound stops the scans of a b without jumps
+        # early: 70 frame profiles, where C_b / xi alone takes 149
+        calls = []
+        profile = highfreq.suplarge_quantity
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
+        find_threshold_N(spec_sin)
+        assert len(calls) <= 80
 
 
     def test_constant_profile(self, spec_const):
@@ -527,7 +584,8 @@ class TestThresholdSearch:
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
         xis = np.linspace(2.0, 20.0, 130)
         c_b, beta_t = _tail_constant(spec_sin), spec_sin.beta * spec_sin.T
-        bounds = np.array([_tail_bound(c_b, beta_t, float(x)) for x in xis])
+        second = spec_sin.b.sup_abs, spec_sin.b.slope_constant
+        bounds = np.array([_tail_bound(c_b, beta_t, float(x), *second) for x in xis])
         first = int(np.argmax(bounds <= 5.0))
         assert 3 < first < 130
         assert _window_sup(spec_sin, 2.0, 130, 8) == (5.0, float(xis[2]))
@@ -578,8 +636,8 @@ class TestThresholdSearch:
     def test_trace_csv_matches_the_reference_writer(self, tmp_path):
         flags = [True, np.False_, np.True_, False] * 2
         trace = tuple(zip(CSV_EDGE_VALUES, CSV_EDGE_VALUES[::-1], flags))
-        thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_xi=2.0,
-                              accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
+        thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_D_b=3.0,
+                              tail_xi=2.0, accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
                               reject_margin_sensitivity=None, trace=trace)
         path = tmp_path / "trace.csv"
         threshold_trace_to_csv(path, thr)

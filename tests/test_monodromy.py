@@ -32,7 +32,7 @@ from kgdecay.monodromy import (
 )
 
 from conftest import CSV_EDGE_VALUES, complex_form, contraction_k, make_perturbed, strongly_damped
-from oracles import monodromy_at, reference_csv, scalar_monodromy
+from oracles import monodromy_at, reference_csv, scalar_monodromy, small_mass_rate
 
 
 # Values a column draws from, so that most rows repeat values: the edge
@@ -188,6 +188,30 @@ class TestSpectralRadiusScan:
         for s in real_ones:
             e1 = max(eigenvalue_pair(s), key=abs)
             assert abs(s["rho"] - max(abs(e1), e2bt / abs(e1))) < 1e-8
+
+
+class TestSmallMassLaw:
+    """The slow real multiplier near 1 at xi = 0: its rate is r m0^2 + O(m0^4)."""
+
+    def test_oracle_of_a_constant_b(self):
+        b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.8)
+        assert small_mass_rate(b) == pytest.approx(1.0 / 1.6, rel=1e-10)
+
+    @pytest.mark.parametrize("b", [
+        PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5),
+        PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0),
+        PeriodicCoefficient.from_closed_form("triangle", 1.5, lo=0.2, hi=1.0),
+    ], ids=["sin_offset", "square", "triangle"])
+    def test_rate_matches_the_small_mass_law(self, b):
+        # the relative gap is about 0.25 m0^2 (sin_offset) and 0.71 m0^2
+        # (square, triangle): it falls with m0^2, and a 1 % change in the mass
+        # term would be 4 to 25 times the tolerance
+        r = small_mass_rate(b)
+        for m0 in (0.05, 0.02):
+            M = monodromy_grid(ModelSpec(b, ConstantMass(m0)), [0.0], [0.0])
+            rho = float(np.max(np.abs(eigenvalues_2x2(M[0, 0]))))
+            rate = -math.log(rho) / (b.period * m0 * m0)
+            assert rate == pytest.approx(r, rel=m0 * m0, abs=0.0), m0
 
 
 def with_edge_columns(M, synthetic):
@@ -462,8 +486,8 @@ class TestScanExport:
         assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table)).encode()
 
         trace = tuple(zip(cols[0].tolist(), cols[1].tolist(), (rng.random(rows) < 0.5).tolist()))
-        thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_xi=2.0,
-                              accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
+        thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_D_b=3.0,
+                              tail_xi=2.0, accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
                               reject_margin_sensitivity=None, trace=trace)
         threshold_trace_to_csv(path, thr)
         rows_out = [(cand, sup, int(ok)) for cand, sup, ok in trace]

@@ -11,12 +11,15 @@ from kgdecay import (
     PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
+    highfreq,
     lambert_w0,
     monodromy_grid,
     perturbation,
     perturbed_certificate,
     spectral_norm_2x2,
+    verify_highfreq_contraction,
     verify_perturbed_contraction,
+    verify_perturbed_highfreq,
 )
 from kgdecay.errors import NoContractionError
 from kgdecay.monodromy import power_norms
@@ -193,26 +196,26 @@ class TestGronwallBound:
 class TestPerturbedContraction:
     def test_zero_amplitude_reproduces_c1(self, spec_sin, sin_cert, m1_cos):
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.0, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok
         assert abs(worst - sin_cert.c1) < 1e-10
 
     def test_half_bound_is_contractive(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eb.epsilon_max / 2.0, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok
         assert worst < 1.0
 
     def test_huge_amplitude_reports_not_raises(self, spec_sin, sin_cert, m1_cos):
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(2.0, 3.0, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert isinstance(ok, bool) and worst > 0.0
 
     def test_perturbed_certificate_uses_verified_worst(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eb.epsilon_max, m1_cos))
-        _, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        _, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         cert_eps = perturbed_certificate(spec_eps, sin_cert, worst)
         assert cert_eps.c1 == worst
         assert cert_eps.k == sin_cert.k and cert_eps.N == sin_cert.N
@@ -224,7 +227,7 @@ class TestPerturbedContraction:
         spec_eps = ModelSpec(b, PerturbedMass(1.0, 0.5, m1_cos))
         grids = {"contraction_t_points": 4, "contraction_xi_points": 33}
         cert = assemble_certificate(spec_eps.constant_mass_version(), 4.0, 1, 0.99, grids)
-        _, worst = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
+        _, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
         with pytest.raises(NoContractionError) as err:
             perturbed_certificate(spec_eps, cert, worst)
         assert err.value.worst[2] >= 1.0 - 1e-6
@@ -236,8 +239,8 @@ class TestPerturbedContraction:
 
         monkeypatch.setattr(perturbation, "monodromy_grid", no_sweep)
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-6, m1_cos))
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
-        assert ok
+        ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        assert ok and route == "bound"
         assert worst == sin_cert.c1 + math.expm1(sin_cert.k * sin_cert.T * 1e-6 * m1_cos.sup_abs)
 
     def test_sweep_route_when_the_bound_cannot_decide(self, spec_sin, sin_cert, m1_cos):
@@ -245,10 +248,34 @@ class TestPerturbedContraction:
         spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.2, m1_cos))
         assert contraction_bound(spec_eps, sin_cert) is None
         grids = contraction_grids(sin_cert)
-        ok, worst = verify_perturbed_contraction(spec_eps, sin_cert, *grids)
+        ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *grids)
         direct = float(np.max(power_norms(monodromy_grid(spec_eps, *grids), sin_cert.k)))
         assert worst == direct
         assert ok == (direct < 1.0 - PERTURBED_CONTRACTION_SLACK)
+        assert route == "sweep"
+
+
+class TestPerturbedHighfreq:
+    def test_bound_route_when_it_decides(self, spec_sin, m1_cos, monkeypatch):
+        # the constant-mass maximum plus expm1(eps T / sqrt(N^2 + m0^2)) clears
+        # the band's limit, and nothing is swept
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the closed-form bound should decide")
+
+        monkeypatch.setattr(highfreq, "monodromy_grid", no_sweep)
+        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-6, m1_cos))
+        ok, worst, route = verify_perturbed_highfreq(spec_eps, 14.0, 0.5)
+        assert (ok, route) == (True, "bound")
+        assert worst == 0.5 + math.expm1(1e-6 * m1_cos.sup_abs / math.hypot(14.0, 1.0))
+
+    def test_sweep_route_when_the_bound_cannot_decide(self, spec_sin, m1_cos):
+        # a constant-mass maximum at the limit leaves the bound no room: the
+        # perturbed model is swept on the same grid
+        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.2, m1_cos))
+        limit = math.exp(-spec_sin.beta * spec_sin.T / 2.0) + highfreq.VERIFY_SLACK
+        ok, worst, route = verify_perturbed_highfreq(spec_eps, 14.0, limit, nt=4, nxi=8)
+        swept, _, swept_ok = verify_highfreq_contraction(spec_eps, 14.0, nt=4, nxi=8)
+        assert (ok, worst, route) == (swept_ok, swept, "sweep")
 
 
 class TestDifferenceBound:

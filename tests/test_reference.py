@@ -1,4 +1,5 @@
-"""The benchmark's seed-0 certificates on default grids stay within bench/reference.json.
+"""The benchmark's seed-0 certificates on default grids stay within bench/reference.json,
+and their certified rates below the spectral rate.
 
 The configs and the check are read from ``bench/run.py`` (``WORKLOADS`` and
 ``check_run``), so this test and the benchmark judge a run the same way.
@@ -6,6 +7,7 @@ The configs and the check are read from ``bench/run.py`` (``WORKLOADS`` and
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,17 @@ def test_seed0_certificate_matches_reference(tmp_path, workload):
     cert_path = out / "certificate.json"
     cert = json.loads(cert_path.read_text(encoding="utf-8")) if cert_path.is_file() else None
     assert bench.check_run(workload, 0, code, cert, stages) == []
+
+
+@pytest.mark.parametrize("workload", ["sin_default", "square_jumps", "perturbed", "dense_scan"])
+def test_seed0_delta1_below_the_spectral_rate(tmp_path, workload):
+    # Gelfand: rho(M)^k <= ||M^k|| <= c1 on the contraction grid, so the
+    # certified delta1 = log(1/c1) / (kT) is at most -log(rho_max) / T
+    config = tmp_path / "run.ini"
+    config.write_text(_bench_run().WORKLOADS[workload][1](0), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--stage", "threshold",
+                     "--stage", "contraction"]) == 0
+    con = json.loads((out / "certificate.json").read_text(encoding="utf-8"))["contraction"]
+    assert con["spectral_rate"] == -math.log(con["rho_max"]) / con["T"]
+    assert con["delta1"] <= con["spectral_rate"]
