@@ -22,7 +22,7 @@ import numpy as np
 from .coefficients import ModelSpec
 from .errors import FitError, ModelAssumptionError
 from .monodromy import ContractionCertificate, _period_products, _write_csv
-from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, propagate_grid, spectral_norm_2x2
+from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, _mul, _norm, propagate_grid
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
@@ -124,16 +124,16 @@ def sup_norm_curve(
     n_periods = n_steps // 4 + 1
 
     segments = np.concatenate([propagate_grid(spec, 0.0, T, xi, tol, checkpoints)[1] for xi in bands], axis=1)
-    prefix, M = _period_products(segments)
-    # E(s, 0) and M(s) at the four base offsets; the real form has the norms of E
-    P, M = prefix[:4], M[:4]
+    # E(s, 0) and M(s) at the four base offsets, entry first (2, 2, 4, n);
+    # the real form has the norms of E
+    P, M = (np.ascontiguousarray(A[:4].transpose(2, 3, 0, 1)) for A in _period_products(segments))
     curve = np.empty(n_steps + 1)
     for ell in range(n_periods):
-        norms = np.max(spectral_norm_2x2(P), axis=1)  # (4,)
+        norms = np.max(_norm(P), axis=1)  # (4,)
         top = min(4, n_steps + 1 - 4 * ell)
         curve[4 * ell : 4 * ell + top] = norms[:top]
         if ell + 1 < n_periods:
-            P = M @ P
+            P = _mul(M, P)
 
     bound = certified_bound(cert, times)
     burn_in = 2.0 * k * T

@@ -6,8 +6,12 @@ period with step (order 0) or linear (order 1) interpolation.  A form is the
 evaluation on reduced time, the jump and kink offsets within one period, the
 exact mean, minimum, sup norm and total variation over one period
 (closed-form rules give them in closed form, samples by sums and extrema),
-whether b jumps anywhere, and the exact slope constant
-D = 2 sup|c'| + V_0^{2T}(c') of a coefficient without jumps (inf with jumps).
+whether b jumps anywhere, the exact slope constant
+D = 2 sup|c'| + V_0^{2T}(c') of a coefficient without jumps (inf with jumps),
+and the exact one-sided values c(0+) and c(0-) = c(T-) at the period
+boundary.  A coefficient that jumps is constant between its breakpoints
+(step samples and square waves are the only forms with jumps), so the
+propagator takes one exponential per piece of it.
 A :class:`ModelSpec` bundles the dissipation b(t), the mass specification
 (constant m0, or m0^2 + eps*m1(t)), and the shared period T, and validates
 the standing model assumptions at construction time.
@@ -50,12 +54,16 @@ def _sorted_unique(values):
 
 def _form_constant(period, value):
     value = float(value)
-    return (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0, False, 0.0
+    return (
+        (lambda tr: np.full_like(np.asarray(tr, dtype=float), value)), [], value, value, abs(value), 0.0, False, 0.0,
+        value, value,
+    )
 
 
 def _form_sin_offset(period, mean, amp, phase=0.0):
     mean, amp, phase = float(mean), float(amp), float(phase)
     w = 2.0 * math.pi / period
+    at_zero = mean + amp * math.sin(phase)
     return (
         (lambda tr: mean + amp * np.sin(w * np.asarray(tr, dtype=float) + phase)),
         [],
@@ -65,6 +73,8 @@ def _form_sin_offset(period, mean, amp, phase=0.0):
         4.0 * abs(amp),
         False,
         10.0 * abs(amp) * w,  # sup|c'| = |amp| w, V(c') = 4 |amp| w
+        at_zero,
+        at_zero,
     )
 
 
@@ -78,7 +88,8 @@ def _form_triangle(period, lo, hi):
 
     # c' = +-2 |hi - lo| / T, so V(c') is four times sup|c'|
     variation, slope = 2.0 * abs(hi - lo), 2.0 * abs(hi - lo) / period
-    return f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), variation, False, 10.0 * slope
+    return (f, [0.5 * period, 0.0], 0.5 * (lo + hi), min(lo, hi), max(abs(lo), abs(hi)), variation, False, 10.0 * slope,
+            lo, lo)
 
 
 def _form_square(period, lo, hi, duty=0.5):
@@ -95,14 +106,17 @@ def _form_square(period, lo, hi, duty=0.5):
     sup = max(abs(hi) if on_hi else 0.0, abs(lo) if on_lo else 0.0)
     variation = 2.0 * abs(hi - lo) if on_hi and on_lo else 0.0
     jumps = variation > 0.0
-    return f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation, jumps, math.inf if jumps else 0.0
+    return (f, [duty * period, 0.0], d * hi + (1.0 - d) * lo, minimum, sup, variation, jumps,
+            math.inf if jumps else 0.0, hi if on_hi else lo, lo if on_lo else hi)
 
 
 def _form_samples(period, samples, order):
     # Uniform samples integrate exactly to the sample mean for both step and
     # linear (trapezoid with wrap-around) interpolation; both interpolants take
     # their extrema at a sample and vary by the wrap-around jumps.  A linear
-    # interpolant's slope is constant on each cell and jumps between cells.
+    # interpolant's slope is constant on each cell and jumps between cells;
+    # it returns to the first sample at T, where a step interpolant ends on
+    # the last.
     n = samples.size
     step = period / n
     nxt = np.roll(samples, -1)
@@ -136,6 +150,8 @@ def _form_samples(period, samples, order):
         float(np.sum(np.abs(nxt - samples))),
         jumps,
         slope_constant,
+        float(samples[0]),
+        float(samples[-1] if order == 0 else samples[0]),
     )
 
 
@@ -143,7 +159,9 @@ def _form_samples(period, samples, order):
 #: form: (vectorized eval on reduced time, kink/jump offsets within [0, T),
 #: exact mean, exact minimum, exact sup|c|, exact total variation over one
 #: period, whether any offset is a jump, exact slope constant
-#: D = 2 sup|c'| + V_0^{2T}(c') = 2 sup|c'| + 2 V(c'), inf where c jumps).
+#: D = 2 sup|c'| + V_0^{2T}(c') = 2 sup|c'| + 2 V(c'), inf where c jumps,
+#: exact c(0+), exact c(0-) = c(T-)).  A form that jumps is constant between
+#: its offsets.
 #: :func:`_form_samples` returns the same tuple for samples.
 FORMS = {
     "constant": _form_constant,
@@ -174,10 +192,11 @@ class PeriodicCoefficient:
     def __init__(self, period, form, description):
         self.period = period
         (self._eval_fn, offsets, self.mean, self.minimum, self.sup_abs, self.variation, self.has_jumps,
-         self.slope_constant) = form
+         self.slope_constant, self.start_value, self.end_value) = form
         self._offsets = np.asarray(offsets, dtype=float)
         self._description = description
-        if not all(math.isfinite(v) for v in (self.mean, self.minimum, self.sup_abs, self.variation)):
+        if not all(math.isfinite(v) for v in (self.mean, self.minimum, self.sup_abs, self.variation, self.start_value,
+                                             self.end_value)):
             raise InvalidCoefficientError("coefficient evaluates to non-finite values")
 
     # -- constructors -----------------------------------------------------

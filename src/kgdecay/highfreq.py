@@ -13,14 +13,17 @@ approaches one, and the first window whose supremum falls below
 exp(beta T / 2) fixes the threshold.  The resulting bound is then re-checked
 by direct monodromy norms (see :func:`verify_highfreq_contraction`).
 
-Integrating c+ by parts bounds the corrector, r <= C_b / xi with
-C_b = 2 sup|b| + V_0^{2T}(b).  Where b has no jumps, integrating twice gives
-r <= 2 sup|b| / xi + D_b / xi^2 too, with D_b = 2 sup|b'| + V_0^{2T}(b'); the
-smaller of the two, rho(xi), falls like 2 sup|b| / xi instead of C_b / xi.
-So the massless frame product never exceeds the closed form P(xi) of
-:func:`_tail_bound`, which decreases in xi.  Each window scan stops once P
-falls to the largest value already found, and the first xi with P(xi) below
-the accept level covers every higher frequency.
+Integrating c+ by parts bounds the corrector on [0, 2T], r <= C_b / xi with
+the endpoint constant C_b = |b(0+)| + |b(0-)| + V_0^{2T}(b) - |b(0+) - b(0-)|
+of :func:`_tail_constant`, which is 2 min(b(0+), b(0-)) + 2 V for b >= 0.
+Where b has no jumps, integrating twice gives
+r <= (sup|b| + |b(0)|) / xi + D_b / xi^2 too, with D_b = 2 sup|b'| +
+V_0^{2T}(b'); the smaller of the two, rho(xi), falls like
+(sup|b| + |b(0)|) / xi instead of C_b / xi.  So the massless frame product
+never exceeds the closed form P(xi) of :func:`_tail_bound`, which decreases
+in xi.  Each window scan stops once P falls to the largest value already
+found, and the first xi with P(xi) below the accept level covers every
+higher frequency.
 
 A frame profile splits one period at the base times of the supremum and at
 the breakpoints of b, so b is smooth inside every piece, and integrates each
@@ -120,7 +123,7 @@ class ThresholdResult:
     target: float
     xi_max_checked: float
     tail_C_b: float  # r <= tail_C_b / xi on [0, 2T]
-    tail_D_b: float  # r <= 2 sup|b| / xi + tail_D_b / xi^2 there too; inf where b jumps
+    tail_D_b: float  # r <= (sup|b| + |b(0)|) / xi + tail_D_b / xi^2 there too; inf where b jumps
     tail_xi: float  # first xi with _tail_bound(xi) <= accept level; inf if none
     accept_margin: float  # accept level - sup_value
     accept_margin_sensitivity: float
@@ -180,26 +183,39 @@ def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS)
 
 
 def _tail_constant(spec: ModelSpec) -> float:
-    """C_b = 2 sup|b| + V_0^{2T}(b), with V over two periods twice that over one."""
-    return 2.0 * spec.b.sup_abs + 2.0 * spec.b.variation
+    """The endpoint constant C_b with |c+| <= C_b / h on [0, 2T].
+
+    By parts, c+(t) = int_0^t exp(i h s) b(s) ds equals
+    (exp(i h t) b(t-) - b(0+)) / (i h) minus the integral of exp(i h s) db(s)
+    over (0, t) divided by i h, so h |c+(t)| <= |b(0+)| + Phi(t) with
+    Phi(t) = |b(t-)| + V_(0,t)(b).  Phi is nondecreasing, and over the open
+    (0, 2T) the variation is that of two periods less the jump at 0, so
+    C_b = |b(0+)| + |b(0-)| + 2 V - |b(0+) - b(0-)|.  For b >= 0, as a
+    ModelSpec holds, that is 2 min(b(0+), b(0-)) + 2 V, at most the
+    2 sup|b| + 2 V of bounding each term by sup|b|.
+    """
+    b = spec.b
+    return 2.0 * min(b.start_value, b.end_value) + 2.0 * b.variation
 
 
-def _tail_bound(c_b: float, beta_t: float, xi: float, sup_b: float = 0.0, d_b: float = math.inf) -> float:
+def _tail_bound(c_b: float, beta_t: float, xi: float, sup_b: float = 0.0, d_b: float = math.inf,
+                b_0: float | None = None) -> float:
     """Closed-form bound P(xi) on the frame product at frequency xi.
 
-    Integrating c+(t) = int_0^t exp(i xi s) b(s) ds by parts gives
-    r = |c+| <= c_b / xi on [0, 2T].  For b without jumps, integrating the
-    remainder int exp(i xi s) b'(s) ds by parts once more gives
-    r <= 2 sup_b / xi + d_b / xi^2 there, with sup_b = sup|b| and d_b the
-    slope constant D_b = 2 sup|b'| + V_0^{2T}(b'); the default d_b = inf
-    leaves the first bound alone.  The smaller of the two,
-    rho = min(c_b, 2 sup_b + d_b / xi) / xi, decreases in xi.  With b >= 0
-    the integral of ||R2|| = b r / (1 - r) over a period is at most
+    :func:`_tail_constant` gives r = |c+| <= c_b / xi on [0, 2T].  For b
+    without jumps, integrating the remainder int exp(i xi s) b'(s) ds by
+    parts once more gives r <= (sup_b + |b_0|) / xi + d_b / xi^2 there, with
+    sup_b = sup|b|, b_0 = b(0) (sup_b where not given, since |b(0)| <= sup|b|)
+    and d_b the slope constant D_b = 2 sup|b'| + V_0^{2T}(b'); the default
+    d_b = inf leaves the first bound alone.  The smaller of the two,
+    rho = min(c_b, sup_b + |b_0| + d_b / xi) / xi, decreases in xi.  With
+    b >= 0 the integral of ||R2|| = b r / (1 - r) over a period is at most
     beta T rho / (1 - rho), so the product is at most
     (1 + rho) / (1 - rho) * exp(beta T rho / (1 - rho)), which decreases in
     xi.  Returns inf where rho >= 1 or the exponent would overflow.
     """
-    rho = min(c_b, 2.0 * sup_b + d_b / xi) / xi
+    first = sup_b + (sup_b if b_0 is None else abs(b_0))
+    rho = min(c_b, first + d_b / xi) / xi
     if rho >= 1.0:
         return math.inf
     expo = beta_t * rho / (1.0 - rho)
@@ -208,26 +224,28 @@ def _tail_bound(c_b: float, beta_t: float, xi: float, sup_b: float = 0.0, d_b: f
     return (1.0 + rho) / (1.0 - rho) * math.exp(expo)
 
 
-def _tail_xi(c_b: float, beta_t: float, level: float, sup_b: float = 0.0, d_b: float = math.inf) -> float:
+def _tail_xi(c_b: float, beta_t: float, level: float, sup_b: float = 0.0, d_b: float = math.inf,
+             b_0: float | None = None) -> float:
     """The smallest xi (to rounding) with _tail_bound(xi) <= level; inf if none.
 
     P exceeds one at every finite xi and tends to one, so a level below one is
     never reached.  Otherwise rho >= 1, and P = inf, up to the smaller of c_b
-    and sup_b + sqrt(sup_b^2 + d_b), where each bound on r reaches one;
-    doubling from there brackets the crossing and bisection narrows it until
-    the midpoint rounds to an end.
+    and a / 2 + sqrt(a^2 / 4 + d_b) with a = sup_b + |b_0|, where each bound
+    on r reaches one; doubling from there brackets the crossing and bisection
+    narrows it until the midpoint rounds to an end.
     """
     if level < 1.0:
         return math.inf
-    lo = min(c_b, sup_b + math.sqrt(sup_b * sup_b + d_b))
+    half = 0.5 * (sup_b + (sup_b if b_0 is None else abs(b_0)))
+    lo = min(c_b, half + math.sqrt(half * half + d_b))
     hi = lo + 1.0
-    while _tail_bound(c_b, beta_t, hi, sup_b, d_b) > level:
+    while _tail_bound(c_b, beta_t, hi, sup_b, d_b, b_0) > level:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return hi
-        if _tail_bound(c_b, beta_t, mid, sup_b, d_b) > level:
+        if _tail_bound(c_b, beta_t, mid, sup_b, d_b, b_0) > level:
             lo = mid
         else:
             hi = mid
@@ -335,7 +353,7 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
     lower bound for the true supremum.
     """
     c_b, beta_t = _tail_constant(spec), spec.beta * spec.T
-    second = spec.b.sup_abs, spec.b.slope_constant
+    second = spec.b.sup_abs, spec.b.slope_constant, spec.b.start_value
     top, at = -math.inf, math.nan
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         x = float(x)
@@ -447,7 +465,7 @@ def find_threshold_N(
         xi_max_checked=WINDOW_FACTOR * hi,
         tail_C_b=c_b,
         tail_D_b=d_b,
-        tail_xi=_tail_xi(c_b, base.beta * base.T, accept, base.b.sup_abs, d_b),
+        tail_xi=_tail_xi(c_b, base.beta * base.T, accept, base.b.sup_abs, d_b, base.b.start_value),
         accept_margin=accept - accepted[0],
         accept_margin_sensitivity=accept_change,
         reject_margin=None if rejected is None else rejected[0] - accept,

@@ -23,6 +23,11 @@ b and m are constant on it, and it needs no dt * xi << 1, so the step count
 grows only slowly with xi.  Error control is step doubling (one full step
 against two half steps) with a Richardson correction.
 
+A b that jumps is constant between its breakpoints, so with a constant mass
+every piece of a sweep has a constant K.  Its propagator is then the single
+exponential exp(L K) of the piece length L, taken by the same closed form
+with b sampled at one interior node, and no step is controlled.
+
 Integration runs forward only.  A sweep splits [s, t] at its forced times
 (checkpoints, coefficient jumps and kinks, t) into pieces, each propagated
 from the identity.  The pieces are integrated together, in batches of at
@@ -30,11 +35,13 @@ most _BATCH_ELEMENTS piece x frequency elements, on one step sequence in
 normalized time, and then composed in time order into the checkpoint
 segments.  The state and the step factors are held entry first, as arrays
 (2, 2, pieces, frequencies), so every 2x2 product is four entry-wise
-expressions.  One step of a batch advances all its pieces, and one
-PropagationResult counts a whole sweep.
+expressions.  One step of a batch advances all its pieces, the exponentials
+of a batch of constant pieces count as one step, and one PropagationResult
+counts a whole sweep.
 
 All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form,
-take real or complex matrices, and broadcast over leading batch dimensions.
+take real or complex matrices, and broadcast over leading batch dimensions;
+the entry-first helpers _mul and _norm take real (2, 2, ...) arrays.
 """
 
 from __future__ import annotations
@@ -140,7 +147,9 @@ class PropagationResult:
 
     ``local_error_estimate`` is ``tol`` times the largest error ratio of an
     accepted step, and ``steps_taken`` counts accepted batch steps: one step
-    advances every piece of a batch, at every frequency, together.
+    advances every piece of a batch, at every frequency, together.  A batch
+    of constant pieces (see :func:`_constant_pieces`) is one accepted step,
+    charged as one attempt, with error 0.
     ``rhs_evaluations`` is the integration cost in right-hand-side evaluations
     of a seven-stage explicit Runge-Kutta step: seven per attempted batch step,
     so ``rhs_evaluations / 7`` is the number of attempted batch steps.  (Each
@@ -284,6 +293,17 @@ def _mul(A, B):
     return A[:, :1] * B[:1] + A[:, 1:] * B[1:]
 
 
+def _norm(A):
+    """Spectral norms of real entry-first 2x2 matrices (2, 2, ...).
+
+    [[a, b], [c, d]] has the singular values (p +/- q) / 2 with
+    p = |(a + d, b - c)| and q = |(a - d, b + c)|, so the norm is a sum of two
+    hypotenuses, free of cancellation.
+    """
+    (a, b), (c, d) = A
+    return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+
+
 def _identity(*shape):
     """Identity matrices, entry first: (2, 2) + shape."""
     Y = np.zeros((2, 2) + shape)
@@ -347,6 +367,25 @@ def _integrate_pieces(factors, starts, lengths, n, tol, dt_hint, dt_floor, resul
     return Y, dt_hint if short else dtau * span
 
 
+def _constant_pieces(b_eval, h, starts, lengths, result):
+    """Propagators exp(L_j K_j) of pieces on which b and h are constant, entry first (2, 2, P, n).
+
+    b is sampled at the midpoint of each piece [starts_j, starts_j + L_j];
+    with the same value at its three nodes, :func:`_omega_constant_mass` is
+    exactly L_j K_j.  A non-finite propagator raises IntegrationFailureError
+    at the start of its piece.  Adds one step to ``result``.
+    """
+    b = b_eval(starts + 0.5 * lengths)[:, None]
+    Y = _expm(*_omega_constant_mass(h, (b, b, b), lengths[:, None]))
+    finite = np.isfinite(Y).all(axis=(0, 1, 3))
+    if not finite.all():
+        t_fail = float(starts[np.argmin(finite)])
+        raise IntegrationFailureError(f"non-finite propagator on the constant piece from t = {t_fail}", t_fail=t_fail)
+    result.steps_taken += 1
+    result.rhs_evaluations += EVALS_PER_STEP
+    return Y
+
+
 def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT_TOL, checkpoints=None):
     """Propagate E(., s, xi) forward for a batch of frequencies at once, in the real form.
 
@@ -369,7 +408,9 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     The checkpoints, the coefficient breakpoints and t split [s, t] into
     pieces, which are integrated from the identity in batches of about
     _BATCH_ELEMENTS piece x frequency elements (see :func:`_integrate_pieces`)
-    and composed into the segments in time order.
+    and composed into the segments in time order.  Where b jumps and the mass
+    is constant, every piece is constant and takes one exponential instead
+    (see :func:`_constant_pieces`).
 
     Returns
     -------
@@ -390,7 +431,11 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
     if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) >= 0.0):
         raise ValueError("the sweep runs forward only: need s <= checkpoints <= t, non-decreasing")
-    factors = _make_factors(spec, xi * xi)
+    constant = spec.b.has_jumps and isinstance(spec.mass, ConstantMass)
+    if constant:
+        h = np.sqrt(xi * xi + spec.m0 * spec.m0)
+    else:
+        factors = _make_factors(spec, xi * xi)
     n = xi.size
     chk = np.empty((chk_times.size, n, 2, 2))
     chk[:] = np.eye(2)
@@ -406,9 +451,12 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     done = _identity(n)  # E(last checkpoint, s)
     i = int(np.sum(chk_times == s))  # checkpoints at s record E(s, s) = I
     for k in range(0, starts.size, batch):
-        pieces, dt_hint = _integrate_pieces(
-            factors, starts[k : k + batch], lengths[k : k + batch], n, tol, dt_hint, dt_floor, result
-        )
+        if constant:
+            pieces = _constant_pieces(spec.b.eval, h, starts[k : k + batch], lengths[k : k + batch], result)
+        else:
+            pieces, dt_hint = _integrate_pieces(
+                factors, starts[k : k + batch], lengths[k : k + batch], n, tol, dt_hint, dt_floor, result
+            )
         for j, end in enumerate(ends[k : k + batch]):
             Y = _mul(pieces[:, :, j], Y)
             while i < chk_times.size and chk_times[i] == end:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kgdecay import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient, propagate_grid
+from kgdecay.coefficients import FORMS
 from kgdecay.errors import InvalidCoefficientError, ModelAssumptionError
 
 from conftest import triangle_samples
@@ -93,6 +94,33 @@ SMOOTH_FORMS = [
     ("triangle", {"lo": 0.2, "hi": 1.0}, 20.0 * 0.8 / 1.5),
     ("triangle", {"lo": 1.5, "hi": -0.5}, 20.0 * 2.0 / 1.5),
 ]
+
+# Parameters of every registered form, with jumping and non-jumping squares,
+# and the end values (c(0+), c(0-)) they give.
+FORM_CASES = {
+    "constant": [({"value": 0.7}, (0.7, 0.7))],
+    "sin_offset": [({"mean": 1.0, "amp": 0.5, "phase": 0.3}, (1.0 + 0.5 * math.sin(0.3),) * 2)],
+    "triangle": [({"lo": 0.2, "hi": 1.0}, (0.2, 0.2))],
+    "square": [
+        ({"lo": 0.2, "hi": 1.0, "duty": 0.3}, (1.0, 0.2)),
+        ({"lo": 1.0, "hi": 0.0}, (0.0, 1.0)),
+        ({"lo": 0.7, "hi": 0.7}, (0.7, 0.7)),
+        ({"lo": 0.2, "hi": 1.0, "duty": 0.0}, (0.2, 0.2)),
+        ({"lo": 0.2, "hi": 1.0, "duty": 1.0}, (1.0, 1.0)),
+    ],
+}
+
+
+def _coefficients_of(form):
+    """The coefficients of a registered form (FORM_CASES) or of 33 samples of
+    order 0 or 1 ("samples-0", "samples-1"), all with T = 1.5, each with its
+    end values (c(0+), c(0-))."""
+    if form.startswith("samples-"):
+        x = np.random.default_rng(17).uniform(0.2, 1.5, 33)
+        order = int(form[-1])
+        return [(PeriodicCoefficient.from_samples(x, 1.5, order=order), (x[0], x[-1] if order == 0 else x[0]))]
+    return [(PeriodicCoefficient.from_closed_form(form, 1.5, **params), ends) for params, ends in FORM_CASES[form]]
+
 
 # Rounding in the grid's slopes sums to about 2e-5 of D over the flat pieces
 # of a triangle or linear samples.
@@ -204,6 +232,27 @@ class TestExactConstants:
         # slopes beyond the float range bound nothing, and warn nothing
         c = PeriodicCoefficient.from_samples([0.0, 1e300, 2e300, 1e300], 1e-10, order=1)
         assert c.slope_constant == math.inf
+
+    @pytest.mark.parametrize("form", sorted(FORMS) + ["samples-0", "samples-1"])
+    def test_end_values(self, form):
+        # c(0+) and c(0-) = c(T-): declared exactly, and read at 0 and just below T
+        for c, ends in _coefficients_of(form):
+            assert (c.start_value, c.end_value) == ends
+            assert c.eval(0.0) == c.start_value
+            assert c.eval(math.nextafter(c.period, 0.0)) == pytest.approx(c.end_value, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("form", sorted(FORMS) + ["samples-0", "samples-1"])
+    def test_jumps_only_between_constant_pieces(self, form):
+        # the propagator takes one exponential per piece of a b that jumps,
+        # so such a b must be constant between its breakpoints
+        for c, _ in _coefficients_of(form):
+            if not c.has_jumps:
+                continue
+            ends = np.concatenate([[0.0], c.breakpoints_in(0.0, 2.0 * c.period), [2.0 * c.period]])
+            u = np.linspace(1e-9, 1.0 - 1e-9, 65)[:, None]
+            values = c.eval(ends[:-1] + u * np.diff(ends))
+            assert np.all(values == values[32])
+            assert np.any(values[32, 1:] != values[32, :-1])
 
     def test_non_finite_constants_rejected(self):
         with pytest.raises(InvalidCoefficientError):

@@ -133,6 +133,36 @@ def _broken_dissipations():
     )
 
 
+def _tail_cases():
+    """:func:`_dissipations`, with more square waves of random duty and
+    sin_offset of random phase, whose end values b(0+), b(0-) vary most."""
+    period = st.floats(0.5, 2.0)
+    level = st.floats(0.0, 2.0)
+    return st.one_of(
+        _dissipations(),
+        st.builds(lambda T, lo, hi, d: PeriodicCoefficient.from_closed_form("square", T, lo=lo, hi=hi, duty=d),
+                  period, level, level, st.floats(0.001, 0.999)),
+        st.builds(lambda T, a, extra, ph: PeriodicCoefficient.from_closed_form(
+            "sin_offset", T, mean=a + extra, amp=a, phase=ph), period, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                  st.floats(0.0, 2.0 * math.pi)),
+    )
+
+
+def _corrector_sup(spec, xi):
+    """max |c+| over [0, 2T] from the oracle, on pieces that end at every
+    breakpoint of b, b sampled PIECE_END_OFFSET inside each piece end, with
+    at least 256 intervals per unit of phase."""
+    T = spec.T
+    ends = np.concatenate([[0.0], spec.b.breakpoints_in(0.0, 2.0 * T), [2.0 * T]])
+    phase = 2.0 * math.hypot(xi, spec.m0) * T
+    m = 2 * math.ceil(max(8192.0, 256.0 * phase) / (2 * (ends.size - 1)))
+    u = np.linspace(0.0, 1.0, m + 1)[:, None]
+    tau = ends[:-1] + u * np.diff(ends)
+    u[0], u[-1] = highfreq.PIECE_END_OFFSET, 1.0 - highfreq.PIECE_END_OFFSET
+    n_plus, _ = corrector_profile(spec, xi, tau, spec.b.eval(ends[:-1] + u * np.diff(ends)))
+    return float(np.max(np.abs(n_plus)))
+
+
 def _base_norms(spec, xi, refine):
     """||N1|| at t_j and t_j + T, and ||N1^-1|| at t_j, over the base times t_j of a profile."""
     seen = []
@@ -426,9 +456,10 @@ class TestTailBound:
     @settings(max_examples=60, deadline=None)
     @given(b=_dissipations(), scale=st.floats(2.0001, 6.0), m0=st.sampled_from([0.0, 0.7, 3.0]))
     def test_profile_below_the_closed_form(self, b, scale, m0):
-        # wherever rho = C_b / xi < 1/2 the discrete frame product stays below
-        # P(xi), with or without a constant mass
-        c_b = 2.0 * b.sup_abs + 2.0 * b.variation
+        # wherever rho = C_b / xi < 1/2, with the endpoint constant
+        # C_b = 2 min(b(0+), b(0-)) + 2 V, the discrete frame product stays
+        # below P(xi), with or without a constant mass
+        c_b = 2.0 * min(b.start_value, b.end_value) + 2.0 * b.variation
         assume(c_b > 0.0)
         spec = ModelSpec(b, ConstantMass(m0))
         xi = scale * c_b
@@ -455,6 +486,23 @@ class TestTailBound:
         assert np.max(np.abs(n_plus)) <= (2.0 * sup_b + d_b / h) / h * (1.0 + 1e-9)
         assert suplarge_quantity(spec, xi) <= _tail_bound(c_b, spec.beta * spec.T, xi, sup_b, d_b)
 
+    @settings(max_examples=80, deadline=None)
+    @given(b=_tail_cases(), xi=st.floats(0.5, 200.0), m0=st.sampled_from([0.0, 0.7, 3.0]))
+    def test_endpoint_constant_bounds_the_corrector(self, b, xi, m0):
+        # |c+| h <= C_b on [0, 2T], and C_b is no larger than 2 sup|b| + 2 V;
+        # without jumps |c+| <= (sup|b| + |b(0)|) / h + D_b / h^2 too.  A
+        # constant b attains both bounds where h t = pi, so the quadrature's
+        # rounding gets a relative 1e-9, and subnormal levels, which carry
+        # few digits, an absolute 1e-300.
+        spec = ModelSpec(b, ConstantMass(m0))
+        c_b, h = _tail_constant(spec), math.hypot(xi, m0)
+        top = _corrector_sup(spec, xi)
+        assert top * h <= c_b * (1.0 + 1e-9) + 1e-300
+        assert c_b <= 2.0 * b.sup_abs + 2.0 * b.variation
+        if not b.has_jumps:
+            second = (b.sup_abs + abs(b.start_value)) / h + b.slope_constant / (h * h)
+            assert top <= second * (1.0 + 1e-9) + 1e-300
+
     def test_closed_form_decreases_and_never_raises(self):
         xis = np.geomspace(5.3, 1e6, 200)
         vals = [_tail_bound(5.2, 0.6, float(x)) for x in xis]
@@ -465,28 +513,32 @@ class TestTailBound:
         assert _tail_bound(5.2, 1e300, 5.3) == math.inf
 
     def test_tail_frequency_is_the_first_crossing(self, spec_square):
+        # b(0+) = 1 and b(0-) = 0.2: C_b = 2 * 0.2 + 2 V, where bounding both
+        # end values by sup|b| gave 5.2 and a crossing at 46.67
         thr = find_threshold_N(spec_square)
         accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
         beta_t = spec_square.beta * spec_square.T
-        assert thr.tail_C_b == 2.0 * 1.0 + 2.0 * 1.6
+        assert thr.tail_C_b == 2.0 * 0.2 + 2.0 * 1.6
         assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi) <= accept
         assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0)) > accept
-        assert thr.tail_xi == pytest.approx(46.67, abs=0.01)
+        assert thr.tail_xi == pytest.approx(32.31, abs=0.01)
         assert thr.tail_xi <= thr.xi_max_checked
         # a level below one is never reached
         assert _tail_xi(thr.tail_C_b, beta_t, 0.999) == math.inf
 
     def test_second_order_tail_frequency(self, spec_sin):
-        # sin_offset has D_b = 10 |amp| 2 pi / T, and the two-term bound
-        # crosses the accept level at 26.77 instead of 44.91
+        # sin_offset has D_b = 10 |amp| 2 pi / T and b(0) = 1, and the two-term
+        # bound (sup|b| + b(0)) / xi + D_b / xi^2 crosses the accept level at
+        # 24.32 instead of 38.49
         thr = find_threshold_N(spec_sin)
         accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
-        beta_t, sup_b = spec_sin.beta * spec_sin.T, spec_sin.b.sup_abs
+        beta_t, sup_b, b_0 = spec_sin.beta * spec_sin.T, spec_sin.b.sup_abs, spec_sin.b.start_value
+        assert thr.tail_C_b == 2.0 * 1.0 + 2.0 * 2.0
         assert thr.tail_D_b == 10.0 * 0.5 * 2.0 * math.pi
-        assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi, sup_b, thr.tail_D_b) <= accept
-        assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0), sup_b, thr.tail_D_b) > accept
-        assert thr.tail_xi == pytest.approx(26.773, abs=1e-3)
-        assert _tail_xi(thr.tail_C_b, beta_t, accept) == pytest.approx(44.905, abs=1e-3)
+        assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi, sup_b, thr.tail_D_b, b_0) <= accept
+        assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0), sup_b, thr.tail_D_b, b_0) > accept
+        assert thr.tail_xi == pytest.approx(24.323, abs=1e-3)
+        assert _tail_xi(thr.tail_C_b, beta_t, accept) == pytest.approx(38.490, abs=1e-3)
 
     def test_tail_frequency_below_C_b(self):
         # 16 rises and falls of a slow linear b: large variation, small slopes.
@@ -518,7 +570,9 @@ class TestThresholdSearch:
         assert thr == ref
 
     def test_square_search_profile_count(self, spec_square, monkeypatch):
-        # the full scan evaluates 906 frame profiles on this search
+        # the full scan evaluates 906 frame profiles on this search; the
+        # endpoint constant stops the scans after 79, where 2 sup|b| + 2 V
+        # took 150
         calls = []
         profile = highfreq.suplarge_quantity
 
@@ -528,11 +582,12 @@ class TestThresholdSearch:
 
         monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
         find_threshold_N(spec_square)
-        assert len(calls) <= 200
+        assert len(calls) <= 90
 
     def test_sin_offset_search_profile_count(self, spec_sin, monkeypatch):
         # the second-order tail bound stops the scans of a b without jumps
-        # early: 70 frame profiles, where C_b / xi alone takes 149
+        # early: 59 frame profiles, where C_b / xi alone took 149 and the
+        # second-order bound with 2 sup|b| in place of sup|b| + b(0) took 70
         calls = []
         profile = highfreq.suplarge_quantity
 
@@ -542,7 +597,7 @@ class TestThresholdSearch:
 
         monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
         find_threshold_N(spec_sin)
-        assert len(calls) <= 80
+        assert len(calls) <= 65
 
 
     def test_constant_profile(self, spec_const):
@@ -556,20 +611,22 @@ class TestThresholdSearch:
 
     def test_window_scan_stops_at_first_violation(self, spec_sin, monkeypatch):
         # 130 frequencies, one value above the cut at the third; the tail bound
-        # stays above that value on the whole window, so it prunes nothing
+        # the scan uses stays above that value on the whole window, so it
+        # prunes nothing
         calls = []
 
         def fake(spec, xi, t_points):
             calls.append(xi)
-            return 2.0 if len(calls) == 3 else 1.0
+            return 1.9 if len(calls) == 3 else 1.0
 
-        c_b = _tail_constant(spec_sin)
-        assert _tail_bound(c_b, spec_sin.beta * spec_sin.T, 20.0) > 2.0
+        c_b, beta_t = _tail_constant(spec_sin), spec_sin.beta * spec_sin.T
+        second = spec_sin.b.sup_abs, spec_sin.b.slope_constant, spec_sin.b.start_value
+        assert _tail_bound(c_b, beta_t, 20.0, *second) > 1.9
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
-        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=1.5) == (2.0, calls[2])
+        assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=1.5) == (1.9, calls[2])
         assert len(calls) == 3
         calls.clear()
-        assert _window_sup(spec_sin, 2.0, 130, 8) == (2.0, calls[2])
+        assert _window_sup(spec_sin, 2.0, 130, 8) == (1.9, calls[2])
         assert len(calls) == 130
 
     def test_window_scan_stops_at_the_tail_bound(self, spec_sin, monkeypatch):
@@ -584,7 +641,7 @@ class TestThresholdSearch:
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
         xis = np.linspace(2.0, 20.0, 130)
         c_b, beta_t = _tail_constant(spec_sin), spec_sin.beta * spec_sin.T
-        second = spec_sin.b.sup_abs, spec_sin.b.slope_constant
+        second = spec_sin.b.sup_abs, spec_sin.b.slope_constant, spec_sin.b.start_value
         bounds = np.array([_tail_bound(c_b, beta_t, float(x), *second) for x in xis])
         first = int(np.argmax(bounds <= 5.0))
         assert 3 < first < 130

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
     ConstantMass,
@@ -227,6 +228,25 @@ class TestPropagate:
         assert 0.4 < err.value.t_fail < 1.0
 
 
+def _piecewise_constant_cases():
+    """(b, cells) with b a square wave of random duty or step samples of 2 to
+    40 cells, levels in [0, 0.9] (below h >= m0 = 1), T in [0.5, 2], and its
+    cells (level, length) over one period; only those that jump."""
+    period = st.floats(0.5, 2.0)
+    level = st.floats(0.0, 0.9)
+
+    def square(T, lo, hi, d):
+        return PeriodicCoefficient.from_closed_form("square", T, lo=lo, hi=hi, duty=d), [(hi, d * T), (lo, (1.0 - d) * T)]
+
+    def steps(T, values):
+        return PeriodicCoefficient.from_samples(values, T, order=0), [(v, T / len(values)) for v in values]
+
+    return st.one_of(
+        st.builds(square, period, level, level, st.floats(0.01, 0.99)),
+        st.builds(steps, period, st.lists(level, min_size=2, max_size=40)),
+    ).filter(lambda case: case[0].has_jumps)
+
+
 def _sin_specs():
     b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5)
     m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=np.pi / 2)
@@ -291,6 +311,32 @@ class TestMagnusStepper:
         # constant pieces are integrated exactly, so the step size only has
         # to grow to the piece length
         assert res.steps_taken <= 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_piecewise_constant_cases(), xi=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=8),
+           tol=st.sampled_from([1e-10, 1e-13]))
+    def test_jumping_b_takes_one_exponential_per_piece(self, case, xi, tol):
+        # a b that jumps is constant on every piece: the sweep is the product
+        # of the cell flows, one uncontrolled step for the batch, no error
+        b, cells = case
+        got, _, res = propagate_grid(ModelSpec(b, ConstantMass(1.0)), 0.0, b.period, xi, tol)
+        for j, x in enumerate(xi):
+            h = math.sqrt(x * x + 1.0)
+            ref = np.eye(2, dtype=complex)
+            for value, length in cells:
+                ref = const_coeff_propagator(value, h, length) @ ref
+            assert np.max(np.abs(complex_form(got[j]) - ref)) < 1e-12
+        assert res.steps_taken == 1
+        assert res.rhs_evaluations == 7 * res.steps_taken
+        assert res.local_error_estimate == 0.0
+
+    def test_non_finite_constant_piece_raises_at_its_start(self, monkeypatch):
+        b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
+        monkeypatch.setattr(b, "eval", lambda ts: np.where((ts > 1.0) & (ts < 1.5), np.nan, 1.0))
+        spec = ModelSpec(b, ConstantMass(1.0))
+        with pytest.raises(IntegrationFailureError) as err:
+            propagate_grid(spec, 0.0, 2.0, [1.0, 30.0])
+        assert err.value.t_fail == 1.0
 
     def test_triangle_sample_kinks_are_breakpoints(self):
         b = PeriodicCoefficient.from_samples(triangle_samples(), 1.0, order=1)
