@@ -22,7 +22,7 @@ import numpy as np
 from .coefficients import ModelSpec
 from .errors import FitError, ModelAssumptionError
 from .monodromy import ContractionCertificate, _period_products, _write_csv
-from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, _mul, _norm, propagate_grid
+from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, _mul, propagate_grid, spectral_norm_2x2
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
@@ -129,7 +129,7 @@ def sup_norm_curve(
     P, M = (np.ascontiguousarray(A[:4].transpose(2, 3, 0, 1)) for A in _period_products(segments))
     curve = np.empty(n_steps + 1)
     for ell in range(n_periods):
-        norms = np.max(_norm(P), axis=1)  # (4,)
+        norms = np.max(spectral_norm_2x2(np.moveaxis(P, (0, 1), (-2, -1))), axis=1)  # (4,)
         top = min(4, n_steps + 1 - 4 * ell)
         curve[4 * ell : 4 * ell + top] = norms[:top]
         if ell + 1 < n_periods:

@@ -182,8 +182,8 @@ def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS)
     return 2 * pieces * math.ceil(p / (2 * pieces))
 
 
-def _tail_constant(spec: ModelSpec) -> float:
-    """The endpoint constant C_b with |c+| <= C_b / h on [0, 2T].
+def _tail_constant(b) -> float:
+    """The endpoint constant C_b of the coefficient ``b``, with |c+| <= C_b / h on [0, 2T].
 
     By parts, c+(t) = int_0^t exp(i h s) b(s) ds equals
     (exp(i h t) b(t-) - b(0+)) / (i h) minus the integral of exp(i h s) db(s)
@@ -194,28 +194,24 @@ def _tail_constant(spec: ModelSpec) -> float:
     ModelSpec holds, that is 2 min(b(0+), b(0-)) + 2 V, at most the
     2 sup|b| + 2 V of bounding each term by sup|b|.
     """
-    b = spec.b
     return 2.0 * min(b.start_value, b.end_value) + 2.0 * b.variation
 
 
-def _tail_bound(c_b: float, beta_t: float, xi: float, sup_b: float = 0.0, d_b: float = math.inf,
-                b_0: float | None = None) -> float:
-    """Closed-form bound P(xi) on the frame product at frequency xi.
+def _tail_bound(b, beta_t: float, xi: float) -> float:
+    """Closed-form bound P(xi) on the frame product of the coefficient ``b`` at frequency xi.
 
-    :func:`_tail_constant` gives r = |c+| <= c_b / xi on [0, 2T].  For b
+    :func:`_tail_constant` gives r = |c+| <= C_b / xi on [0, 2T].  For b
     without jumps, integrating the remainder int exp(i xi s) b'(s) ds by
-    parts once more gives r <= (sup_b + |b_0|) / xi + d_b / xi^2 there, with
-    sup_b = sup|b|, b_0 = b(0) (sup_b where not given, since |b(0)| <= sup|b|)
-    and d_b the slope constant D_b = 2 sup|b'| + V_0^{2T}(b'); the default
-    d_b = inf leaves the first bound alone.  The smaller of the two,
-    rho = min(c_b, sup_b + |b_0| + d_b / xi) / xi, decreases in xi.  With
+    parts once more gives r <= (sup|b| + |b(0)|) / xi + D_b / xi^2 there,
+    with the slope constant D_b = 2 sup|b'| + V_0^{2T}(b'), which is inf
+    where b jumps and leaves the first bound alone.  The smaller of the two,
+    rho = min(C_b, sup|b| + |b(0)| + D_b / xi) / xi, decreases in xi.  With
     b >= 0 the integral of ||R2|| = b r / (1 - r) over a period is at most
     beta T rho / (1 - rho), so the product is at most
     (1 + rho) / (1 - rho) * exp(beta T rho / (1 - rho)), which decreases in
     xi.  Returns inf where rho >= 1 or the exponent would overflow.
     """
-    first = sup_b + (sup_b if b_0 is None else abs(b_0))
-    rho = min(c_b, first + d_b / xi) / xi
+    rho = min(_tail_constant(b), (b.sup_abs + abs(b.start_value)) + b.slope_constant / xi) / xi
     if rho >= 1.0:
         return math.inf
     expo = beta_t * rho / (1.0 - rho)
@@ -224,28 +220,27 @@ def _tail_bound(c_b: float, beta_t: float, xi: float, sup_b: float = 0.0, d_b: f
     return (1.0 + rho) / (1.0 - rho) * math.exp(expo)
 
 
-def _tail_xi(c_b: float, beta_t: float, level: float, sup_b: float = 0.0, d_b: float = math.inf,
-             b_0: float | None = None) -> float:
-    """The smallest xi (to rounding) with _tail_bound(xi) <= level; inf if none.
+def _tail_xi(b, beta_t: float, level: float) -> float:
+    """The smallest xi (to rounding) with _tail_bound(b, beta_t, xi) <= level; inf if none.
 
     P exceeds one at every finite xi and tends to one, so a level below one is
-    never reached.  Otherwise rho >= 1, and P = inf, up to the smaller of c_b
-    and a / 2 + sqrt(a^2 / 4 + d_b) with a = sup_b + |b_0|, where each bound
-    on r reaches one; doubling from there brackets the crossing and bisection
-    narrows it until the midpoint rounds to an end.
+    never reached.  Otherwise rho >= 1, and P = inf, up to the smaller of C_b
+    and a / 2 + sqrt(a^2 / 4 + D_b) with a = sup|b| + |b(0)|, where each
+    bound on r reaches one; doubling from there brackets the crossing and
+    bisection narrows it until the midpoint rounds to an end.
     """
     if level < 1.0:
         return math.inf
-    half = 0.5 * (sup_b + (sup_b if b_0 is None else abs(b_0)))
-    lo = min(c_b, half + math.sqrt(half * half + d_b))
+    half = 0.5 * (b.sup_abs + abs(b.start_value))
+    lo = min(_tail_constant(b), half + math.sqrt(half * half + b.slope_constant))
     hi = lo + 1.0
-    while _tail_bound(c_b, beta_t, hi, sup_b, d_b, b_0) > level:
+    while _tail_bound(b, beta_t, hi) > level:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return hi
-        if _tail_bound(c_b, beta_t, mid, sup_b, d_b, b_0) > level:
+        if _tail_bound(b, beta_t, mid) > level:
             lo = mid
         else:
             hi = mid
@@ -352,12 +347,11 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
     (the window is already disqualified); the returned value is then only a
     lower bound for the true supremum.
     """
-    c_b, beta_t = _tail_constant(spec), spec.beta * spec.T
-    second = spec.b.sup_abs, spec.b.slope_constant, spec.b.start_value
+    beta_t = spec.beta * spec.T
     top, at = -math.inf, math.nan
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         x = float(x)
-        if top > -math.inf and _tail_bound(c_b, beta_t, x, *second) <= top:
+        if top > -math.inf and _tail_bound(spec.b, beta_t, x) <= top:
             break
         try:
             value = suplarge_quantity(spec, x, t_points)
@@ -457,15 +451,14 @@ def find_threshold_N(
     finally:
         _b_profile.cache_clear()
         _profile_ends.cache_clear()
-    c_b, d_b = _tail_constant(base), base.b.slope_constant
     return ThresholdResult(
         N=hi,
         sup_value=accepted[0],
         target=target,
         xi_max_checked=WINDOW_FACTOR * hi,
-        tail_C_b=c_b,
-        tail_D_b=d_b,
-        tail_xi=_tail_xi(c_b, base.beta * base.T, accept, base.b.sup_abs, d_b, base.b.start_value),
+        tail_C_b=_tail_constant(base.b),
+        tail_D_b=base.b.slope_constant,
+        tail_xi=_tail_xi(base.b, base.beta * base.T, accept),
         accept_margin=accept - accepted[0],
         accept_margin_sensitivity=accept_change,
         reject_margin=None if rejected is None else rejected[0] - accept,

@@ -172,7 +172,9 @@ def monodromy_grid(
 
 
 def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:
-    """Spectral norms of the k-th matrix powers over a grid (iterative product)."""
+    """Spectral norms of the k-th matrix powers over a grid (iterative product), k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     P = M_grid.copy()
     for _ in range(k - 1):
         P = P @ M_grid
@@ -185,6 +187,8 @@ def contraction_search(M_grid: np.ndarray, k_max: int = 64, margin: float = DEFA
     First checks the spectral radii of the first t row, as the samples table
     takes them (all below 1 - RHO_BLOCKER_TOL), then powers the grid.  Returns (k, c1).
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     t_grid = np.asarray(t_grid if t_grid is not None else np.arange(M_grid.shape[0]), dtype=float)
     xi_grid = np.asarray(xi_grid if xi_grid is not None else np.arange(M_grid.shape[1]), dtype=float)
 
@@ -272,7 +276,7 @@ def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
     table["re_eig2"], table["im_eig2"] = ev[..., 1].real, ev[..., 1].imag
     table["rho"] = _spectral_radius(ev)
     table["norm"] = spectral_norm_2x2(M)
-    table["real_pair"] = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc.real > 0.0)
+    table["real_pair"] = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc > 0.0)
     return table.reshape(-1)
 
 

@@ -39,9 +39,10 @@ expressions.  One step of a batch advances all its pieces, the exponentials
 of a batch of constant pieces count as one step, and one PropagationResult
 counts a whole sweep.
 
-All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form,
-take real or complex matrices, and broadcast over leading batch dimensions;
-the entry-first helpers _mul and _norm take real (2, 2, ...) arrays.
+All 2x2 operations (determinant, eigenvalues, spectral norm) are closed-form
+on real matrices and broadcast over leading batch dimensions; the
+entry-first helper _mul takes real (2, 2, ...) arrays.  The spectral norm
+rejects complex matrices; every norm the pipeline takes is that of a real form.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def eigenvalues_2x2(M):
     dt = det2(M).astype(complex)
     sq = np.sqrt(tr * tr - 4.0 * dt)
     # pick the sign that avoids cancellation in tr +/- sq
-    flip = np.real(np.conj(tr) * sq) < 0.0
+    flip = tr.real * sq.real + tr.imag * sq.imag < 0.0  # Re(conj(tr) sq)
     sq = np.where(flip, -sq, sq)
     l1 = 0.5 * (tr + sq)
     small = np.abs(l1) == 0.0
@@ -124,15 +125,22 @@ def eigenvalues_2x2(M):
 
 
 def spectral_norm_2x2(M):
-    """Largest singular value, closed form on the 2x2 Hermitian M^H M."""
+    """Largest singular value of real 2x2 matrices, closed form on the Gram matrix M^T M.
+
+    Any array whose last two axes hold the matrix will do, such as a
+    np.moveaxis view of entry-first (2, 2, ...) arrays.  Complex matrices
+    raise TypeError.
+    """
     M = np.asarray(M)
+    if np.iscomplexobj(M):
+        raise TypeError("spectral_norm_2x2 takes real matrices; pass the real form")
     a = M[..., 0, 0]
     b = M[..., 0, 1]
     c = M[..., 1, 0]
     d = M[..., 1, 1]
-    g11 = (a * np.conj(a)).real + (c * np.conj(c)).real
-    g22 = (b * np.conj(b)).real + (d * np.conj(d)).real
-    g12 = np.conj(a) * b + np.conj(c) * d
+    g11 = a * a + c * c
+    g22 = b * b + d * d
+    g12 = a * b + c * d
     mid = 0.5 * (g11 + g22)
     rad = np.hypot(0.5 * (g11 - g22), np.abs(g12))
     return np.sqrt(mid + rad)
@@ -291,17 +299,6 @@ def _expm(g, u, v, w):
 def _mul(A, B):
     """Products of entry-first 2x2 matrices (2, 2, ...): four entry-wise expressions."""
     return A[:, :1] * B[:1] + A[:, 1:] * B[1:]
-
-
-def _norm(A):
-    """Spectral norms of real entry-first 2x2 matrices (2, 2, ...).
-
-    [[a, b], [c, d]] has the singular values (p +/- q) / 2 with
-    p = |(a + d, b - c)| and q = |(a - d, b + c)|, so the norm is a sum of two
-    hypotenuses, free of cancellation.
-    """
-    (a, b), (c, d) = A
-    return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
 
 
 def _identity(*shape):

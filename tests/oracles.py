@@ -24,12 +24,12 @@ import math
 import numpy as np
 from scipy.integrate import nquad, quad, solve_ivp
 
-from kgdecay import det2, highfreq, propagate_grid, spectral_norm_2x2
+from kgdecay import det2, highfreq, propagate_grid
 from kgdecay.errors import FrameError, ModelAssumptionError
 from kgdecay.highfreq import WINDOW_FACTOR, _points_per_period
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
-from conftest import complex_form
+from conftest import complex_form, svd_norm
 
 
 class PreconditionError(Exception):
@@ -96,7 +96,7 @@ def peano_baker_truncated(spec, s, t, xi, terms, npoints=4097):
         return np.eye(2, dtype=complex)
     grid = np.linspace(s, t, npoints)
     Avals = _system_matrices(spec, grid, xi)
-    supA = float(np.max(spectral_norm_2x2(Avals)))
+    supA = float(np.max(svd_norm(Avals)))
     if (t - s) * supA > 5.0 + 1e-12:
         raise PreconditionError(
             f"(t-s)*sup||A|| = {(t - s) * supA:.3g} exceeds the convergence window 5"

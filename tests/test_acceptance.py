@@ -25,7 +25,6 @@ from kgdecay import (
     lambert_w0,
     monodromy_grid,
     propagate_grid,
-    spectral_norm_2x2,
     sup_norm_curve,
     verify_highfreq_contraction,
     verify_perturbed_contraction,
@@ -34,7 +33,7 @@ from kgdecay.monodromy import power_norms
 from kgdecay.propagator import det2
 from kgdecay.cli import main as cli_main
 
-from conftest import const_coeff_propagator, contraction_grids, contraction_k, propagate
+from conftest import const_coeff_propagator, contraction_grids, contraction_k, propagate, svd_norm
 from oracles import cumulative, gronwall_difference_bound, peano_baker_truncated, system_matrix
 from test_perturbation import bisection_w
 
@@ -100,7 +99,7 @@ def test_criterion_2_oracle_equivalence(spec_sin):
             dt = float(rng.uniform(0.05, 0.33))
             xi = float(rng.uniform(0.0, 2.5))
             A_norm = max(
-                spectral_norm_2x2(system_matrix(spec_sin, tt, xi))
+                svd_norm(system_matrix(spec_sin, tt, xi))
                 for tt in np.linspace(s, s + dt, 9)
             )
             if A_norm * dt > 2.0:
@@ -181,7 +180,7 @@ def test_criterion_7_perturbation_soundness(specs_m1, certificates, m1_cos):
                 bound = gronwall_difference_bound(sp, spec, cert, s, t, xi)
                 a = propagate(sp, s, t, xi, 1e-11)
                 b_ = propagate(spec, s, t, xi, 1e-11)
-                assert spectral_norm_2x2(a - b_) <= bound + 1e-9
+                assert svd_norm(a - b_) <= bound + 1e-9
 
 
 def test_criterion_8_lambert_w():

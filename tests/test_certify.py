@@ -11,14 +11,13 @@ from kgdecay import (
     decay_constants,
     fit_rate,
     gamma_curve,
-    spectral_norm_2x2,
     sup_norm_curve,
 )
 from kgdecay import certify
 from kgdecay.certify import DecayReport, certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
 
-from conftest import CSV_EDGE_VALUES, certificate, contraction_k, make_perturbed, propagate, strongly_damped
+from conftest import CSV_EDGE_VALUES, certificate, contraction_k, make_perturbed, propagate, strongly_damped, svd_norm
 from oracles import gamma_curve_long, monodromy_at, reference_csv
 
 
@@ -122,7 +121,7 @@ class TestSupNormCurve:
         xi_grid = np.array([0.0, 0.5, 2.0, 8.0])
         rep = sup_norm_curve(spec, cert, 10.0, xi_grid=xi_grid)
         for t, got in list(zip(rep.time_grid, rep.sup_norm_curve))[::5]:
-            direct = max(spectral_norm_2x2(propagate(spec, 0.0, float(t), xi)) for xi in xi_grid)
+            direct = max(svd_norm(propagate(spec, 0.0, float(t), xi)) for xi in xi_grid)
             assert abs(got - direct) <= 1e-10 * direct
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])

@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from kgdecay import (
     ConstantMass,
@@ -12,7 +13,6 @@ from kgdecay import (
     PeriodicCoefficient,
     ThresholdResult,
     find_threshold_N,
-    spectral_norm_2x2,
     suplarge_quantity,
     verify_highfreq_contraction,
 )
@@ -28,7 +28,7 @@ from kgdecay.highfreq import (
     _window_sup,
     threshold_trace_to_csv,
 )
-from conftest import CSV_EDGE_VALUES, make_perturbed
+from conftest import CSV_EDGE_VALUES, make_perturbed, svd_norm
 from oracles import (
     PreconditionError,
     corrector_profile,
@@ -69,8 +69,8 @@ def suplarge_matrix_oracle(spec, xi, t_points=64, refine=1):
     n1, n1_inv, r2, det = frame_matrices(npl, nmi, b)
     if float(np.min(np.abs(det))) < FRAME_DET_GUARD:
         raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
-    r2_cum = piecewise_cumulative(spectral_norm_2x2(r2), tau)
-    norms = spectral_norm_2x2(n1)[0], spectral_norm_2x2(n1_inv)[0]
+    r2_cum = piecewise_cumulative(svd_norm(r2), tau)
+    norms = svd_norm(n1)[0], svd_norm(n1_inv)[0]
     return _suplarge_from_profile(*norms, r2_cum[0], np.searchsorted(ends, base), pieces)
 
 
@@ -266,8 +266,8 @@ class TestFrames:
             xi = rng.uniform(6.0, 30.0)
             n1, n1_inv, r2, _ = frame_matrices_at(spec_sin, float(t), float(xi))
             b = float(spec_sin.b.eval(t))
-            lhs = spectral_norm_2x2(r2)
-            rhs = spectral_norm_2x2(n1_inv) * b * spectral_norm_2x2(np.eye(2) - n1)
+            lhs = svd_norm(r2)
+            rhs = svd_norm(n1_inv) * b * svd_norm(np.eye(2) - n1)
             assert lhs <= rhs + 1e-12
 
     def test_corrector_frame_is_hermitian(self, spec_sin, spec_square, spec_tri):
@@ -286,7 +286,7 @@ class TestFrames:
         n1, n1_inv, r2, det = frame_matrices(npl, np.conj(npl), b)
         closed = (1.0 + r, 1.0 / np.abs(1.0 - r), np.abs(b) * r / np.abs(1.0 - r))
         for value, matrix in zip(closed, (n1, n1_inv, r2)):
-            assert np.max(np.abs(value - spectral_norm_2x2(matrix)) / value) < 1e-12
+            assert np.max(np.abs(value - svd_norm(matrix)) / value) < 1e-12
         assert np.max(np.abs(np.abs(1.0 - r * r) - np.abs(det))) < 1e-12
 
     def test_unit_diagonal_and_inverse(self, spec_sin):
@@ -298,7 +298,7 @@ class TestFrames:
         sups = []
         for xi in (10.0, 20.0, 40.0, 80.0):
             vals = [
-                spectral_norm_2x2(frame_matrices_at(spec_sin, t, xi)[2])
+                svd_norm(frame_matrices_at(spec_sin, t, xi)[2])
                 for t in np.linspace(0.0, 1.0, 9)
             ]
             sups.append(max(vals))
@@ -463,28 +463,31 @@ class TestTailBound:
         assume(c_b > 0.0)
         spec = ModelSpec(b, ConstantMass(m0))
         xi = scale * c_b
-        assert _tail_constant(spec) == c_b
-        assert suplarge_quantity(spec, xi) <= _tail_bound(c_b, spec.beta * spec.T, xi)
+        assert _tail_constant(b) == c_b
+        assert suplarge_quantity(spec, xi) <= _tail_bound(b, spec.beta * spec.T, xi)
 
     @settings(max_examples=60, deadline=None)
     @given(b=_dissipations().filter(lambda b: not b.has_jumps), scale=st.floats(1.0001, 4.0),
            m0=st.sampled_from([0.0, 0.7, 3.0]))
+    @example(b=PeriodicCoefficient.from_closed_form("constant", 1.0, value=5e-320), scale=2.0, m0=3.0)
     def test_profile_below_the_second_order_bound(self, b, scale, m0):
         # on b without jumps (constant, sin_offset, triangle, linear samples),
-        # wherever rho = min(C_b, 2 sup|b| + D_b / xi) / xi < 1/2, |c+| stays
-        # below rho_2(h) = 2 sup|b| / h + D_b / h^2 on [0, 2T], and the frame
-        # product below P(xi).  A constant b attains rho_2 where h t = pi, so
-        # the quadrature's rounding gets a relative 1e-9.
-        sup_b, d_b = b.sup_abs, b.slope_constant
-        c_b = 2.0 * sup_b + 2.0 * b.variation
+        # wherever rho = min(C_b, a + D_b / xi) / xi < 1/2, a = sup|b| + |b(0)|,
+        # |c+| stays below rho_2(h) = a / h + D_b / h^2 on [0, 2T], and the
+        # frame product below P(xi).  A constant b attains rho_2 where h t = pi,
+        # so the quadrature's rounding gets a relative 1e-9, and subnormal
+        # levels, which carry few digits, an absolute 1e-300 (the example:
+        # max|c+| / rho_2 = 1.0095 for b = 5e-320).
+        a, d_b = b.sup_abs + abs(b.start_value), b.slope_constant
+        c_b = _tail_constant(b)
         assume(c_b > 0.0)
         # rho = 1/2 at xi = 2 C_b, or where rho_2 = 1/2
-        xi = scale * min(2.0 * c_b, 2.0 * sup_b + math.sqrt(4.0 * sup_b * sup_b + 2.0 * d_b))
+        xi = scale * min(2.0 * c_b, a + math.sqrt(a * a + 2.0 * d_b))
         spec = ModelSpec(b, ConstantMass(m0))
         h = math.hypot(xi, m0)
         n_plus, _ = corrector_profile(spec, xi, *uniform_nodes(spec, 2.0 * spec.T, 2 * _points_per_period(spec, xi) + 1))
-        assert np.max(np.abs(n_plus)) <= (2.0 * sup_b + d_b / h) / h * (1.0 + 1e-9)
-        assert suplarge_quantity(spec, xi) <= _tail_bound(c_b, spec.beta * spec.T, xi, sup_b, d_b)
+        assert np.max(np.abs(n_plus)) <= (a + d_b / h) / h * (1.0 + 1e-9) + 1e-300
+        assert suplarge_quantity(spec, xi) <= _tail_bound(b, spec.beta * spec.T, xi)
 
     @settings(max_examples=80, deadline=None)
     @given(b=_tail_cases(), xi=st.floats(0.5, 200.0), m0=st.sampled_from([0.0, 0.7, 3.0]))
@@ -495,7 +498,7 @@ class TestTailBound:
         # rounding gets a relative 1e-9, and subnormal levels, which carry
         # few digits, an absolute 1e-300.
         spec = ModelSpec(b, ConstantMass(m0))
-        c_b, h = _tail_constant(spec), math.hypot(xi, m0)
+        c_b, h = _tail_constant(b), math.hypot(xi, m0)
         top = _corrector_sup(spec, xi)
         assert top * h <= c_b * (1.0 + 1e-9) + 1e-300
         assert c_b <= 2.0 * b.sup_abs + 2.0 * b.variation
@@ -504,52 +507,60 @@ class TestTailBound:
             assert top <= second * (1.0 + 1e-9) + 1e-300
 
     def test_closed_form_decreases_and_never_raises(self):
-        xis = np.geomspace(5.3, 1e6, 200)
-        vals = [_tail_bound(5.2, 0.6, float(x)) for x in xis]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > 1.0
-        assert _tail_bound(5.2, 0.6, 5.2) == math.inf
-        assert _tail_bound(5.2, 0.6, 1.0) == math.inf
-        assert _tail_bound(5.2, 1e300, 5.3) == math.inf
+        # P is inf up to C_b, 5.2 for the square wave and 6 for sin_offset,
+        # whose second-order bound reaches one only at 6.99, and decreases above it
+        for b, c_b in ((PeriodicCoefficient.from_closed_form("square", 1.0, lo=1.0, hi=1.8), 5.2),
+                       (PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5), 6.0)):
+            assert _tail_constant(b) == c_b
+            vals = [_tail_bound(b, 0.6, float(x)) for x in np.geomspace(1.02 * c_b, 1e6, 200)]
+            assert all(p > q for p, q in zip(vals, vals[1:]))
+            assert vals[-1] > 1.0
+            assert _tail_bound(b, 0.6, c_b) == math.inf
+            assert _tail_bound(b, 0.6, 1.0) == math.inf
+            assert _tail_bound(b, 1e300, 1.02 * c_b) == math.inf
 
     def test_tail_frequency_is_the_first_crossing(self, spec_square):
         # b(0+) = 1 and b(0-) = 0.2: C_b = 2 * 0.2 + 2 V, where bounding both
         # end values by sup|b| gave 5.2 and a crossing at 46.67
         thr = find_threshold_N(spec_square)
         accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
-        beta_t = spec_square.beta * spec_square.T
-        assert thr.tail_C_b == 2.0 * 0.2 + 2.0 * 1.6
-        assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi) <= accept
-        assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0)) > accept
+        beta_t, b = spec_square.beta * spec_square.T, spec_square.b
+        assert thr.tail_C_b == _tail_constant(b) == 2.0 * 0.2 + 2.0 * 1.6
+        assert _tail_bound(b, beta_t, thr.tail_xi) <= accept
+        assert _tail_bound(b, beta_t, math.nextafter(thr.tail_xi, 0.0)) > accept
         assert thr.tail_xi == pytest.approx(32.31, abs=0.01)
         assert thr.tail_xi <= thr.xi_max_checked
         # a level below one is never reached
-        assert _tail_xi(thr.tail_C_b, beta_t, 0.999) == math.inf
+        assert _tail_xi(b, beta_t, 0.999) == math.inf
 
     def test_second_order_tail_frequency(self, spec_sin):
         # sin_offset has D_b = 10 |amp| 2 pi / T and b(0) = 1, and the two-term
         # bound (sup|b| + b(0)) / xi + D_b / xi^2 crosses the accept level at
-        # 24.32 instead of 38.49
+        # 24.32 instead of the 38.49 of C_b / xi alone
         thr = find_threshold_N(spec_sin)
         accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
-        beta_t, sup_b, b_0 = spec_sin.beta * spec_sin.T, spec_sin.b.sup_abs, spec_sin.b.start_value
+        beta_t, b = spec_sin.beta * spec_sin.T, spec_sin.b
         assert thr.tail_C_b == 2.0 * 1.0 + 2.0 * 2.0
         assert thr.tail_D_b == 10.0 * 0.5 * 2.0 * math.pi
-        assert _tail_bound(thr.tail_C_b, beta_t, thr.tail_xi, sup_b, thr.tail_D_b, b_0) <= accept
-        assert _tail_bound(thr.tail_C_b, beta_t, math.nextafter(thr.tail_xi, 0.0), sup_b, thr.tail_D_b, b_0) > accept
+        assert _tail_bound(b, beta_t, thr.tail_xi) <= accept
+        assert _tail_bound(b, beta_t, math.nextafter(thr.tail_xi, 0.0)) > accept
         assert thr.tail_xi == pytest.approx(24.323, abs=1e-3)
-        assert _tail_xi(thr.tail_C_b, beta_t, accept) == pytest.approx(38.490, abs=1e-3)
+
+        def first_order(xi):
+            rho = thr.tail_C_b / xi
+            return (1.0 + rho) / (1.0 - rho) * math.exp(beta_t * rho / (1.0 - rho)) - accept
+
+        assert brentq(first_order, 1.01 * thr.tail_C_b, 1e3, xtol=1e-12) == pytest.approx(38.490, abs=1e-3)
 
     def test_tail_frequency_below_C_b(self):
         # 16 rises and falls of a slow linear b: large variation, small slopes.
         # The crossing lies below C_b, where the first-order bound is inf
         b = PeriodicCoefficient.from_samples([0.0, 1.0] * 16, 100.0, order=1)
-        c_b, sup_b, d_b = 2.0 * b.sup_abs + 2.0 * b.variation, b.sup_abs, b.slope_constant
         level = math.exp(b.mean * 100.0 / 2.0) * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
-        xi = _tail_xi(c_b, b.mean * 100.0, level, sup_b, d_b)
-        assert xi < c_b == 66.0
-        assert _tail_bound(c_b, b.mean * 100.0, xi, sup_b, d_b) <= level
-        assert _tail_bound(c_b, b.mean * 100.0, math.nextafter(xi, 0.0), sup_b, d_b) > level
+        xi = _tail_xi(b, b.mean * 100.0, level)
+        assert xi < _tail_constant(b) == 64.0
+        assert _tail_bound(b, b.mean * 100.0, xi) <= level
+        assert _tail_bound(b, b.mean * 100.0, math.nextafter(xi, 0.0)) > level
 
 
 class TestThresholdSearch:
@@ -619,9 +630,7 @@ class TestThresholdSearch:
             calls.append(xi)
             return 1.9 if len(calls) == 3 else 1.0
 
-        c_b, beta_t = _tail_constant(spec_sin), spec_sin.beta * spec_sin.T
-        second = spec_sin.b.sup_abs, spec_sin.b.slope_constant, spec_sin.b.start_value
-        assert _tail_bound(c_b, beta_t, 20.0, *second) > 1.9
+        assert _tail_bound(spec_sin.b, spec_sin.beta * spec_sin.T, 20.0) > 1.9
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
         assert _window_sup(spec_sin, 2.0, 130, 8, stop_above=1.5) == (1.9, calls[2])
         assert len(calls) == 3
@@ -640,9 +649,7 @@ class TestThresholdSearch:
 
         monkeypatch.setattr(highfreq, "suplarge_quantity", fake)
         xis = np.linspace(2.0, 20.0, 130)
-        c_b, beta_t = _tail_constant(spec_sin), spec_sin.beta * spec_sin.T
-        second = spec_sin.b.sup_abs, spec_sin.b.slope_constant, spec_sin.b.start_value
-        bounds = np.array([_tail_bound(c_b, beta_t, float(x), *second) for x in xis])
+        bounds = np.array([_tail_bound(spec_sin.b, spec_sin.beta * spec_sin.T, float(x)) for x in xis])
         first = int(np.argmax(bounds <= 5.0))
         assert 3 < first < 130
         assert _window_sup(spec_sin, 2.0, 130, 8) == (5.0, float(xis[2]))

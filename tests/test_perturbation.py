@@ -25,7 +25,7 @@ from kgdecay.errors import NoContractionError
 from kgdecay.monodromy import power_norms
 from kgdecay.perturbation import PERTURBED_CONTRACTION_SLACK, contraction_bound, difference_bound
 
-from conftest import certificate, contraction_grids, propagate
+from conftest import certificate, contraction_grids, propagate, svd_norm
 from oracles import gronwall_difference_bound
 
 
@@ -174,7 +174,7 @@ class TestGronwallBound:
             bound = gronwall_difference_bound(spec_eps, spec_sin, sin_cert, s, t, xi)
             a = propagate(spec_eps, s, t, xi, 1e-11)
             b = propagate(spec_sin, s, t, xi, 1e-11)
-            measured = spectral_norm_2x2(a - b)
+            measured = svd_norm(a - b)
             assert measured <= bound + 1e-9
 
     def test_monotone_in_horizon_and_amplitude(self, spec_sin, sin_cert, m1_cos):

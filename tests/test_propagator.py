@@ -17,7 +17,7 @@ from kgdecay import (
 from kgdecay.errors import IntegrationFailureError
 from kgdecay.propagator import _cumulative_simpson_uniform, _expm, _make_factors, _omega, _omega_constant_mass
 
-from conftest import complex_form, const_coeff_propagator, power_iteration_norm, propagate, triangle_samples
+from conftest import complex_form, const_coeff_propagator, power_iteration_norm, propagate, svd_norm, triangle_samples
 from dp5_oracle import dp5_propagate
 from oracles import PreconditionError, cumulative, integral, inv2, peano_baker_truncated, symbol, system_matrix
 
@@ -254,6 +254,7 @@ def _sin_specs():
 
 
 class TestMagnusStepper:
+    @pytest.mark.slow
     @pytest.mark.parametrize("mass", ["constant", "perturbed"])
     @pytest.mark.parametrize("band", [(0.0, 14.0), (14.0, 56.0), (56.0, 140.0)])
     def test_realized_error_against_dp5(self, mass, band):
@@ -414,31 +415,56 @@ class TestLinearAlgebra2x2:
             assert abs(l1 * l2 - d) <= 1e-12 * max(1.0, abs(d))
 
     def test_spectral_norm_identity(self):
-        assert spectral_norm_2x2(np.eye(2, dtype=complex)) == 1.0
+        assert spectral_norm_2x2(np.eye(2)) == 1.0
 
     def test_spectral_norm_nilpotent_shift(self):
-        M = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+        M = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert spectral_norm_2x2(M) == 2.0
 
     def test_spectral_norm_against_power_iteration(self):
         rng = np.random.default_rng(33)
         for i in range(50):
-            M = random_mat2(rng)
+            M = rng.standard_normal((2, 2))
             assert abs(spectral_norm_2x2(M) - power_iteration_norm(M, seed=i)) < 1e-10
 
     def test_norm_squared_is_top_eigenvalue_of_gram(self):
         rng = np.random.default_rng(34)
         for _ in range(100):
-            M = random_mat2(rng)
-            G = M.conj().T @ M
+            M = rng.standard_normal((2, 2))
+            G = M.T @ M
             lam = max(abs(v) for v in eigenvalues_2x2(G))
             assert abs(spectral_norm_2x2(M) ** 2 - lam) <= 1e-12 * max(1.0, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.builds(lambda m, e: m * 10.0**e,
+                                      st.floats(-1.0, 1.0).filter(lambda m: m == 0.0 or abs(m) >= 0.1),
+                                      st.integers(-99, 100)), min_size=4, max_size=4))
+    def test_spectral_norm_matches_svd_across_scales(self, entries):
+        # each entry 0 or of magnitude 1e-100 to 1e100, mixed within a matrix:
+        # the Gram entries stay in range, and the norm is numpy's SVD norm to rounding
+        M = np.array(entries).reshape(2, 2)
+        ref = np.linalg.norm(M, 2)
+        assert abs(spectral_norm_2x2(M) - ref) <= 1e-14 * ref
+
+    def test_spectral_norm_broadcasts_over_a_view(self):
+        # an entry-first (2, 2, ...) array is measured through a moveaxis view
+        rng = np.random.default_rng(36)
+        A = rng.standard_normal((2, 2, 4, 5))
+        view = np.moveaxis(A, (0, 1), (-2, -1))
+        assert not view.flags.c_contiguous
+        np.testing.assert_allclose(spectral_norm_2x2(view), svd_norm(view), rtol=1e-14, atol=0.0)
+
+    def test_spectral_norm_refuses_complex_matrices(self):
+        with pytest.raises(TypeError, match="real"):
+            spectral_norm_2x2(np.eye(2, dtype=complex))
+        with pytest.raises(TypeError, match="real"):
+            spectral_norm_2x2(complex_form(np.eye(2)[None]))
 
     def test_inv2(self):
         rng = np.random.default_rng(35)
         for _ in range(50):
             M = random_mat2(rng)
-            assert np.max(np.abs(M @ inv2(M) - np.eye(2))) < 1e-12 * spectral_norm_2x2(M) ** 2
+            assert np.max(np.abs(M @ inv2(M) - np.eye(2))) < 1e-12 * svd_norm(M) ** 2
 
 
 class TestCumulativeSimpson:
