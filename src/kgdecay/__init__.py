@@ -7,7 +7,7 @@ spectrum and contraction powers (monodromy), the high-frequency threshold
 long-horizon decay evidence (certify), orchestrated by a CLI (cli).
 """
 
-from .coefficients import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient
+from .coefficients import ModelSpec, PeriodicCoefficient
 from .propagator import (
     PropagationResult,
     det2,
@@ -47,12 +47,10 @@ from .certify import (
 from . import errors
 
 __all__ = [
-    "ConstantMass",
     "ContractionCertificate",
     "DecayReport",
     "EpsilonBound",
     "ModelSpec",
-    "PerturbedMass",
     "PeriodicCoefficient",
     "PropagationResult",
     "ThresholdResult",

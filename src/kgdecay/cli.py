@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, highfreq, monodromy, perturbation
-from .coefficients import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient
+from .coefficients import ModelSpec, PeriodicCoefficient
 from .errors import (
     ConfigError,
     FitError,
@@ -180,20 +180,14 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
                        ("m0^2 + epsilon", m0 * m0 + epsilon)):
         if not math.isfinite(value):
             raise ConfigError(f"[model] {key} = {value} is not finite")
-    if epsilon < 0.0:
-        raise ModelAssumptionError("epsilon must be non-negative")
     if "b" not in model:
         raise ConfigError("[model] must declare the dissipation b")
     b = parse_coefficient(model["b"], T)
     # a declared m1 is parsed even at epsilon = 0, so a malformed one is reported
     m1 = parse_coefficient(model["m1"], T) if "m1" in model else None
-    if epsilon > 0.0:
-        if m1 is None:
-            raise ConfigError("epsilon > 0 requires an m1 declaration")
-        mass = PerturbedMass(m0, epsilon, m1)
-    else:
-        mass = ConstantMass(m0)
-    spec = ModelSpec(b, mass, T)
+    if epsilon > 0.0 and m1 is None:
+        raise ConfigError("epsilon > 0 requires an m1 declaration")
+    spec = ModelSpec(b, m0, epsilon, m1, T)
     half_beta_T = spec.beta * T / 2.0
     if half_beta_T > highfreq.LOG_FLOAT_MAX:
         raise ConfigError(

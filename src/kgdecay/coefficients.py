@@ -12,9 +12,9 @@ and the exact one-sided values c(0+) and c(0-) = c(T-) at the period
 boundary.  A coefficient that jumps is constant between its breakpoints
 (step samples and square waves are the only forms with jumps), so the
 propagator takes one exponential per piece of it.
-A :class:`ModelSpec` bundles the dissipation b(t), the mass specification
-(constant m0, or m0^2 + eps*m1(t)), and the shared period T, and validates
-the standing model assumptions at construction time.
+A :class:`ModelSpec` bundles the dissipation b(t), the mass (m0, and
+m0^2 + eps*m1(t) when eps > 0) and the shared period T, and validates the
+standing model assumptions at construction time.
 
 All objects are immutable after construction.
 """
@@ -22,7 +22,6 @@ All objects are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,38 +284,21 @@ class PeriodicCoefficient:
         return self._description
 
 
-# -- mass specifications ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantMass:
-    """Constant mass m(t) = m0 >= 0."""
-
-    m0: float
-
-
-@dataclass(frozen=True)
-class PerturbedMass:
-    """Perturbed mass m(t)^2 = m0^2 + epsilon * m1(t), sup|m1| = 1."""
-
-    m0: float
-    epsilon: float
-    m1: PeriodicCoefficient
-
-
 class ModelSpec:
     """A full problem instance: dissipation, mass and shared period.
 
-    Validates at construction, on exact minima: non-negative dissipation,
+    The mass is m(t)^2 = m0^2, or m0^2 + epsilon * m1(t) with sup|m1| = 1
+    when epsilon > 0, the perturbed model; m1 is read only then.  Validates
+    at construction, on exact minima: non-negative dissipation and epsilon,
     matching periods, positivity of the perturbed mass square and the
     normalization sup|m1| = 1.  Instances are immutable.
     """
 
-    def __init__(self, b: PeriodicCoefficient, mass, T=None):
-        if not isinstance(mass, (ConstantMass, PerturbedMass)):
-            raise ModelAssumptionError("mass must be ConstantMass or PerturbedMass")
+    def __init__(self, b: PeriodicCoefficient, m0, epsilon=0.0, m1: PeriodicCoefficient | None = None, T=None):
         self.b = b
-        self.mass = mass
+        self.m0 = float(m0)
+        self.epsilon = float(epsilon)
+        self.m1 = m1 if self.epsilon > 0.0 else None
         self.T = float(T) if T is not None else b.period
         if abs(b.period - self.T) > PERIOD_MATCH_RTOL * self.T:
             raise ModelAssumptionError(
@@ -328,34 +310,28 @@ class ModelSpec:
         #: b >= 0 with zeros is accepted with this flag cleared).
         self.b_strictly_positive = b.minimum > 0.0
 
-        if isinstance(mass, ConstantMass):
-            if mass.m0 < 0.0:
+        if not self.epsilon >= 0.0:
+            raise ModelAssumptionError("epsilon must be non-negative")
+        if self.epsilon == 0.0:
+            if self.m0 < 0.0:
                 raise ModelAssumptionError("m0 must be non-negative")
-        else:
-            if mass.m0 <= 0.0:
-                raise ModelAssumptionError("perturbed mode requires m0 > 0")
-            if mass.epsilon < 0.0:
-                raise ModelAssumptionError("epsilon must be non-negative")
-            if abs(mass.m1.period - self.T) > PERIOD_MATCH_RTOL * self.T:
-                raise ModelAssumptionError(
-                    f"m1 period {mass.m1.period} does not match T = {self.T}"
-                )
-            if abs(mass.m1.sup_abs - 1.0) > M1_NORMALIZATION_TOL:
-                raise ModelAssumptionError(
-                    f"sup|m1| must equal 1 (got {mass.m1.sup_abs!r}); rescale m1"
-                )
-            if not mass.m0**2 + mass.epsilon * mass.m1.minimum > 0.0:
-                raise ModelAssumptionError("m0^2 + epsilon*m1(t) must stay positive")
+            return
+        if self.m0 <= 0.0:
+            raise ModelAssumptionError("perturbed mode requires m0 > 0")
+        if m1 is None:
+            raise ModelAssumptionError("epsilon > 0 requires m1")
+        if abs(m1.period - self.T) > PERIOD_MATCH_RTOL * self.T:
+            raise ModelAssumptionError(
+                f"m1 period {m1.period} does not match T = {self.T}"
+            )
+        if abs(m1.sup_abs - 1.0) > M1_NORMALIZATION_TOL:
+            raise ModelAssumptionError(
+                f"sup|m1| must equal 1 (got {m1.sup_abs!r}); rescale m1"
+            )
+        if not self.m0**2 + self.epsilon * m1.minimum > 0.0:
+            raise ModelAssumptionError("m0^2 + epsilon*m1(t) must stay positive")
 
     # -- derived quantities --------------------------------------------------
-
-    @property
-    def m0(self):
-        return self.mass.m0
-
-    @property
-    def epsilon(self):
-        return self.mass.epsilon if isinstance(self.mass, PerturbedMass) else 0.0
 
     @property
     def beta(self):
@@ -364,26 +340,24 @@ class ModelSpec:
 
     def m_squared(self, t):
         """m(t)^2, vectorized over ``t``."""
-        if isinstance(self.mass, ConstantMass):
-            return np.full(np.shape(t), self.mass.m0**2)
-        return self.mass.m0**2 + self.mass.epsilon * self.mass.m1.eval(t)
+        if self.epsilon > 0.0:
+            return self.m0**2 + self.epsilon * self.m1.eval(t)
+        return np.full(np.shape(t), self.m0**2)
 
     def breakpoints_in(self, t0, t1):
         """Union of coefficient breakpoints within (t0, t1)."""
-        pts = [self.b.breakpoints_in(t0, t1)]
-        if isinstance(self.mass, PerturbedMass):
-            pts.append(self.mass.m1.breakpoints_in(t0, t1))
-        return _sorted_unique(np.concatenate(pts))
+        pts = self.b.breakpoints_in(t0, t1)
+        if self.epsilon > 0.0:
+            pts = _sorted_unique(np.concatenate([pts, self.m1.breakpoints_in(t0, t1)]))
+        return pts
 
     def constant_mass_version(self):
         """The same model with the perturbation switched off."""
-        if isinstance(self.mass, ConstantMass):
-            return self
-        return ModelSpec(self.b, ConstantMass(self.mass.m0), self.T)
+        return ModelSpec(self.b, self.m0, T=self.T) if self.epsilon > 0.0 else self
 
     def describe(self):
         """Plain-dict description for reports."""
-        d = {
+        return {
             "T": self.T,
             "b": self.b.describe(),
             "beta": self.beta,
@@ -391,7 +365,5 @@ class ModelSpec:
             "b_strictly_positive": self.b_strictly_positive,
             "m0": self.m0,
             "epsilon": self.epsilon,
-            "m1": self.mass.m1.describe() if isinstance(self.mass, PerturbedMass) else None,
+            "m1": self.m1.describe() if self.epsilon > 0.0 else None,
         }
-        return d
-

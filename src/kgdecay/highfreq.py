@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import ConstantMass, ModelSpec, _sorted_unique
+from .coefficients import ModelSpec, _sorted_unique
 from .errors import FrameError, ThresholdSearchError
 from .monodromy import _write_csv, monodromy_grid
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_2x2
@@ -98,11 +98,6 @@ THRESHOLD_ACCEPT_MARGIN = 1e-3
 
 # Largest argument of exp that stays finite, ln(DBL_MAX).
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-# The threshold search runs with the massless symbol, so N depends on b alone.
-# A constant mass m0 acts as the shift xi -> sqrt(xi^2 + m0^2), which can raise
-# the frame product; the verify step checks the bound under the real mass.
-_MASSLESS = ConstantMass(0.0)
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS)
     the profile cap is checked against it.  Where the phase over one period
     overflows, the count is inf, above any cap.
     """
-    phase = math.sqrt(xi * xi + spec.m0 * spec.m0 + spec.epsilon) * spec.T  # sup|m1| = 1
+    phase = math.sqrt(xi * xi + spec.m0 * spec.m0) * spec.T
     if not math.isfinite(phase):
         return math.inf
     ends, split = _profile_ends(spec.b, spec.T, t_points)
@@ -305,7 +300,7 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     b depends on the grid alone, not on xi, and is evaluated once per grid.
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
-    if spec.epsilon != 0.0:
+    if spec.epsilon > 0.0:
         raise ValueError("the frame product is defined for a constant mass")
     start, step, b, base = _b_profile(spec.b, spec.T, t_points, refine * _points_per_period(spec, xi, t_points))
     # c+(t) = int_0^t exp(i phi) b with phi(t) = int_0^t h = h t; c[0] holds
@@ -408,7 +403,7 @@ def find_threshold_N(
     window too, with their refinement sensitivities (see
     :class:`ThresholdResult`); these cost two more profiles.
     """
-    base = ModelSpec(spec.b, _MASSLESS, spec.T)
+    base = ModelSpec(spec.b, 0.0, T=spec.T)
     target = math.exp(base.beta * base.T / 2.0)
     accept = target * (1.0 - THRESHOLD_ACCEPT_MARGIN)
     if accept < 1.0:

@@ -160,22 +160,10 @@ def difference_bound(spec_eps: ModelSpec, span: float, h0: float) -> float:
     off and h = sqrt(xi^2 + m0^2).  The bound is exp(delta span) - 1 with
     delta = eps sup|m1| / h0, and inf when the exponent overflows.
     """
-    if spec_eps.epsilon == 0.0:
+    if not spec_eps.epsilon > 0.0:
         return 0.0
-    exponent = spec_eps.epsilon * spec_eps.mass.m1.sup_abs * span / h0
+    exponent = spec_eps.epsilon * spec_eps.m1.sup_abs * span / h0
     return math.expm1(exponent) if exponent <= LOG_FLOAT_MAX else math.inf
-
-
-def contraction_bound(spec_eps: ModelSpec, cert: ContractionCertificate):
-    """Closed-form bound on sup ||M_eps^k|| over the certificate's grid, or None.
-
-    c1 bounds ||M_0^k|| on that grid and M^k(t) = E(t + kT, t), so
-    c1 + difference_bound(spec_eps, kT, m0) bounds ||M_eps^k|| there.  None
-    when this is not below 1 - PERTURBED_CONTRACTION_SLACK: the bound cannot
-    decide, and only a direct scan can.
-    """
-    bound = cert.c1 + difference_bound(spec_eps, cert.k * cert.T, spec_eps.m0)
-    return bound if bound < 1.0 - PERTURBED_CONTRACTION_SLACK else None
 
 
 def verify_perturbed_highfreq(
@@ -215,15 +203,18 @@ def verify_perturbed_contraction(
 ):
     """Bound ||M_eps^k(t, xi)|| on the certificate's (t, xi) grid.
 
+    c1 bounds ||M_0^k|| on that grid and M^k(t) = E(t + kT, t), so
+    c1 + :func:`difference_bound` over kT bounds ||M_eps^k|| there.
+
     Returns (ok, worst, route): ok when worst stays below
-    1 - PERTURBED_CONTRACTION_SLACK.  ``worst`` is the closed-form
-    :func:`contraction_bound` when it decides (route "bound"), and otherwise
-    the supremum of a direct re-scan on ``t_grid`` x ``xi_grid`` (route
-    "sweep").  Amplitudes beyond the closed-form epsilon bound are allowed
-    here (exploration); the scan reports rather than raises.
+    1 - PERTURBED_CONTRACTION_SLACK.  ``worst`` is that closed-form bound
+    when it is below this level (route "bound"), and otherwise the supremum
+    of a direct re-scan on ``t_grid`` x ``xi_grid`` (route "sweep").
+    Amplitudes beyond the closed-form epsilon bound are allowed here
+    (exploration); the scan reports rather than raises.
     """
-    bound = contraction_bound(spec_eps, cert)
-    if bound is not None:
+    bound = cert.c1 + difference_bound(spec_eps, cert.k * cert.T, spec_eps.m0)
+    if bound < 1.0 - PERTURBED_CONTRACTION_SLACK:
         return True, bound, "bound"
     M = monodromy_grid(spec_eps, t_grid, xi_grid, tol)
     worst = float(np.max(power_norms(M, cert.k)))

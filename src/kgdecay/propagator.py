@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ConstantMass, ModelSpec, _sorted_unique
+from .coefficients import ModelSpec, _sorted_unique
 from .errors import IntegrationFailureError
 
 DEFAULT_TOL = 1e-10
@@ -184,20 +184,20 @@ def _make_factors(spec: ModelSpec, xi2: np.ndarray):
         """Node times (9 P,), node-major like _NODES, and the step lengths (3, P, 1)."""
         return (t + dt * _NODES[:, None]).ravel(), _SUBSTEP * dt[:, None]
 
-    if isinstance(spec.mass, ConstantMass):
-        h = np.sqrt(xi2 + spec.m0 * spec.m0)
-
-        def factors(t, dt):
-            ts, dts = nodes(t, dt)
-            return _expm(*_omega_constant_mass(h, b_eval(ts).reshape(3, 3, -1, 1), dts))
-
-    else:
+    if spec.epsilon > 0.0:
         m_squared = spec.m_squared
 
         def factors(t, dt):
             ts, dts = nodes(t, dt)
             h = np.sqrt(xi2 + m_squared(ts)[:, None]).reshape(3, 3, t.size, -1)
             return _expm(*_omega(h, b_eval(ts).reshape(3, 3, -1, 1), dts))
+
+    else:
+        h = np.sqrt(xi2 + spec.m0 * spec.m0)
+
+        def factors(t, dt):
+            ts, dts = nodes(t, dt)
+            return _expm(*_omega_constant_mass(h, b_eval(ts).reshape(3, 3, -1, 1), dts))
 
     return factors
 
@@ -428,7 +428,7 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
     if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) >= 0.0):
         raise ValueError("the sweep runs forward only: need s <= checkpoints <= t, non-decreasing")
-    constant = spec.b.has_jumps and isinstance(spec.mass, ConstantMass)
+    constant = spec.b.has_jumps and not spec.epsilon > 0.0
     if constant:
         h = np.sqrt(xi * xi + spec.m0 * spec.m0)
     else:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
-    PerturbedMass,
     PeriodicCoefficient,
     assemble_certificate,
     contraction_search,
@@ -47,17 +45,17 @@ def profiles(b_const, b_sin, b_tri):
 
 @pytest.fixture(scope="session")
 def spec_const(b_const):
-    return ModelSpec(b_const, ConstantMass(1.0))
+    return ModelSpec(b_const, 1.0)
 
 
 @pytest.fixture(scope="session")
 def spec_sin(b_sin):
-    return ModelSpec(b_sin, ConstantMass(1.0))
+    return ModelSpec(b_sin, 1.0)
 
 
 @pytest.fixture(scope="session")
 def spec_tri(b_tri):
-    return ModelSpec(b_tri, ConstantMass(1.0))
+    return ModelSpec(b_tri, 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -65,13 +63,9 @@ def m1_cos():
     return PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=np.pi / 2)
 
 
-def make_perturbed(b, m0, eps, m1):
-    return ModelSpec(b, PerturbedMass(m0, eps, m1))
-
-
 def strongly_damped(beta):
     """b = beta (1 + sin(2 pi t) / 2), m0 = 1, T = 1: det E(t, 0) = e^{-2 beta t} at whole periods."""
-    return ModelSpec(PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=beta, amp=beta / 2), ConstantMass(1.0))
+    return ModelSpec(PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=beta, amp=beta / 2), 1.0)
 
 
 def complex_form(R):

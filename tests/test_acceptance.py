@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
-    PerturbedMass,
     PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
@@ -53,7 +51,7 @@ def criterion(num, name, budget_s):
 
 @pytest.fixture(scope="session")
 def specs_m1(profiles):
-    return {name: ModelSpec(b, ConstantMass(1.0)) for name, b in profiles.items()}
+    return {name: ModelSpec(b, 1.0) for name, b in profiles.items()}
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +112,7 @@ def test_criterion_3_constant_coefficient_analytics():
     with criterion(3, "constant-coefficient analytics", 5.0):
         for b0 in (0.3, 1.0):
             b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=b0)
-            spec = ModelSpec(b, ConstantMass(1.0))
+            spec = ModelSpec(b, 1.0)
             for xi in (0.0, 2.0):
                 h = math.hypot(xi, 1.0)
                 for t in (0.5, 1.0, 3.0):
@@ -130,7 +128,7 @@ def test_criterion_4_highfreq_monodromy_bound(specs_m1, thresholds, certificates
         mx, bound, ok = verify_highfreq_contraction(spec, N, nt=64, nxi=128)
         assert ok and mx <= bound + 1e-6
         eps_half = epsilon_bound(certificates["sin"], 1.0).epsilon_max / 2.0
-        spec_eps = ModelSpec(spec.b, PerturbedMass(1.0, eps_half, m1_cos))
+        spec_eps = ModelSpec(spec.b, 1.0, eps_half, m1_cos)
         mx_p, bound_p, ok_p = verify_highfreq_contraction(spec_eps, N, nt=64, nxi=128)
         assert ok_p and mx_p <= bound_p + 1e-6
 
@@ -140,7 +138,7 @@ def test_criterion_5_contraction_power_search(profiles, thresholds):
         for name, b in profiles.items():
             N = thresholds[name].N
             for m0 in (0.5, 1.0):
-                spec = ModelSpec(b, ConstantMass(m0))
+                spec = ModelSpec(b, m0)
                 k, c1 = contraction_k(spec, N, k_max=64, nt=64, nxi=256)
                 assert k <= 64 and 0.0 < c1 < 1.0
                 M2 = monodromy_grid(
@@ -167,13 +165,13 @@ def test_criterion_7_perturbation_soundness(specs_m1, certificates, m1_cos):
             cert = certificates[name]
             eb = epsilon_bound(cert, 1.0)
             assert eb.audit_pass
-            spec_eps = ModelSpec(spec.b, PerturbedMass(1.0, eb.epsilon_max, m1_cos))
+            spec_eps = ModelSpec(spec.b, 1.0, eb.epsilon_max, m1_cos)
             ok, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
             assert ok, f"{name}: perturbed contraction failed, worst {worst}"
             # Gronwall domination at 10 random samples per profile
             for _ in range(10):
                 eps = float(rng.uniform(0.0, 1.0)) * max(eb.epsilon_max, 1e-8)
-                sp = ModelSpec(spec.b, PerturbedMass(1.0, eps, m1_cos))
+                sp = ModelSpec(spec.b, 1.0, eps, m1_cos)
                 s = float(rng.uniform(0.0, 1.0))
                 t = s + float(rng.uniform(0.1, 2.0))
                 xi = float(rng.uniform(0.0, cert.N))

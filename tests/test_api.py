@@ -33,13 +33,14 @@ def _referenced_names():
 
 
 def _defined_functions():
-    """(qualified name, name) of every module-level function, and of every public
-    method or property of a module-level class, in the package."""
+    """(qualified name, name) of every module-level function and class, and of
+    every public method or property of a module-level class, in the package."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
                 yield f"{path.stem}.{node.name}", node.name
             elif isinstance(node, ast.ClassDef):
+                yield f"{path.stem}.{node.name}", node.name
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{path.stem}.{node.name}.{item.name}", item.name
@@ -51,7 +52,8 @@ def test_every_public_name_is_used_by_the_package():
 
 
 def test_every_function_and_method_is_used_by_the_package():
-    # test oracles live with the tests, not in the package
+    # test oracles live with the tests, not in the package, and so do classes
+    # that only the tests build
     referenced = _referenced_names()
     unused = sorted(qualified for qualified, name in _defined_functions() if name not in referenced)
     assert not unused, f"defined but unused inside the package: {unused}"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
     PeriodicCoefficient,
     assemble_certificate,
@@ -17,7 +16,7 @@ from kgdecay import certify
 from kgdecay.certify import DecayReport, certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
 
-from conftest import CSV_EDGE_VALUES, certificate, contraction_k, make_perturbed, propagate, strongly_damped, svd_norm
+from conftest import CSV_EDGE_VALUES, certificate, contraction_k, propagate, strongly_damped, svd_norm
 from oracles import gamma_curve_long, monodromy_at, reference_csv
 
 
@@ -59,7 +58,7 @@ class TestFitRate:
 
 class TestGamma:
     def test_massless_is_one(self, b_sin):
-        spec = ModelSpec(b_sin, ConstantMass(0.0))
+        spec = ModelSpec(b_sin, 0.0)
         for t in (0.0, 1.0, 7.3):
             assert gamma_of(spec, t) == 1.0
 
@@ -81,7 +80,7 @@ class TestGamma:
     @pytest.mark.parametrize("form,params", [("square", dict(lo=0.2, hi=1.0, duty=0.5)),
                                              ("sin_offset", dict(mean=1.0, amp=0.5))])
     def test_one_period_pass_matches_the_long_grid(self, form, params, t_end):
-        spec = ModelSpec(PeriodicCoefficient.from_closed_form(form, 1.0, **params), ConstantMass(1.0))
+        spec = ModelSpec(PeriodicCoefficient.from_closed_form(form, 1.0, **params), 1.0)
         times = np.arange(int(4 * t_end) + 1) * 0.25
         # compared as integrals int_0^t m^2/b: the long pass adds up to 160,000
         # cells, and its own rounding moves gamma by 1.2e-12 relative at t = 40
@@ -90,7 +89,7 @@ class TestGamma:
 
     def test_requires_positive_dissipation(self):
         b = PeriodicCoefficient.from_samples([0.0, 1.0, 1.0, 1.0], 1.0, order=0)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         with pytest.raises(ModelAssumptionError):
             gamma_of(spec, 1.0)
 
@@ -128,7 +127,7 @@ class TestSupNormCurve:
     def test_two_band_sweeps_match_one_sweep(self, b_sin, m1_cos, eps, monkeypatch):
         # by default each band gets its own sweep and step sequence; the curve
         # and the fit equal those of one sweep over the same union to rounding
-        spec = make_perturbed(b_sin, 1.0, eps, m1_cos) if eps else ModelSpec(b_sin, ConstantMass(1.0))
+        spec = ModelSpec(b_sin, 1.0, eps, m1_cos)
         cert = assemble_certificate(spec, 8.0, 1, 0.5)
         sizes, sweep = [], certify.propagate_grid
 

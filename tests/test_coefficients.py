@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kgdecay import ConstantMass, ModelSpec, PerturbedMass, PeriodicCoefficient, propagate_grid
+from kgdecay import ModelSpec, PeriodicCoefficient, propagate_grid
 from kgdecay.coefficients import FORMS
 from kgdecay.errors import InvalidCoefficientError, ModelAssumptionError
 
@@ -316,14 +316,14 @@ class TestLambdaPrimitive:
 
 class TestSymbol:
     def test_massless(self, b_const):
-        spec = ModelSpec(b_const, ConstantMass(0.0))
+        spec = ModelSpec(b_const, 0.0)
         assert symbol(spec, 0.3, 2.0) == 2.0
 
     def test_constant_mass_zero_frequency(self, spec_const):
         assert symbol(spec_const, 0.7, 0.0) == 1.0
 
     def test_perturbed_formula(self, b_const, m1_cos):
-        spec = ModelSpec(b_const, PerturbedMass(1.0, 0.5, m1_cos))
+        spec = ModelSpec(b_const, 1.0, 0.5, m1_cos)
         assert abs(symbol(spec, 0.0, 1.0) - math.sqrt(2.5)) < 1e-12
 
     def test_negative_xi_rejected(self, spec_const):
@@ -336,7 +336,7 @@ class TestModelSpec:
     def test_negative_dissipation_rejected(self):
         b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0)
         with pytest.raises(ModelAssumptionError):
-            ModelSpec(b, ConstantMass(1.0))
+            ModelSpec(b, 1.0)
 
     def test_negative_dip_between_grid_points_rejected(self):
         # the true minimum is 1 - 1.0000002 = -2e-7, and a 4096-point grid
@@ -344,36 +344,50 @@ class TestModelSpec:
         b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=1.0000002, phase=0.007)
         assert np.min(b.eval(np.arange(4096) / 4096)) > 0.0
         with pytest.raises(ModelAssumptionError):
-            ModelSpec(b, ConstantMass(1.0))
+            ModelSpec(b, 1.0)
 
     def test_zero_touching_dissipation_flagged(self):
         b = PeriodicCoefficient.from_samples([0.0, 1.0, 2.0, 1.0], 1.0, order=0)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         assert not spec.b_strictly_positive
 
     def test_period_mismatch_rejected(self, b_const):
         m1 = PeriodicCoefficient.from_closed_form("sin_offset", 2.0, mean=0.0, amp=1.0)
         with pytest.raises(ModelAssumptionError):
-            ModelSpec(b_const, PerturbedMass(1.0, 0.1, m1))
+            ModelSpec(b_const, 1.0, 0.1, m1)
 
     def test_m1_normalization_enforced(self, b_const):
         m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=0.7)
         with pytest.raises(ModelAssumptionError):
-            ModelSpec(b_const, PerturbedMass(1.0, 0.1, m1))
+            ModelSpec(b_const, 1.0, 0.1, m1)
 
     def test_perturbed_positivity_enforced(self, b_const, m1_cos):
         with pytest.raises(ModelAssumptionError):
-            ModelSpec(b_const, PerturbedMass(1.0, 1.5, m1_cos))
+            ModelSpec(b_const, 1.0, 1.5, m1_cos)
 
     def test_perturbed_positivity_uses_the_exact_minimum(self, b_const):
         # m1 = -1 only on the last 1e-6 of the period: m0^2 + eps * min(m1) = 0
         m1 = PeriodicCoefficient.from_closed_form("square", 1.0, lo=-1.0, hi=1.0, duty=1.0 - 1e-6)
         with pytest.raises(ModelAssumptionError):
-            ModelSpec(b_const, PerturbedMass(1.0, 1.0, m1))
+            ModelSpec(b_const, 1.0, 1.0, m1)
 
     def test_perturbed_epsilon_zero_equivalent_to_constant(self, b_const, m1_cos):
-        spec = ModelSpec(b_const, PerturbedMass(1.0, 0.0, m1_cos))
+        spec = ModelSpec(b_const, 1.0, 0.0, m1_cos)
         assert spec.m_squared(0.37) == 1.0
+
+    def test_epsilon_zero_is_the_unperturbed_model(self):
+        # m1 is not read at epsilon = 0: its jumps at 0.3 + j add no breakpoint,
+        # and the square b keeps its one exact exponential per constant piece
+        b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
+        m1 = PeriodicCoefficient.from_closed_form("square", 1.0, lo=-1.0, hi=1.0, duty=0.3)
+        plain, zero = ModelSpec(b, 1.0), ModelSpec(b, 1.0, 0.0, m1)
+        assert zero.describe() == plain.describe()
+        assert np.array_equal(zero.breakpoints_in(-0.5, 2.0), plain.breakpoints_in(-0.5, 2.0))
+        xi, chk = np.linspace(0.0, 20.0, 64), np.linspace(0.0, 1.0, 9)
+        runs = [propagate_grid(spec, 0.0, 1.0, xi, checkpoints=chk) for spec in (plain, zero)]
+        assert np.array_equal(runs[1][0], runs[0][0]) and np.array_equal(runs[1][1], runs[0][1])
+        assert runs[1][2] == runs[0][2]
+        assert (runs[1][2].steps_taken, runs[1][2].rhs_evaluations) == (1, 7)
 
 
 class TestCsvRoundTrip:

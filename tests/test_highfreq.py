@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
     PeriodicCoefficient,
     ThresholdResult,
@@ -28,7 +27,7 @@ from kgdecay.highfreq import (
     _window_sup,
     threshold_trace_to_csv,
 )
-from conftest import CSV_EDGE_VALUES, make_perturbed, svd_norm
+from conftest import CSV_EDGE_VALUES, svd_norm
 from oracles import (
     PreconditionError,
     corrector_profile,
@@ -179,7 +178,7 @@ def _base_norms(spec, xi, refine):
 @pytest.fixture(scope="module")
 def spec_square():
     b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
-    return ModelSpec(b, ConstantMass(1.0))
+    return ModelSpec(b, 1.0)
 
 
 class TestCorrectorIntegrals:
@@ -188,7 +187,7 @@ class TestCorrectorIntegrals:
 
     def test_constant_coefficients_closed_form(self):
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.7)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         for xi, t in ((2.0, 1.3), (5.0, 0.4), (9.0, 2.0)):
             h = math.hypot(xi, 1.0)
             npl, nmi = n_pm(spec, t, xi)
@@ -307,7 +306,7 @@ class TestFrames:
     def test_singular_frame_raises(self):
         # slow phase keeps n+ n- = |n+|^2 near one, landing inside the guard
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
-        spec = ModelSpec(b, ConstantMass(0.05))
+        spec = ModelSpec(b, 0.05)
         assert abs(frame_matrices_at(spec, 1.0, 0.05)[3]) < FRAME_DET_GUARD
         with pytest.raises(FrameError):
             suplarge_quantity(spec, 0.05)
@@ -347,12 +346,12 @@ class TestSupLarge:
     def test_perturbed_mass_is_refused(self, b_sin, m1_cos):
         # the profile takes the phase of a constant mass, sqrt(xi^2 + m0^2) t
         with pytest.raises(ValueError, match="constant mass"):
-            suplarge_quantity(make_perturbed(b_sin, 1.0, 0.4, m1_cos), 20.0)
+            suplarge_quantity(ModelSpec(b_sin, 1.0, 0.4, m1_cos), 20.0)
 
     def test_matches_complex_matrix_oracle(self, spec_sin, spec_square):
         for spec in (spec_sin, spec_square):
             for m0 in (0.0, 1.0):
-                spec_m = ModelSpec(spec.b, ConstantMass(m0))
+                spec_m = ModelSpec(spec.b, m0)
                 for xi in ORACLE_XIS:
                     try:
                         ref = suplarge_matrix_oracle(spec_m, xi)
@@ -364,7 +363,7 @@ class TestSupLarge:
 
     def test_frame_error_at_the_same_frequencies(self, spec_sin):
         # the guard triggers at the same low frequencies on both routes
-        base = ModelSpec(spec_sin.b, ConstantMass(0.0))
+        base = ModelSpec(spec_sin.b, 0.0)
         for xi in (0.5, 1.0, 2.0, 2.5, 3.0):
             outcomes = []
             for fn in (suplarge_matrix_oracle, suplarge_quantity):
@@ -382,9 +381,9 @@ class TestSupLarge:
         # which is not monotone in xi: mass can raise it at a given xi
         raised = 0
         for spec in (spec_sin, spec_square):
-            base = ModelSpec(spec.b, ConstantMass(0.0))
+            base = ModelSpec(spec.b, 0.0)
             for m0 in (0.5, 1.0, 3.0):
-                massive = ModelSpec(spec.b, ConstantMass(m0))
+                massive = ModelSpec(spec.b, m0)
                 for xi in (10.0, 17.0, 23.0, 41.0, 60.0):
                     value = suplarge_quantity(massive, xi)
                     shifted = suplarge_quantity(base, math.hypot(xi, m0))
@@ -399,7 +398,7 @@ class TestProfileQuadrature:
     def test_corrector_converges_at_fourth_order(self, b, xi):
         # pieces end at every jump and kink of b, so c+ keeps Simpson's order:
         # each doubling of the intervals shrinks the change at least 8-fold
-        spec = ModelSpec(b, ConstantMass(0.0))
+        spec = ModelSpec(b, 0.0)
         norms = [_base_norms(spec, xi, refine) for refine in (1, 2, 4)]
         first, second = (float(np.max(np.abs(y - x))) for x, y in zip(norms, norms[1:]))
         assert second <= max(first / 8.0, 1e-13)
@@ -412,7 +411,7 @@ class TestProfileQuadrature:
         # constant from t = 0, and nearly so while b varies slowly.  Simpson
         # is second order there: a kink costs about sup|b|^2 h^2, and a window
         # of one period holds at most xi T / (2 pi) + 2 of them.
-        spec = ModelSpec(b, ConstantMass(0.0))
+        spec = ModelSpec(b, 0.0)
         h = b.period / _points_per_period(spec, xi)
         coarse, fine = suplarge_quantity(spec, xi), suplarge_quantity(spec, xi, refine=16)
         kinks = xi * b.period / (2.0 * math.pi) + 2.0
@@ -428,7 +427,7 @@ class TestProfileQuadrature:
     ])
     def test_quarter_count_only_where_b_jumps(self, b, points):
         # at xi = 14 the phase asks for fewer points than the least count
-        assert _points_per_period(ModelSpec(b, ConstantMass(0.0)), 14.0) == points
+        assert _points_per_period(ModelSpec(b, 0.0), 14.0) == points
 
     def test_many_breakpoints_split_at_base_times(self):
         # splitting 10,000 step samples at every jump would take more than
@@ -436,8 +435,8 @@ class TestProfileQuadrature:
         # alone and takes the count of a b without breakpoints
         rng = np.random.default_rng(3)
         b = PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 10_000), 1.0, order=0)
-        spec = ModelSpec(b, ConstantMass(0.0))
-        smooth = ModelSpec(PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0), ConstantMass(0.0))
+        spec = ModelSpec(b, 0.0)
+        smooth = ModelSpec(PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0), 0.0)
         ends, split = highfreq._profile_ends(b, 1.0, 64)
         assert not split and ends.size == 65
         for xi in (14.0, 200.0, 20000.0):
@@ -448,7 +447,7 @@ class TestProfileQuadrature:
         # massless square at the seed-0 threshold; the uniform 4,096-point
         # rule gave 1.3475231, 1.3474304 at 131,072 points, first order at jumps
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
-        spec = ModelSpec(b, ConstantMass(0.0))
+        spec = ModelSpec(b, 0.0)
         assert suplarge_quantity(spec, 20.609375) == pytest.approx(1.34742736, rel=0.0, abs=1e-8)
 
 
@@ -461,7 +460,7 @@ class TestTailBound:
         # below P(xi), with or without a constant mass
         c_b = 2.0 * min(b.start_value, b.end_value) + 2.0 * b.variation
         assume(c_b > 0.0)
-        spec = ModelSpec(b, ConstantMass(m0))
+        spec = ModelSpec(b, m0)
         xi = scale * c_b
         assert _tail_constant(b) == c_b
         assert suplarge_quantity(spec, xi) <= _tail_bound(b, spec.beta * spec.T, xi)
@@ -483,7 +482,7 @@ class TestTailBound:
         assume(c_b > 0.0)
         # rho = 1/2 at xi = 2 C_b, or where rho_2 = 1/2
         xi = scale * min(2.0 * c_b, a + math.sqrt(a * a + 2.0 * d_b))
-        spec = ModelSpec(b, ConstantMass(m0))
+        spec = ModelSpec(b, m0)
         h = math.hypot(xi, m0)
         n_plus, _ = corrector_profile(spec, xi, *uniform_nodes(spec, 2.0 * spec.T, 2 * _points_per_period(spec, xi) + 1))
         assert np.max(np.abs(n_plus)) <= (a + d_b / h) / h * (1.0 + 1e-9) + 1e-300
@@ -497,7 +496,7 @@ class TestTailBound:
         # constant b attains both bounds where h t = pi, so the quadrature's
         # rounding gets a relative 1e-9, and subnormal levels, which carry
         # few digits, an absolute 1e-300.
-        spec = ModelSpec(b, ConstantMass(m0))
+        spec = ModelSpec(b, m0)
         c_b, h = _tail_constant(b), math.hypot(xi, m0)
         top = _corrector_sup(spec, xi)
         assert top * h <= c_b * (1.0 + 1e-9) + 1e-300
@@ -566,7 +565,7 @@ class TestTailBound:
 class TestThresholdSearch:
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_pruned_search_equals_the_full_scan(self, case, monkeypatch):
-        spec = ModelSpec(PRUNING_CASES[case](), ConstantMass(1.0))
+        spec = ModelSpec(PRUNING_CASES[case](), 1.0)
         try:
             thr = find_threshold_N(spec)
         except ThresholdSearchError as exc:
@@ -665,8 +664,8 @@ class TestThresholdSearch:
             assert sup == pytest.approx(sup_ref, rel=1e-12, abs=0.0)
 
     def test_mass_independence(self, b_const):
-        t1 = find_threshold_N(ModelSpec(b_const, ConstantMass(1.0)), xi_points=64, t_points=32)
-        t5 = find_threshold_N(ModelSpec(b_const, ConstantMass(5.0)), xi_points=64, t_points=32)
+        t1 = find_threshold_N(ModelSpec(b_const, 1.0), xi_points=64, t_points=32)
+        t5 = find_threshold_N(ModelSpec(b_const, 5.0), xi_points=64, t_points=32)
         assert t1.N == t5.N
 
     def test_monodromy_bound_holds_above_threshold(self, spec_const):
@@ -680,7 +679,7 @@ class TestThresholdSearch:
 
         # the windows at N = 1, 2, 4 fail and fit in 4096 points per period;
         # the window at N = 8 would need 5120
-        base = ModelSpec(spec_const.b, ConstantMass(0.0))
+        base = ModelSpec(spec_const.b, 0.0)
         assert _points_per_period(base, 40.0, 32) == 4096
         assert _points_per_period(base, 80.0, 32) == 5120
         monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 4096)

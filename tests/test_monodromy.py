@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
     PeriodicCoefficient,
     assemble_certificate,
@@ -32,7 +31,7 @@ from kgdecay.monodromy import (
     power_norms,
 )
 
-from conftest import CSV_EDGE_VALUES, complex_form, contraction_k, make_perturbed, strongly_damped, svd_norm
+from conftest import CSV_EDGE_VALUES, complex_form, contraction_k, strongly_damped, svd_norm
 from oracles import monodromy_at, reference_csv, scalar_monodromy, small_mass_rate
 
 
@@ -79,7 +78,7 @@ class TestMonodromyAt:
     def test_constant_coefficients_spectrum(self):
         # underdamped regime: eigenvalues exp((-b0 +/- i sqrt(h^2-b0^2)) T)
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         for xi in (1.0, 3.0):
             h = math.hypot(xi, 1.0)
             s = sample_at(spec, 0.0, xi)
@@ -151,7 +150,7 @@ class TestScalarEquation:
         # trace and determinant, not sorted eigenvalues: np.sort_complex orders a
         # conjugate pair whose real parts differ in the last bit either way
         m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0)
-        spec = make_perturbed(b_sin, 1.0, eps, m1)
+        spec = ModelSpec(b_sin, 1.0, eps, m1)
         got = monodromy_grid(spec, [0.0], [xi], 1e-12)[0, 0]
         ref = scalar_monodromy(spec, xi)
         assert abs(np.trace(got) - np.trace(ref)) < 1e-9
@@ -172,7 +171,7 @@ class TestSpectralRadiusScan:
 
     def test_massless_rejected(self, b_const):
         # without mass the zero frequency keeps a unit eigenvalue, which blocks the search
-        spec = ModelSpec(b_const, ConstantMass(0.0))
+        spec = ModelSpec(b_const, 0.0)
         M = monodromy_grid(spec, [0.0], [0.0, 1.0])
         assert samples_from_grid([0.0], [0.0, 1.0], M)["rho"][0] == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(NoContractionError):
@@ -180,7 +179,7 @@ class TestSpectralRadiusScan:
 
     def test_real_pair_radius_identity(self, b_tri):
         # small mass keeps the lowest frequencies overdamped (real pairs)
-        spec = ModelSpec(b_tri, ConstantMass(0.25))
+        spec = ModelSpec(b_tri, 0.25)
         e2bt = math.exp(-2.0 * spec.beta * spec.T)
         xi = np.linspace(0.0, 4.0, 40)
         samples = samples_from_grid([0.0], xi, monodromy_grid(spec, [0.0], xi))
@@ -209,7 +208,7 @@ class TestSmallMassLaw:
         # term would be 4 to 25 times the tolerance
         r = small_mass_rate(b)
         for m0 in (0.05, 0.02):
-            M = monodromy_grid(ModelSpec(b, ConstantMass(m0)), [0.0], [0.0])
+            M = monodromy_grid(ModelSpec(b, m0), [0.0], [0.0])
             rho = float(np.max(np.abs(eigenvalues_2x2(M[0, 0]))))
             rate = -math.log(rho) / (b.period * m0 * m0)
             assert rate == pytest.approx(r, rel=m0 * m0, abs=0.0), m0
@@ -231,7 +230,7 @@ class TestSamplesTable:
     def test_matches_per_matrix_reference(self, b_tri):
         # real pairs at low xi, complex pairs above, and first-row synthetic
         # matrices with a zero, a tiny and a just-too-large discriminant
-        spec = ModelSpec(b_tri, ConstantMass(0.25))
+        spec = ModelSpec(b_tri, 0.25)
         t_grid = np.array([0.0, 0.3, 0.7, 0.0])
         xi_grid = np.linspace(0.0, 8.8, 12)
         synthetic = [(0.5, 0.0), (0.5, 2e-11), (0.5, -2e-11), (0.5, -1e-9), (-0.3, 0.0), (0.0, 1.0)]
@@ -260,7 +259,7 @@ class TestRealFormInvariance:
     def grid(self, b_tri):
         # real pairs at low xi and complex pairs above, then columns of real
         # matrices with zero, tiny and just-too-large discriminants
-        spec = ModelSpec(b_tri, ConstantMass(0.25))
+        spec = ModelSpec(b_tri, 0.25)
         t_grid, xi_grid = np.array([0.0, 0.3, 0.7, 1.0]), np.linspace(0.0, 8.8, 12)
         synthetic = [(0.5, 0.0), (0.5, 2e-11), (0.5, -2e-11), (0.5, -1e-9), (-0.5, 0.0), (0.5, 1e-3)]
         return t_grid, xi_grid, with_edge_columns(monodromy_grid(spec, t_grid, xi_grid[:6]), synthetic)
@@ -336,7 +335,7 @@ class TestMonodromyGrid:
         # a base time or a step end of these grids lands within the step floor
         # of the jump at 0.3 (for nt = 11 and 21, 3/10 is one ulp from 0.3)
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.3)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         t_grid = np.linspace(0.0, 1.0, nt)
         xi_grid = np.array([0.0, 0.5, 3.0, 9.0])
         M = complex_form(monodromy_grid(spec, t_grid, xi_grid))

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
-    PerturbedMass,
     PeriodicCoefficient,
     assemble_certificate,
     epsilon_bound,
@@ -23,7 +21,7 @@ from kgdecay import (
 )
 from kgdecay.errors import NoContractionError
 from kgdecay.monodromy import power_norms
-from kgdecay.perturbation import PERTURBED_CONTRACTION_SLACK, contraction_bound, difference_bound
+from kgdecay.perturbation import PERTURBED_CONTRACTION_SLACK, difference_bound
 
 from conftest import certificate, contraction_grids, propagate, svd_norm
 from oracles import gronwall_difference_bound
@@ -155,7 +153,7 @@ class TestEpsilonBound:
 class TestGronwallBound:
     def test_zero_amplitude(self, spec_sin, sin_cert, m1_cos):
         spec0 = spec_sin
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.0, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 0.0, m1_cos)
         val = gronwall_difference_bound(spec_eps, spec0, sin_cert, 0.2, 1.7, 1.0)
         assert val == 0.0
         a = propagate(spec_eps, 0.2, 1.7, 1.0)
@@ -167,7 +165,7 @@ class TestGronwallBound:
         eb = epsilon_bound(sin_cert, 1.0)
         for _ in range(10):
             eps = float(rng.uniform(0.0, 1.0)) * max(eb.epsilon_max, 1e-6)
-            spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eps, m1_cos))
+            spec_eps = ModelSpec(spec_sin.b, 1.0, eps, m1_cos)
             s = float(rng.uniform(0.0, 1.0))
             t = s + float(rng.uniform(0.1, 2.0))
             xi = float(rng.uniform(0.0, sin_cert.N))
@@ -178,15 +176,15 @@ class TestGronwallBound:
             assert measured <= bound + 1e-9
 
     def test_monotone_in_horizon_and_amplitude(self, spec_sin, sin_cert, m1_cos):
-        spec1 = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-4, m1_cos))
-        spec2 = ModelSpec(spec_sin.b, PerturbedMass(1.0, 2e-4, m1_cos))
+        spec1 = ModelSpec(spec_sin.b, 1.0, 1e-4, m1_cos)
+        spec2 = ModelSpec(spec_sin.b, 1.0, 2e-4, m1_cos)
         b1 = [gronwall_difference_bound(spec1, spec_sin, sin_cert, 0.0, t, 2.0) for t in (0.5, 1.0, 2.0)]
         assert b1[0] < b1[1] < b1[2]
         b2 = gronwall_difference_bound(spec2, spec_sin, sin_cert, 0.0, 1.0, 2.0)
         assert b2 > b1[1]
 
     def test_rejects_bad_windows(self, spec_sin, sin_cert, m1_cos):
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-4, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 1e-4, m1_cos)
         with pytest.raises(ValueError):
             gronwall_difference_bound(spec_eps, spec_sin, sin_cert, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
@@ -195,26 +193,26 @@ class TestGronwallBound:
 
 class TestPerturbedContraction:
     def test_zero_amplitude_reproduces_c1(self, spec_sin, sin_cert, m1_cos):
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.0, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 0.0, m1_cos)
         ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok
         assert abs(worst - sin_cert.c1) < 1e-10
 
     def test_half_bound_is_contractive(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eb.epsilon_max / 2.0, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, eb.epsilon_max / 2.0, m1_cos)
         ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok
         assert worst < 1.0
 
     def test_huge_amplitude_reports_not_raises(self, spec_sin, sin_cert, m1_cos):
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(2.0, 3.0, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 2.0, 3.0, m1_cos)
         ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert isinstance(ok, bool) and worst > 0.0
 
     def test_perturbed_certificate_uses_verified_worst(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, eb.epsilon_max, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, eb.epsilon_max, m1_cos)
         _, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         cert_eps = perturbed_certificate(spec_eps, sin_cert, worst)
         assert cert_eps.c1 == worst
@@ -224,7 +222,7 @@ class TestPerturbedContraction:
     def test_perturbed_certificate_raises_when_not_contractive(self, m1_cos):
         # without damping no monodromy power contracts
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
-        spec_eps = ModelSpec(b, PerturbedMass(1.0, 0.5, m1_cos))
+        spec_eps = ModelSpec(b, 1.0, 0.5, m1_cos)
         grids = {"contraction_t_points": 4, "contraction_xi_points": 33}
         cert = assemble_certificate(spec_eps.constant_mass_version(), 4.0, 1, 0.99, grids)
         _, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
@@ -238,15 +236,14 @@ class TestPerturbedContraction:
             raise AssertionError("the closed-form bound should decide")
 
         monkeypatch.setattr(perturbation, "monodromy_grid", no_sweep)
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-6, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 1e-6, m1_cos)
         ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
         assert ok and route == "bound"
         assert worst == sin_cert.c1 + math.expm1(sin_cert.k * sin_cert.T * 1e-6 * m1_cos.sup_abs)
 
     def test_sweep_route_when_the_bound_cannot_decide(self, spec_sin, sin_cert, m1_cos):
         # at eps = 0.2 the bound exceeds 1 - slack: the direct rescan decides
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.2, m1_cos))
-        assert contraction_bound(spec_eps, sin_cert) is None
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 0.2, m1_cos)
         grids = contraction_grids(sin_cert)
         ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *grids)
         direct = float(np.max(power_norms(monodromy_grid(spec_eps, *grids), sin_cert.k)))
@@ -263,7 +260,7 @@ class TestPerturbedHighfreq:
             raise AssertionError("the closed-form bound should decide")
 
         monkeypatch.setattr(highfreq, "monodromy_grid", no_sweep)
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 1e-6, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 1e-6, m1_cos)
         ok, worst, route = verify_perturbed_highfreq(spec_eps, 14.0, 0.5)
         assert (ok, route) == (True, "bound")
         assert worst == 0.5 + math.expm1(1e-6 * m1_cos.sup_abs / math.hypot(14.0, 1.0))
@@ -271,7 +268,7 @@ class TestPerturbedHighfreq:
     def test_sweep_route_when_the_bound_cannot_decide(self, spec_sin, m1_cos):
         # a constant-mass maximum at the limit leaves the bound no room: the
         # perturbed model is swept on the same grid
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(1.0, 0.2, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 0.2, m1_cos)
         limit = math.exp(-spec_sin.beta * spec_sin.T / 2.0) + highfreq.VERIFY_SLACK
         ok, worst, route = verify_perturbed_highfreq(spec_eps, 14.0, limit, nt=4, nxi=8)
         swept, _, swept_ok = verify_highfreq_contraction(spec_eps, 14.0, nt=4, nxi=8)
@@ -280,7 +277,7 @@ class TestPerturbedHighfreq:
 
 class TestDifferenceBound:
     def test_overflowing_exponent_is_inf(self, spec_sin, m1_cos):
-        spec_eps = ModelSpec(spec_sin.b, PerturbedMass(2.0, 1.0, m1_cos))
+        spec_eps = ModelSpec(spec_sin.b, 2.0, 1.0, m1_cos)
         assert difference_bound(spec_eps, 1e4, 1.0) == math.inf
         assert difference_bound(spec_eps, 700.0, 1.0) == math.expm1(700.0 * m1_cos.sup_abs)
         assert difference_bound(spec_sin, 1e4, 1.0) == 0.0  # constant mass
@@ -306,8 +303,8 @@ class TestDifferenceBound:
             b = PeriodicCoefficient.from_closed_form(shape, T, lo=lo, hi=hi, duty=0.4)
         m1 = PeriodicCoefficient.from_closed_form("sin_offset", T, mean=0.0, amp=1.0, phase=1.0)
         eps = 10.0**log_eps
-        spec_0 = ModelSpec(b, ConstantMass(m0), T)
-        spec_eps = ModelSpec(b, PerturbedMass(m0, eps, m1), T)
+        spec_0 = ModelSpec(b, m0, T=T)
+        spec_eps = ModelSpec(b, m0, eps, m1, T)
         t_grid = np.linspace(0.0, T, 6)
         tol = 1e-12
         for xi_grid, span, h0, power in (

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
-    ConstantMass,
     ModelSpec,
-    PerturbedMass,
     PeriodicCoefficient,
     det2,
     eigenvalues_2x2,
@@ -29,13 +27,13 @@ def random_mat2(rng, scale=1.0):
 class TestSystemMatrix:
     def test_massless_zero_frequency_structure(self):
         b0 = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
-        spec = ModelSpec(b0, ConstantMass(1.0))
+        spec = ModelSpec(b0, 1.0)
         A = system_matrix(spec, 0.4, 0.0)
         assert np.array_equal(A, np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_constant_b_massless(self):
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
-        spec = ModelSpec(b, ConstantMass(0.0))
+        spec = ModelSpec(b, 0.0)
         A = system_matrix(spec, 0.12, 3.0)
         assert np.array_equal(A, np.array([[0, 3], [3, 2j]], dtype=complex))
 
@@ -46,7 +44,7 @@ class TestSystemMatrix:
             assert abs(A[1, 1] - 2j * float(spec_sin.b.eval(t))) == 0.0
 
     def test_perturbed_entries_match_symbol(self, b_sin, m1_cos):
-        spec = ModelSpec(b_sin, PerturbedMass(1.0, 0.4, m1_cos))
+        spec = ModelSpec(b_sin, 1.0, 0.4, m1_cos)
         rng = np.random.default_rng(5)
         for _ in range(50):
             t = rng.uniform(0, 3)
@@ -62,7 +60,7 @@ class TestPropagate:
 
     def test_constant_coefficients_closed_form(self):
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.5)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         # scalar roots -0.5 +/- i sqrt(0.75) at xi = 0
         mu = complex(-0.5, math.sqrt(0.75))
         ref = const_coeff_propagator(0.5, 1.0, 1.3)
@@ -156,7 +154,7 @@ class TestPropagate:
     def test_step_coefficient_breakpoints(self):
         samples = [0.2, 1.0, 0.4, 0.8]
         b = PeriodicCoefficient.from_samples(samples, 1.0, order=0)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         E = propagate(spec, 0.0, 1.0, 1.0, 1e-10)
         # piecewise-constant coefficients compose exactly from cell flows
         ref = np.eye(2, dtype=complex)
@@ -168,7 +166,7 @@ class TestPropagate:
     def test_checkpoints_within_the_step_floor_of_cell_edges(self, order):
         # the checkpoint 21/63 and the cell edge 11/33 are one ulp apart
         b = PeriodicCoefficient.from_samples(np.random.default_rng(5).uniform(0.2, 1.5, 33), 1.0, order=order)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         xi = [0.0, 1.0, 5.0, 20.0]
         E, _, _ = propagate_grid(spec, 0.0, 1.0, xi, 1e-10, np.linspace(0.0, 1.0, 64))
         free, _, _ = propagate_grid(spec, 0.0, 1.0, xi, 1e-10)
@@ -185,7 +183,7 @@ class TestPropagate:
             "samples1": PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 33), 1.0, order=1),
         }.get(model, PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5))
         m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=np.pi / 2)
-        spec = ModelSpec(b, PerturbedMass(1.0, 0.4, m1) if model == "perturbed" else ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0, 0.4, m1) if model == "perturbed" else ModelSpec(b, 1.0)
         a = 1.0 / 3.0
         chk = np.sort(np.concatenate([np.linspace(0.0, 1.0, 64), [0.5, a, np.nextafter(a, 1.0)]]))
         xi = np.linspace(0.0, 20.0, 1000)
@@ -205,7 +203,7 @@ class TestPropagate:
         a, a_next = 1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
         monkeypatch.setattr(b, "eval", lambda ts: np.where((ts >= a) & (ts <= a_next), np.nan, 1.0))
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         for xi, grid in (([1.0], []), (np.linspace(0.0, 10.0, 1000), np.linspace(0.0, 1.0, 17))):
             with pytest.raises(IntegrationFailureError) as err:
                 propagate_grid(spec, 0.0, 1.0, xi, 1e-10, np.sort(np.append(grid, [a, a_next])))
@@ -213,7 +211,7 @@ class TestPropagate:
 
     def test_square_wave_splits_at_jumps(self):
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0, duty=0.5)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         E = propagate(spec, 0.0, 1.0, 1.5, 1e-11)
         h = math.sqrt(1.5**2 + 1.0)
         ref = const_coeff_propagator(0.2, h, 0.5) @ const_coeff_propagator(1.0, h, 0.5)
@@ -222,7 +220,7 @@ class TestPropagate:
     def test_underflow_raises_with_time(self, monkeypatch):
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0)
         monkeypatch.setattr(b, "eval", lambda ts: np.where(np.asarray(ts) > 0.5, np.nan, 1.0))
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         with pytest.raises(IntegrationFailureError) as err:
             propagate_grid(spec, 0.0, 1.0, [1.0], 1e-12)
         assert 0.4 < err.value.t_fail < 1.0
@@ -250,7 +248,7 @@ def _piecewise_constant_cases():
 def _sin_specs():
     b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5)
     m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0, phase=np.pi / 2)
-    return {"constant": ModelSpec(b, ConstantMass(1.0)), "perturbed": ModelSpec(b, PerturbedMass(1.0, 0.4, m1))}
+    return {"constant": ModelSpec(b, 1.0), "perturbed": ModelSpec(b, 1.0, 0.4, m1)}
 
 
 class TestMagnusStepper:
@@ -302,7 +300,7 @@ class TestMagnusStepper:
         # at 1e-13 an explicit stepper that samples b at the segment end, on
         # the far side of the jump, fails with a step size underflow
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         xi = np.linspace(0.0, 200.0, 64)
         got, _, res = propagate_grid(spec, 0.0, 2.0, xi, tol)
         for j, x in enumerate(xi):
@@ -320,7 +318,7 @@ class TestMagnusStepper:
         # a b that jumps is constant on every piece: the sweep is the product
         # of the cell flows, one uncontrolled step for the batch, no error
         b, cells = case
-        got, _, res = propagate_grid(ModelSpec(b, ConstantMass(1.0)), 0.0, b.period, xi, tol)
+        got, _, res = propagate_grid(ModelSpec(b, 1.0), 0.0, b.period, xi, tol)
         for j, x in enumerate(xi):
             h = math.sqrt(x * x + 1.0)
             ref = np.eye(2, dtype=complex)
@@ -334,7 +332,7 @@ class TestMagnusStepper:
     def test_non_finite_constant_piece_raises_at_its_start(self, monkeypatch):
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
         monkeypatch.setattr(b, "eval", lambda ts: np.where((ts > 1.0) & (ts < 1.5), np.nan, 1.0))
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         with pytest.raises(IntegrationFailureError) as err:
             propagate_grid(spec, 0.0, 2.0, [1.0, 30.0])
         assert err.value.t_fail == 1.0
@@ -350,7 +348,7 @@ class TestMagnusStepper:
         # every sample is a kink; a step not split at one would carry it
         # between its Gauss nodes, where the error estimate cannot see it
         b = PeriodicCoefficient.from_samples([0.2, 1.0, 0.4, 0.8], 1.0, order=1)
-        spec = ModelSpec(b, ConstantMass(1.0))
+        spec = ModelSpec(b, 1.0)
         xi = np.linspace(0.0, 30.0, 32)
         E, _, _ = propagate_grid(spec, 0.0, t_end, xi, 1e-10)
         target = math.exp(-2.0 * integral(b, t_end))
@@ -365,7 +363,7 @@ class TestPeanoBaker:
 
     def test_constant_matrix_matches_exponential(self):
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.8)
-        spec = ModelSpec(b, ConstantMass(2.0))
+        spec = ModelSpec(b, 2.0)
         got = peano_baker_truncated(spec, 0.0, 0.5, 1.5, 20)
         ref = const_coeff_propagator(0.8, math.sqrt(1.5**2 + 4.0), 0.5)
         assert np.max(np.abs(got - ref)) < 1e-10
