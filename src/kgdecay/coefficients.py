@@ -289,9 +289,9 @@ class ModelSpec:
 
     The mass is m(t)^2 = m0^2, or m0^2 + epsilon * m1(t) with sup|m1| = 1
     when epsilon > 0, the perturbed model; m1 is read only then.  Validates
-    at construction, on exact minima: non-negative dissipation and epsilon,
-    matching periods, positivity of the perturbed mass square and the
-    normalization sup|m1| = 1.  Instances are immutable.
+    at construction, on exact minima: finite m0, epsilon and T, non-negative
+    dissipation and epsilon, matching periods, positivity of the perturbed
+    mass square and the normalization sup|m1| = 1.  Instances are immutable.
     """
 
     def __init__(self, b: PeriodicCoefficient, m0, epsilon=0.0, m1: PeriodicCoefficient | None = None, T=None):
@@ -300,6 +300,9 @@ class ModelSpec:
         self.epsilon = float(epsilon)
         self.m1 = m1 if self.epsilon > 0.0 else None
         self.T = float(T) if T is not None else b.period
+        for name, value in (("m0", self.m0), ("epsilon", self.epsilon), ("T", self.T)):
+            if not math.isfinite(value):
+                raise ModelAssumptionError(f"{name} must be finite, got {value!r}")
         if abs(b.period - self.T) > PERIOD_MATCH_RTOL * self.T:
             raise ModelAssumptionError(
                 f"dissipation period {b.period} does not match T = {self.T}"
@@ -310,7 +313,7 @@ class ModelSpec:
         #: b >= 0 with zeros is accepted with this flag cleared).
         self.b_strictly_positive = b.minimum > 0.0
 
-        if not self.epsilon >= 0.0:
+        if self.epsilon < 0.0:
             raise ModelAssumptionError("epsilon must be non-negative")
         if self.epsilon == 0.0:
             if self.m0 < 0.0:

@@ -21,7 +21,10 @@ the step only.  The nodes are interior to the step, so a coefficient jump at
 a piece end is never sampled from the wrong side.  The step is exact wherever
 b and m are constant on it, and it needs no dt * xi << 1, so the step count
 grows only slowly with xi.  Error control is step doubling (one full step
-against two half steps) with a Richardson correction.
+against two half steps) with a Richardson correction, each step's estimate
+held to the requested tolerance.  That estimate is reliable well inside the
+Magnus convergence radius, integral ||K|| < pi (Moan & Niesen, Found.
+Comput. Math. 8, 2008), so every step is capped at dt sup||K|| <= 2.
 
 A b that jumps is constant between its breakpoints, so with a constant mass
 every piece of a sweep has a constant K.  Its propagator is then the single
@@ -58,9 +61,8 @@ from .errors import IntegrationFailureError
 DEFAULT_TOL = 1e-10
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
-# Per-step tolerances are tightened by this factor so that the accumulated
-# global error stays within the requested tolerance over multi-period spans.
-_STEP_SAFETY = 0.02
+# The cap on dt sup||K|| of a step, inside the Magnus convergence radius pi.
+_STEP_NORM_CAP = 2.0
 
 # Gauss-Legendre nodes as fractions of a step.  The coefficients are sampled
 # at _NODES, node-major: node j of the full step and of its two half steps
@@ -308,28 +310,28 @@ def _identity(*shape):
     return Y
 
 
-def _integrate_pieces(factors, starts, lengths, n, tol, dt_hint, dt_floor, result):
+def _integrate_pieces(factors, starts, lengths, n, tol, dt_hint, dt_floor, dt_max, result):
     """Propagators of the pieces [starts_j, starts_j + lengths_j], each from the identity.
 
     The pieces share one adaptive step sequence in normalized time
     tau in [0, 1]: a step dtau is the step lengths_j * dtau of piece j, and
     its error ratio is the largest over the batch.  The step size is
-    controlled, and ``dt_hint`` and the floor are read, as the step of the
-    longest piece.  A batch whose pieces are all shorter than the floor is one
-    step and leaves ``dt_hint`` unchanged; a remainder below the floor joins
-    the step before it.  The floor raises only when the controller shrinks a
-    step below it, at the time reached by the piece with the largest (or a
-    non-finite) error ratio.  Returns the propagators, entry first
-    (2, 2, P, n), and the step hint for the next batch, and adds the steps,
-    evaluations and largest error estimate to ``result``.
+    controlled, and ``dt_hint``, the floor and the cap ``dt_max`` are read, as
+    the step of the longest piece.  A batch whose pieces are all shorter than
+    the floor is one step and leaves ``dt_hint`` unchanged; a remainder below
+    the floor joins the step before it.  The floor raises when the controller
+    or the cap holds a step below it, at the time reached by the piece with
+    the largest (or a non-finite) error ratio.  Returns the propagators, entry
+    first (2, 2, P, n), and the step hint for the next batch, and adds the
+    steps, evaluations and largest error estimate to ``result``.
     """
-    step_tol = tol * _STEP_SAFETY
     span = float(lengths.max())
     tau_floor = dt_floor / span
+    tau_max = dt_max / span
     short = span < dt_floor
     Y = _identity(lengths.size, n)
     tau = 0.0
-    dtau = min(1.0, dt_hint / span)
+    dtau = min(1.0, dt_hint / span, tau_max)
     r = None  # the error ratios of the last attempt, (2, 2, P, n)
     while tau < 1.0:
         last = dtau >= 1.0 - tau - tau_floor
@@ -350,14 +352,14 @@ def _integrate_pieces(factors, starts, lengths, n, tol, dt_hint, dt_floor, resul
         y_new += err
         r = np.abs(err)
         r /= 1.0 + np.maximum(np.abs(Y), np.abs(y_new))
-        ratio = float(r.max()) / step_tol
+        ratio = float(r.max()) / tol
         if ratio <= 1.0:
             tau = 1.0 if last else tau + dtau
             Y = y_new
             result.steps_taken += 1
             result.local_error_estimate = max(result.local_error_estimate, ratio * tol)
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio**_CONTROL_EXPONENT))
-            dtau = dtau * grow
+            dtau = min(dtau * grow, tau_max)
         else:
             dtau = dtau * max(0.2, 0.9 * ratio**_CONTROL_EXPONENT)
             short = False  # a rejected step below the floor raises on the next pass
@@ -394,9 +396,10 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     xi : array_like
         Non-negative frequencies; the state is batched over them.
     tol : float
-        Requested accuracy; the integrator's per-step tolerance is tightened
-        internally so the realized global error stays below roughly
-        ``tol * max(1, t - s)``.
+        Requested accuracy: the error estimate of every step is held to
+        ``tol`` and every step to dt sup||K|| <= 2, so the realized error of
+        a sweep over one period stays below ``tol``; over longer spans the
+        steps' errors add up.
     checkpoints : array_like, optional
         Non-decreasing times c_0, c_1, ... in [s, t] (ends included, repeats
         allowed).  The result records each segment propagator
@@ -433,6 +436,9 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
         h = np.sqrt(xi * xi + spec.m0 * spec.m0)
     else:
         factors = _make_factors(spec, xi * xi)
+        # sup ||K|| <= sup h + 2 sup|b|, with h^2 <= xi^2 + m0^2 + epsilon as sup|m1| = 1
+        kappa = math.hypot(xi.max(), spec.m0, math.sqrt(spec.epsilon)) + 2.0 * spec.b.sup_abs
+        dt_max = _STEP_NORM_CAP / kappa if kappa > 0.0 else math.inf
     n = xi.size
     chk = np.empty((chk_times.size, n, 2, 2))
     chk[:] = np.eye(2)
@@ -452,7 +458,7 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
             pieces = _constant_pieces(spec.b.eval, h, starts[k : k + batch], lengths[k : k + batch], result)
         else:
             pieces, dt_hint = _integrate_pieces(
-                factors, starts[k : k + batch], lengths[k : k + batch], n, tol, dt_hint, dt_floor, result
+                factors, starts[k : k + batch], lengths[k : k + batch], n, tol, dt_hint, dt_floor, dt_max, result
             )
         for j, end in enumerate(ends[k : k + batch]):
             Y = _mul(pieces[:, :, j], Y)

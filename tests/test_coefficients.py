@@ -371,6 +371,14 @@ class TestModelSpec:
         with pytest.raises(ModelAssumptionError):
             ModelSpec(b_const, 1.0, 1.0, m1)
 
+    @pytest.mark.parametrize("field, value", [("m0", np.nan), ("m0", np.inf), ("epsilon", np.inf),
+                                              ("epsilon", np.nan), ("T", np.nan), ("T", np.inf)])
+    def test_non_finite_values_rejected(self, b_const, field, value):
+        # m1 >= 1/2 keeps m0^2 + epsilon * m1 positive at epsilon = inf
+        m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.75, amp=0.25)
+        with pytest.raises(ModelAssumptionError, match=f"^{field} must be finite"):
+            ModelSpec(b_const, **({"m0": 1.0, "epsilon": 0.5, "m1": m1} | {field: value}))
+
     def test_perturbed_epsilon_zero_equivalent_to_constant(self, b_const, m1_cos):
         spec = ModelSpec(b_const, 1.0, 0.0, m1_cos)
         assert spec.m_squared(0.37) == 1.0

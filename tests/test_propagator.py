@@ -58,6 +58,12 @@ class TestPropagate:
     def test_identity_at_equal_times(self, spec_sin):
         assert np.array_equal(propagate(spec_sin, 0.7, 0.7, 2.0), np.eye(2, dtype=complex))
 
+    def test_zero_system_is_the_identity(self):
+        # b = 0, m0 = 0 and xi = 0 make K = 0: sup||K|| = 0 caps no step
+        b0 = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
+        E, _, _ = propagate_grid(ModelSpec(b0, 0.0), 0.0, 1.0, [0.0])
+        assert np.array_equal(E[0], np.eye(2))
+
     def test_constant_coefficients_closed_form(self):
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.5)
         spec = ModelSpec(b, 1.0)
@@ -225,6 +231,13 @@ class TestPropagate:
             propagate_grid(spec, 0.0, 1.0, [1.0], 1e-12)
         assert 0.4 < err.value.t_fail < 1.0
 
+    def test_step_cap_below_the_floor_raises(self, spec_sin):
+        # at xi = 3e13 the cap dt sup||K|| <= 2 holds every step below the
+        # floor of 1e-13: the sweep raises at its start, not after 1e13 steps
+        with pytest.raises(IntegrationFailureError, match="step size underflow") as err:
+            propagate_grid(spec_sin, 0.0, 1.0, [0.0, 3e13])
+        assert err.value.t_fail == 0.0
+
 
 def _piecewise_constant_cases():
     """(b, cells) with b a square wave of random duty or step samples of 2 to
@@ -251,6 +264,13 @@ def _sin_specs():
     return {"constant": ModelSpec(b, 1.0), "perturbed": ModelSpec(b, 1.0, 0.4, m1)}
 
 
+@pytest.fixture(scope="module")
+def one_period_dp5():
+    """64 frequencies on [0, 140] and the DP5 propagators E(T, 0) at 1e-10 of both _sin_specs masses."""
+    xi = np.linspace(0.0, 140.0, 64)
+    return xi, {mass: dp5_propagate(spec, 0.0, spec.T, xi, 1e-10) for mass, spec in _sin_specs().items()}
+
+
 class TestMagnusStepper:
     @pytest.mark.slow
     @pytest.mark.parametrize("mass", ["constant", "perturbed"])
@@ -262,6 +282,51 @@ class TestMagnusStepper:
         got, _, _ = propagate_grid(spec, 0.0, 2.0 * spec.T, xi, tol)
         ref = dp5_propagate(spec, 0.0, 2.0 * spec.T, xi, 1e-13)
         assert np.max(np.abs(complex_form(got) - ref)) <= tol
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mass", ["constant", "perturbed"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4])
+    def test_realized_error_at_loose_tolerances(self, one_period_dp5, mass, tol):
+        # over one period, the span of every pipeline sweep; steps that grow
+        # past dt sup||K|| = 2 misjudge their error (3.3 tol at 1e-6, 19 at 1e-4)
+        xi, refs = one_period_dp5
+        got, _, _ = propagate_grid(_sin_specs()[mass], 0.0, 1.0, xi, tol)
+        assert np.max(np.abs(complex_form(got) - refs[mass])) <= tol
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mass, band, checkpoints", [
+        ("perturbed", (14.0, 56.0), np.linspace(0.0, 1.0, 5)),  # a decay band: quarter periods
+        ("constant", (14.0, 140.0), np.linspace(0.0, 1.0, 17)),  # the high-frequency check's shape
+    ])
+    def test_realized_error_per_checkpoint_segment(self, mass, band, checkpoints):
+        spec = _sin_specs()[mass]
+        xi = np.linspace(*band, 32)
+        tol = 1e-10
+        _, segments, _ = propagate_grid(spec, 0.0, spec.T, xi, tol, checkpoints)
+        for prev, time, got in zip(np.append(0.0, checkpoints), checkpoints, segments):
+            ref = dp5_propagate(spec, prev, time, xi, 1e-12)
+            assert np.max(np.abs(complex_form(got) - ref)) <= tol
+
+    def test_pipeline_sweeps_take_few_steps(self):
+        # the four sweeps of the seed-0 `perturbed` bench run at N = 13.953125:
+        # the high-frequency check, the contraction scan and the two decay
+        # bands.  They took 94 steps when each step was held to tol / 50
+        b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5)
+        m1 = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=0.0, amp=1.0)
+        base, perturbed = ModelSpec(b, 1.0), ModelSpec(b, 1.0, 5e-9, m1)
+        N, scan, quarters = 13.953125, np.linspace(0.0, 1.0, 64), np.linspace(0.0, 1.0, 5)
+        sweeps = [
+            (base, np.linspace(N, 10.0 * N, 128), scan),
+            (base, np.linspace(0.0, N, 256), scan),
+            (perturbed, np.linspace(0.0, N, 256), quarters),
+            (perturbed, np.linspace(N, 4.0 * N, 64), quarters),
+        ]
+        assert sum(propagate_grid(spec, 0.0, 1.0, xi, 1e-10, chk)[2].steps_taken for spec, xi, chk in sweeps) <= 60
+        # a b that jumps keeps one exponential step per batch: 1000
+        # frequencies put four of the 16 pieces in a batch
+        square = ModelSpec(PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0), 1.0)
+        _, _, res = propagate_grid(square, 0.0, 1.0, np.linspace(0.0, 20.0, 1000), 1e-10, np.linspace(0.0, 1.0, 17))
+        assert res.steps_taken == 4
 
     @pytest.mark.parametrize("mass", ["constant", "perturbed"])
     @pytest.mark.parametrize("xi", [5.0, 30.0])
