@@ -17,6 +17,7 @@ from .propagator import (
 )
 from .monodromy import (
     ContractionCertificate,
+    MonodromyScan,
     assemble_certificate,
     contraction_search,
     monodromy_grid,
@@ -51,6 +52,7 @@ __all__ = [
     "DecayReport",
     "EpsilonBound",
     "ModelSpec",
+    "MonodromyScan",
     "PeriodicCoefficient",
     "PropagationResult",
     "ThresholdResult",

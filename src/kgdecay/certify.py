@@ -200,4 +200,5 @@ def decay_constants(cert: ContractionCertificate, perturbed: bool = False):
 
 def decay_to_csv(path, report: DecayReport) -> None:
     """Write the decay curve as CSV: t, sup_norm, bound."""
-    _write_csv(path, ("t", "sup_norm", "bound"), [report.time_grid, report.sup_norm_curve, report.bound_curve])
+    _write_csv(path, ("t", "sup_norm", "bound"),
+               zip(report.time_grid.tolist(), report.sup_norm_curve.tolist(), report.bound_curve.tolist()))

@@ -34,7 +34,7 @@ from .errors import (
     NoContractionError,
     ThresholdSearchError,
 )
-from .propagator import TOL_MAX, TOL_MIN
+from .propagator import DEFAULT_TOL, TOL_MAX, TOL_MIN
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,8 +72,8 @@ DEFAULT_GRIDS = {
 }
 
 DEFAULT_TOLERANCES = {
-    "propagate_tol": 1e-10,
-    "contraction_margin": 1e-3,
+    "propagate_tol": DEFAULT_TOL,
+    "contraction_margin": monodromy.DEFAULT_CONTRACTION_MARGIN,
 }
 
 # Smallest accepted value of each grid setting (1 unless listed).  The decay
@@ -328,16 +328,16 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             doc["perturbed_route"] = route
             ok = ok and ok_p
         cert_doc["threshold"] = doc
-        verdicts["threshold"] = "Pass" if ok else "Fail"
+        verdicts["threshold"] = certify.VERDICT_PASS if ok else certify.VERDICT_FAIL
 
     if "contraction" in config.stages:
         base = spec.constant_mass_version()
         t_grid = np.linspace(0.0, spec.T, g["contraction_t_points"])
         xi_grid = np.linspace(0.0, thr.N, g["contraction_xi_points"])
         M = monodromy.monodromy_grid(base, t_grid, xi_grid, tol)
-        samples = monodromy.samples_from_grid(t_grid, xi_grid, M)
-        monodromy.scan_to_csv(out / "monodromy_scan.csv", samples)
-        rho_max = float(np.max(samples["rho"]))
+        scan = monodromy.samples_from_grid(t_grid, xi_grid, M)
+        monodromy.scan_to_csv(out / "monodromy_scan.csv", scan)
+        rho_max = float(np.max(scan.rho))
         k, c1 = monodromy.contraction_search(
             M, g["contraction_k_max"], margin, t_grid, xi_grid
         )
@@ -356,7 +356,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         )
         # Gelfand: rho(M)^k <= ||M^k|| <= c1, so delta1 <= spectral_rate
         cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max, "spectral_rate": -math.log(rho_max) / spec.T}
-        verdicts["contraction"] = "Pass"
+        verdicts["contraction"] = certify.VERDICT_PASS
         if perturbed and ("epsilon" in config.stages or "decay" in config.stages):
             # one bound on sup ||M_eps^k|| over this grid serves both later stages
             ok_pc, pert_worst, pert_route = perturbation.verify_perturbed_contraction(
@@ -375,7 +375,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             doc["perturbed_route"] = pert_route
             ok = ok and ok_pc
         cert_doc["epsilon"] = doc
-        verdicts["epsilon"] = "Pass" if ok else "Fail"
+        verdicts["epsilon"] = certify.VERDICT_PASS if ok else certify.VERDICT_FAIL
 
     if "decay" in config.stages:
         if g["decay_periods"] < 10 * cert.k:
@@ -402,7 +402,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         verdicts["decay"] = report.verdict
 
     cert_doc["verdicts"] = verdicts
-    all_pass = all(v == "Pass" for v in verdicts.values())
+    all_pass = all(v == certify.VERDICT_PASS for v in verdicts.values())
     cert_doc["all_pass"] = all_pass
     (out / "certificate.json").write_text(
         json.dumps(cert_doc, indent=2) + "\n", encoding="utf-8"

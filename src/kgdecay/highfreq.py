@@ -486,5 +486,4 @@ def verify_highfreq_contraction(
 
 def threshold_trace_to_csv(path, result: ThresholdResult) -> None:
     """Write the search trace as CSV: N_candidate, sup_value, accepted."""
-    columns = [np.array([row[k] for row in result.trace], dtype=dt) for k, dt in enumerate((float, float, bool))]
-    _write_csv(path, ("N_candidate", "sup_value", "accepted"), columns)
+    _write_csv(path, ("N_candidate", "sup_value", "accepted"), result.trace)

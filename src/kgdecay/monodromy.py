@@ -42,12 +42,7 @@ MONODROMY_DRIFT_TOL = 1e-6
 CLASS_COMPLEX_PAIR = "ComplexConjugatePair"
 CLASS_REAL_PAIR = "RealPair"
 
-# The float columns of the samples table, in CSV order, and its record type;
-# the pair class is one bool, written as CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.
-SAMPLE_FLOATS = ("t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm")
-SAMPLE_DTYPE = [(name, float) for name in SAMPLE_FLOATS] + [("real_pair", bool)]
-
-# The CSV writer joins and writes this many rows at a time.
+# The scan writer joins and writes this many rows at a time.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -93,6 +88,28 @@ class ContractionCertificate:
             "grids": dict(self.grids),
             "tolerances": dict(self.tolerances),
         }
+
+
+@dataclass(frozen=True)
+class MonodromyScan:
+    """Spectrum and norms of a monodromy grid over t (nt,) and xi (nxi,).
+
+    M(t, xi) is conjugate to M(0, xi), so the spectrum depends on xi alone:
+    the eigenvalue pair ``eig`` (nxi, 2), the spectral radius ``rho`` (nxi,)
+    and the pair class ``real_pair`` (nxi,) are held once per xi, and only the
+    spectral norm ``norm`` (nt, nxi) per matrix.  Its length is its row count
+    nt * nxi in monodromy_scan.csv.
+    """
+
+    t: np.ndarray
+    xi: np.ndarray
+    eig: np.ndarray
+    rho: np.ndarray
+    real_pair: np.ndarray
+    norm: np.ndarray
+
+    def __len__(self):
+        return self.norm.size
 
 
 def _spectral_radius(ev):
@@ -184,11 +201,13 @@ def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:
 def contraction_search(M_grid: np.ndarray, k_max: int = 64, margin: float = DEFAULT_CONTRACTION_MARGIN, t_grid=None, xi_grid=None):
     """Smallest k with sup ||M^k|| <= 1 - margin over a precomputed grid.
 
-    First checks the spectral radii of the first t row, as the samples table
-    takes them (all below 1 - RHO_BLOCKER_TOL), then powers the grid.  Returns (k, c1).
+    First checks the spectral radii of the first t row, as the scan takes
+    them (all below 1 - RHO_BLOCKER_TOL), then powers the grid.  Returns (k, c1).
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if M_grid.size == 0:
+        raise ValueError(f"the grid holds no matrices: shape {M_grid.shape}")
     t_grid = np.asarray(t_grid if t_grid is not None else np.arange(M_grid.shape[0]), dtype=float)
     xi_grid = np.asarray(xi_grid if xi_grid is not None else np.arange(M_grid.shape[1]), dtype=float)
 
@@ -250,91 +269,57 @@ def assemble_certificate(
     )
 
 
-def samples_from_grid(t_grid, xi_grid, M_grid) -> np.ndarray:
-    """The samples table of a precomputed grid, one row per (t, xi), row-major in t.
+def samples_from_grid(t_grid, xi_grid, M_grid) -> MonodromyScan:
+    """The scan of a precomputed grid: each xi's spectrum and every matrix's norm.
 
-    A structured array with the float fields of :data:`SAMPLE_FLOATS` and the
-    bool field ``real_pair``: the eigenvalue pair, the spectral radius, the
-    spectral norm and the pair class.  The spectrum does not depend on t, so
-    each xi's is taken once, from the first t row; the norm is taken for every
-    matrix.  The class comes from the characteristic-polynomial discriminant,
-    which is real for the real form of :func:`monodromy_grid`: positive means
-    two real eigenvalues (``real_pair``), negative a complex-conjugate pair,
-    and a degenerate band around zero is a real (double) root.
+    The spectrum does not depend on t, so each xi's eigenvalue pair, spectral
+    radius and pair class are taken once, from the first t row; the norm is
+    taken for every matrix.  The class comes from the characteristic-polynomial
+    discriminant, which is real for the real form of :func:`monodromy_grid`:
+    positive means two real eigenvalues (``real_pair``), negative a
+    complex-conjugate pair, and a degenerate band around zero is a real
+    (double) root.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("t_grid must hold at least one base time")
     M = np.asarray(M_grid).reshape(t_grid.size, xi_grid.size, 2, 2)
-    ev = eigenvalues_2x2(M[:1])
-    tr = trace2(M[:1])
-    disc = tr * tr - 4.0 * det2(M[:1])
-
-    table = np.empty(M.shape[:2], dtype=SAMPLE_DTYPE)
-    table["t"] = t_grid[:, None]
-    table["xi"] = xi_grid
-    table["re_eig1"], table["im_eig1"] = ev[..., 0].real, ev[..., 0].imag
-    table["re_eig2"], table["im_eig2"] = ev[..., 1].real, ev[..., 1].imag
-    table["rho"] = _spectral_radius(ev)
-    table["norm"] = spectral_norm_2x2(M)
-    table["real_pair"] = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc > 0.0)
-    return table.reshape(-1)
+    ev = eigenvalues_2x2(M[0])
+    tr = trace2(M[0])
+    disc = tr * tr - 4.0 * det2(M[0])
+    real_pair = (np.abs(disc) <= DEGENERATE_DISC_TOL) | (disc > 0.0)
+    return MonodromyScan(t_grid, xi_grid, ev, _spectral_radius(ev), real_pair, spectral_norm_2x2(M))
 
 
-def _text(values, labels):
-    """The CSV text of an array's entries, "%.17g" of floats and labels[flag] of bools, as an object array."""
-    if values.dtype == bool:
-        return np.array([labels[flag] for flag in values.tolist()], dtype=object)
-    return np.array(["%.17g" % v for v in values.tolist()], dtype=object)
-
-
-def _write_csv(path, header, columns, labels=("0", "1")):
-    """Write equally long columns as CSV with LF line ends: floats as "%.17g", bools as labels[flag].
-
-    The rows are read as a grid whose rows are the runs of the first column,
-    as in a scan, whose t repeats over xi: nxi is the length of its leading
-    run of equal entries, if that divides the row count.  Entries are told
-    apart by bit pattern: a column that repeats down t is formatted once per
-    xi, one that repeats along xi once per t, neighbouring columns repeated
-    alike are joined once, and the floats of other columns go into each row's
-    format as they are.  Rows are written CSV_BLOCK_ROWS at a time, so text is
-    held for at most half of each column's entries plus one block of rows.
-    """
-    columns = [np.asarray(c) for c in columns]
-    first, n = columns[0].view(f"u{columns[0].itemsize}"), len(columns[0])
-    run = int(np.argmax(first != first[0])) if n else 0
-    nxi = run if run and n % run == 0 else max(n, 1)
-    fields = []  # (format, axis, values): text per index of grid axis 0 or 1, or (axis None) the entries
-    for grid in (c.reshape(-1, nxi) for c in columns):
-        bits = grid.view(f"u{grid.itemsize}")
-        if len(grid) > 1 and np.all(bits == bits[:1]):
-            axis, text = 1, _text(grid[0], labels)
-        elif nxi > 1 and np.all(bits == bits[:, :1]):
-            axis, text = 0, _text(grid[:, 0], labels)
-        else:
-            fields.append(("%s" if grid.dtype == bool else "%.17g", None, grid.reshape(-1)))
-            continue
-        if fields and fields[-1][1] == axis:
-            text = fields.pop()[2] + "," + text
-        fields.append(("%s", axis, text))
-    row = ",".join(f[0] for f in fields) + "\n"
+def _write_csv(path, header, rows):
+    """Write rows of numbers as CSV with LF line ends, every value as "%.17g"."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            ij = np.divmod(np.arange(lo, min(lo + CSV_BLOCK_ROWS, n)), nxi)
-            cells = np.empty((ij[0].size, len(fields)), dtype=object)  # one format call per block
-            for k, (_, axis, values) in enumerate(fields):
-                block = values[lo : lo + CSV_BLOCK_ROWS] if axis is None else values[ij[axis]]
-                cells[:, k] = _text(block, labels) if block.dtype == bool else block
-            fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
+        fh.writelines(row % tuple(values) for values in rows)
 
 
-def scan_to_csv(path, samples) -> None:
-    """Write the samples table as CSV: t, xi, eigenvalue parts, rho, norm, class.
+def scan_to_csv(path, scan: MonodromyScan) -> None:
+    """Write a scan as CSV, row-major in t: t, xi, eigenvalue parts, rho, norm, class.
 
-    Byte for byte the "%.17g" text of every float, with each ``real_pair``
-    flag written as CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.  For the table of
-    a grid, each t and each xi's spectrum and class are formatted once (see
-    :func:`_write_csv`), and only the norm per row.
+    Byte for byte the "%.17g" text of every float, with the class written as
+    CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.  Each t and each xi's columns are
+    formatted once; the norms are formatted in one format call per block of
+    CSV_BLOCK_ROWS rows, and only one block of rows is held as text.
     """
-    _write_csv(path, SAMPLE_FLOATS + ("class",), [samples[name] for name in SAMPLE_FLOATS + ("real_pair",)],
-               (CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR))
+    t_text = np.array(["%.17g" % t for t in scan.t.tolist()], dtype=object)
+    spectrum = np.array(
+        ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (xi, e1.real, e1.imag, e2.real, e2.imag, rho)
+         for xi, (e1, e2), rho in zip(scan.xi.tolist(), scan.eig.tolist(), scan.rho.tolist())],
+        dtype=object,
+    )
+    label = np.where(scan.real_pair, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR).astype(object)
+    norm = scan.norm.reshape(-1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("t,xi,re_eig1,im_eig1,re_eig2,im_eig2,rho,norm,class\n")
+        for lo in range(0, norm.size, CSV_BLOCK_ROWS):
+            block = norm[lo : lo + CSV_BLOCK_ROWS]
+            i, j = np.divmod(np.arange(lo, lo + block.size), scan.xi.size)
+            cells = np.stack([t_text[i], spectrum[j], block.astype(object), label[j]], axis=1)
+            fh.write("%s,%s,%.17g,%s\n" * block.size % tuple(cells.ravel().tolist()))

@@ -426,6 +426,8 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     if not (math.isfinite(s) and math.isfinite(t)):
         raise ValueError("s and t must be finite")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.size == 0:
+        raise ValueError("xi must hold at least one frequency")
     if np.any(xi < 0.0):
         raise ValueError("xi must be non-negative")
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kgdecay import propagate_grid
+from kgdecay import find_threshold_N, monodromy_grid, propagate_grid, samples_from_grid
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -37,3 +37,15 @@ def test_propagation_result_has_the_traced_counters(tracer, spec_sin):
         assert hasattr(result, name), name
     counts = tracer._propagate_counts({"tol": 1e-10}, (None, None, result))
     assert counts["steps"] > 0 and counts["rhs_evals"] > 0 and 0.0 < counts["err_ratio"] <= 1.0
+
+
+def test_grid_and_scan_counters_read_the_row_count(tracer, spec_sin):
+    t_grid, xi_grid = [0.0, 0.25, 0.5], [0.0, 1.0, 2.0, 3.0]
+    M = monodromy_grid(spec_sin, t_grid, xi_grid)
+    assert tracer._grid_counts({}, M) == {"matrices": 12}
+    assert tracer._samples_counts({}, samples_from_grid(t_grid, xi_grid, M)) == {"samples": 12}
+
+
+def test_threshold_counter_reads_the_trace(tracer, spec_sin):
+    thr = find_threshold_N(spec_sin, xi_points=16, t_points=16)
+    assert tracer._threshold_counts({}, thr) == {"windows": len(thr.trace)} and len(thr.trace) > 0

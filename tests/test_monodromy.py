@@ -26,8 +26,7 @@ from kgdecay.monodromy import (
     CLASS_COMPLEX_PAIR,
     CLASS_REAL_PAIR,
     DEGENERATE_DISC_TOL,
-    SAMPLE_DTYPE,
-    SAMPLE_FLOATS,
+    MonodromyScan,
     power_norms,
 )
 
@@ -45,23 +44,39 @@ CSV_POOL = np.concatenate([
 ])
 
 
+SCAN_HEADER = ("t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm", "class")
+
+
 def sample_at(spec, t, xi):
-    """The samples-table row of M(t, xi) = E(t + T, t, xi), propagated directly, in the real form."""
-    return samples_from_grid([t], [xi], propagate_grid(spec, t, t + spec.T, [abs(xi)])[0][None])[0]
+    """The scan of the one matrix M(t, xi) = E(t + T, t, xi), propagated directly, in the real form."""
+    return samples_from_grid([t], [xi], propagate_grid(spec, t, t + spec.T, [abs(xi)])[0][None])
 
 
-def pair_class(row):
-    """The class text of a samples-table row, as written to the CSV."""
-    return CLASS_REAL_PAIR if row["real_pair"] else CLASS_COMPLEX_PAIR
+def pair_class(scan, j=0):
+    """The class text of a scan's xi column j, as written to the CSV."""
+    return CLASS_REAL_PAIR if scan.real_pair[j] else CLASS_COMPLEX_PAIR
 
 
-def scan_rows(table):
-    """The rows of a samples table as the CSV holds them: the floats, then the class text."""
-    return [row[:-1] + (CLASS_REAL_PAIR if row[-1] else CLASS_COMPLEX_PAIR,) for row in table.tolist()]
+def eigenvalue_pair(scan, j=0):
+    return tuple(scan.eig[j].tolist())
 
 
-def eigenvalue_pair(row):
-    return complex(row["re_eig1"], row["im_eig1"]), complex(row["re_eig2"], row["im_eig2"])
+def scan_rows(scan):
+    """The rows of a scan as the CSV holds them, row-major in t: the floats, then the class text."""
+    rows = []
+    for i, j in np.ndindex(scan.norm.shape):
+        e1, e2 = eigenvalue_pair(scan, j)
+        rows.append((scan.t[i].item(), scan.xi[j].item(), e1.real, e1.imag, e2.real, e2.imag,
+                     scan.rho[j].item(), scan.norm[i, j].item(), pair_class(scan, j)))
+    return rows
+
+
+def pool_scan(rng, pool, nt, nxi):
+    """A scan of nt x nxi rows whose every float is drawn from ``pool`` and every class at random."""
+    def draw(*shape):
+        return pool[rng.integers(0, pool.size, shape)]
+    return MonodromyScan(draw(nt), draw(nxi), draw(nxi, 4).view(complex), draw(nxi), rng.random(nxi) < 0.5,
+                         draw(nt, nxi))
 
 
 def classify_pair(matrix):
@@ -86,7 +101,7 @@ class TestMonodromyAt:
             expected = {np.exp(complex(-1.0, w)), np.exp(complex(-1.0, -w))}
             for g in eigenvalue_pair(s):
                 assert min(abs(g - e) for e in expected) < 1e-9
-            assert abs(s["rho"] - math.exp(-1.0)) < 1e-9
+            assert abs(s.rho[0] - math.exp(-1.0)) < 1e-9
 
     def test_determinant_identity_random_points(self, spec_sin):
         rng = np.random.default_rng(14)
@@ -158,11 +173,11 @@ class TestScalarEquation:
 
 
 class TestSpectralRadiusScan:
-    """The rho column of the samples table."""
+    """The rho field of the scan."""
 
     def test_constant_profile_all_contractive(self, spec_const):
         xi = [0.0, 1.0, 5.0]
-        rho = samples_from_grid([0.0], xi, monodromy_grid(spec_const, [0.0], xi))["rho"]
+        rho = samples_from_grid([0.0], xi, monodromy_grid(spec_const, [0.0], xi)).rho
         assert np.all(rho < 1.0)
         # xi = 0 is critically damped (defective), so eigenvalues there carry
         # sqrt-of-integration-error noise; away from it the match is tight
@@ -173,7 +188,7 @@ class TestSpectralRadiusScan:
         # without mass the zero frequency keeps a unit eigenvalue, which blocks the search
         spec = ModelSpec(b_const, 0.0)
         M = monodromy_grid(spec, [0.0], [0.0, 1.0])
-        assert samples_from_grid([0.0], [0.0, 1.0], M)["rho"][0] == pytest.approx(1.0, abs=1e-9)
+        assert samples_from_grid([0.0], [0.0, 1.0], M).rho[0] == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(NoContractionError):
             contraction_search(M)
 
@@ -182,12 +197,11 @@ class TestSpectralRadiusScan:
         spec = ModelSpec(b_tri, 0.25)
         e2bt = math.exp(-2.0 * spec.beta * spec.T)
         xi = np.linspace(0.0, 4.0, 40)
-        samples = samples_from_grid([0.0], xi, monodromy_grid(spec, [0.0], xi))
-        real_ones = samples[samples["real_pair"]]
-        assert len(real_ones)
-        for s in real_ones:
-            e1 = max(eigenvalue_pair(s), key=abs)
-            assert abs(s["rho"] - max(abs(e1), e2bt / abs(e1))) < 1e-8
+        scan = samples_from_grid([0.0], xi, monodromy_grid(spec, [0.0], xi))
+        assert scan.real_pair.any()
+        for j in np.flatnonzero(scan.real_pair):
+            e1 = max(eigenvalue_pair(scan, j), key=abs)
+            assert abs(scan.rho[j] - max(abs(e1), e2bt / abs(e1))) < 1e-8
 
 
 class TestSmallMassLaw:
@@ -235,21 +249,23 @@ class TestSamplesTable:
         xi_grid = np.linspace(0.0, 8.8, 12)
         synthetic = [(0.5, 0.0), (0.5, 2e-11), (0.5, -2e-11), (0.5, -1e-9), (-0.3, 0.0), (0.0, 1.0)]
         M = with_edge_columns(monodromy_grid(spec, t_grid, xi_grid[:6]), synthetic)
-        table = samples_from_grid(t_grid, xi_grid, M)
+        scan = samples_from_grid(t_grid, xi_grid, M)
 
-        assert len(table) == M.shape[0] * M.shape[1]
+        assert len(scan) == M.shape[0] * M.shape[1]
+        assert scan.t.tolist() == t_grid.tolist() and scan.xi.tolist() == xi_grid.tolist()
+        assert (scan.eig.shape, scan.rho.shape, scan.real_pair.shape, scan.norm.shape) == (
+            (12, 2), (12,), (12,), (4, 12))
+        for i, j in np.ndindex(M.shape[:2]):
+            assert scan.norm[i, j] == spectral_norm_2x2(M[i, j])
         classes = []
-        for row, (i, j) in zip(table, np.ndindex(M.shape[:2])):
+        for j in range(M.shape[1]):
             e1, e2 = eigenvalues_2x2(M[0, j])
-            assert (row["t"], row["xi"]) == (t_grid[i], xi_grid[j])
-            assert eigenvalue_pair(row) == (e1, e2)
-            assert row["rho"] == max(abs(e1), abs(e2))
-            assert row["norm"] == spectral_norm_2x2(M[i, j])
-            assert pair_class(row) == classify_pair(M[0, j])
-            classes.append(pair_class(row))
-        for row in np.reshape(classes, M.shape[:2]).tolist():
-            assert row[:6].count(CLASS_REAL_PAIR) >= 1 and CLASS_COMPLEX_PAIR in row[:6]
-            assert row[6:] == [CLASS_REAL_PAIR] * 3 + [CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR, CLASS_REAL_PAIR]
+            assert eigenvalue_pair(scan, j) == (e1, e2)
+            assert scan.rho[j] == max(abs(e1), abs(e2))
+            assert pair_class(scan, j) == classify_pair(M[0, j])
+            classes.append(pair_class(scan, j))
+        assert classes[:6].count(CLASS_REAL_PAIR) >= 1 and CLASS_COMPLEX_PAIR in classes[:6]
+        assert classes[6:] == [CLASS_REAL_PAIR] * 3 + [CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR, CLASS_REAL_PAIR]
 
 
 class TestRealFormInvariance:
@@ -272,17 +288,17 @@ class TestRealFormInvariance:
         # routes, while the pair's invariants agree to rounding.
         t_grid, xi_grid, M = grid
         E = complex_form(M)
-        table = samples_from_grid(t_grid, xi_grid, M).reshape(M.shape[:2])
-        pairs = table["real_pair"]
-        assert pairs[:, :6].any() and not pairs[:, :6].all()
-        assert pairs[:, 6:].tolist() == [[True, True, True, False, True, True]] * len(t_grid)
-        assert pairs.tolist() == [[classify_pair(E[0, j]) == CLASS_REAL_PAIR for j in range(E.shape[1])]] * len(t_grid)
-        np.testing.assert_allclose(table["norm"], svd_norm(E), rtol=1e-13, atol=0.0)
-        for row, (r1, r2) in zip(table[0], np.linalg.eigvals(E[0])):
-            g1, g2 = eigenvalue_pair(row)
-            assert abs((g1 + g2) - (r1 + r2)) <= 1e-13 * row["rho"]
-            assert abs(g1 * g2 - r1 * r2) <= 1e-13 * row["rho"] ** 2
-            assert row["rho"] == max(abs(g1), abs(g2))
+        scan = samples_from_grid(t_grid, xi_grid, M)
+        pairs = scan.real_pair
+        assert pairs[:6].any() and not pairs[:6].all()
+        assert pairs[6:].tolist() == [True, True, True, False, True, True]
+        assert pairs.tolist() == [classify_pair(E[0, j]) == CLASS_REAL_PAIR for j in range(E.shape[1])]
+        np.testing.assert_allclose(scan.norm, svd_norm(E), rtol=1e-13, atol=0.0)
+        for j, (r1, r2) in enumerate(np.linalg.eigvals(E[0])):
+            g1, g2 = eigenvalue_pair(scan, j)
+            assert abs((g1 + g2) - (r1 + r2)) <= 1e-13 * scan.rho[j]
+            assert abs(g1 * g2 - r1 * r2) <= 1e-13 * scan.rho[j] ** 2
+            assert scan.rho[j] == max(abs(g1), abs(g2))
 
     def test_contraction_and_power_norms_agree(self, grid):
         t_grid, xi_grid, M = grid
@@ -408,7 +424,7 @@ class TestContractionSearch:
         t_grid, xi_grid = np.arange(16.0), np.arange(16.0)
         with pytest.raises(NoContractionError) as err:
             contraction_search(M, 4, 1e-3, t_grid, xi_grid)
-        rho = samples_from_grid(t_grid, xi_grid, M)["rho"]
+        rho = samples_from_grid(t_grid, xi_grid, M).rho
         assert err.value.worst[2] == np.max(rho)
 
     def test_powers_below_one_are_refused(self, spec_sin):
@@ -470,9 +486,9 @@ class TestCertificate:
 class TestScanExport:
     def test_csv_columns_and_rows(self, spec_const, tmp_path):
         t_grid, xi_grid = [0.0, 0.5], [0.0, 1.0, 2.0]
-        samples = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_const, t_grid, xi_grid))
+        scan = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_const, t_grid, xi_grid))
         path = tmp_path / "scan.csv"
-        scan_to_csv(path, samples)
+        scan_to_csv(path, scan)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,xi,re_eig1,im_eig1,re_eig2,im_eig2,rho,norm,class"
         assert len(lines) == 1 + 6
@@ -481,30 +497,29 @@ class TestScanExport:
         assert first[-1] in ("ComplexConjugatePair", "RealPair")
 
     def test_csv_matches_the_reference_writer(self, tmp_path):
-        n = len(CSV_EDGE_VALUES)
-        table = np.empty(n, dtype=SAMPLE_DTYPE)
-        for k, name in enumerate(SAMPLE_FLOATS):
-            table[name] = np.roll(CSV_EDGE_VALUES, k)
-        table["real_pair"] = np.arange(n) % 2 == 0
+        # every edge value in every field, at every t and every xi
+        edges = np.array(CSV_EDGE_VALUES)
+        n = edges.size
+        parts = [np.roll(edges, k) for k in range(1, 7)]
+        eig = np.stack(parts[1:5], axis=-1).view(complex)
+        norm = np.array([np.roll(edges, 7 + i) for i in range(n)])
+        scan = MonodromyScan(edges, parts[0], eig, parts[5], np.arange(n) % 2 == 0, norm)
         path = tmp_path / "scan.csv"
-        scan_to_csv(path, table)
-        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table)).encode()
+        scan_to_csv(path, scan)
+        assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
 
     @settings(max_examples=24, deadline=None)
     @given(rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8195]), seed=st.integers(0, 2**32 - 1))
     def test_writers_match_the_reference_on_repeated_values(self, tmp_path_factory, rows, seed):
         rng = np.random.default_rng(seed)
-        cols = CSV_POOL[rng.integers(0, CSV_POOL.size, (len(SAMPLE_FLOATS), rows))]
+        cols = CSV_POOL[rng.integers(0, CSV_POOL.size, (3, rows))]
         # the last column mostly distinct, like the norm column of a scan
         cols[-1] = np.where(rng.random(rows) < 0.3, cols[-1], rng.random(rows))
         path = tmp_path_factory.mktemp("csv") / "out.csv"
 
-        table = np.empty(rows, dtype=SAMPLE_DTYPE)
-        for name, col in zip(SAMPLE_FLOATS, cols):
-            table[name] = col
-        table["real_pair"] = rng.random(rows) < 0.5
-        scan_to_csv(path, table)
-        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table)).encode()
+        scan = pool_scan(rng, CSV_POOL, 1, rows)
+        scan_to_csv(path, scan)
+        assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
 
         trace = tuple(zip(cols[0].tolist(), cols[1].tolist(), (rng.random(rows) < 0.5).tolist()))
         thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_D_b=3.0,
@@ -517,64 +532,54 @@ class TestScanExport:
         rep = DecayReport(time_grid=cols[0], sup_norm_curve=cols[1], bound_curve=cols[-1], certified_rate=0.1,
                           certified_prefactor=1.0, fitted_rate=0.1, fit_residual=0.0, burn_in=0.0, verdict="Pass")
         decay_to_csv(path, rep)
-        assert path.read_bytes() == reference_csv(["t", "sup_norm", "bound"], zip(*cols[[0, 1, -1]].tolist())).encode()
+        assert path.read_bytes() == reference_csv(["t", "sup_norm", "bound"], zip(*cols.tolist())).encode()
 
     @settings(max_examples=24, deadline=None)
     @given(shape=st.sampled_from([(1, 1), (1, 6), (6, 1), (3, 5), (2, 4097), (4097, 2)]),
-           kinds=st.lists(st.sampled_from(["t", "xi", "entry"]), min_size=8, max_size=8),
            seed=st.integers(0, 2**32 - 1))
-    def test_grid_writer_matches_the_reference(self, tmp_path_factory, shape, kinds, seed):
-        # a scan-like grid: t repeats along xi, and each other column repeats
-        # down t, along xi, or neither; then one entry flips its sign bit,
-        # which may change its bits and not its text, or the grid the writer reads
-        rng = np.random.default_rng(seed)
-        table = np.empty(shape, dtype=SAMPLE_DTYPE)
-        for (name, _), kind in zip(SAMPLE_DTYPE, ["t"] + kinds):
-            pool = np.array([False, True]) if name == "real_pair" else CSV_POOL
-            part = {"t": (shape[0], 1), "xi": (1, shape[1]), "entry": shape}[kind]
-            table[name] = pool[rng.integers(0, pool.size, part)]
-        i, j = rng.integers(0, shape[0]), rng.integers(0, shape[1])
-        flipped = SAMPLE_FLOATS[rng.integers(0, len(SAMPLE_FLOATS))]
-        table[flipped].view(np.uint64)[i, j] ^= np.uint64(1 << 63)
-        table["real_pair"][rng.integers(0, shape[0]), rng.integers(0, shape[1])] ^= bool(rng.integers(0, 2))
+    def test_grid_writer_matches_the_reference(self, tmp_path_factory, shape, seed):
+        # grids on both sides of one block of rows, and blocks that end inside
+        # a t row; every float from the pool of edge values, NaN payloads and -0.0
+        scan = pool_scan(np.random.default_rng(seed), CSV_POOL, *shape)
         path = tmp_path_factory.mktemp("csv") / "scan.csv"
-        scan_to_csv(path, table.reshape(-1))
-        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(table.reshape(-1))).encode()
+        scan_to_csv(path, scan)
+        assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
 
     def test_real_scan_spectrum_is_constant_down_t(self, spec_sin, tmp_path):
         # 64 x 256: each xi's spectrum is taken at the first t; the spectrum
         # of every later matrix differs from it by rounding alone
         t_grid, xi_grid = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 14.0, 256)
         M = monodromy_grid(spec_sin, t_grid, xi_grid)
-        samples = samples_from_grid(t_grid, xi_grid, M)
-        grid = samples.reshape(M.shape[:2])
+        scan = samples_from_grid(t_grid, xi_grid, M)
         ev = eigenvalues_2x2(M)
-        per_matrix = {"re_eig1": ev[..., 0].real, "im_eig1": ev[..., 0].imag, "re_eig2": ev[..., 1].real,
-                      "im_eig2": ev[..., 1].imag, "rho": np.max(np.abs(ev), axis=-1)}
-        for name, ref in per_matrix.items():
-            assert np.array_equal(grid[name], np.repeat(grid[name][:1], len(t_grid), axis=0)), name
-            assert np.max(np.abs(grid[name] - ref)) <= 1e-13, name
-        assert [pair_class(row) for row in samples] == [classify_pair(m) for m in M.reshape(-1, 2, 2)]
+        per_matrix = {"re_eig": (scan.eig.real, ev.real), "im_eig": (scan.eig.imag, ev.imag),
+                      "rho": (scan.rho, np.max(np.abs(ev), axis=-1))}
+        for name, (got, ref) in per_matrix.items():
+            assert np.max(np.abs(got - ref)) <= 1e-13, name
+        assert [pair_class(scan, j) for j in range(xi_grid.size)] * t_grid.size == [
+            classify_pair(m) for m in M.reshape(-1, 2, 2)]
         path = tmp_path / "scan.csv"
-        scan_to_csv(path, samples)
-        assert path.read_bytes() == reference_csv(SAMPLE_FLOATS + ("class",), scan_rows(samples)).encode()
+        scan_to_csv(path, scan)
+        assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("table", ["scan", "distinct"])
     def test_writer_memory_stays_near_the_table(self, spec_sin, tmp_path, table):
-        # 65,536 rows: a 64 x 1,024 scan, or every float distinct; the writer
-        # holds the text of repeated values and one block of rows, not the
-        # text of the table
+        # 65,536 rows: a 64 x 1,024 scan, or one with every float random; the
+        # writer holds the text of each t and each xi's columns and one block
+        # of rows, not the text of the scan (about 2 MB at its peak, where the
+        # scan's text is 12 MB); the bound allows 65 bytes a row.
         t_grid, xi_grid = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 8.0, 1024)
-        samples = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_sin, t_grid, xi_grid))
+        scan = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_sin, t_grid, xi_grid))
         if table == "distinct":
             rng = np.random.default_rng(0)
-            for name in SAMPLE_FLOATS:
-                samples[name] = rng.random(samples.size)
+            scan = MonodromyScan(rng.random(64), rng.random(1024), rng.random((1024, 4)).view(complex),
+                                 rng.random(1024), scan.real_pair, rng.random((64, 1024)))
         tracemalloc.start()
         try:
-            scan_to_csv(tmp_path / "scan.csv", samples)
+            scan_to_csv(tmp_path / "scan.csv", scan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * samples.nbytes
+        assert len(scan) == 65_536
+        assert peak <= 65 * 65_536

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from kgdecay import (
     ModelSpec,
     PeriodicCoefficient,
+    contraction_search,
     det2,
     eigenvalues_2x2,
+    monodromy_grid,
     propagate_grid,
+    samples_from_grid,
     spectral_norm_2x2,
 )
 from kgdecay.errors import IntegrationFailureError
@@ -143,6 +146,20 @@ class TestPropagate:
         _, segments, _ = propagate_grid(spec_tri, 0.0, 1.0, [0.0, 1.0, 7.7], 1e-10, ss)
         norms = spectral_norm_2x2(cumulative(segments))
         assert np.all(norms <= 1.0 + 1e-6)
+
+    @pytest.mark.parametrize("b", [
+        PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0),
+        PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5),
+    ], ids=["square", "sin_offset"])
+    def test_empty_grids_rejected(self, b):
+        spec = ModelSpec(b, 1.0)
+        with pytest.raises(ValueError, match="xi must hold at least one frequency"):
+            propagate_grid(spec, 0.0, 1.0, [])
+        for t_grid, xi_grid in (([], [1.0]), ([0.0], [])):
+            with pytest.raises(ValueError, match="no matrices"):
+                contraction_search(monodromy_grid(spec, t_grid, xi_grid))
+        with pytest.raises(ValueError, match="t_grid must hold at least one base time"):
+            samples_from_grid([], [1.0], monodromy_grid(spec, [], [1.0]))
 
     def test_tol_validated(self, spec_const):
         with pytest.raises(ValueError):
