@@ -18,7 +18,6 @@ from .propagator import (
 from .monodromy import (
     ContractionCertificate,
     MonodromyScan,
-    assemble_certificate,
     contraction_search,
     monodromy_grid,
     samples_from_grid,
@@ -56,7 +55,6 @@ __all__ = [
     "PeriodicCoefficient",
     "PropagationResult",
     "ThresholdResult",
-    "assemble_certificate",
     "contraction_search",
     "decay_constants",
     "det2",

@@ -338,14 +338,13 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         scan = monodromy.samples_from_grid(t_grid, xi_grid, M)
         monodromy.scan_to_csv(out / "monodromy_scan.csv", scan)
         rho_max = float(np.max(scan.rho))
-        k, c1 = monodromy.contraction_search(
-            M, g["contraction_k_max"], margin, t_grid, xi_grid
-        )
-        cert = monodromy.assemble_certificate(
-            base,
+        k, c1 = monodromy.contraction_search(M, scan, g["contraction_k_max"], margin)
+        cert = monodromy.ContractionCertificate(
             thr.N,
             k,
             c1,
+            base.beta,
+            base.T,
             grids={
                 "contraction_t_points": g["contraction_t_points"],
                 "contraction_xi_points": g["contraction_xi_points"],
@@ -382,7 +381,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             raise ConfigError(
                 f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
             )
-        cert_eff = perturbation.perturbed_certificate(spec, cert, pert_worst) if perturbed else cert
+        cert_eff = perturbation.perturbed_certificate(cert, pert_worst) if perturbed else cert
         report = certify.sup_norm_curve(
             spec,
             cert_eff,

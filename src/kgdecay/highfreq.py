@@ -109,8 +109,8 @@ class ThresholdResult:
     the value that stopped the last rejected window's scan.  A scan stops at
     the first value above the level, so the reject margin is a lower bound.
     Each sensitivity is how far that value moves when its profile is taken
-    again with twice the intervals per piece.  With no window rejected (N = 1
-    passed at once), the reject margin and its sensitivity are None.
+    again with twice the intervals per piece.  With no window rejected
+    (N = 1/T passed at once), the reject margin and its sensitivity are None.
     """
 
     N: float
@@ -376,7 +376,7 @@ def find_threshold_N(
 ) -> ThresholdResult:
     """Locate the smallest frequency threshold N with the window criterion.
 
-    Doubles N from 1 until the supremum of the frame product over
+    Doubles N from 1/T until the supremum of the frame product over
     xi in [N, WINDOW_FACTOR * N] falls below exp(beta T / 2) (with a small
     interior margin so the accepted window survives grid refinement), then
     bisects to three significant digits.  Raises ThresholdSearchError before
@@ -415,7 +415,7 @@ def find_threshold_N(
 
     # the profiles of a search share one grid per length; keep none past it
     try:
-        N, sup = 0.5, math.inf
+        N, sup = 0.5 / base.T, math.inf
         rejected = None  # (sup, decisive xi) of the last rejected window
         while sup > accept:
             N *= 2.0
@@ -430,7 +430,7 @@ def find_threshold_N(
             if sup > accept:
                 rejected = sup, at
 
-        lo = N / 2.0  # known failing (or 0.5 when N = 1 passed immediately)
+        lo = N / 2.0  # known failing (or 0.5/T when N = 1/T passed immediately)
         hi, accepted = N, (sup, at)
         while hi - lo > 1e-3 * hi:
             mid = 0.5 * (lo + hi)

@@ -50,20 +50,36 @@ CSV_BLOCK_ROWS = 4096
 class ContractionCertificate:
     """Certified contraction constants together with the grids that produced them.
 
-    delta1 and C are arithmetically tied to (k, T, c1):
-    delta1 = log(1/c1) / (k T) and C = exp(delta1 k T).
+    The decay constants follow from (beta, k, c1, T): delta0 = beta / 2 covers
+    frequencies above N, delta1 = log(1/c1) / (k T) covers [0, N], and
+    C = exp(delta1 k T) is the small-frequency prefactor.
     """
 
     N: float
     k: int
     c1: float
-    delta0: float
-    delta1: float
-    C: float
     beta: float
     T: float
     grids: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (0.0 < self.c1 < 1.0):
+            raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+
+    @property
+    def delta0(self) -> float:
+        return self.beta / 2.0
+
+    @property
+    def delta1(self) -> float:
+        return math.log(1.0 / self.c1) / (self.k * self.T)
+
+    @property
+    def C(self) -> float:
+        return math.exp(self.delta1 * self.k * self.T)
 
     @property
     def rate(self) -> float:
@@ -73,7 +89,7 @@ class ContractionCertificate:
     @property
     def prefactor(self) -> float:
         """The combined prefactor max(e^{delta0 T}, e^{delta1 k T})."""
-        return max(math.exp(self.delta0 * self.T), math.exp(self.delta1 * self.k * self.T))
+        return max(math.exp(self.delta0 * self.T), self.C)
 
     def as_dict(self):
         return {
@@ -168,7 +184,7 @@ def monodromy_grid(
     xi_grid = np.asarray(xi_grid, dtype=float)
     if t_grid.size == 0 or xi_grid.size == 0:
         return np.empty((t_grid.size, xi_grid.size, 2, 2))
-    if np.any(t_grid < 0.0) or np.any(t_grid > spec.T + 1e-12):
+    if not np.all((t_grid >= 0.0) & (t_grid <= spec.T + 1e-12)):
         raise ValueError("t_grid must lie within [0, T]")
     T = spec.T
     t_grid = np.minimum(t_grid, T)
@@ -198,74 +214,41 @@ def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:
     return spectral_norm_2x2(P)
 
 
-def contraction_search(M_grid: np.ndarray, k_max: int = 64, margin: float = DEFAULT_CONTRACTION_MARGIN, t_grid=None, xi_grid=None):
+def contraction_search(
+    M_grid: np.ndarray, scan: MonodromyScan, k_max: int = 64, margin: float = DEFAULT_CONTRACTION_MARGIN
+):
     """Smallest k with sup ||M^k|| <= 1 - margin over a precomputed grid.
 
-    First checks the spectral radii of the first t row, as the scan takes
-    them (all below 1 - RHO_BLOCKER_TOL), then powers the grid.  Returns (k, c1).
+    ``scan`` is the :func:`samples_from_grid` record of ``M_grid``: its
+    spectral radii block the search when one reaches 1 - RHO_BLOCKER_TOL, its
+    norms are those of the first power, and its t and xi name the witnesses.
+    Only the higher powers are formed here.  Returns (k, c1).
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if M_grid.size == 0:
         raise ValueError(f"the grid holds no matrices: shape {M_grid.shape}")
-    t_grid = np.asarray(t_grid if t_grid is not None else np.arange(M_grid.shape[0]), dtype=float)
-    xi_grid = np.asarray(xi_grid if xi_grid is not None else np.arange(M_grid.shape[1]), dtype=float)
-
-    rho = _spectral_radius(eigenvalues_2x2(M_grid[0]))
-    if np.max(rho) >= 1.0 - RHO_BLOCKER_TOL:
-        ix = int(np.argmax(rho))
+    if np.max(scan.rho) >= 1.0 - RHO_BLOCKER_TOL:
+        ix = int(np.argmax(scan.rho))
         raise NoContractionError(
-            f"spectral radius {rho[ix]:.12g} at (t={t_grid[0]:.6g}, xi={xi_grid[ix]:.6g}) "
+            f"spectral radius {scan.rho[ix]:.12g} at (t={scan.t[0]:.6g}, xi={scan.xi[ix]:.6g}) "
             "blocks the contraction certificate",
-            worst=(float(t_grid[0]), float(xi_grid[ix]), float(rho[ix])),
+            worst=(float(scan.t[0]), float(scan.xi[ix]), float(scan.rho[ix])),
         )
 
-    P = M_grid.copy()
+    P, norms = M_grid, scan.norm
     for k in range(1, k_max + 1):
-        norms = spectral_norm_2x2(P)
         worst = float(np.max(norms))
         if worst <= 1.0 - margin:
             return k, worst
-        P = P @ M_grid
+        if k < k_max:
+            P = P @ M_grid
+            norms = spectral_norm_2x2(P)
     it, ix = np.unravel_index(int(np.argmax(norms)), norms.shape)
     raise NoContractionError(
         f"no k <= {k_max} achieves grid-sup ||M^k|| <= {1.0 - margin}; "
-        f"worst ||M^{k_max}|| = {worst:.6g} at (t={t_grid[it]:.6g}, xi={xi_grid[ix]:.6g})",
-        worst=(float(t_grid[it]), float(xi_grid[ix]), worst),
-    )
-
-
-def assemble_certificate(
-    spec: ModelSpec,
-    N: float,
-    k: int,
-    c1: float,
-    grids: dict | None = None,
-    tolerances: dict | None = None,
-) -> ContractionCertificate:
-    """Fill in the decay constants implied by (N, k, c1).
-
-    delta0 = beta / 2 covers frequencies above N; delta1 = log(1/c1)/(kT)
-    covers [0, N]; C = exp(delta1 k T) is the small-frequency prefactor.
-    """
-    if not (0.0 < c1 < 1.0):
-        raise ValueError(f"c1 must lie in (0, 1), got {c1}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    beta = spec.beta
-    T = spec.T
-    delta1 = math.log(1.0 / c1) / (k * T)
-    return ContractionCertificate(
-        N=float(N),
-        k=int(k),
-        c1=float(c1),
-        delta0=beta / 2.0,
-        delta1=delta1,
-        C=math.exp(delta1 * k * T),
-        beta=beta,
-        T=T,
-        grids=dict(grids or {}),
-        tolerances=dict(tolerances or {}),
+        f"worst ||M^{k_max}|| = {worst:.6g} at (t={scan.t[it]:.6g}, xi={scan.xi[ix]:.6g})",
+        worst=(float(scan.t[it]), float(scan.xi[ix]), worst),
     )
 
 

@@ -30,7 +30,7 @@ The tests add a third check: the Gronwall difference bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from . import highfreq
 from .coefficients import ModelSpec
 from .errors import NoContractionError
 from .highfreq import LOG_FLOAT_MAX, VERIFY_SLACK
-from .monodromy import ContractionCertificate, assemble_certificate, monodromy_grid, power_norms
+from .monodromy import ContractionCertificate, monodromy_grid, power_norms
 from .propagator import DEFAULT_TOL
 
 # Residual target for the Lambert W defining identity |W exp(W) - x|.
@@ -221,9 +221,7 @@ def verify_perturbed_contraction(
     return worst < 1.0 - PERTURBED_CONTRACTION_SLACK, worst, "sweep"
 
 
-def perturbed_certificate(
-    spec_eps: ModelSpec, cert: ContractionCertificate, worst: float
-) -> ContractionCertificate:
+def perturbed_certificate(cert: ContractionCertificate, worst: float) -> ContractionCertificate:
     """Certificate whose c1 is the verified bound on the perturbed contraction.
 
     The threshold N and power k carry over; c1 (and so delta1, C) is replaced
@@ -238,4 +236,4 @@ def perturbed_certificate(
             f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",
             worst=(math.nan, math.nan, worst),
         )
-    return assemble_certificate(spec_eps, cert.N, cert.k, worst, dict(cert.grids), dict(cert.tolerances))
+    return replace(cert, c1=worst)

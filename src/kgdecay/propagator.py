@@ -394,7 +394,7 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     s, t : float
         Start and end times; the sweep runs forward only, so t < s raises ValueError.
     xi : array_like
-        Non-negative frequencies; the state is batched over them.
+        Finite non-negative frequencies; the state is batched over them.
     tol : float
         Requested accuracy: the error estimate of every step is held to
         ``tol`` and every step to dt sup||K|| <= 2, so the realized error of
@@ -428,8 +428,8 @@ def propagate_grid(spec: ModelSpec, s: float, t: float, xi, tol: float = DEFAULT
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size == 0:
         raise ValueError("xi must hold at least one frequency")
-    if np.any(xi < 0.0):
-        raise ValueError("xi must be non-negative")
+    if not np.all(np.isfinite(xi) & (xi >= 0.0)):
+        raise ValueError("xi must be finite and non-negative")
     chk_times = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
     if not np.all(np.diff(np.concatenate([[s], chk_times, [t]])) >= 0.0):
         raise ValueError("the sweep runs forward only: need s <= checkpoints <= t, non-decreasing")

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from kgdecay import (
+    ContractionCertificate,
     ModelSpec,
     PeriodicCoefficient,
-    assemble_certificate,
     contraction_search,
     monodromy_grid,
     propagate_grid,
+    samples_from_grid,
 )
 from kgdecay.propagator import DEFAULT_TOL
 
@@ -91,14 +92,15 @@ def contraction_k(spec, N, k_max=64, nt=64, nxi=256, margin=1e-3):
     """(k, c1) of the contraction search on t in [0, T] (nt points), xi in [0, N] (nxi points)."""
     t_grid = np.linspace(0.0, spec.T, nt)
     xi_grid = np.linspace(0.0, N, nxi)
-    return contraction_search(monodromy_grid(spec, t_grid, xi_grid), k_max, margin, t_grid, xi_grid)
+    M = monodromy_grid(spec, t_grid, xi_grid)
+    return contraction_search(M, samples_from_grid(t_grid, xi_grid, M), k_max, margin)
 
 
 def certificate(spec, N, nt, nxi):
     """A contraction certificate on the (nt, nxi) grid, with those grids recorded."""
     k, c1 = contraction_k(spec, N, nt=nt, nxi=nxi)
-    return assemble_certificate(
-        spec, N, k, c1, grids={"contraction_t_points": nt, "contraction_xi_points": nxi}
+    return ContractionCertificate(
+        N, k, c1, spec.beta, spec.T, grids={"contraction_t_points": nt, "contraction_xi_points": nxi}
     )
 
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from kgdecay import (
+    ContractionCertificate,
     ModelSpec,
     PeriodicCoefficient,
-    assemble_certificate,
     epsilon_bound,
     find_threshold_N,
     lambert_w0,
@@ -65,11 +65,12 @@ def certificates(specs_m1, thresholds):
     for name, spec in specs_m1.items():
         N = thresholds[name].N
         k, c1 = contraction_k(spec, N, k_max=64, nt=64, nxi=256)
-        certs[name] = assemble_certificate(
-            spec,
+        certs[name] = ContractionCertificate(
             N,
             k,
             c1,
+            spec.beta,
+            spec.T,
             grids={"contraction_t_points": 64, "contraction_xi_points": 256},
             tolerances={"propagate_tol": 1e-10, "contraction_margin": 1e-3},
         )

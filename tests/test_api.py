@@ -1,6 +1,7 @@
 """The public API holds only what the pipeline uses."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -102,3 +103,14 @@ def test_run_leaves_numpy_ma_out(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 False"
+
+
+def test_readme_quick_tour_runs():
+    # the tour shows the public API; running it keeps the README in step with it
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].verdict == "Pass"
+    assert namespace["cert"].delta1 == math.log(1.0 / namespace["c1"]) / (namespace["k"] * namespace["spec"].T)

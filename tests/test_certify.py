@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kgdecay import (
+    ContractionCertificate,
     ModelSpec,
     PeriodicCoefficient,
-    assemble_certificate,
     decay_constants,
     fit_rate,
     gamma_curve,
@@ -116,7 +116,7 @@ class TestSupNormCurve:
     def test_strong_damping_matches_direct(self, beta):
         # every fifth quarter period, so each base offset is checked
         spec = strongly_damped(beta)
-        cert = assemble_certificate(spec, 4.0, 1, 0.5)
+        cert = ContractionCertificate(4.0, 1, 0.5, spec.beta, spec.T)
         xi_grid = np.array([0.0, 0.5, 2.0, 8.0])
         rep = sup_norm_curve(spec, cert, 10.0, xi_grid=xi_grid)
         for t, got in list(zip(rep.time_grid, rep.sup_norm_curve))[::5]:
@@ -128,7 +128,7 @@ class TestSupNormCurve:
         # by default each band gets its own sweep and step sequence; the curve
         # and the fit equal those of one sweep over the same union to rounding
         spec = ModelSpec(b_sin, 1.0, eps, m1_cos)
-        cert = assemble_certificate(spec, 8.0, 1, 0.5)
+        cert = ContractionCertificate(8.0, 1, 0.5, spec.beta, spec.T)
         sizes, sweep = [], certify.propagate_grid
 
         def counted(spec, s, t, xi, *args):
@@ -148,7 +148,7 @@ class TestSupNormCurve:
 
         thr = find_threshold_N(spec_sin, xi_points=32, t_points=32)
         k, c1 = contraction_k(spec_sin, thr.N, nt=16, nxi=64)
-        cert = assemble_certificate(spec_sin, thr.N, k, c1)
+        cert = ContractionCertificate(thr.N, k, c1, spec_sin.beta, spec_sin.T)
         rep = sup_norm_curve(
             spec_sin,
             cert,
@@ -161,7 +161,7 @@ class TestSupNormCurve:
 
     def test_domination_and_fit(self, spec_sin):
         k, c1 = contraction_k(spec_sin, N=8.0, nt=32, nxi=96)
-        cert = assemble_certificate(spec_sin, 8.0, k, c1)
+        cert = ContractionCertificate(8.0, k, c1, spec_sin.beta, spec_sin.T)
         rep = sup_norm_curve(spec_sin, cert, 30.0, nxi_low=96, nxi_high=24)
         assert rep.verdict == "Pass"
         assert np.all(
@@ -215,7 +215,7 @@ class TestDecayConstants:
         beta = spec_const.beta
         k = 2
         c1 = math.exp(-beta * k * spec_const.T / 2.0)
-        cert = assemble_certificate(spec_const, 5.0, k, c1)
+        cert = ContractionCertificate(5.0, k, c1, spec_const.beta, spec_const.T)
         assert abs(cert.delta1 - cert.delta0) < 1e-14
         out = decay_constants(cert)
         assert abs(out["prefactor"] - math.exp(cert.delta0 * k * spec_const.T)) < 1e-12

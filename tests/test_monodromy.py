@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
+    ContractionCertificate,
     ModelSpec,
     PeriodicCoefficient,
-    assemble_certificate,
     contraction_search,
     det2,
     eigenvalues_2x2,
@@ -188,9 +189,10 @@ class TestSpectralRadiusScan:
         # without mass the zero frequency keeps a unit eigenvalue, which blocks the search
         spec = ModelSpec(b_const, 0.0)
         M = monodromy_grid(spec, [0.0], [0.0, 1.0])
-        assert samples_from_grid([0.0], [0.0, 1.0], M).rho[0] == pytest.approx(1.0, abs=1e-9)
+        scan = samples_from_grid([0.0], [0.0, 1.0], M)
+        assert scan.rho[0] == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(NoContractionError):
-            contraction_search(M)
+            contraction_search(M, scan)
 
     def test_real_pair_radius_identity(self, b_tri):
         # small mass keeps the lowest frequencies overdamped (real pairs)
@@ -304,7 +306,7 @@ class TestRealFormInvariance:
         t_grid, xi_grid, M = grid
         E = complex_form(M)
         sups = [float(np.max(svd_norm(np.linalg.matrix_power(E, k)))) for k in range(1, 65)]
-        k, c1 = contraction_search(M, 64, 1e-3, t_grid, xi_grid)
+        k, c1 = contraction_search(M, samples_from_grid(t_grid, xi_grid, M), 64, 1e-3)
         assert k == 1 + next(i for i, s in enumerate(sups) if s <= 1.0 - 1e-3)
         assert c1 == pytest.approx(sups[k - 1], rel=1e-13, abs=0.0)
         for k in range(1, 6):
@@ -407,31 +409,33 @@ class TestContractionSearch:
             assert flat[idx] <= c1 * c1 + 1e-9
 
     def test_norm_dominates_spectral_radius_powers(self, spec_tri):
-        nt, nxi = 8, 32
-        M = monodromy_grid(spec_tri, np.linspace(0, 1, nt), np.linspace(0, 5.0, nxi))
-        k, c1 = contraction_search(M, 64)
+        t_grid, xi_grid = np.linspace(0, 1, 8), np.linspace(0, 5.0, 32)
+        M = monodromy_grid(spec_tri, t_grid, xi_grid)
+        k, c1 = contraction_search(M, samples_from_grid(t_grid, xi_grid, M), 64)
         rho = np.max(np.abs(eigenvalues_2x2(M)), axis=-1)
         assert np.all(power_norms(M, k) >= rho**k - 1e-12)
 
     def test_blocker_radius_is_the_samples_table_radius(self):
-        # scaled rotations with eigenvalues r e^{+-i theta}, r within 1e-10 of one;
-        # numpy's complex abs and hypot disagree by one ulp on many of them
+        # scaled rotations with eigenvalues r e^{+-i theta}, r within 1e-10 of
+        # one: the blocker reports the scan's largest radius, at the scan's own
+        # first base time and at the frequency that holds it
         rng = np.random.default_rng(0)
         theta = rng.uniform(0.0, np.pi, (16, 16))
         r = 1.0 + rng.uniform(-1e-10, 1e-10, theta.shape)
         c, s = r * np.cos(theta), r * np.sin(theta)
         M = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        t_grid, xi_grid = np.arange(16.0), np.arange(16.0)
+        scan = samples_from_grid(0.25 + np.arange(16.0) / 64.0, np.linspace(3.0, 9.0, 16), M)
         with pytest.raises(NoContractionError) as err:
-            contraction_search(M, 4, 1e-3, t_grid, xi_grid)
-        rho = samples_from_grid(t_grid, xi_grid, M).rho
-        assert err.value.worst[2] == np.max(rho)
+            contraction_search(M, scan, 4, 1e-3)
+        ix = int(np.argmax(scan.rho))
+        assert err.value.worst == (0.25, scan.xi[ix], np.max(scan.rho))
 
     def test_powers_below_one_are_refused(self, spec_sin):
         M = monodromy_grid(spec_sin, [0.0, 0.5], [0.5, 2.0])
+        scan = samples_from_grid([0.0, 0.5], [0.5, 2.0], M)
         for k in (0, -1):
             with pytest.raises(ValueError, match="k_max must be >= 1"):
-                contraction_search(M, k)
+                contraction_search(M, scan, k)
             with pytest.raises(ValueError, match="k must be >= 1"):
                 power_norms(M, k)
         np.testing.assert_array_equal(power_norms(M, 1), spectral_norm_2x2(M))
@@ -454,17 +458,17 @@ class TestCertificate:
     def test_arithmetic_trivials(self, spec_const):
         beta = spec_const.beta
         c1 = math.exp(-beta * spec_const.T)
-        cert = assemble_certificate(spec_const, 5.0, 1, c1)
+        cert = ContractionCertificate(5.0, 1, c1, beta, spec_const.T)
         assert abs(cert.delta1 - beta) < 1e-12
         assert abs(cert.C - math.exp(beta * spec_const.T)) < 1e-12
         assert cert.delta0 == beta / 2.0
 
     def test_delta0_is_half_beta(self, spec_tri):
-        cert = assemble_certificate(spec_tri, 5.0, 2, 0.5)
+        cert = ContractionCertificate(5.0, 2, 0.5, spec_tri.beta, spec_tri.T)
         assert cert.delta0 == spec_tri.beta / 2.0
 
     def test_consistency_to_machine_precision(self, spec_sin):
-        cert = assemble_certificate(spec_sin, 7.0, 3, 0.73)
+        cert = ContractionCertificate(7.0, 3, 0.73, spec_sin.beta, spec_sin.T)
         assert cert.delta1 == math.log(1.0 / cert.c1) / (cert.k * cert.T)
         assert cert.C == math.exp(cert.delta1 * cert.k * cert.T)
 
@@ -472,15 +476,30 @@ class TestCertificate:
         runs = []
         for _ in range(2):
             k, c1 = contraction_k(spec_sin, N=6.0, nt=16, nxi=48)
-            cert = assemble_certificate(spec_sin, 6.0, k, c1)
+            cert = ContractionCertificate(6.0, k, c1, spec_sin.beta, spec_sin.T)
             runs.append((cert.N, cert.k, cert.c1, cert.delta0, cert.delta1, cert.C))
         assert runs[0] == runs[1]
 
     def test_invalid_inputs(self, spec_const):
+        beta, T = spec_const.beta, spec_const.T
         with pytest.raises(ValueError):
-            assemble_certificate(spec_const, 5.0, 1, 1.0)
+            ContractionCertificate(5.0, 1, 1.0, beta, T)
         with pytest.raises(ValueError):
-            assemble_certificate(spec_const, 5.0, 0, 0.5)
+            ContractionCertificate(5.0, 0, 0.5, beta, T)
+        cert = ContractionCertificate(5.0, 1, 0.5, beta, T)
+        with pytest.raises(ValueError, match="c1 must lie in"):
+            replace(cert, c1=0.0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            replace(cert, k=0)
+
+    def test_replaced_fields_rederive_the_constants(self, spec_sin):
+        # delta0, delta1 and C are functions of (beta, k, c1, T), so a
+        # certificate rebuilt with other fields cannot keep stale constants
+        cert = ContractionCertificate(7.0, 3, 0.73, spec_sin.beta, spec_sin.T)
+        halved = replace(cert, c1=0.5, k=2)
+        assert halved.delta1 == math.log(2.0) / (2.0 * cert.T)
+        assert halved.C == math.exp(halved.delta1 * 2 * cert.T)
+        assert replace(cert, beta=0.3).delta0 == 0.15
 
 
 class TestScanExport:

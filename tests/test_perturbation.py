@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgdecay import (
+    ContractionCertificate,
     ModelSpec,
     PeriodicCoefficient,
-    assemble_certificate,
     epsilon_bound,
     highfreq,
     lambert_w0,
@@ -83,8 +84,8 @@ class TestLambertW:
 
 
 class TestEpsilonBound:
-    def test_degenerate_contraction_gives_zero(self, spec_sin, sin_cert):
-        weak = assemble_certificate(spec_sin, sin_cert.N, sin_cert.k, 1.0 - 1e-12)
+    def test_degenerate_contraction_gives_zero(self, sin_cert):
+        weak = replace(sin_cert, c1=1.0 - 1e-12)
         eb = epsilon_bound(weak, 1.0)
         assert eb.epsilon_max < 1e-12
 
@@ -214,7 +215,7 @@ class TestPerturbedContraction:
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, 1.0, eb.epsilon_max, m1_cos)
         _, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
-        cert_eps = perturbed_certificate(spec_eps, sin_cert, worst)
+        cert_eps = perturbed_certificate(sin_cert, worst)
         assert cert_eps.c1 == worst
         assert cert_eps.k == sin_cert.k and cert_eps.N == sin_cert.N
         assert cert_eps.delta1 == math.log(1.0 / worst) / (sin_cert.k * sin_cert.T)
@@ -224,10 +225,10 @@ class TestPerturbedContraction:
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
         spec_eps = ModelSpec(b, 1.0, 0.5, m1_cos)
         grids = {"contraction_t_points": 4, "contraction_xi_points": 33}
-        cert = assemble_certificate(spec_eps.constant_mass_version(), 4.0, 1, 0.99, grids)
+        cert = ContractionCertificate(4.0, 1, 0.99, spec_eps.beta, spec_eps.T, grids)
         _, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
         with pytest.raises(NoContractionError) as err:
-            perturbed_certificate(spec_eps, cert, worst)
+            perturbed_certificate(cert, worst)
         assert err.value.worst[2] >= 1.0 - 1e-6
 
     def test_bound_route_when_it_decides(self, spec_sin, sin_cert, m1_cos, monkeypatch):

@@ -155,11 +155,26 @@ class TestPropagate:
         spec = ModelSpec(b, 1.0)
         with pytest.raises(ValueError, match="xi must hold at least one frequency"):
             propagate_grid(spec, 0.0, 1.0, [])
-        for t_grid, xi_grid in (([], [1.0]), ([0.0], [])):
-            with pytest.raises(ValueError, match="no matrices"):
-                contraction_search(monodromy_grid(spec, t_grid, xi_grid))
+        M = monodromy_grid(spec, [0.0], [])
+        with pytest.raises(ValueError, match="no matrices"):
+            contraction_search(M, samples_from_grid([0.0], [], M))
         with pytest.raises(ValueError, match="t_grid must hold at least one base time"):
             samples_from_grid([], [1.0], monodromy_grid(spec, [], [1.0]))
+
+    @pytest.mark.parametrize("b", [
+        PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0),
+        PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5),
+    ], ids=["square", "sin_offset"])
+    def test_non_finite_grids_rejected(self, b):
+        # refused up front, not by an integration failure inside the sweep
+        spec = ModelSpec(b, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="xi must be finite and non-negative"):
+                propagate_grid(spec, 0.0, 1.0, [1.0, bad])
+            with pytest.raises(ValueError, match="xi must be finite and non-negative"):
+                monodromy_grid(spec, [0.0, 0.5], [bad, 1.0])
+            with pytest.raises(ValueError, match="t_grid must lie within"):
+                monodromy_grid(spec, [0.0, bad], [1.0])
 
     def test_tol_validated(self, spec_const):
         with pytest.raises(ValueError):
