@@ -2,8 +2,10 @@
 
 Stages (dependency order): threshold -> contraction -> epsilon -> decay.
 Outputs under the chosen directory: certificate.json (stable key order),
-threshold_trace.csv, monodromy_scan.csv, decay.csv and summary.txt.  Runs are
-deterministic: identical configs produce byte-identical certificates.
+threshold_trace.csv, monodromy_scan.npz (the contraction scan record, one
+array per field), monodromy_scan.csv (its table, one row per xi), decay.csv
+and summary.txt.  Runs are deterministic: identical configs produce
+byte-identical certificates.
 
 Exit codes: 0 all requested verdicts pass; 2 config error; 3 model-assumption
 violation; 4 certificate failure; 5 numerical failure.
@@ -336,6 +338,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         xi_grid = np.linspace(0.0, thr.N, g["contraction_xi_points"])
         M = monodromy.monodromy_grid(base, t_grid, xi_grid, tol)
         scan = monodromy.samples_from_grid(t_grid, xi_grid, M)
+        np.savez(out / "monodromy_scan.npz", **vars(scan))
         monodromy.scan_to_csv(out / "monodromy_scan.csv", scan)
         rho_max = float(np.max(scan.rho))
         k, c1 = monodromy.contraction_search(M, scan, g["contraction_k_max"], margin)

@@ -39,12 +39,6 @@ DEFAULT_CONTRACTION_MARGIN = 1e-3
 # M(t, xi) may differ from M(0, xi) in trace or determinant by at most this.
 MONODROMY_DRIFT_TOL = 1e-6
 
-CLASS_COMPLEX_PAIR = "ComplexConjugatePair"
-CLASS_REAL_PAIR = "RealPair"
-
-# The scan writer joins and writes this many rows at a time.
-CSV_BLOCK_ROWS = 4096
-
 
 @dataclass(frozen=True)
 class ContractionCertificate:
@@ -113,8 +107,8 @@ class MonodromyScan:
     M(t, xi) is conjugate to M(0, xi), so the spectrum depends on xi alone:
     the eigenvalue pair ``eig`` (nxi, 2), the spectral radius ``rho`` (nxi,)
     and the pair class ``real_pair`` (nxi,) are held once per xi, and only the
-    spectral norm ``norm`` (nt, nxi) per matrix.  Its length is its row count
-    nt * nxi in monodromy_scan.csv.
+    spectral norm ``norm`` (nt, nxi) per matrix.  Its length is the number of
+    matrices, nt * nxi.
     """
 
     t: np.ndarray
@@ -284,25 +278,16 @@ def _write_csv(path, header, rows):
 
 
 def scan_to_csv(path, scan: MonodromyScan) -> None:
-    """Write a scan as CSV, row-major in t: t, xi, eigenvalue parts, rho, norm, class.
+    """Write a scan as a CSV table with one row per xi: its spectrum and its largest norm.
 
-    Byte for byte the "%.17g" text of every float, with the class written as
-    CLASS_REAL_PAIR or CLASS_COMPLEX_PAIR.  Each t and each xi's columns are
-    formatted once; the norms are formatted in one format call per block of
-    CSV_BLOCK_ROWS rows, and only one block of rows is held as text.
+    Columns: xi, the eigenvalue parts, rho, real_pair as 1 or 0, and the base
+    time t and value norm of the largest ||M(t, xi)|| down t, the first t on a
+    tie (a NaN norm counts as the largest, as in np.argmax).  With k = 1 the
+    largest norm in the table is c1.
     """
-    t_text = np.array(["%.17g" % t for t in scan.t.tolist()], dtype=object)
-    spectrum = np.array(
-        ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (xi, e1.real, e1.imag, e2.real, e2.imag, rho)
-         for xi, (e1, e2), rho in zip(scan.xi.tolist(), scan.eig.tolist(), scan.rho.tolist())],
-        dtype=object,
-    )
-    label = np.where(scan.real_pair, CLASS_REAL_PAIR, CLASS_COMPLEX_PAIR).astype(object)
-    norm = scan.norm.reshape(-1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,xi,re_eig1,im_eig1,re_eig2,im_eig2,rho,norm,class\n")
-        for lo in range(0, norm.size, CSV_BLOCK_ROWS):
-            block = norm[lo : lo + CSV_BLOCK_ROWS]
-            i, j = np.divmod(np.arange(lo, lo + block.size), scan.xi.size)
-            cells = np.stack([t_text[i], spectrum[j], block.astype(object), label[j]], axis=1)
-            fh.write("%s,%s,%.17g,%s\n" * block.size % tuple(cells.ravel().tolist()))
+    i = np.argmax(scan.norm, axis=0)
+    e1, e2 = scan.eig.T
+    columns = (scan.xi, e1.real, e1.imag, e2.real, e2.imag, scan.rho, scan.real_pair, scan.t[i],
+               scan.norm[i, np.arange(scan.xi.size)])
+    header = ("xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "real_pair", "t", "norm")
+    _write_csv(path, header, zip(*(c.tolist() for c in columns)))

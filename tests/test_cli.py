@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -243,7 +245,7 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("artifact", ["certificate.json", "threshold_trace.csv"])
+    @pytest.mark.parametrize("artifact", ["certificate.json", "threshold_trace.csv", "monodromy_scan.npz"])
     def test_artifact_path_is_a_directory(self, tmp_path, capsys, artifact):
         (tmp_path / "o" / artifact).mkdir(parents=True)
         code, err = self.run_with(tmp_path, capsys, BASE_CONFIG)
@@ -414,7 +416,8 @@ class TestDeterminism:
     def test_byte_identical_certificates(self, tmp_path):
         # every output, not only the certificate, so that a writer whose bytes
         # depend on an ordering shows up
-        files = ("certificate.json", "summary.txt", "threshold_trace.csv", "monodromy_scan.csv", "decay.csv")
+        files = ("certificate.json", "summary.txt", "threshold_trace.csv", "monodromy_scan.npz",
+                 "monodromy_scan.csv", "decay.csv")
         cfg = write_config(tmp_path, BASE_CONFIG)
         outs = []
         for name in ("a", "b"):
@@ -449,6 +452,34 @@ class TestDeterminism:
             except ValueError:
                 continue
             assert value in cert_values, f"summary value {value} not in certificate"
+
+
+class TestArtifacts:
+    def test_readme_lists_the_files_a_run_writes(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        outputs = readme.split("### Outputs\n", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^- `([^`]+)` —", outputs, flags=re.MULTILINE)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(listed) == sorted(path.name for path in out.iterdir())
+
+    def test_scan_table_holds_c1_and_rho_max(self, tmp_path):
+        # sin_offset at the default grids, where k = 1: the largest norm of
+        # the per-xi table is c1, and its largest spectral radius rho_max
+        cfg = write_config(tmp_path, "[model]\nT = 1.0\nb = sin_offset mean=1 amp=0.5\nm0 = 1.0\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        con = json.loads((out / "certificate.json").read_text())["contraction"]
+        assert con["k"] == 1
+        with open(out / "monodromy_scan.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == con["grids"]["contraction_xi_points"]
+        assert max(float(row["norm"]) for row in rows) == con["c1"]
+        assert max(float(row["rho"]) for row in rows) == con["rho_max"]
+        with np.load(out / "monodromy_scan.npz", allow_pickle=False) as npz:
+            assert npz["norm"].shape == (con["grids"]["contraction_t_points"], len(rows))
+            assert np.max(npz["norm"]) == con["c1"] and np.max(npz["rho"]) == con["rho_max"]
 
 
 class TestWSubcommand:

@@ -23,13 +23,7 @@ from kgdecay import (
 from kgdecay.certify import DecayReport, decay_to_csv
 from kgdecay.errors import IntegrationFailureError, NoContractionError
 from kgdecay.highfreq import ThresholdResult, threshold_trace_to_csv
-from kgdecay.monodromy import (
-    CLASS_COMPLEX_PAIR,
-    CLASS_REAL_PAIR,
-    DEGENERATE_DISC_TOL,
-    MonodromyScan,
-    power_norms,
-)
+from kgdecay.monodromy import DEGENERATE_DISC_TOL, MonodromyScan, power_norms
 
 from conftest import CSV_EDGE_VALUES, complex_form, contraction_k, strongly_damped, svd_norm
 from oracles import monodromy_at, reference_csv, scalar_monodromy, small_mass_rate
@@ -45,7 +39,7 @@ CSV_POOL = np.concatenate([
 ])
 
 
-SCAN_HEADER = ("t", "xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "norm", "class")
+SCAN_HEADER = ("xi", "re_eig1", "im_eig1", "re_eig2", "im_eig2", "rho", "real_pair", "t", "norm")
 
 
 def sample_at(spec, t, xi):
@@ -53,23 +47,35 @@ def sample_at(spec, t, xi):
     return samples_from_grid([t], [xi], propagate_grid(spec, t, t + spec.T, [abs(xi)])[0][None])
 
 
-def pair_class(scan, j=0):
-    """The class text of a scan's xi column j, as written to the CSV."""
-    return CLASS_REAL_PAIR if scan.real_pair[j] else CLASS_COMPLEX_PAIR
-
-
 def eigenvalue_pair(scan, j=0):
     return tuple(scan.eig[j].tolist())
 
 
 def scan_rows(scan):
-    """The rows of a scan as the CSV holds them, row-major in t: the floats, then the class text."""
+    """The rows of a scan as the CSV holds them, one per xi: the spectrum, the class as 1 or 0,
+    then the base time and value of the largest norm down t, the first t on a tie and the
+    first NaN if there is one."""
     rows = []
-    for i, j in np.ndindex(scan.norm.shape):
+    for j in range(scan.xi.size):
+        col = scan.norm[:, j].tolist()
+        nans = [i for i, v in enumerate(col) if math.isnan(v)]
+        i = nans[0] if nans else col.index(max(col))
         e1, e2 = eigenvalue_pair(scan, j)
-        rows.append((scan.t[i].item(), scan.xi[j].item(), e1.real, e1.imag, e2.real, e2.imag,
-                     scan.rho[j].item(), scan.norm[i, j].item(), pair_class(scan, j)))
+        rows.append((scan.xi[j].item(), e1.real, e1.imag, e2.real, e2.imag, scan.rho[j].item(),
+                     int(scan.real_pair[j]), scan.t[i].item(), col[i]))
     return rows
+
+
+def assert_npz_round_trip(path, scan):
+    """Save a scan's fields as the CLI does and load them back: every field equal bit for bit."""
+    fields = vars(scan)
+    np.savez(path, **fields)
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == list(fields)
+        for name, want in fields.items():
+            got = npz[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def pool_scan(rng, pool, nt, nxi):
@@ -80,14 +86,12 @@ def pool_scan(rng, pool, nt, nxi):
                          draw(nt, nxi))
 
 
-def classify_pair(matrix):
+def is_real_pair(matrix):
     """Reference pair class of one matrix from its discriminant, in Python complex arithmetic."""
     tr = complex(matrix[0, 0] + matrix[1, 1])
     dt = complex(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     disc = tr * tr - 4.0 * dt
-    if abs(disc) <= DEGENERATE_DISC_TOL or disc.real > 0.0:
-        return CLASS_REAL_PAIR
-    return CLASS_COMPLEX_PAIR
+    return abs(disc) <= DEGENERATE_DISC_TOL or disc.real > 0.0
 
 
 class TestMonodromyAt:
@@ -137,11 +141,10 @@ class TestMonodromyAt:
         for _ in range(30):
             s = sample_at(spec_sin, rng.uniform(0, 1), rng.uniform(0, 8))
             e1, e2 = eigenvalue_pair(s)
-            if pair_class(s) == CLASS_COMPLEX_PAIR:
+            if not s.real_pair[0]:
                 assert abs(abs(e1) - eBT) < 1e-6 * eBT
                 assert abs(abs(e2) - eBT) < 1e-6 * eBT
             else:
-                assert pair_class(s) == CLASS_REAL_PAIR
                 assert abs(e2 - eBT * eBT / e1) < 1e-6 * abs(e2)
 
     def test_base_time_window_checked(self, spec_sin):
@@ -259,15 +262,13 @@ class TestSamplesTable:
             (12, 2), (12,), (12,), (4, 12))
         for i, j in np.ndindex(M.shape[:2]):
             assert scan.norm[i, j] == spectral_norm_2x2(M[i, j])
-        classes = []
         for j in range(M.shape[1]):
             e1, e2 = eigenvalues_2x2(M[0, j])
             assert eigenvalue_pair(scan, j) == (e1, e2)
             assert scan.rho[j] == max(abs(e1), abs(e2))
-            assert pair_class(scan, j) == classify_pair(M[0, j])
-            classes.append(pair_class(scan, j))
-        assert classes[:6].count(CLASS_REAL_PAIR) >= 1 and CLASS_COMPLEX_PAIR in classes[:6]
-        assert classes[6:] == [CLASS_REAL_PAIR] * 3 + [CLASS_COMPLEX_PAIR, CLASS_REAL_PAIR, CLASS_REAL_PAIR]
+            assert scan.real_pair[j] == is_real_pair(M[0, j])
+        assert scan.real_pair[:6].any() and not scan.real_pair[:6].all()
+        assert scan.real_pair[6:].tolist() == [True, True, True, False, True, True]
 
 
 class TestRealFormInvariance:
@@ -294,7 +295,7 @@ class TestRealFormInvariance:
         pairs = scan.real_pair
         assert pairs[:6].any() and not pairs[:6].all()
         assert pairs[6:].tolist() == [True, True, True, False, True, True]
-        assert pairs.tolist() == [classify_pair(E[0, j]) == CLASS_REAL_PAIR for j in range(E.shape[1])]
+        assert pairs.tolist() == [is_real_pair(E[0, j]) for j in range(E.shape[1])]
         np.testing.assert_allclose(scan.norm, svd_norm(E), rtol=1e-13, atol=0.0)
         for j, (r1, r2) in enumerate(np.linalg.eigvals(E[0])):
             g1, g2 = eigenvalue_pair(scan, j)
@@ -503,17 +504,21 @@ class TestCertificate:
 
 
 class TestScanExport:
+    """A scan goes out twice: every field to monodromy_scan.npz by ``np.savez``,
+    and one row per xi to monodromy_scan.csv by :func:`scan_to_csv`."""
+
     def test_csv_columns_and_rows(self, spec_const, tmp_path):
         t_grid, xi_grid = [0.0, 0.5], [0.0, 1.0, 2.0]
         scan = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_const, t_grid, xi_grid))
         path = tmp_path / "scan.csv"
         scan_to_csv(path, scan)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t,xi,re_eig1,im_eig1,re_eig2,im_eig2,rho,norm,class"
-        assert len(lines) == 1 + 6
-        first = lines[1].split(",")
-        assert len(first) == 9
-        assert first[-1] in ("ComplexConjugatePair", "RealPair")
+        assert lines[0] == "xi,re_eig1,im_eig1,re_eig2,im_eig2,rho,real_pair,t,norm"
+        assert len(lines) == 1 + 3
+        for line, real_pair in zip(lines[1:], scan.real_pair.tolist()):
+            cells = line.split(",")
+            assert len(cells) == 9
+            assert cells[6] == ("1" if real_pair else "0")
 
     def test_csv_matches_the_reference_writer(self, tmp_path):
         # every edge value in every field, at every t and every xi
@@ -526,6 +531,7 @@ class TestScanExport:
         path = tmp_path / "scan.csv"
         scan_to_csv(path, scan)
         assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
+        assert_npz_round_trip(tmp_path / "scan.npz", scan)
 
     @settings(max_examples=24, deadline=None)
     @given(rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8195]), seed=st.integers(0, 2**32 - 1))
@@ -534,11 +540,13 @@ class TestScanExport:
         cols = CSV_POOL[rng.integers(0, CSV_POOL.size, (3, rows))]
         # the last column mostly distinct, like the norm column of a scan
         cols[-1] = np.where(rng.random(rows) < 0.3, cols[-1], rng.random(rows))
-        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        tmp = tmp_path_factory.mktemp("csv")
+        path = tmp / "out.csv"
 
         scan = pool_scan(rng, CSV_POOL, 1, rows)
         scan_to_csv(path, scan)
         assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
+        assert_npz_round_trip(tmp / "scan.npz", scan)
 
         trace = tuple(zip(cols[0].tolist(), cols[1].tolist(), (rng.random(rows) < 0.5).tolist()))
         thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_D_b=3.0,
@@ -557,12 +565,13 @@ class TestScanExport:
     @given(shape=st.sampled_from([(1, 1), (1, 6), (6, 1), (3, 5), (2, 4097), (4097, 2)]),
            seed=st.integers(0, 2**32 - 1))
     def test_grid_writer_matches_the_reference(self, tmp_path_factory, shape, seed):
-        # grids on both sides of one block of rows, and blocks that end inside
-        # a t row; every float from the pool of edge values, NaN payloads and -0.0
+        # every float from the pool of edge values, NaN payloads and -0.0, so
+        # that the largest norm down a long t column is mostly tied or NaN
         scan = pool_scan(np.random.default_rng(seed), CSV_POOL, *shape)
-        path = tmp_path_factory.mktemp("csv") / "scan.csv"
-        scan_to_csv(path, scan)
-        assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
+        tmp = tmp_path_factory.mktemp("csv")
+        scan_to_csv(tmp / "scan.csv", scan)
+        assert (tmp / "scan.csv").read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
+        assert_npz_round_trip(tmp / "scan.npz", scan)
 
     def test_real_scan_spectrum_is_constant_down_t(self, spec_sin, tmp_path):
         # 64 x 256: each xi's spectrum is taken at the first t; the spectrum
@@ -575,19 +584,18 @@ class TestScanExport:
                       "rho": (scan.rho, np.max(np.abs(ev), axis=-1))}
         for name, (got, ref) in per_matrix.items():
             assert np.max(np.abs(got - ref)) <= 1e-13, name
-        assert [pair_class(scan, j) for j in range(xi_grid.size)] * t_grid.size == [
-            classify_pair(m) for m in M.reshape(-1, 2, 2)]
+        assert scan.real_pair.tolist() * t_grid.size == [is_real_pair(m) for m in M.reshape(-1, 2, 2)]
         path = tmp_path / "scan.csv"
         scan_to_csv(path, scan)
         assert path.read_bytes() == reference_csv(SCAN_HEADER, scan_rows(scan)).encode()
+        assert_npz_round_trip(tmp_path / "scan.npz", scan)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("table", ["scan", "distinct"])
     def test_writer_memory_stays_near_the_table(self, spec_sin, tmp_path, table):
-        # 65,536 rows: a 64 x 1,024 scan, or one with every float random; the
-        # writer holds the text of each t and each xi's columns and one block
-        # of rows, not the text of the scan (about 2 MB at its peak, where the
-        # scan's text is 12 MB); the bound allows 65 bytes a row.
+        # 65,536 matrices: a 64 x 1,024 scan, or one with every float random.
+        # np.savez copies one field at a time, and the table holds the text of
+        # 1,024 rows, so writing both stays below the record's own bytes.
         t_grid, xi_grid = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 8.0, 1024)
         scan = samples_from_grid(t_grid, xi_grid, monodromy_grid(spec_sin, t_grid, xi_grid))
         if table == "distinct":
@@ -596,9 +604,10 @@ class TestScanExport:
                                  rng.random(1024), scan.real_pair, rng.random((64, 1024)))
         tracemalloc.start()
         try:
+            np.savez(tmp_path / "scan.npz", **vars(scan))
             scan_to_csv(tmp_path / "scan.csv", scan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(scan) == 65_536
-        assert peak <= 65 * 65_536
+        assert peak <= sum(field.nbytes for field in vars(scan).values())

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from kgdecay import ModelSpec, PeriodicCoefficient, cli, find_threshold_N
@@ -20,27 +21,36 @@ from kgdecay import ModelSpec, PeriodicCoefficient, cli, find_threshold_N
 MODELS = {
     "sin_offset": lambda lam: f"sin_offset mean={lam!r} amp={0.5 * lam!r}",
     "square": lambda lam: f"square lo={0.2 * lam!r} hi={lam!r}",
+    "triangle": lambda lam: f"triangle lo={0.2 * lam!r} hi={lam!r}",
 }
 
+# run -> (b, epsilon at lam = 1, the route that decides the perturbed
+# contraction): each b at constant mass, and the benchmark's perturbed mass
+# m1 = sin_offset mean=0 amp=1 at an epsilon the closed-form bound decides
+# and at one that only the sweep over the grid does.
+RUNS = {
+    **{model: (model, 0.0, None) for model in MODELS},
+    "perturbed-bound": ("sin_offset", 5e-9, "bound"),
+    "perturbed-sweep": ("sin_offset", 0.115, "sweep"),
+}
 
-def run_cli(tmp_path, model, lam):
-    """All four stages of the model rescaled by lam, with m0 = 1 and T = 1 at lam = 1."""
-    config = tmp_path / f"{model}-{lam!r}.ini"
+def run_cli(tmp_path, run, lam):
+    """All four stages of the run rescaled by lam, with m0 = 1 and T = 1 at lam = 1.
+
+    The mass perturbation epsilon m1 is a squared mass, so epsilon scales by
+    lam^2; m1 keeps its shape over the rescaled period.
+    """
+    model, epsilon, _ = RUNS[run]
+    mass = f"epsilon = {epsilon * lam * lam!r}\nm1 = sin_offset mean=0 amp=1\n" if epsilon else ""
+    config = tmp_path / f"{run}-{lam!r}.ini"
     config.write_text(
-        f"[model]\nT = {1.0 / lam!r}\nb = {MODELS[model](lam)}\nm0 = {lam!r}\n"
+        f"[model]\nT = {1.0 / lam!r}\nb = {MODELS[model](lam)}\nm0 = {lam!r}\n{mass}"
         "[run]\nstages = threshold contraction epsilon decay\n",
         encoding="utf-8",
     )
-    out = tmp_path / f"{model}-{lam!r}"
+    out = tmp_path / f"{run}-{lam!r}"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
     return out
-
-
-def scaled_cell(cell, factor):
-    try:
-        return float(cell) * factor
-    except ValueError:  # a pair class
-        return cell
 
 
 def read_csv(path, scales):
@@ -48,19 +58,20 @@ def read_csv(path, scales):
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     factors = [scales.get(name, 1.0) for name in header]
-    return [[scaled_cell(cell, f) for cell, f in zip(row, factors)] for row in rows]
+    return [[float(cell) * f for cell, f in zip(row, factors)] for row in rows]
 
 
 def certificate_numbers(out, lam):
     """The run's certificate numbers, scaled back to lam = 1."""
     doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
-    thr, con, dec = doc["threshold"], doc["contraction"], doc["decay"]
-    return {
+    thr, con, eps, dec = doc["threshold"], doc["contraction"], doc["epsilon"], doc["decay"]
+    numbers = {
         "N": thr["N"] / lam,
         "tail_xi": thr["tail_xi"] / lam,
         "delta1": con["delta1"] / lam,
+        "certified_rate": dec["certified_rate"] / lam,
         "fitted_rate": dec["fitted_rate"] / lam,
-        "epsilon_max": doc["epsilon"]["epsilon_max"] / (lam * lam),
+        "epsilon_max": eps["epsilon_max"] / (lam * lam),
         "k": con["k"],
         "c1": con["c1"],
         "sup_value": thr["sup_value"],
@@ -69,29 +80,46 @@ def certificate_numbers(out, lam):
         "gamma_final": dec["gamma_final"],
         "all_pass": doc["all_pass"],
     }
+    if "perturbed_route" in eps:
+        numbers.update(
+            monodromy_norm_max_perturbed=thr["monodromy_norm_max_perturbed"],
+            perturbed_contraction_worst=eps["perturbed_contraction_worst"],
+            routes=(thr["perturbed_route"], eps["perturbed_route"], dec["perturbed_route"]),
+        )
+    return numbers
 
 
 def artifacts(out, lam):
-    """The three CSV artifacts with their N, t and xi columns scaled back to lam = 1."""
-    return {
+    """The CSV artifacts and the scan's fields, their N, t and xi scaled back to lam = 1."""
+    scales = {"t": lam, "xi": 1.0 / lam}
+    found = {
         "threshold_trace.csv": read_csv(out / "threshold_trace.csv", {"N_candidate": 1.0 / lam}),
-        "monodromy_scan.csv": read_csv(out / "monodromy_scan.csv", {"t": lam, "xi": 1.0 / lam}),
+        "monodromy_scan.csv": read_csv(out / "monodromy_scan.csv", scales),
         "decay.csv": read_csv(out / "decay.csv", {"t": lam}),
     }
+    with np.load(out / "monodromy_scan.npz", allow_pickle=False) as npz:
+        for name in npz.files:
+            field = npz[name] * scales[name] if name in scales else npz[name]
+            found[f"monodromy_scan.npz:{name}"] = (field.dtype, field.shape, field.tobytes())
+    return found
 
 
 @pytest.fixture(scope="module")
 def unscaled(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("unscaled")
-    return {model: run_cli(tmp, model, 1.0) for model in MODELS}
+    return {run: run_cli(tmp, run, 1.0) for run in RUNS}
 
 
-@pytest.mark.parametrize("lam", [0.5, 2.0])
-@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("lam", [0.25, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("model", sorted(RUNS))
 def test_rescaled_run_is_bit_identical(tmp_path, unscaled, model, lam):
     base, out = unscaled[model], run_cli(tmp_path, model, lam)
-    assert certificate_numbers(out, lam) == certificate_numbers(base, 1.0)
+    numbers = certificate_numbers(out, lam)
+    assert numbers == certificate_numbers(base, 1.0)
+    if RUNS[model][2] is not None:
+        assert numbers["routes"][1] == RUNS[model][2]
     got, want = artifacts(out, lam), artifacts(base, 1.0)
+    assert got.keys() == want.keys()
     for name in want:
         assert got[name] == want[name], name
 
