@@ -111,8 +111,8 @@ def sup_norm_curve(
     b > 0 everywhere.
     """
     T, k = spec.T, cert.k
-    if t_end < 10.0 * k * T:
-        raise ValueError(f"t_end must be at least 10 kT = {10.0 * k * T:g}, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 10.0 * k * T):
+        raise ValueError(f"t_end must be finite and at least 10 kT = {10.0 * k * T:g}, got {t_end}")
     if xi_grid is None:
         bands = [np.linspace(0.0, cert.N, nxi_low), np.linspace(cert.N, 4.0 * cert.N, nxi_high)]
     else:

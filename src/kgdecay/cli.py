@@ -67,7 +67,6 @@ DEFAULT_GRIDS = {
     "verify_xi_points": 128,
     "contraction_t_points": 64,
     "contraction_xi_points": 256,
-    "contraction_k_max": 64,
     "decay_periods": 40,
     "decay_xi_low_points": 256,
     "decay_xi_high_points": 64,
@@ -282,7 +281,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
     perturbed = spec.epsilon > 0.0
 
     cert_doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "stages": list(config.stages),
         "model": spec.describe(),
         "grids": dict(sorted(g.items())),
@@ -341,21 +340,8 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         np.savez(out / "monodromy_scan.npz", **vars(scan))
         monodromy.scan_to_csv(out / "monodromy_scan.csv", scan)
         rho_max = float(np.max(scan.rho))
-        k, c1 = monodromy.contraction_search(M, scan, g["contraction_k_max"], margin)
-        cert = monodromy.ContractionCertificate(
-            thr.N,
-            k,
-            c1,
-            base.beta,
-            base.T,
-            grids={
-                "contraction_t_points": g["contraction_t_points"],
-                "contraction_xi_points": g["contraction_xi_points"],
-                "threshold_xi_points": g["threshold_xi_points"],
-                "threshold_t_points": g["threshold_t_points"],
-            },
-            tolerances={"propagate_tol": tol, "contraction_margin": margin},
-        )
+        k, c1 = monodromy.contraction_search(M, scan, margin=margin)
+        cert = monodromy.ContractionCertificate(thr.N, k, c1, base.beta, base.T)
         # Gelfand: rho(M)^k <= ||M^k|| <= c1, so delta1 <= spectral_rate
         cert_doc["contraction"] = {**cert.as_dict(), "rho_max": rho_max, "spectral_rate": -math.log(rho_max) / spec.T}
         verdicts["contraction"] = certify.VERDICT_PASS

@@ -327,6 +327,13 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     return _suplarge_from_profile((1.0 + r[:, 0]).ravel(), (1.0 / gap[:, 0]).ravel(), r2_cum, base, step.size)
 
 
+def _require_points(**counts):
+    """Raise ValueError naming the first grid count below one."""
+    for name, n in counts.items():
+        if not n >= 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None):
     """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame
     product, and the first frequency that attains it.
@@ -403,6 +410,7 @@ def find_threshold_N(
     window too, with their refinement sensitivities (see
     :class:`ThresholdResult`); these cost two more profiles.
     """
+    _require_points(xi_points=xi_points, t_points=t_points)
     base = ModelSpec(spec.b, 0.0, T=spec.T)
     target = math.exp(base.beta * base.T / 2.0)
     accept = target * (1.0 - THRESHOLD_ACCEPT_MARGIN)
@@ -476,6 +484,7 @@ def verify_highfreq_contraction(
 
     Returns (max_norm, bound, ok).
     """
+    _require_points(nt=nt, nxi=nxi)
     t_grid = np.linspace(0.0, spec.T, nt)
     xi_grid = np.linspace(N, WINDOW_FACTOR * N, nxi)
     M = monodromy_grid(spec, t_grid, xi_grid, tol)

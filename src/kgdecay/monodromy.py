@@ -12,7 +12,7 @@ small-frequency decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,12 @@ MONODROMY_DRIFT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Certified contraction constants together with the grids that produced them.
+    """Certified contraction constants (N, k, c1) of a model with (beta, T).
 
     The decay constants follow from (beta, k, c1, T): delta0 = beta / 2 covers
     frequencies above N, delta1 = log(1/c1) / (k T) covers [0, N], and
-    C = exp(delta1 k T) is the small-frequency prefactor.
+    C = exp(delta1 k T) is the small-frequency prefactor.  The grids and
+    tolerances behind (k, c1) are recorded by the caller, not here.
     """
 
     N: float
@@ -54,8 +55,6 @@ class ContractionCertificate:
     c1: float
     beta: float
     T: float
-    grids: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.c1 < 1.0):
@@ -95,8 +94,6 @@ class ContractionCertificate:
             "C": self.C,
             "beta": self.beta,
             "T": self.T,
-            "grids": dict(self.grids),
-            "tolerances": dict(self.tolerances),
         }
 
 

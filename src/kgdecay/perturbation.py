@@ -37,7 +37,7 @@ import numpy as np
 from . import highfreq
 from .coefficients import ModelSpec
 from .errors import NoContractionError
-from .highfreq import LOG_FLOAT_MAX, VERIFY_SLACK
+from .highfreq import LOG_FLOAT_MAX, VERIFY_SLACK, _require_points
 from .monodromy import ContractionCertificate, monodromy_grid, power_norms
 from .propagator import DEFAULT_TOL
 
@@ -75,12 +75,15 @@ def lambert_w0(x: float) -> float:
 
 @dataclass(frozen=True)
 class EpsilonBound:
-    """Closed-form admissible perturbation amplitude with its audit record."""
+    """Closed-form admissible perturbation amplitude with its audit record.
+
+    Its inputs are the certificate's (N, k, c1, beta, T) and the mass m0; the
+    record does not repeat them.
+    """
 
     epsilon_max: float
     w_argument: float
     vacuous: bool
-    inputs: dict = field(default_factory=dict)
     audit: dict = field(default_factory=dict)
 
     @property
@@ -98,7 +101,6 @@ class EpsilonBound:
             "epsilon_max": self.epsilon_max,
             "w_argument": self.w_argument,
             "vacuous": self.vacuous,
-            "inputs": dict(self.inputs),
             "audit": {k: {kk: jsonable(vv) for kk, vv in v.items()} for k, v in self.audit.items()},
             "audit_pass": self.audit_pass,
         }
@@ -144,13 +146,7 @@ def epsilon_bound(cert: ContractionCertificate, m0: float) -> EpsilonBound:
         "xi_0": _audit_entry(eps, 0.0, m0, kT, cert.delta1, cert.beta, cert.c1),
         "xi_N": _audit_entry(eps, cert.N, m0, kT, cert.delta1, cert.beta, cert.c1),
     }
-    return EpsilonBound(
-        epsilon_max=eps,
-        w_argument=w_arg,
-        vacuous=vacuous,
-        inputs={"m0": m0, "k": cert.k, "T": cert.T, "c1": cert.c1, "N": cert.N, "beta": cert.beta},
-        audit=audit,
-    )
+    return EpsilonBound(epsilon_max=eps, w_argument=w_arg, vacuous=vacuous, audit=audit)
 
 
 def difference_bound(spec_eps: ModelSpec, span: float, h0: float) -> float:
@@ -186,6 +182,7 @@ def verify_perturbed_highfreq(
     Returns (ok, worst, route): whether it passes, the bound or the swept
     maximum, and "bound" or "sweep".
     """
+    _require_points(nt=nt, nxi=nxi)
     worst = max_norm + difference_bound(spec_eps, spec_eps.T, math.hypot(N, spec_eps.m0))
     if worst <= math.exp(-spec_eps.beta * spec_eps.T / 2.0) + VERIFY_SLACK:
         return True, worst, "bound"

@@ -97,17 +97,14 @@ def contraction_k(spec, N, k_max=64, nt=64, nxi=256, margin=1e-3):
 
 
 def certificate(spec, N, nt, nxi):
-    """A contraction certificate on the (nt, nxi) grid, with those grids recorded."""
+    """A contraction certificate on the (nt, nxi) grid of :func:`contraction_grids`."""
     k, c1 = contraction_k(spec, N, nt=nt, nxi=nxi)
-    return ContractionCertificate(
-        N, k, c1, spec.beta, spec.T, grids={"contraction_t_points": nt, "contraction_xi_points": nxi}
-    )
+    return ContractionCertificate(N, k, c1, spec.beta, spec.T)
 
 
-def contraction_grids(cert):
-    """The (t, xi) grid recorded in a certificate: [0, T] x [0, N]."""
-    t_grid = np.linspace(0.0, cert.T, cert.grids["contraction_t_points"])
-    return t_grid, np.linspace(0.0, cert.N, cert.grids["contraction_xi_points"])
+def contraction_grids(cert, nt, nxi):
+    """A certificate's (t, xi) grid of nt x nxi points: [0, T] x [0, N]."""
+    return np.linspace(0.0, cert.T, nt), np.linspace(0.0, cert.N, nxi)
 
 
 def const_coeff_propagator(b0, h, dt):

@@ -35,6 +35,9 @@ from conftest import const_coeff_propagator, contraction_grids, contraction_k, p
 from oracles import cumulative, gronwall_difference_bound, peano_baker_truncated, system_matrix
 from test_perturbation import bisection_w
 
+# The (t, xi) contraction grid of the ``certificates`` fixture.
+CONTRACTION_NT, CONTRACTION_NXI = 64, 256
+
 
 @contextmanager
 def criterion(num, name, budget_s):
@@ -64,16 +67,8 @@ def certificates(specs_m1, thresholds):
     certs = {}
     for name, spec in specs_m1.items():
         N = thresholds[name].N
-        k, c1 = contraction_k(spec, N, k_max=64, nt=64, nxi=256)
-        certs[name] = ContractionCertificate(
-            N,
-            k,
-            c1,
-            spec.beta,
-            spec.T,
-            grids={"contraction_t_points": 64, "contraction_xi_points": 256},
-            tolerances={"propagate_tol": 1e-10, "contraction_margin": 1e-3},
-        )
+        k, c1 = contraction_k(spec, N, k_max=64, nt=CONTRACTION_NT, nxi=CONTRACTION_NXI)
+        certs[name] = ContractionCertificate(N, k, c1, spec.beta, spec.T)
     return certs
 
 
@@ -167,7 +162,8 @@ def test_criterion_7_perturbation_soundness(specs_m1, certificates, m1_cos):
             eb = epsilon_bound(cert, 1.0)
             assert eb.audit_pass
             spec_eps = ModelSpec(spec.b, 1.0, eb.epsilon_max, m1_cos)
-            ok, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
+            grids = contraction_grids(cert, CONTRACTION_NT, CONTRACTION_NXI)
+            ok, worst, _ = verify_perturbed_contraction(spec_eps, cert, *grids)
             assert ok, f"{name}: perturbed contraction failed, worst {worst}"
             # Gronwall domination at 10 random samples per profile
             for _ in range(10):

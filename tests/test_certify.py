@@ -112,6 +112,11 @@ class TestSupNormCurve:
         direct = propagate(spec_sin, 0.0, s + ell * spec_sin.T, xi, 1e-12)
         assert np.max(np.abs(composed - direct)) <= 1e-6 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, 9.99])
+    def test_bad_horizon_rejected(self, spec_const, const_cert, t_end):
+        with pytest.raises(ValueError, match=r"^t_end must be finite and at least 10 kT"):
+            sup_norm_curve(spec_const, const_cert, t_end)
+
     @pytest.mark.parametrize("beta", [15.0, 17.0])
     def test_strong_damping_matches_direct(self, beta):
         # every fifth quarter period, so each base offset is checked

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import csv
 import io
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from kgdecay import certify, highfreq, monodromy, perturbation
 from kgdecay.cli import (
+    DEFAULT_GRIDS,
+    DEFAULT_TOLERANCES,
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_MODEL,
@@ -61,7 +64,7 @@ class TestConfigParsing:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         cert = json.loads((out / "certificate.json").read_text())
-        assert cert["schema_version"] == 1
+        assert cert["schema_version"] == 2
         assert cert["contraction"]["delta0"] == 0.5
         for key in ("N", "k", "c1", "delta1", "C"):
             assert key in cert["contraction"]
@@ -175,6 +178,11 @@ class TestExitCodes:
         code, err = self.run_with(tmp_path, capsys, BASE_CONFIG + "[tolerances]\npropagate_tol = 0.5\n")
         assert code == EXIT_CONFIG
         assert "propagate_tol" in err
+
+    def test_contraction_k_max_is_not_a_setting(self, tmp_path, capsys):
+        code, err = self.run_with(tmp_path, capsys, BASE_CONFIG + "contraction_k_max = 64\n")
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: unknown grid override 'contraction_k_max'")
 
     def test_empty_grid(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("threshold_xi_points = 32", "threshold_xi_points = 0")
@@ -464,21 +472,30 @@ class TestArtifacts:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert sorted(listed) == sorted(path.name for path in out.iterdir())
 
+    def test_readme_config_defaults_are_the_code_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config format\n", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        cp.read_string(block)
+        assert [(key, int(val)) for key, val in cp["grids"].items()] == list(DEFAULT_GRIDS.items())
+        assert [(key, float(val)) for key, val in cp["tolerances"].items()] == list(DEFAULT_TOLERANCES.items())
+
     def test_scan_table_holds_c1_and_rho_max(self, tmp_path):
         # sin_offset at the default grids, where k = 1: the largest norm of
         # the per-xi table is c1, and its largest spectral radius rho_max
         cfg = write_config(tmp_path, "[model]\nT = 1.0\nb = sin_offset mean=1 amp=0.5\nm0 = 1.0\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        con = json.loads((out / "certificate.json").read_text())["contraction"]
+        cert = json.loads((out / "certificate.json").read_text())
+        con, grids = cert["contraction"], cert["grids"]
         assert con["k"] == 1
         with open(out / "monodromy_scan.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == con["grids"]["contraction_xi_points"]
+        assert len(rows) == grids["contraction_xi_points"]
         assert max(float(row["norm"]) for row in rows) == con["c1"]
         assert max(float(row["rho"]) for row in rows) == con["rho_max"]
         with np.load(out / "monodromy_scan.npz", allow_pickle=False) as npz:
-            assert npz["norm"].shape == (con["grids"]["contraction_t_points"], len(rows))
+            assert npz["norm"].shape == (grids["contraction_t_points"], len(rows))
             assert np.max(npz["norm"]) == con["c1"] and np.max(npz["rho"]) == con["rho_max"]
 
 
@@ -520,6 +537,27 @@ class TestPerturbedPipeline:
         assert cert["epsilon"]["model_within_bound"] is True
         assert cert["decay"]["verdict"] == "Pass"
         assert cert["decay"]["constants"]["rate_name"] == "sigma"
+
+    def test_run_inputs_are_stated_once(self, tmp_path):
+        # grids and tolerances live at the top level only; the epsilon bound's
+        # inputs are model.m0 and the contraction section
+        text = PERTURBED_MODEL + "[run]\nstages = threshold contraction epsilon decay\n" + FAST_GRIDS
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        found = []
+
+        def collect(obj, path):
+            for key, value in obj.items():
+                if key in ("grids", "tolerances"):
+                    found.append(path + (key,))
+                if isinstance(value, dict):
+                    collect(value, path + (key,))
+
+        collect(cert, ())
+        assert found == [("grids",), ("tolerances",)]
+        assert "inputs" not in cert["epsilon"]
+        assert set(cert) >= {"threshold", "contraction", "epsilon", "decay"}
 
     def test_one_perturbed_sweep_per_run(self, tmp_path, monkeypatch):
         # the closed-form difference bound decides at the default amplitude, so

@@ -674,6 +674,18 @@ class TestThresholdSearch:
         assert ok
         assert mx <= bound + 1e-6
 
+    @pytest.mark.parametrize("name, value", [("xi_points", 0), ("xi_points", -1), ("t_points", 0), ("t_points", -2)])
+    def test_empty_search_grids_rejected(self, spec_const, name, value):
+        # refused up front: an empty window would pass with sup -inf
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            find_threshold_N(spec_const, **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("nt", 0), ("nt", -1), ("nxi", 0), ("nxi", -3)])
+    def test_empty_verify_grids_rejected(self, spec_const, name, value):
+        grids = {"nt": 4, "nxi": 8, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            verify_highfreq_contraction(spec_const, 8.0, **grids)
+
     def test_search_range_exhausted(self, spec_const, monkeypatch):
         from kgdecay.errors import ThresholdSearchError
 

@@ -27,6 +27,9 @@ from kgdecay.perturbation import PERTURBED_CONTRACTION_SLACK, difference_bound
 from conftest import certificate, contraction_grids, propagate, svd_norm
 from oracles import gronwall_difference_bound
 
+# The (t, xi) contraction grid of the ``sin_cert`` fixture.
+SIN_GRID = (32, 96)
+
 
 def bisection_w(x, lo=0.0, hi=None, tol=1e-15):
     """Independent oracle: bisection on w exp(w) = x."""
@@ -55,7 +58,7 @@ def epsilon_threshold_at(xi, cert, m0):
 
 @pytest.fixture(scope="module")
 def sin_cert(spec_sin):
-    return certificate(spec_sin, 8.0, nt=32, nxi=96)
+    return certificate(spec_sin, 8.0, *SIN_GRID)
 
 
 class TestLambertW:
@@ -195,26 +198,26 @@ class TestGronwallBound:
 class TestPerturbedContraction:
     def test_zero_amplitude_reproduces_c1(self, spec_sin, sin_cert, m1_cos):
         spec_eps = ModelSpec(spec_sin.b, 1.0, 0.0, m1_cos)
-        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
         assert ok
         assert abs(worst - sin_cert.c1) < 1e-10
 
     def test_half_bound_is_contractive(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, 1.0, eb.epsilon_max / 2.0, m1_cos)
-        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
         assert ok
         assert worst < 1.0
 
     def test_huge_amplitude_reports_not_raises(self, spec_sin, sin_cert, m1_cos):
         spec_eps = ModelSpec(spec_sin.b, 2.0, 3.0, m1_cos)
-        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
         assert isinstance(ok, bool) and worst > 0.0
 
     def test_perturbed_certificate_uses_verified_worst(self, spec_sin, sin_cert, m1_cos):
         eb = epsilon_bound(sin_cert, 1.0)
         spec_eps = ModelSpec(spec_sin.b, 1.0, eb.epsilon_max, m1_cos)
-        _, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        _, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
         cert_eps = perturbed_certificate(sin_cert, worst)
         assert cert_eps.c1 == worst
         assert cert_eps.k == sin_cert.k and cert_eps.N == sin_cert.N
@@ -224,9 +227,8 @@ class TestPerturbedContraction:
         # without damping no monodromy power contracts
         b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
         spec_eps = ModelSpec(b, 1.0, 0.5, m1_cos)
-        grids = {"contraction_t_points": 4, "contraction_xi_points": 33}
-        cert = ContractionCertificate(4.0, 1, 0.99, spec_eps.beta, spec_eps.T, grids)
-        _, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert))
+        cert = ContractionCertificate(4.0, 1, 0.99, spec_eps.beta, spec_eps.T)
+        _, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert, 4, 33))
         with pytest.raises(NoContractionError) as err:
             perturbed_certificate(cert, worst)
         assert err.value.worst[2] >= 1.0 - 1e-6
@@ -238,14 +240,14 @@ class TestPerturbedContraction:
 
         monkeypatch.setattr(perturbation, "monodromy_grid", no_sweep)
         spec_eps = ModelSpec(spec_sin.b, 1.0, 1e-6, m1_cos)
-        ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert))
+        ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
         assert ok and route == "bound"
         assert worst == sin_cert.c1 + math.expm1(sin_cert.k * sin_cert.T * 1e-6 * m1_cos.sup_abs)
 
     def test_sweep_route_when_the_bound_cannot_decide(self, spec_sin, sin_cert, m1_cos):
         # at eps = 0.2 the bound exceeds 1 - slack: the direct rescan decides
         spec_eps = ModelSpec(spec_sin.b, 1.0, 0.2, m1_cos)
-        grids = contraction_grids(sin_cert)
+        grids = contraction_grids(sin_cert, *SIN_GRID)
         ok, worst, route = verify_perturbed_contraction(spec_eps, sin_cert, *grids)
         direct = float(np.max(power_norms(monodromy_grid(spec_eps, *grids), sin_cert.k)))
         assert worst == direct
@@ -274,6 +276,16 @@ class TestPerturbedHighfreq:
         ok, worst, route = verify_perturbed_highfreq(spec_eps, 14.0, limit, nt=4, nxi=8)
         swept, _, swept_ok = verify_highfreq_contraction(spec_eps, 14.0, nt=4, nxi=8)
         assert (ok, worst, route) == (swept_ok, swept, "sweep")
+
+    @pytest.mark.parametrize("limit_offset", [0.0, -1.0], ids=["sweep", "bound"])
+    @pytest.mark.parametrize("name, value", [("nt", 0), ("nt", -1), ("nxi", 0), ("nxi", -3)])
+    def test_empty_grids_rejected(self, spec_sin, m1_cos, name, value, limit_offset):
+        # refused whichever route would decide
+        spec_eps = ModelSpec(spec_sin.b, 1.0, 0.2, m1_cos)
+        max_norm = math.exp(-spec_sin.beta * spec_sin.T / 2.0) + highfreq.VERIFY_SLACK + limit_offset
+        grids = {"nt": 4, "nxi": 8, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            verify_perturbed_highfreq(spec_eps, 14.0, max_norm, **grids)
 
 
 class TestDifferenceBound:

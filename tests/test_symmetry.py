@@ -24,15 +24,32 @@ MODELS = {
     "triangle": lambda lam: f"triangle lo={0.2 * lam!r} hi={lam!r}",
 }
 
+# A sampled b: 24 uniform samples over one period, read as custom_csv with
+# step (order 0) or linear (order 1) interpolation.  Rescaled, the time
+# column is divided by lam and the values are multiplied by it.
+SAMPLES = (1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(24) / 24.0)).tolist()
+SAMPLED = {"samples-order0": 0, "samples-order1": 1}
+
 # run -> (b, epsilon at lam = 1, the route that decides the perturbed
 # contraction): each b at constant mass, and the benchmark's perturbed mass
 # m1 = sin_offset mean=0 amp=1 at an epsilon the closed-form bound decides
 # and at one that only the sweep over the grid does.
 RUNS = {
-    **{model: (model, 0.0, None) for model in MODELS},
+    **{model: (model, 0.0, None) for model in (*MODELS, *SAMPLED)},
     "perturbed-bound": ("sin_offset", 5e-9, "bound"),
     "perturbed-sweep": ("sin_offset", 0.115, "sweep"),
 }
+
+
+def declare_b(tmp_path, model, lam):
+    """The declaration of b rescaled by lam; a sampled b is written to a CSV file first."""
+    if model in MODELS:
+        return MODELS[model](lam)
+    path = tmp_path / f"{model}-{lam!r}.csv"
+    rows = (f"{j / len(SAMPLES) / lam!r},{value * lam!r}\n" for j, value in enumerate(SAMPLES))
+    path.write_text("".join(rows), encoding="utf-8")
+    return f"custom_csv path={path} order={SAMPLED[model]}"
+
 
 def run_cli(tmp_path, run, lam):
     """All four stages of the run rescaled by lam, with m0 = 1 and T = 1 at lam = 1.
@@ -44,7 +61,7 @@ def run_cli(tmp_path, run, lam):
     mass = f"epsilon = {epsilon * lam * lam!r}\nm1 = sin_offset mean=0 amp=1\n" if epsilon else ""
     config = tmp_path / f"{run}-{lam!r}.ini"
     config.write_text(
-        f"[model]\nT = {1.0 / lam!r}\nb = {MODELS[model](lam)}\nm0 = {lam!r}\n{mass}"
+        f"[model]\nT = {1.0 / lam!r}\nb = {declare_b(tmp_path, model, lam)}\nm0 = {lam!r}\n{mass}"
         "[run]\nstages = threshold contraction epsilon decay\n",
         encoding="utf-8",
     )
