@@ -21,6 +21,7 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .errors import FitError, ModelAssumptionError
+from .highfreq import _require_points
 from .monodromy import ContractionCertificate, _period_products, _write_csv
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, _mul, propagate_grid, spectral_norm_2x2
 
@@ -114,6 +115,7 @@ def sup_norm_curve(
     if not (math.isfinite(t_end) and t_end >= 10.0 * k * T):
         raise ValueError(f"t_end must be finite and at least 10 kT = {10.0 * k * T:g}, got {t_end}")
     if xi_grid is None:
+        _require_points(nxi_low=nxi_low, nxi_high=nxi_high)
         bands = [np.linspace(0.0, cert.N, nxi_low), np.linspace(cert.N, 4.0 * cert.N, nxi_high)]
     else:
         bands = [np.asarray(xi_grid, dtype=float)]

@@ -316,6 +316,7 @@ def _run_stages(config: RunConfig, out: Path) -> int:
             "reject_margin": thr.reject_margin,
             "reject_margin_sensitivity": thr.reject_margin_sensitivity,
             "margin_resolved": thr.margin_resolved,
+            "profile_refine": thr.profile_refine,
             "monodromy_norm_max": mx,
             "monodromy_norm_bound": bnd,
             "verified": ok,

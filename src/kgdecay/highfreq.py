@@ -28,10 +28,11 @@ higher frequency.
 A frame profile splits one period at the base times of the supremum and at
 the breakpoints of b, so b is smooth inside every piece, and integrates each
 piece by Simpson's rule with the same number of intervals.  The quadrature
-then keeps its fourth order where b jumps or kinks.  Where b jumps, that is
-far more accurate than a grid blind to the jumps, and a quarter of the
-points suffices; a b without jumps keeps the full count.  A b with many
+then keeps its fourth order where b jumps or kinks.  A b with many
 breakpoints, such as a long sampled series, is split at the base times only.
+The search starts every profile at one coarse count, whatever b, and repeats
+at twice the count only while a decision margin is not resolved by the
+refinement sensitivity (see :func:`find_threshold_N`).
 """
 
 from __future__ import annotations
@@ -51,18 +52,18 @@ from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_
 # Frames with |det N1| below this are treated as singular (frequency too low).
 FRAME_DET_GUARD = 0.1
 
-# Oscillation sampling: Simpson intervals per period, at least this many and
-# at least this many per unit of accumulated phase over one period.
-MIN_POINTS_PER_PERIOD = 4096
-POINTS_PER_PHASE_UNIT = 64
-
-# Where b jumps and a piece ends at every jump, a profile takes this fraction
-# of the intervals above.  Over random square waves and step samples that
-# stays within 3e-6 of the converged frame product, where the full count on a
-# grid blind to the jumps was off by up to 9e-3.  On b without jumps the full
-# count stays within 1e-6, and a quarter of it would be 10 to 30 times further
-# off, so such b keeps it.
-JUMP_ALIGNED_DIVISOR = 4
+# The starting count of a frame profile: Simpson intervals per period, at
+# least this many and at least this many per unit of accumulated phase over
+# one period.  The threshold search doubles it while a decision margin is at
+# most REFINE_SAFETY times its refinement sensitivity, up to MAX_REFINE times
+# the starting count (max(4096, 64 phase), the fixed count the search used
+# before).  Where c+ returns to zero the integrand of ||R2|| kinks and
+# Simpson's rule is second order, so the error is about 4/3 of the change per
+# doubling; the factor 2 covers it.
+START_POINTS_PER_PERIOD = 128
+START_POINTS_PER_PHASE_UNIT = 2
+REFINE_SAFETY = 2.0
+MAX_REFINE = 32
 
 # A profile splits at the breakpoints of b only while that makes at most this
 # many pieces per period; a b with more, such as a long sampled series, is
@@ -82,11 +83,11 @@ SUP_T_POINTS = 64
 # frequency band [N, WINDOW_FACTOR * N].
 WINDOW_FACTOR = 10.0
 
-# The search gives up before a window whose top frequency needs more points
-# per period than this (2^20: N of about 1,600 at T = 1, or 6,550 where b
-# jumps and a piece ends at every jump); profiles hold 2 * (points + pieces)
+# The search gives up before a window whose top frequency would need more
+# points per period than this at MAX_REFINE times the starting count (2^20: N
+# of about 1,600 at T = 1, for every b); profiles hold 2 * (points + pieces)
 # complex values.  The two sensitivity profiles of find_threshold_N take twice
-# the count at their frequencies.
+# the count of the search at their frequencies.
 MAX_PROFILE_POINTS = 2**20
 
 # verify_highfreq_contraction passes when sup ||M|| <= exp(-beta T / 2) + this.
@@ -111,6 +112,8 @@ class ThresholdResult:
     Each sensitivity is how far that value moves when its profile is taken
     again with twice the intervals per piece.  With no window rejected
     (N = 1/T passed at once), the reject margin and its sensitivity are None.
+    ``profile_refine`` is the multiple of the starting count that the search
+    settled on.
     """
 
     N: float
@@ -124,20 +127,23 @@ class ThresholdResult:
     accept_margin_sensitivity: float
     reject_margin: float | None  # last rejected window's value - accept level
     reject_margin_sensitivity: float | None
+    profile_refine: int
     trace: tuple = field(default_factory=tuple)  # (N_candidate, sup_value, accepted)
 
     @property
     def margin_resolved(self) -> bool:
         """True when each decision margin exceeds its sensitivity."""
-        return self.accept_margin > self.accept_margin_sensitivity and (
-            self.reject_margin is None or self.reject_margin > self.reject_margin_sensitivity
+        return self._margins_exceed(1.0)
+
+    def _margins_exceed(self, factor: float) -> bool:
+        return self.accept_margin > factor * self.accept_margin_sensitivity and (
+            self.reject_margin is None or self.reject_margin > factor * self.reject_margin_sensitivity
         )
 
 
 @functools.lru_cache(maxsize=1)
 def _profile_ends(b, T: float, t_points: int):
-    """Piece ends over [0, T], ascending and read-only, and whether they
-    include every breakpoint of b.
+    """Piece ends over [0, T], ascending and read-only.
 
     The ends are the base times j T / t_points, the breakpoints of b in
     (0, T) while that makes at most MAX_ALIGNED_PIECES pieces, and T.  Every
@@ -146,34 +152,28 @@ def _profile_ends(b, T: float, t_points: int):
     cache when it ends.
     """
     ends = np.arange(t_points) * (T / t_points)
-    split = t_points <= MAX_ALIGNED_PIECES
-    if split:
+    if t_points <= MAX_ALIGNED_PIECES:
         merged = _sorted_unique(np.concatenate([ends, b.breakpoints_in(0.0, T)]))
-        split = merged.size <= MAX_ALIGNED_PIECES
-        ends = merged if split else ends
+        ends = merged if merged.size <= MAX_ALIGNED_PIECES else ends
     ends = np.append(ends, T)
     ends.flags.writeable = False
-    return ends, split
+    return ends
 
 
 def _points_per_period(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS) -> int:
-    """Simpson intervals per period of a frame profile at ``xi``.
+    """Simpson intervals per period of a frame profile at ``xi``, at the starting count.
 
     Every piece of :func:`_profile_ends` gets the same even number M of
-    intervals, the least with M * pieces >= max(MIN_POINTS_PER_PERIOD,
-    POINTS_PER_PHASE_UNIT * phase), divided by JUMP_ALIGNED_DIVISOR where b
-    jumps and a piece ends at every breakpoint.  The count is M * pieces, and
-    the profile cap is checked against it.  Where the phase over one period
-    overflows, the count is inf, above any cap.
+    intervals, the least with M * pieces >= max(START_POINTS_PER_PERIOD,
+    START_POINTS_PER_PHASE_UNIT * phase).  The count is M * pieces, and the
+    profile cap is checked against MAX_REFINE times it.  Where the phase over
+    one period overflows, the count is inf, above any cap.
     """
     phase = math.sqrt(xi * xi + spec.m0 * spec.m0) * spec.T
     if not math.isfinite(phase):
         return math.inf
-    ends, split = _profile_ends(spec.b, spec.T, t_points)
-    p = max(MIN_POINTS_PER_PERIOD, POINTS_PER_PHASE_UNIT * math.ceil(phase))
-    if split and spec.b.has_jumps:
-        p //= JUMP_ALIGNED_DIVISOR
-    pieces = ends.size - 1
+    pieces = _profile_ends(spec.b, spec.T, t_points).size - 1
+    p = max(START_POINTS_PER_PERIOD, START_POINTS_PER_PHASE_UNIT * math.ceil(phase))
     return 2 * pieces * math.ceil(p / (2 * pieces))
 
 
@@ -267,7 +267,7 @@ def _b_profile(b, T, t_points, points):
     piece length in.  Every profile with the same count shares the grid;
     :func:`find_threshold_N` clears the cache when it ends.
     """
-    ends, _ = _profile_ends(b, T, t_points)
+    ends = _profile_ends(b, T, t_points)
     start, length = ends[:-1], np.diff(ends)
     m = points // start.size
     u = np.arange(m + 1) / m
@@ -292,7 +292,8 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     node 0 of a piece, and b is smooth inside every piece unless it has more
     breakpoints than MAX_ALIGNED_PIECES allows.
     c+ is integrated by cumulative Simpson within each piece plus the totals
-    of the pieces before it; ``refine`` multiplies the intervals per piece.
+    of the pieces before it; ``refine`` multiplies the starting count of
+    :func:`_points_per_period`.
     Since b has period T, c+(t + T) = c+(T) + exp(i h T) c+(t) node for node,
     so only [0, T] is integrated.  The integral of ||R2|| is needed only at
     node 0 of each piece, from the composite Simpson totals of the pieces.
@@ -300,6 +301,7 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     b depends on the grid alone, not on xi, and is evaluated once per grid.
     Raises FrameError when the corrector degenerates anywhere on [0, 2T].
     """
+    _require_points(t_points=t_points, refine=refine)
     if spec.epsilon > 0.0:
         raise ValueError("the frame product is defined for a constant mass")
     start, step, b, base = _b_profile(spec.b, spec.T, t_points, refine * _points_per_period(spec, xi, t_points))
@@ -334,7 +336,7 @@ def _require_points(**counts):
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None):
+def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None, refine: int = 1):
     """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame
     product, and the first frequency that attains it.
 
@@ -347,7 +349,8 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
 
     With ``stop_above`` set, the scan also stops at the first value beyond it
     (the window is already disqualified); the returned value is then only a
-    lower bound for the true supremum.
+    lower bound for the true supremum.  ``refine`` multiplies the starting
+    count of every profile.
     """
     beta_t = spec.beta * spec.T
     top, at = -math.inf, math.nan
@@ -356,7 +359,7 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
         if top > -math.inf and _tail_bound(spec.b, beta_t, x) <= top:
             break
         try:
-            value = suplarge_quantity(spec, x, t_points)
+            value = suplarge_quantity(spec, x, t_points, refine)
         except FrameError:
             value = math.inf
         if value > top:
@@ -366,14 +369,51 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
     return top, at
 
 
-def _refinement_change(spec: ModelSpec, xi: float, value: float, t_points: int) -> float:
-    """How far the frame product ``value`` at ``xi`` moves with twice the
-    intervals per piece; a FrameError counts as inf, and inf to inf is 0."""
+def _refinement_change(spec: ModelSpec, xi: float, value: float, t_points: int, refine: int) -> float:
+    """How far the frame product ``value`` at ``xi``, taken at ``refine``,
+    moves with twice the intervals per piece; a FrameError counts as inf, and
+    inf to inf is 0."""
     try:
-        fine = suplarge_quantity(spec, xi, t_points, refine=2)
+        fine = suplarge_quantity(spec, xi, t_points, 2 * refine)
     except FrameError:
         fine = math.inf
     return 0.0 if fine == value else abs(fine - value)
+
+
+def _search(base: ModelSpec, accept: float, xi_points: int, t_points: int, refine: int):
+    """One pass of the threshold search, every profile at ``refine`` times the
+    starting count: (N, accepted, rejected, trace), where ``accepted`` and
+    ``rejected`` are (sup, decisive xi) of the accepted and the last rejected
+    window (None if none was rejected)."""
+    trace = []
+    N, sup = 0.5 / base.T, math.inf
+    rejected = None
+    while sup > accept:
+        N *= 2.0
+        points = _points_per_period(base, WINDOW_FACTOR * N, t_points)
+        if MAX_REFINE * points > MAX_PROFILE_POINTS:
+            raise ThresholdSearchError(
+                f"no threshold found below N = {N:g}: its window needs {points} profile points per period, "
+                f"{MAX_REFINE} times that at the refinement cap, above the cap {MAX_PROFILE_POINTS} "
+                f"(last sup {sup:.6g} > accept level {accept:.6g})"
+            )
+        sup, at = _window_sup(base, N, xi_points, t_points, stop_above=accept, refine=refine)
+        trace.append((N, sup, sup <= accept))
+        if sup > accept:
+            rejected = sup, at
+
+    lo = N / 2.0  # known failing (or 0.5/T when N = 1/T passed immediately)
+    hi, accepted = N, (sup, at)
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        sup, at = _window_sup(base, mid, xi_points, t_points, stop_above=accept, refine=refine)
+        ok = sup <= accept
+        trace.append((mid, sup, ok))
+        if ok:
+            hi, accepted = mid, (sup, at)
+        else:
+            lo, rejected = mid, (sup, at)
+    return hi, accepted, rejected, tuple(trace)
 
 
 def find_threshold_N(
@@ -387,9 +427,10 @@ def find_threshold_N(
     xi in [N, WINDOW_FACTOR * N] falls below exp(beta T / 2) (with a small
     interior margin so the accepted window survives grid refinement), then
     bisects to three significant digits.  Raises ThresholdSearchError before
-    a window whose profiles would exceed MAX_PROFILE_POINTS per period, and
-    before the first window when the accept level is below one: the frame
-    product is at least one at every frequency, so no window could pass.
+    a window whose profiles would exceed MAX_PROFILE_POINTS per period at
+    MAX_REFINE times the starting count, and before the first window when
+    the accept level is below one: the frame product is at least one at
+    every frequency, so no window could pass.
 
     The search itself runs with the massless symbol h = |xi|, so the returned
     threshold depends on the dissipation alone.  A constant mass m0 acts on
@@ -408,7 +449,11 @@ def find_threshold_N(
 
     It records the decision margins of the accepted and the last rejected
     window too, with their refinement sensitivities (see
-    :class:`ThresholdResult`); these cost two more profiles.
+    :class:`ThresholdResult`); these cost two more profiles per pass.  The
+    first pass takes every profile at the starting count of
+    :func:`_points_per_period`.  While a margin is at most REFINE_SAFETY times
+    its sensitivity, the whole search runs again at twice the count, up to
+    MAX_REFINE times it; the result is that of the last pass.
     """
     _require_points(xi_points=xi_points, t_points=t_points)
     base = ModelSpec(spec.b, 0.0, T=spec.T)
@@ -419,55 +464,36 @@ def find_threshold_N(
             f"no threshold can exist: the accept level {accept:.6g} = exp(beta T / 2) (1 - "
             f"{THRESHOLD_ACCEPT_MARGIN:g}) is below 1, the least value of the frame product"
         )
-    trace = []
+    tail_xi = _tail_xi(base.b, base.beta * base.T, accept)
 
     # the profiles of a search share one grid per length; keep none past it
     try:
-        N, sup = 0.5 / base.T, math.inf
-        rejected = None  # (sup, decisive xi) of the last rejected window
-        while sup > accept:
-            N *= 2.0
-            points = _points_per_period(base, WINDOW_FACTOR * N, t_points)
-            if points > MAX_PROFILE_POINTS:
-                raise ThresholdSearchError(
-                    f"no threshold found below N = {N:g}: its window needs {points} profile points "
-                    f"per period, above the cap {MAX_PROFILE_POINTS} (last sup {sup:.6g} > target {target:.6g})"
-                )
-            sup, at = _window_sup(base, N, xi_points, t_points, stop_above=accept)
-            trace.append((N, sup, sup <= accept))
-            if sup > accept:
-                rejected = sup, at
-
-        lo = N / 2.0  # known failing (or 0.5/T when N = 1/T passed immediately)
-        hi, accepted = N, (sup, at)
-        while hi - lo > 1e-3 * hi:
-            mid = 0.5 * (lo + hi)
-            sup, at = _window_sup(base, mid, xi_points, t_points, stop_above=accept)
-            ok = sup <= accept
-            trace.append((mid, sup, ok))
-            if ok:
-                hi, accepted = mid, (sup, at)
-            else:
-                lo, rejected = mid, (sup, at)
-        accept_change = _refinement_change(base, accepted[1], accepted[0], t_points)
-        reject_change = None if rejected is None else _refinement_change(base, rejected[1], rejected[0], t_points)
+        refine = 1
+        while True:
+            N, accepted, rejected, trace = _search(base, accept, xi_points, t_points, refine)
+            result = ThresholdResult(
+                N=N,
+                sup_value=accepted[0],
+                target=target,
+                xi_max_checked=WINDOW_FACTOR * N,
+                tail_C_b=_tail_constant(base.b),
+                tail_D_b=base.b.slope_constant,
+                tail_xi=tail_xi,
+                accept_margin=accept - accepted[0],
+                accept_margin_sensitivity=_refinement_change(base, accepted[1], accepted[0], t_points, refine),
+                reject_margin=None if rejected is None else rejected[0] - accept,
+                reject_margin_sensitivity=(
+                    None if rejected is None else _refinement_change(base, rejected[1], rejected[0], t_points, refine)
+                ),
+                profile_refine=refine,
+                trace=trace,
+            )
+            if refine >= MAX_REFINE or result._margins_exceed(REFINE_SAFETY):
+                return result
+            refine *= 2
     finally:
         _b_profile.cache_clear()
         _profile_ends.cache_clear()
-    return ThresholdResult(
-        N=hi,
-        sup_value=accepted[0],
-        target=target,
-        xi_max_checked=WINDOW_FACTOR * hi,
-        tail_C_b=_tail_constant(base.b),
-        tail_D_b=base.b.slope_constant,
-        tail_xi=_tail_xi(base.b, base.beta * base.T, accept),
-        accept_margin=accept - accepted[0],
-        accept_margin_sensitivity=accept_change,
-        reject_margin=None if rejected is None else rejected[0] - accept,
-        reject_margin_sensitivity=reject_change,
-        trace=tuple(trace),
-    )
 
 
 def verify_highfreq_contraction(

@@ -26,7 +26,7 @@ from scipy.integrate import nquad, quad, solve_ivp
 
 from kgdecay import det2, highfreq, propagate_grid
 from kgdecay.errors import FrameError, ModelAssumptionError
-from kgdecay.highfreq import WINDOW_FACTOR, _points_per_period
+from kgdecay.highfreq import WINDOW_FACTOR
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
 from conftest import complex_form, svd_norm
@@ -223,6 +223,14 @@ def corrector_profile(spec, xi, tau, b):
     return np.conj(osc) * c_plus, osc * c_minus
 
 
+def oracle_points_per_period(spec, xi):
+    """Intervals per period of the oracles' uniform grids at ``xi``: max(4096,
+    64 ceil(h T)) rounded up to a multiple of 128, independent of the
+    package's profile count."""
+    phase = math.hypot(xi, spec.m0) * spec.T
+    return 128 * math.ceil(max(4096, 64 * math.ceil(phase)) / 128)
+
+
 def n_pm(spec, t, xi, per_period=0):
     """The two oscillatory corrector integrals (n+, n-) at time ``t``.
 
@@ -235,7 +243,7 @@ def n_pm(spec, t, xi, per_period=0):
         raise ValueError("xi must be non-negative")
     if t == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    points = int(max(_points_per_period(spec, xi), per_period) * (t / spec.T)) + 1
+    points = int(max(oracle_points_per_period(spec, xi), per_period) * (t / spec.T)) + 1
     npl, nmi = corrector_profile(spec, xi, *uniform_nodes(spec, t, max(points, 129)))
     return complex(npl[-1, 0]), complex(nmi[-1, 0])
 
@@ -278,7 +286,7 @@ def frame_ode_residual(spec, xi, per_period=0):
     generating first-order equations  d/dt n+/- = b(t) -/+ i h(t) n+/-.
     Returns the max absolute residual over interior grid points.
     """
-    per = max(_points_per_period(spec, xi), per_period)
+    per = max(oracle_points_per_period(spec, xi), per_period)
     tau, b = uniform_nodes(spec, 2.0 * spec.T, 2 * per + 1)
     npl, nmi = corrector_profile(spec, xi, tau, b)
     dt = float(tau[1, 0] - tau[0, 0])
@@ -291,16 +299,16 @@ def frame_ode_residual(spec, xi, per_period=0):
     return res
 
 
-def window_sup_full_scan(spec, N, xi_points, t_points, stop_above=None):
+def window_sup_full_scan(spec, N, xi_points, t_points, stop_above=None, refine=1):
     """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product
-    and the first frequency that attains it, evaluating every frequency; with
-    ``stop_above`` set, the scan stops at the first value beyond it, as in the
-    package."""
+    at ``refine`` times the starting count, and the first frequency that
+    attains it, evaluating every frequency; with ``stop_above`` set, the scan
+    stops at the first value beyond it, as in the package."""
     xis, vals = [], []
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         xis.append(float(x))
         try:
-            vals.append(highfreq.suplarge_quantity(spec, xis[-1], t_points))
+            vals.append(highfreq.suplarge_quantity(spec, xis[-1], t_points, refine))
         except FrameError:
             vals.append(math.inf)
         if stop_above is not None and vals[-1] > stop_above:

@@ -117,6 +117,11 @@ class TestSupNormCurve:
         with pytest.raises(ValueError, match=r"^t_end must be finite and at least 10 kT"):
             sup_norm_curve(spec_const, const_cert, t_end)
 
+    @pytest.mark.parametrize("name, value", [("nxi_low", 0), ("nxi_low", -1), ("nxi_high", 0), ("nxi_high", -2)])
+    def test_empty_frequency_bands_rejected(self, spec_const, const_cert, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            sup_norm_curve(spec_const, const_cert, 10.0, **{name: value})
+
     @pytest.mark.parametrize("beta", [15.0, 17.0])
     def test_strong_damping_matches_direct(self, beta):
         # every fifth quarter period, so each base offset is checked

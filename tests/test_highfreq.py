@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from kgdecay import (
     suplarge_quantity,
     verify_highfreq_contraction,
 )
-from kgdecay import highfreq
+from kgdecay import cli, highfreq
 from kgdecay.errors import FrameError, ThresholdSearchError
 from kgdecay.highfreq import (
     FRAME_DET_GUARD,
@@ -35,6 +37,7 @@ from oracles import (
     frame_matrices_at,
     frame_ode_residual,
     n_pm,
+    oracle_points_per_period,
     piecewise_cumulative,
     reference_csv,
     symbol,
@@ -77,6 +80,9 @@ def _random_samples(order, seed):
     rng = np.random.default_rng(seed)
     return PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 16), 1.0, order=order)
 
+
+# The phase of b in the perturbed benchmark workload at seed 1.
+PHASE_SEED1 = 0.02 * (random.Random(1).random() - 0.5)
 
 # Dissipations on which the pruned window scan must reproduce the full scan.
 PRUNING_CASES = {
@@ -129,6 +135,24 @@ def _broken_dissipations():
                   st.sampled_from([0, 1])),
         st.builds(lambda T, lo, hi: PeriodicCoefficient.from_closed_form("triangle", T, lo=lo, hi=hi),
                   period, level, level),
+    )
+
+
+def _search_dissipations():
+    """square, sin_offset, triangle and sampled b with levels in [0.1, 2] and
+    T in [0.5, 2], on which a search ends in a few milliseconds."""
+    period = st.floats(0.5, 2.0)
+    level = st.floats(0.1, 2.0)
+    return st.one_of(
+        st.builds(lambda T, lo, hi, d: PeriodicCoefficient.from_closed_form("square", T, lo=lo, hi=hi, duty=d),
+                  period, level, level, st.floats(0.01, 0.99)),
+        st.builds(lambda T, a, extra, ph: PeriodicCoefficient.from_closed_form(
+            "sin_offset", T, mean=a + extra, amp=a, phase=ph), period, st.floats(0.0, 1.0), level,
+                  st.floats(0.0, 2.0 * math.pi)),
+        st.builds(lambda T, lo, hi: PeriodicCoefficient.from_closed_form("triangle", T, lo=lo, hi=hi),
+                  period, level, level),
+        st.builds(PeriodicCoefficient.from_samples, st.lists(level, min_size=2, max_size=40), period,
+                  st.sampled_from([0, 1])),
     )
 
 
@@ -222,7 +246,7 @@ class TestCorrectorIntegrals:
         # bounded-variation decay: sup_t |n+-| * xi stays bounded up to 1e3
         def corrector_sup(x):
             # max over the [0, 2T] grid of |n+| and |n-|
-            nodes = uniform_nodes(spec_sin, 2.0, 2 * _points_per_period(spec_sin, x) + 1)
+            nodes = uniform_nodes(spec_sin, 2.0, 2 * oracle_points_per_period(spec_sin, x) + 1)
             npl, nmi = corrector_profile(spec_sin, x, *nodes)
             return max(np.max(np.abs(npl)), np.max(np.abs(nmi)))
 
@@ -343,6 +367,11 @@ class TestSupLarge:
         with pytest.raises(FrameError):
             suplarge_quantity(spec_sin, 0.05)
 
+    @pytest.mark.parametrize("name, value", [("t_points", 0), ("t_points", -1), ("refine", 0), ("refine", -2)])
+    def test_empty_profile_grids_rejected(self, spec_sin, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            suplarge_quantity(spec_sin, 5.0, **{name: value})
+
     def test_perturbed_mass_is_refused(self, b_sin, m1_cos):
         # the profile takes the phase of a constant mass, sqrt(xi^2 + m0^2) t
         with pytest.raises(ValueError, match="constant mass"):
@@ -417,17 +446,25 @@ class TestProfileQuadrature:
         kinks = xi * b.period / (2.0 * math.pi) + 2.0
         assert abs(coarse - fine) <= kinks * b.sup_abs**2 * h**2 * fine + 1e-13
 
-    @pytest.mark.parametrize("b, points", [
-        (PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0), 1024),
-        (PeriodicCoefficient.from_closed_form("square", 1.0, lo=1.0, hi=1.0), 4096),
-        (PeriodicCoefficient.from_closed_form("triangle", 1.0, lo=0.2, hi=1.0), 4096),
-        (PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5), 4096),
-        (_random_samples(0, 7), 1024),
-        (_random_samples(1, 7), 4096),
+    @pytest.mark.parametrize("b", [
+        PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0),
+        PeriodicCoefficient.from_closed_form("square", 1.0, lo=1.0, hi=1.0),
+        PeriodicCoefficient.from_closed_form("triangle", 1.0, lo=0.2, hi=1.0),
+        PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5),
+        _random_samples(0, 7),
+        _random_samples(1, 7),
     ])
-    def test_quarter_count_only_where_b_jumps(self, b, points):
-        # at xi = 14 the phase asks for fewer points than the least count
-        assert _points_per_period(ModelSpec(b, 0.0), 14.0) == points
+    def test_one_count_for_every_b(self, b):
+        # at xi = 14 the phase asks for fewer points than the least count, at
+        # xi = 2000 for 2 per unit of phase; MAX_REFINE times the count is at
+        # least the fixed count max(4096, 64 ceil(h T)) the search used before,
+        # where b jumps a quarter of it, so the profile cap binds no later
+        spec = ModelSpec(b, 0.0)
+        assert _points_per_period(spec, 14.0) == 128
+        assert _points_per_period(spec, 2000.0) == 4096
+        for xi in np.geomspace(0.1, 1e5, 60):
+            phase = math.ceil(float(xi) * b.period)
+            assert highfreq.MAX_REFINE * _points_per_period(spec, float(xi)) >= max(4096, 64 * phase)
 
     def test_many_breakpoints_split_at_base_times(self):
         # splitting 10,000 step samples at every jump would take more than
@@ -437,18 +474,25 @@ class TestProfileQuadrature:
         b = PeriodicCoefficient.from_samples(rng.uniform(0.2, 1.5, 10_000), 1.0, order=0)
         spec = ModelSpec(b, 0.0)
         smooth = ModelSpec(PeriodicCoefficient.from_closed_form("constant", 1.0, value=1.0), 0.0)
-        ends, split = highfreq._profile_ends(b, 1.0, 64)
-        assert not split and ends.size == 65
+        ends = highfreq._profile_ends(b, 1.0, 64)
+        assert np.array_equal(ends, np.arange(65) / 64)
         for xi in (14.0, 200.0, 20000.0):
             assert _points_per_period(spec, xi) == _points_per_period(smooth, xi)
         assert 1.0 < suplarge_quantity(spec, 200.0) < math.inf
 
     def test_square_frame_product_value(self):
         # massless square at the seed-0 threshold; the uniform 4,096-point
-        # rule gave 1.3475231, 1.3474304 at 131,072 points, first order at jumps
+        # rule gave 1.3475231, 1.3474304 at 131,072 points, first order at jumps.
+        # 8 times the starting count is the 1,024 points the search took
+        # before; at the starting count of 128 the value stays within
+        # REFINE_SAFETY times its change per doubling
         b = PeriodicCoefficient.from_closed_form("square", 1.0, lo=0.2, hi=1.0)
         spec = ModelSpec(b, 0.0)
-        assert suplarge_quantity(spec, 20.609375) == pytest.approx(1.34742736, rel=0.0, abs=1e-8)
+        assert _points_per_period(spec, 20.609375) == 128
+        assert suplarge_quantity(spec, 20.609375, refine=8) == pytest.approx(1.34742736, rel=0.0, abs=1e-8)
+        coarse = suplarge_quantity(spec, 20.609375)
+        change = abs(suplarge_quantity(spec, 20.609375, refine=2) - coarse)
+        assert abs(coarse - 1.34742736) <= highfreq.REFINE_SAFETY * change < 2.5e-6
 
 
 class TestTailBound:
@@ -484,7 +528,8 @@ class TestTailBound:
         xi = scale * min(2.0 * c_b, a + math.sqrt(a * a + 2.0 * d_b))
         spec = ModelSpec(b, m0)
         h = math.hypot(xi, m0)
-        n_plus, _ = corrector_profile(spec, xi, *uniform_nodes(spec, 2.0 * spec.T, 2 * _points_per_period(spec, xi) + 1))
+        nodes = uniform_nodes(spec, 2.0 * spec.T, 2 * oracle_points_per_period(spec, xi) + 1)
+        n_plus, _ = corrector_profile(spec, xi, *nodes)
         assert np.max(np.abs(n_plus)) <= (a + d_b / h) / h * (1.0 + 1e-9) + 1e-300
         assert suplarge_quantity(spec, xi) <= _tail_bound(b, spec.beta * spec.T, xi)
 
@@ -625,7 +670,7 @@ class TestThresholdSearch:
         # prunes nothing
         calls = []
 
-        def fake(spec, xi, t_points):
+        def fake(spec, xi, t_points, refine=1):
             calls.append(xi)
             return 1.9 if len(calls) == 3 else 1.0
 
@@ -642,7 +687,7 @@ class TestThresholdSearch:
         # larger than the maximum so far, which the third value sets
         calls = []
 
-        def fake(spec, xi, t_points):
+        def fake(spec, xi, t_points, refine=1):
             calls.append(xi)
             return 5.0 if len(calls) == 3 else 1.0
 
@@ -689,15 +734,94 @@ class TestThresholdSearch:
     def test_search_range_exhausted(self, spec_const, monkeypatch):
         from kgdecay.errors import ThresholdSearchError
 
-        # the windows at N = 1, 2, 4 fail and fit in 4096 points per period;
-        # the window at N = 8 would need 5120
+        # the windows at N = 1, 2, 4 fail and fit in 4096 points per period at
+        # MAX_REFINE times the starting count; the window at N = 8 would need 6144
         base = ModelSpec(spec_const.b, 0.0)
-        assert _points_per_period(base, 40.0, 32) == 4096
-        assert _points_per_period(base, 80.0, 32) == 5120
+        assert highfreq.MAX_REFINE * _points_per_period(base, 40.0, 32) == 4096
+        assert highfreq.MAX_REFINE * _points_per_period(base, 80.0, 32) == 6144
         monkeypatch.setattr(highfreq, "MAX_PROFILE_POINTS", 4096)
         with pytest.raises(ThresholdSearchError):
             find_threshold_N(spec_const, xi_points=16, t_points=32)
         assert highfreq._b_profile.cache_info().currsize == highfreq._profile_ends.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("b", [
+        "constant value=0.0020011",
+        "square lo=0.0020008 hi=0.0020014",
+        "sin_offset mean=0.0020011 amp=0.000001",
+    ])
+    def test_give_up_point(self, b):
+        # accept levels 5e-8 above one, which no window below the cap reaches.
+        # At T = 1 the window at N = 2048 reaches xi = 20480 and would need
+        # more than MAX_PROFILE_POINTS at MAX_REFINE times the starting count,
+        # for every b; the fixed counts gave up there too, and at N = 8192
+        # where b jumps
+        name, *params = b.split()
+        coeff = PeriodicCoefficient.from_closed_form(name, 1.0, **{k: float(v) for k, v in (p.split("=") for p in params)})
+        with pytest.raises(ThresholdSearchError, match="^no threshold found below N = 2048: "):
+            find_threshold_N(ModelSpec(coeff, 1.0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(b=_search_dissipations())
+    def test_search_equals_the_search_at_the_refinement_cap(self, b):
+        # the decisions taken at the count the margins ask for are those of
+        # the whole search at MAX_REFINE times the starting count
+        spec = ModelSpec(b, 0.0)
+        accept = math.exp(spec.beta * spec.T / 2.0) * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
+        try:
+            thr = find_threshold_N(spec)
+        except ThresholdSearchError as exc:
+            with pytest.raises(ThresholdSearchError, match=str(exc)[:20]):
+                highfreq._search(spec, accept, 128, 64, highfreq.MAX_REFINE)
+            return
+        N, _, _, trace = highfreq._search(spec, accept, 128, 64, highfreq.MAX_REFINE)
+        assert thr.N == N
+        assert [(n, ok) for n, _, ok in thr.trace] == [(n, ok) for n, _, ok in trace]
+
+    def test_unresolved_margin_doubles_the_count(self, tmp_path, monkeypatch):
+        # sin_offset shifted by the phase of the perturbed benchmark's seed 1:
+        # at the starting count the last rejected window's margin is within
+        # REFINE_SAFETY times its sensitivity, so the search runs again at
+        # twice the count, where both margins are resolved
+        b = PeriodicCoefficient.from_closed_form("sin_offset", 1.0, mean=1.0, amp=0.5, phase=PHASE_SEED1)
+        spec = ModelSpec(b, 1.0)
+        passes = []
+        search = highfreq._search
+
+        def recorded(*args):
+            passes.append(args[-1])
+            return search(*args)
+
+        monkeypatch.setattr(highfreq, "_search", recorded)
+        thr = find_threshold_N(spec)
+        assert passes == [1, 2] and thr.profile_refine == 2
+        assert thr._margins_exceed(highfreq.REFINE_SAFETY)
+        base = ModelSpec(b, 0.0)
+        accept = thr.target * (1.0 - highfreq.THRESHOLD_ACCEPT_MARGIN)
+        _, accepted, rejected, _ = search(base, accept, 128, 64, 1)
+        change = highfreq._refinement_change(base, rejected[1], rejected[0], 64, 1)
+        assert rejected[0] - accept <= highfreq.REFINE_SAFETY * change
+        # the certificate records the multiple
+        config = tmp_path / "run.ini"
+        config.write_text(f"[model]\nT = 1.0\nb = sin_offset mean=1 amp=0.5 phase={PHASE_SEED1!r}\nm0 = 1.0\n"
+                          "[run]\nstages = threshold\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "certificate.json").read_text(encoding="utf-8"))["threshold"]
+        assert doc["profile_refine"] == 2 and doc["N"] == thr.N
+
+    def test_unresolved_search_stops_at_the_cap(self):
+        # 10,000 step samples of a noisy sinusoid split at the base times
+        # alone, so every profile integrates across jumps: the margins stay
+        # unresolved up to MAX_REFINE times the starting count, which reports
+        # the N that the fixed count max(4096, 64 ceil(h T)) found, and
+        # margin_resolved false as that count did
+        rng = np.random.default_rng(0)
+        u = np.arange(10_000) / 10_000
+        b = PeriodicCoefficient.from_samples(1.0 + 0.5 * np.sin(2.0 * np.pi * u) + rng.uniform(-0.2, 0.2, u.size),
+                                             1.0, order=0)
+        thr = find_threshold_N(ModelSpec(b, 1.0))
+        assert thr.N == 13.90625
+        assert not thr.margin_resolved
+        assert thr.profile_refine == highfreq.MAX_REFINE
 
     def test_trace_csv(self, spec_const, tmp_path):
         thr = find_threshold_N(spec_const, xi_points=32, t_points=32)
@@ -713,7 +837,7 @@ class TestThresholdSearch:
         trace = tuple(zip(CSV_EDGE_VALUES, CSV_EDGE_VALUES[::-1], flags))
         thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_D_b=3.0,
                               tail_xi=2.0, accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
-                              reject_margin_sensitivity=None, trace=trace)
+                              reject_margin_sensitivity=None, profile_refine=1, trace=trace)
         path = tmp_path / "trace.csv"
         threshold_trace_to_csv(path, thr)
         rows = [(cand, sup, int(ok)) for cand, sup, ok in trace]

@@ -551,7 +551,7 @@ class TestScanExport:
         trace = tuple(zip(cols[0].tolist(), cols[1].tolist(), (rng.random(rows) < 0.5).tolist()))
         thr = ThresholdResult(N=1.0, sup_value=1.0, target=1.0, xi_max_checked=8.0, tail_C_b=1.0, tail_D_b=3.0,
                               tail_xi=2.0, accept_margin=0.0, accept_margin_sensitivity=0.0, reject_margin=None,
-                              reject_margin_sensitivity=None, trace=trace)
+                              reject_margin_sensitivity=None, profile_refine=1, trace=trace)
         threshold_trace_to_csv(path, thr)
         rows_out = [(cand, sup, int(ok)) for cand, sup, ok in trace]
         assert path.read_bytes() == reference_csv(["N_candidate", "sup_value", "accepted"], rows_out).encode()

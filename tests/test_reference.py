@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kgdecay import cli
+from kgdecay import cli, highfreq
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -49,3 +49,22 @@ def test_seed0_delta1_below_the_spectral_rate(tmp_path, workload):
     con = json.loads((out / "certificate.json").read_text(encoding="utf-8"))["contraction"]
     assert con["spectral_rate"] == -math.log(con["rho_max"]) / con["T"]
     assert con["delta1"] <= con["spectral_rate"]
+
+
+@pytest.mark.parametrize("workload, points", [("perturbed", 7_808), ("square_jumps", 10_368)])
+def test_seed0_threshold_profile_points(tmp_path, monkeypatch, workload, points):
+    # the frame-profile points of the seed-0 search, at most 10 % above the
+    # 7,808 and 10,368 measured when profiles started coarse; the fixed counts
+    # before took 249,856 and 82,944.  Points, unlike times, do not depend on
+    # the host
+    profile, total = highfreq.suplarge_quantity, []
+
+    def counted(spec, xi, t_points=highfreq.SUP_T_POINTS, refine=1):
+        total.append(refine * highfreq._points_per_period(spec, xi, t_points))
+        return profile(spec, xi, t_points, refine)
+
+    monkeypatch.setattr(highfreq, "suplarge_quantity", counted)
+    config = tmp_path / "run.ini"
+    config.write_text(_bench_run().WORKLOADS[workload][1](0), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--stage", "threshold"]) == 0
+    assert 0 < sum(total) <= 1.1 * points

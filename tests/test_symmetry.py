@@ -7,16 +7,24 @@ M~(s, lam xi) = M(lam s, xi).  Frequencies and rates therefore scale by lam,
 the admissible amplitude eps_max (a squared mass) by lam^2, and the power k,
 c1 and every norm do not change.  For lam a power of two each scaling is
 exact in binary, so whole runs must agree bit for bit once scaled back.
+
+A shift of b in time, b~(t) = b(t + s), is a symmetry too: M~(t, xi) =
+M(t + s, xi), so the spectrum of each xi does not change, and for s a
+multiple of the step of the base-time grid the norms move along the grid.
 """
 
 import csv
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kgdecay import ModelSpec, PeriodicCoefficient, cli, find_threshold_N
+from kgdecay import ModelSpec, PeriodicCoefficient, cli, find_threshold_N, monodromy_grid, samples_from_grid
 
 MODELS = {
     "sin_offset": lambda lam: f"sin_offset mean={lam!r} amp={0.5 * lam!r}",
@@ -51,8 +59,8 @@ def declare_b(tmp_path, model, lam):
     return f"custom_csv path={path} order={SAMPLED[model]}"
 
 
-def run_cli(tmp_path, run, lam):
-    """All four stages of the run rescaled by lam, with m0 = 1 and T = 1 at lam = 1.
+def run_cli(tmp_path, run, lam, stages="threshold contraction epsilon decay"):
+    """The stages of the run rescaled by lam, all four by default, with m0 = 1 and T = 1 at lam = 1.
 
     The mass perturbation epsilon m1 is a squared mass, so epsilon scales by
     lam^2; m1 keeps its shape over the rescaled period.
@@ -62,7 +70,7 @@ def run_cli(tmp_path, run, lam):
     config = tmp_path / f"{run}-{lam!r}.ini"
     config.write_text(
         f"[model]\nT = {1.0 / lam!r}\nb = {declare_b(tmp_path, model, lam)}\nm0 = {lam!r}\n{mass}"
-        "[run]\nstages = threshold contraction epsilon decay\n",
+        f"[run]\nstages = {stages}\n",
         encoding="utf-8",
     )
     out = tmp_path / f"{run}-{lam!r}"
@@ -155,3 +163,44 @@ def test_threshold_scales_with_the_time_unit(model, lam):
     base, scaled = find_threshold_N(spec(1.0)), find_threshold_N(spec(lam))
     assert math.isclose(scaled.N / lam, base.N, rel_tol=1e-12, abs_tol=0.0)
     assert len(scaled.trace) == len(base.trace)
+
+
+@functools.lru_cache(maxsize=None)
+def threshold_and_contraction(model, lam):
+    """(N / lam, k, c1) of the threshold and contraction stages of ``model`` rescaled by lam."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = run_cli(Path(tmp), model, lam, stages="threshold contraction")
+        doc = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
+    return doc["threshold"]["N"] / lam, doc["contraction"]["k"], doc["contraction"]["c1"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from(sorted(MODELS)), lam=st.floats(0.25, 4.0))
+def test_certificate_scales_with_any_time_unit(model, lam):
+    # for lam not a power of two the scalings round: k is equal, c1 within
+    # 1e-9 relative, and N within the search's bracket of 1e-3 N
+    N, k, c1 = threshold_and_contraction(model, 1.0)
+    N_lam, k_lam, c1_lam = threshold_and_contraction(model, lam)
+    assert k_lam == k
+    assert math.isclose(c1_lam, c1, rel_tol=1e-9, abs_tol=0.0)
+    assert abs(N_lam - N) <= 1e-3 * N
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("shift", [1, 5, 31])
+def test_time_shift_keeps_the_spectrum(order, shift):
+    # 63 samples on the 64-point base-time grid of [0, T]: rolling them by
+    # `shift` cells shifts b by `shift` grid steps
+    t_grid, xi_grid = np.linspace(0.0, 1.0, 64), np.linspace(0.0, 14.0, 64)
+    u = np.arange(63) / 63
+    values = 1.0 + 0.5 * np.sin(2.0 * np.pi * u) + 0.3 * np.cos(6.0 * np.pi * u)
+
+    def scan(samples):
+        spec = ModelSpec(PeriodicCoefficient.from_samples(samples, 1.0, order=order), 1.0)
+        return samples_from_grid(t_grid, xi_grid, monodromy_grid(spec, t_grid, xi_grid))
+
+    base, shifted = scan(values), scan(np.roll(values, -shift))
+    assert np.max(np.abs(shifted.eig - base.eig)) <= 1e-13
+    assert np.allclose(shifted.rho, base.rho, rtol=1e-13, atol=0.0)
+    assert np.array_equal(shifted.real_pair, base.real_pair)
+    assert np.allclose(shifted.norm[: 64 - shift], base.norm[shift:], rtol=1e-13, atol=0.0)
