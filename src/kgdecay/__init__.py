@@ -33,7 +33,6 @@ from .perturbation import (
     EpsilonBound,
     epsilon_bound,
     lambert_w0,
-    perturbed_certificate,
     verify_perturbed_contraction,
     verify_perturbed_highfreq,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "gamma_curve",
     "lambert_w0",
     "monodromy_grid",
-    "perturbed_certificate",
     "propagate_grid",
     "samples_from_grid",
     "scan_to_csv",

@@ -31,6 +31,9 @@ VERDICT_FAIL = "Fail"
 # Domination slack: the curve must stay below bound * (1 + this).
 DOMINATION_SLACK = 1e-3
 
+# Simpson cells per period of the mass-influence diagnostic; an even count.
+GAMMA_POINTS_PER_PERIOD = 4096
+
 
 @dataclass
 class DecayReport:
@@ -94,31 +97,27 @@ def sup_norm_curve(
     t_end: float,
     nxi_low: int = 256,
     nxi_high: int = 64,
-    xi_grid=None,
     tol: float = DEFAULT_TOL,
 ) -> DecayReport:
     """Evolve sup over frequencies of ||E(t, 0, xi)|| up to ``t_end``.
 
-    The time grid holds every multiple of T/4 up to ``t_end``.  Frequencies
-    default to the union of nxi_low points on [0, N] and nxi_high points on
-    [N, 4N]; pass ``xi_grid`` to override.  Each time t = l T + s is evaluated
-    as ||M(s, xi)^l E(s, 0, xi)||, composed by
-    :func:`~kgdecay.monodromy._period_products` from checkpointed sweeps
-    over [0, T]: one per default band, or one for a given ``xi_grid``.  A sweep
-    integrates the four quarter periods (split further at coefficient jumps)
-    as one batch on one step sequence, set by the hardest frequency and
-    quarter, so the low band does not take the high band's steps.  The rate is
+    The time grid holds every multiple of T/4 up to ``t_end``.  The
+    frequencies are the union of nxi_low points on [0, N] and nxi_high points
+    on [N, 4N].  Each time t = l T + s is evaluated as
+    ||M(s, xi)^l E(s, 0, xi)||, composed by
+    :func:`~kgdecay.monodromy._period_products` from one checkpointed sweep
+    over [0, T] per band.  A sweep integrates the four quarter periods (split
+    further at coefficient jumps) as one batch on one step sequence, set by
+    the hardest frequency and quarter, so the low band does not take the high
+    band's steps.  The rate is
     fitted after a burn-in of 2kT; the mass-influence diagnostic is added when
     b > 0 everywhere.
     """
     T, k = spec.T, cert.k
     if not (math.isfinite(t_end) and t_end >= 10.0 * k * T):
         raise ValueError(f"t_end must be finite and at least 10 kT = {10.0 * k * T:g}, got {t_end}")
-    if xi_grid is None:
-        _require_points(nxi_low=nxi_low, nxi_high=nxi_high)
-        bands = [np.linspace(0.0, cert.N, nxi_low), np.linspace(cert.N, 4.0 * cert.N, nxi_high)]
-    else:
-        bands = [np.asarray(xi_grid, dtype=float)]
+    _require_points(nxi_low=nxi_low, nxi_high=nxi_high)
+    bands = [np.linspace(0.0, cert.N, nxi_low), np.linspace(cert.N, 4.0 * cert.N, nxi_high)]
 
     n_steps = int(math.floor(t_end / (T / 4.0) + 1e-9))
     times = np.arange(n_steps + 1) * (T / 4.0)
@@ -157,21 +156,20 @@ def sup_norm_curve(
     )
 
 
-def gamma_curve(spec: ModelSpec, times, points_per_period: int = 4096) -> np.ndarray:
+def gamma_curve(spec: ModelSpec, times) -> np.ndarray:
     """Mass-influence diagnostic exp(-int_0^t m^2(tau)/b(tau) dtau) on an ascending time grid.
 
     Monotone non-increasing in t.  The integrand is T-periodic, so one
-    cumulative pass over [0, T], on points_per_period cells (an even count,
-    at least 130), gives the integral at every t = l T + s as l I(T) + I(s).
+    cumulative pass over [0, T], on GAMMA_POINTS_PER_PERIOD cells, gives the
+    integral at every t = l T + s as l I(T) + I(s).
     Requires strictly positive dissipation.
     """
     if not spec.b_strictly_positive:
         raise ModelAssumptionError("the mass-influence diagnostic requires b > 0")
     times = np.asarray(times, dtype=float)
     T = spec.T
-    n = 2 * max(65, points_per_period // 2) + 1
-    tau = np.linspace(0.0, T, n)
-    cum = _cumulative_simpson_uniform(spec.m_squared(tau) / spec.b.eval(tau), T / (n - 1))
+    tau = np.linspace(0.0, T, GAMMA_POINTS_PER_PERIOD + 1)
+    cum = _cumulative_simpson_uniform(spec.m_squared(tau) / spec.b.eval(tau), T / GAMMA_POINTS_PER_PERIOD)
     periods, offsets = np.divmod(times, T)
     return np.exp(-(periods * cum[-1] + np.interp(offsets, tau, cum)))
 

@@ -18,7 +18,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .coefficients import ModelSpec, PeriodicCoefficient
 from .errors import (
     ConfigError,
     FitError,
-    FrameError,
     IntegrationFailureError,
     InvalidCoefficientError,
     KgDecayError,
@@ -49,7 +48,7 @@ EXIT_CODES = (
     ((ConfigError, InvalidCoefficientError), EXIT_CONFIG, "config error"),
     ((ModelAssumptionError,), EXIT_MODEL, "model assumption violated"),
     ((ThresholdSearchError, NoContractionError), EXIT_CERTIFICATE, "certificate failure"),
-    ((IntegrationFailureError, FrameError, FitError), EXIT_NUMERICAL, "numerical failure"),
+    ((IntegrationFailureError, FitError), EXIT_NUMERICAL, "numerical failure"),
 )
 
 STAGES = ("threshold", "contraction", "epsilon", "decay")
@@ -78,7 +77,8 @@ DEFAULT_TOLERANCES = {
 }
 
 # Smallest accepted value of each grid setting (1 unless listed).  The decay
-# curve must span at least 10 kT, and k >= 1.
+# curve must span at least 10 kT, and k >= 1.  An unset decay_periods is the
+# horizon max(DEFAULT_GRIDS["decay_periods"], 10 k), taken once k is known.
 GRID_MIN = {"decay_periods": 10}
 
 # The keys each section reads; any other key is a config error, so a typo
@@ -210,7 +210,7 @@ def load_config(path, out_override=None, stage_override=None) -> RunConfig:
     if "contraction" in stages and m0 <= 0.0:
         raise ModelAssumptionError("the contraction stage requires m0 > 0")
 
-    grids = dict(DEFAULT_GRIDS)
+    grids = dict(DEFAULT_GRIDS, decay_periods=None)
     if "grids" in cp:
         for key, val in cp["grids"].items():
             if key not in grids:
@@ -279,12 +279,13 @@ def _run_stages(config: RunConfig, out: Path) -> int:
     margin = float(config.tolerances["contraction_margin"])
     g = config.grids
     perturbed = spec.epsilon > 0.0
+    grids_doc = {key: DEFAULT_GRIDS[key] if value is None else value for key, value in sorted(g.items())}
 
     cert_doc = {
         "schema_version": 2,
         "stages": list(config.stages),
         "model": spec.describe(),
-        "grids": dict(sorted(g.items())),
+        "grids": grids_doc,
         "tolerances": dict(sorted(config.tolerances.items())),
         "unchecked_assumptions": [
             "essential boundedness of b' is assumed, not verified from samples"
@@ -367,15 +368,22 @@ def _run_stages(config: RunConfig, out: Path) -> int:
         verdicts["epsilon"] = certify.VERDICT_PASS if ok else certify.VERDICT_FAIL
 
     if "decay" in config.stages:
-        if g["decay_periods"] < 10 * cert.k:
-            raise ConfigError(
-                f"decay_periods = {g['decay_periods']} is shorter than 10 k = {10 * cert.k} periods"
+        periods = g["decay_periods"]
+        if periods is None:
+            periods = grids_doc["decay_periods"] = max(DEFAULT_GRIDS["decay_periods"], 10 * cert.k)
+        elif periods < 10 * cert.k:
+            raise ConfigError(f"decay_periods = {periods} is shorter than 10 k = {10 * cert.k} periods")
+        if perturbed and not ok_pc:
+            raise NoContractionError(
+                f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {pert_worst:.6g})",
+                worst=(math.nan, math.nan, pert_worst),
             )
-        cert_eff = perturbation.perturbed_certificate(cert, pert_worst) if perturbed else cert
+        # the verified bound on sup ||M_eps^k|| replaces c1; N and k carry over
+        cert_eff = replace(cert, c1=pert_worst) if perturbed else cert
         report = certify.sup_norm_curve(
             spec,
             cert_eff,
-            t_end=g["decay_periods"] * spec.T,
+            t_end=periods * spec.T,
             nxi_low=g["decay_xi_low_points"],
             nxi_high=g["decay_xi_high_points"],
             tol=tol,

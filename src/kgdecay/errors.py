@@ -21,16 +21,12 @@ class IntegrationFailureError(KgDecayError):
         self.t_fail = t_fail
 
 
-class FrameError(KgDecayError):
-    """The diagonalization frame is (near-)singular at the requested point."""
-
-
 class ThresholdSearchError(KgDecayError):
     """The frequency-threshold search exhausted its range without success."""
 
 
 class NoContractionError(KgDecayError):
-    """No uniform contraction power was found up to k_max; carries the worst sample."""
+    """No uniform contraction power was found up to CONTRACTION_K_MAX; carries the worst sample."""
 
     def __init__(self, message: str, worst: tuple):
         super().__init__(message)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import ModelSpec, _sorted_unique
-from .errors import FrameError, ThresholdSearchError
+from .errors import ThresholdSearchError
 from .monodromy import _write_csv, monodromy_grid
 from .propagator import DEFAULT_TOL, _cumulative_simpson_uniform, spectral_norm_2x2
 
@@ -299,7 +299,8 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     node 0 of each piece, from the composite Simpson totals of the pieces.
     The mass must be constant: the phase is then exactly sqrt(xi^2 + m0^2) t.
     b depends on the grid alone, not on xi, and is evaluated once per grid.
-    Raises FrameError when the corrector degenerates anywhere on [0, 2T].
+    Returns inf when the corrector degenerates anywhere on [0, 2T]: the
+    frame is then unusable, and no bound follows from it.
     """
     _require_points(t_points=t_points, refine=refine)
     if spec.epsilon > 0.0:
@@ -322,7 +323,7 @@ def suplarge_quantity(spec: ModelSpec, xi: float, t_points: int = SUP_T_POINTS, 
     r = np.abs(c)
     gap = np.abs(1.0 - r)
     if float(np.min(gap * (1.0 + r))) < FRAME_DET_GUARD:
-        raise FrameError(f"corrector near-singular on [0, 2T] at xi = {xi}")
+        return math.inf
     # int ||R2|| from 0 to node 0 of each piece, pieces of [0, T] then of [T, 2T]
     totals = _simpson_totals(np.abs(b) * r / gap, step).ravel()
     r2_cum = np.concatenate(([0.0], np.cumsum(totals[:-1])))
@@ -336,7 +337,7 @@ def _require_points(**counts):
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above=None, refine: int = 1):
+def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_above: float, refine: int = 1):
     """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame
     product, and the first frequency that attains it.
 
@@ -347,10 +348,10 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
     scan.  The bound holds for the massless symbol and, through the shift
     xi -> sqrt(xi^2 + m0^2), for any constant mass.
 
-    With ``stop_above`` set, the scan also stops at the first value beyond it
-    (the window is already disqualified); the returned value is then only a
-    lower bound for the true supremum.  ``refine`` multiplies the starting
-    count of every profile.
+    The scan also stops at the first value beyond ``stop_above`` (the window
+    is already disqualified); the returned value is then only a lower bound
+    for the true supremum.  ``refine`` multiplies the starting count of every
+    profile.
     """
     beta_t = spec.beta * spec.T
     top, at = -math.inf, math.nan
@@ -358,25 +359,18 @@ def _window_sup(spec: ModelSpec, N: float, xi_points: int, t_points: int, stop_a
         x = float(x)
         if top > -math.inf and _tail_bound(spec.b, beta_t, x) <= top:
             break
-        try:
-            value = suplarge_quantity(spec, x, t_points, refine)
-        except FrameError:
-            value = math.inf
+        value = suplarge_quantity(spec, x, t_points, refine)
         if value > top:
             top, at = value, x
-        if stop_above is not None and value > stop_above:
+        if value > stop_above:
             break
     return top, at
 
 
 def _refinement_change(spec: ModelSpec, xi: float, value: float, t_points: int, refine: int) -> float:
     """How far the frame product ``value`` at ``xi``, taken at ``refine``,
-    moves with twice the intervals per piece; a FrameError counts as inf, and
-    inf to inf is 0."""
-    try:
-        fine = suplarge_quantity(spec, xi, t_points, 2 * refine)
-    except FrameError:
-        fine = math.inf
+    moves with twice the intervals per piece; inf to inf is 0."""
+    fine = suplarge_quantity(spec, xi, t_points, 2 * refine)
     return 0.0 if fine == value else abs(fine - value)
 
 

@@ -36,6 +36,9 @@ RHO_BLOCKER_TOL = 1e-9
 # Contraction margin: the grid supremum of ||M^k|| must fall below 1 - margin.
 DEFAULT_CONTRACTION_MARGIN = 1e-3
 
+# The contraction search tries the powers k = 1, ..., CONTRACTION_K_MAX.
+CONTRACTION_K_MAX = 64
+
 # M(t, xi) may differ from M(0, xi) in trace or determinant by at most this.
 MONODROMY_DRIFT_TOL = 1e-6
 
@@ -205,18 +208,14 @@ def power_norms(M_grid: np.ndarray, k: int) -> np.ndarray:
     return spectral_norm_2x2(P)
 
 
-def contraction_search(
-    M_grid: np.ndarray, scan: MonodromyScan, k_max: int = 64, margin: float = DEFAULT_CONTRACTION_MARGIN
-):
-    """Smallest k with sup ||M^k|| <= 1 - margin over a precomputed grid.
+def contraction_search(M_grid: np.ndarray, scan: MonodromyScan, margin: float = DEFAULT_CONTRACTION_MARGIN):
+    """Smallest k <= CONTRACTION_K_MAX with sup ||M^k|| <= 1 - margin over a precomputed grid.
 
     ``scan`` is the :func:`samples_from_grid` record of ``M_grid``: its
     spectral radii block the search when one reaches 1 - RHO_BLOCKER_TOL, its
     norms are those of the first power, and its t and xi name the witnesses.
     Only the higher powers are formed here.  Returns (k, c1).
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if M_grid.size == 0:
         raise ValueError(f"the grid holds no matrices: shape {M_grid.shape}")
     if np.max(scan.rho) >= 1.0 - RHO_BLOCKER_TOL:
@@ -228,17 +227,17 @@ def contraction_search(
         )
 
     P, norms = M_grid, scan.norm
-    for k in range(1, k_max + 1):
+    for k in range(1, CONTRACTION_K_MAX + 1):
         worst = float(np.max(norms))
         if worst <= 1.0 - margin:
             return k, worst
-        if k < k_max:
+        if k < CONTRACTION_K_MAX:
             P = P @ M_grid
             norms = spectral_norm_2x2(P)
     it, ix = np.unravel_index(int(np.argmax(norms)), norms.shape)
     raise NoContractionError(
-        f"no k <= {k_max} achieves grid-sup ||M^k|| <= {1.0 - margin}; "
-        f"worst ||M^{k_max}|| = {worst:.6g} at (t={scan.t[it]:.6g}, xi={scan.xi[ix]:.6g})",
+        f"no k <= {CONTRACTION_K_MAX} achieves grid-sup ||M^k|| <= {1.0 - margin}; "
+        f"worst ||M^{CONTRACTION_K_MAX}|| = {worst:.6g} at (t={scan.t[it]:.6g}, xi={scan.xi[ix]:.6g})",
         worst=(float(scan.t[it]), float(scan.xi[ix]), worst),
     )
 

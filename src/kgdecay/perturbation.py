@@ -30,13 +30,12 @@ The tests add a third check: the Gronwall difference bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import highfreq
 from .coefficients import ModelSpec
-from .errors import NoContractionError
 from .highfreq import LOG_FLOAT_MAX, VERIFY_SLACK, _require_points
 from .monodromy import ContractionCertificate, monodromy_grid, power_norms
 from .propagator import DEFAULT_TOL
@@ -216,21 +215,3 @@ def verify_perturbed_contraction(
     M = monodromy_grid(spec_eps, t_grid, xi_grid, tol)
     worst = float(np.max(power_norms(M, cert.k)))
     return worst < 1.0 - PERTURBED_CONTRACTION_SLACK, worst, "sweep"
-
-
-def perturbed_certificate(cert: ContractionCertificate, worst: float) -> ContractionCertificate:
-    """Certificate whose c1 is the verified bound on the perturbed contraction.
-
-    The threshold N and power k carry over; c1 (and so delta1, C) is replaced
-    by ``worst``, the bound on the grid supremum of ||M_eps^k|| from
-    :func:`verify_perturbed_contraction` on the same model and certificate:
-    the closed-form bound, or the directly scanned supremum.
-    Raises NoContractionError when that supremum is not contractive; its
-    ``worst`` carries the norm only, as (nan, nan, norm).
-    """
-    if not worst < 1.0 - PERTURBED_CONTRACTION_SLACK:
-        raise NoContractionError(
-            f"perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})",
-            worst=(math.nan, math.nan, worst),
-        )
-    return replace(cert, c1=worst)

@@ -88,12 +88,12 @@ def propagate(spec, s, t, xi, tol=DEFAULT_TOL):
     return complex_form(propagate_grid(spec, s, t, [xi], tol)[0][0])
 
 
-def contraction_k(spec, N, k_max=64, nt=64, nxi=256, margin=1e-3):
+def contraction_k(spec, N, nt=64, nxi=256, margin=1e-3):
     """(k, c1) of the contraction search on t in [0, T] (nt points), xi in [0, N] (nxi points)."""
     t_grid = np.linspace(0.0, spec.T, nt)
     xi_grid = np.linspace(0.0, N, nxi)
     M = monodromy_grid(spec, t_grid, xi_grid)
-    return contraction_search(M, samples_from_grid(t_grid, xi_grid, M), k_max, margin)
+    return contraction_search(M, samples_from_grid(t_grid, xi_grid, M), margin)
 
 
 def certificate(spec, N, nt, nxi):

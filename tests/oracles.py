@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import nquad, quad, solve_ivp
 
 from kgdecay import det2, highfreq, propagate_grid
-from kgdecay.errors import FrameError, ModelAssumptionError
+from kgdecay.errors import ModelAssumptionError
 from kgdecay.highfreq import WINDOW_FACTOR
 from kgdecay.propagator import DEFAULT_TOL, _cumulative_simpson_uniform
 
@@ -171,8 +171,8 @@ def monodromy_at(spec, t, xi, tol=DEFAULT_TOL, base=None):
     return Et0 @ np.asarray(base, dtype=complex) @ inv2(Et0)
 
 
-def scalar_monodromy(spec, xi):
-    """Monodromy over [0, T] of u'' + 2 b(t) u' + h(t, xi)^2 u = 0 in the state (u, u').
+def scalar_monodromy(spec, xi, t0=0.0):
+    """Monodromy over [t0, t0 + T] of u'' + 2 b(t) u' + h(t, xi)^2 u = 0 in the state (u, u').
 
     The Klein-Gordon equation itself, integrated by solve_ivp (DOP853,
     rtol 1e-12, atol 1e-14) between the coefficient breakpoints, with no use
@@ -183,7 +183,7 @@ def scalar_monodromy(spec, xi):
         u, v = y
         return [v, -2.0 * float(spec.b.eval(t)) * v - float(symbol(spec, t, xi)) ** 2 * u]
 
-    ends = np.concatenate([[0.0], spec.breakpoints_in(0.0, spec.T), [spec.T]])
+    ends = np.concatenate([[t0], spec.breakpoints_in(t0, t0 + spec.T), [t0 + spec.T]])
     M = np.eye(2)
     for t0, t1 in zip(ends[:-1], ends[1:]):
         for j in range(2):
@@ -299,19 +299,16 @@ def frame_ode_residual(spec, xi, per_period=0):
     return res
 
 
-def window_sup_full_scan(spec, N, xi_points, t_points, stop_above=None, refine=1):
+def window_sup_full_scan(spec, N, xi_points, t_points, stop_above, refine=1):
     """sup over xi in [N, WINDOW_FACTOR * N] (xi_points samples) of the frame product
     at ``refine`` times the starting count, and the first frequency that
-    attains it, evaluating every frequency; with ``stop_above`` set, the scan
-    stops at the first value beyond it, as in the package."""
+    attains it, evaluating every frequency until the first value beyond
+    ``stop_above``, as in the package."""
     xis, vals = [], []
     for x in np.linspace(N, WINDOW_FACTOR * N, xi_points):
         xis.append(float(x))
-        try:
-            vals.append(highfreq.suplarge_quantity(spec, xis[-1], t_points, refine))
-        except FrameError:
-            vals.append(math.inf)
-        if stop_above is not None and vals[-1] > stop_above:
+        vals.append(highfreq.suplarge_quantity(spec, xis[-1], t_points, refine))
+        if vals[-1] > stop_above:
             break
     top = int(np.argmax(vals))
     return float(vals[top]), xis[top]

@@ -67,7 +67,7 @@ def certificates(specs_m1, thresholds):
     certs = {}
     for name, spec in specs_m1.items():
         N = thresholds[name].N
-        k, c1 = contraction_k(spec, N, k_max=64, nt=CONTRACTION_NT, nxi=CONTRACTION_NXI)
+        k, c1 = contraction_k(spec, N, nt=CONTRACTION_NT, nxi=CONTRACTION_NXI)
         certs[name] = ContractionCertificate(N, k, c1, spec.beta, spec.T)
     return certs
 
@@ -135,7 +135,7 @@ def test_criterion_5_contraction_power_search(profiles, thresholds):
             N = thresholds[name].N
             for m0 in (0.5, 1.0):
                 spec = ModelSpec(b, m0)
-                k, c1 = contraction_k(spec, N, k_max=64, nt=64, nxi=256)
+                k, c1 = contraction_k(spec, N, nt=64, nxi=256)
                 assert k <= 64 and 0.0 < c1 < 1.0
                 M2 = monodromy_grid(
                     spec, np.linspace(0.0, spec.T, 128), np.linspace(0.0, N, 512)

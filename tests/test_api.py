@@ -1,10 +1,12 @@
 """The public API holds only what the pipeline uses."""
 
 import ast
+import inspect
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import kgdecay
@@ -58,6 +60,60 @@ def test_every_function_and_method_is_used_by_the_package():
     referenced = _referenced_names()
     unused = sorted(qualified for qualified, name in _defined_functions() if name not in referenced)
     assert not unused, f"defined but unused inside the package: {unused}"
+
+
+def _package_calls():
+    """name -> [(positional count, keyword names)] of every call inside the
+    package, the name being the called name or attribute; a starred argument
+    counts as every position, a ``**`` argument as every keyword."""
+    calls = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append((math.inf if starred else len(node.args), keywords))
+    return calls
+
+
+def _public_signatures():
+    """(qualified name, called name, parameters as a call passes them) of every
+    function in ``kgdecay.__all__``, and of the constructor and public methods
+    of every class there."""
+    for export in kgdecay.__all__:
+        obj = getattr(kgdecay, export)
+        if inspect.isfunction(obj):
+            yield export, export, list(inspect.signature(obj).parameters.values())
+        elif inspect.isclass(obj):
+            yield export, export, list(inspect.signature(obj).parameters.values())
+            for name, member in vars(obj).items():
+                if name.startswith("_") or not isinstance(member, (staticmethod, classmethod, types.FunctionType)):
+                    continue
+                params = list(inspect.signature(getattr(obj, name)).parameters.values())
+                if inspect.isfunction(member):
+                    params = params[1:]  # an instance method's call passes self implicitly
+                yield f"{export}.{name}", name, params
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    # a default that no call inside the package overrides is a knob only the
+    # tests turn; such a setting belongs in a module constant
+    calls = _package_calls()
+    unset = []
+    for qualified, name, params in _public_signatures():
+        for pos, param in enumerate(params):
+            if param.default is param.empty:
+                continue
+            positional = param.kind is not param.KEYWORD_ONLY
+            if not any(
+                (positional and pos < n_pos) or param.name in kws or None in kws
+                for n_pos, kws in calls.get(name, ())
+            ):
+                unset.append(f"{qualified}.{param.name}")
+    assert not unset, f"defaulted parameters that no call inside the package sets: {unset}"
 
 
 def test_cli_import_leaves_scipy_out():

@@ -15,14 +15,30 @@ from kgdecay import (
 from kgdecay import certify
 from kgdecay.certify import DecayReport, certified_bound, decay_to_csv
 from kgdecay.errors import FitError, ModelAssumptionError
+from kgdecay.monodromy import _period_products
+from kgdecay.propagator import DEFAULT_TOL, propagate_grid
 
 from conftest import CSV_EDGE_VALUES, certificate, contraction_k, propagate, strongly_damped, svd_norm
 from oracles import gamma_curve_long, monodromy_at, reference_csv
 
 
-def gamma_of(spec, t, points_per_period=4096):
+def gamma_of(spec, t):
     """gamma at one time, the end of its own grid."""
-    return float(gamma_curve(spec, [0.0, t], points_per_period)[-1])
+    return float(gamma_curve(spec, [0.0, t])[-1])
+
+
+def one_sweep_curve(spec, xi_grid, t_end):
+    """The quarter-period times up to ``t_end`` and max over ``xi_grid`` of
+    ||E(t, 0, xi)|| there, composed from one checkpointed sweep over [0, T]."""
+    T = spec.T
+    n_steps = int(math.floor(t_end / (T / 4.0) + 1e-9))
+    segments = propagate_grid(spec, 0.0, T, np.asarray(xi_grid, dtype=float), DEFAULT_TOL, np.arange(5) * (T / 4.0))[1]
+    P, M = (A[:4] for A in _period_products(segments))
+    curve = []
+    for _ in range(n_steps // 4 + 1):
+        curve.extend(np.max(svd_norm(P), axis=1))
+        P = M @ P
+    return np.arange(n_steps + 1) * (T / 4.0), np.array(curve[: n_steps + 1])
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +82,10 @@ class TestGamma:
         for t in (0.5, 1.0, 4.0):
             assert abs(gamma_of(spec_const, t) - math.exp(-t)) < 1e-10
 
-    def test_sampled_profile_against_refinement(self, spec_tri):
+    def test_sampled_profile_against_refinement(self, spec_tri, monkeypatch):
         a = gamma_of(spec_tri, 3.3)
-        b = gamma_of(spec_tri, 3.3, points_per_period=16384)
+        monkeypatch.setattr(certify, "GAMMA_POINTS_PER_PERIOD", 16384)
+        b = gamma_of(spec_tri, 3.3)
         assert abs(a - b) < 1e-8
 
     def test_monotone_non_increasing(self, spec_sin):
@@ -124,11 +141,12 @@ class TestSupNormCurve:
 
     @pytest.mark.parametrize("beta", [15.0, 17.0])
     def test_strong_damping_matches_direct(self, beta):
-        # every fifth quarter period, so each base offset is checked
+        # every fifth quarter period, so each base offset is checked; the
+        # bands are {0, 0.5, 1, 1.5, 2} and {2, 8}
         spec = strongly_damped(beta)
-        cert = ContractionCertificate(4.0, 1, 0.5, spec.beta, spec.T)
-        xi_grid = np.array([0.0, 0.5, 2.0, 8.0])
-        rep = sup_norm_curve(spec, cert, 10.0, xi_grid=xi_grid)
+        cert = ContractionCertificate(2.0, 1, 0.5, spec.beta, spec.T)
+        xi_grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 8.0])
+        rep = sup_norm_curve(spec, cert, 10.0, nxi_low=5, nxi_high=2)
         for t, got in list(zip(rep.time_grid, rep.sup_norm_curve))[::5]:
             direct = max(svd_norm(propagate(spec, 0.0, float(t), xi)) for xi in xi_grid)
             assert abs(got - direct) <= 1e-10 * direct
@@ -148,10 +166,11 @@ class TestSupNormCurve:
         monkeypatch.setattr(certify, "propagate_grid", counted)
         bands = sup_norm_curve(spec, cert, 12.0, nxi_low=48, nxi_high=16)
         union = np.concatenate([np.linspace(0.0, 8.0, 48), np.linspace(8.0, 32.0, 16)])
-        one = sup_norm_curve(spec, cert, 12.0, xi_grid=union)
-        assert sizes == [48, 16, 64]
-        assert np.allclose(bands.sup_norm_curve, one.sup_norm_curve, rtol=1e-12, atol=0.0)
-        assert bands.fitted_rate == pytest.approx(one.fitted_rate, rel=1e-12, abs=0.0)
+        times, one = one_sweep_curve(spec, union, 12.0)
+        assert sizes == [48, 16]
+        assert np.array_equal(bands.time_grid, times)
+        assert np.allclose(bands.sup_norm_curve, one, rtol=1e-12, atol=0.0)
+        assert bands.fitted_rate == pytest.approx(fit_rate(times, one, bands.burn_in)[0], rel=1e-12, abs=0.0)
 
     def test_high_band_bounded_by_delta0_envelope(self, spec_sin):
         from kgdecay import find_threshold_N
@@ -159,15 +178,9 @@ class TestSupNormCurve:
         thr = find_threshold_N(spec_sin, xi_points=32, t_points=32)
         k, c1 = contraction_k(spec_sin, thr.N, nt=16, nxi=64)
         cert = ContractionCertificate(thr.N, k, c1, spec_sin.beta, spec_sin.T)
-        rep = sup_norm_curve(
-            spec_sin,
-            cert,
-            t_end=10.0 * k,
-            xi_grid=np.linspace(thr.N, 4.0 * thr.N, 24),
-        )
-        delta0 = cert.delta0
-        envelope = np.exp(-delta0 * (rep.time_grid - spec_sin.T))
-        assert np.all(rep.sup_norm_curve <= envelope * (1.0 + 1e-6))
+        times, curve = one_sweep_curve(spec_sin, np.linspace(thr.N, 4.0 * thr.N, 24), 10.0 * k)
+        envelope = np.exp(-cert.delta0 * (times - spec_sin.T))
+        assert np.all(curve <= envelope * (1.0 + 1e-6))
 
     def test_domination_and_fit(self, spec_sin):
         k, c1 = contraction_k(spec_sin, N=8.0, nt=32, nxi=96)

@@ -22,8 +22,11 @@ from kgdecay.cli import (
     MODEL_KEYS,
     load_config,
     main,
+    parse_coefficient,
 )
-from kgdecay.errors import FitError, FrameError, IntegrationFailureError
+from kgdecay.errors import FitError, IntegrationFailureError
+
+from oracles import small_mass_rate
 
 FAST_GRIDS = """
 [grids]
@@ -296,7 +299,7 @@ class TestExitCodes:
         assert code == EXIT_CERTIFICATE
         assert err.startswith("certificate failure:") and "4194304 profile points" in err
 
-    @pytest.mark.parametrize("error", [FrameError, FitError])
+    @pytest.mark.parametrize("error", [FitError])
     def test_numerical_errors_exit_5(self, tmp_path, capsys, monkeypatch, error):
         def fail(*args, **kwargs):
             raise error("injected")
@@ -418,6 +421,35 @@ class TestExitCodes:
         assert "Traceback" not in err.getvalue()
         if extra is not None or any(k not in MODEL_KEYS for k in model):
             assert code == EXIT_CONFIG
+
+
+SMALL_MASS_B = {"sin_offset": "sin_offset mean=1.0 amp=0.5", "square": "square lo=0.2 hi=1"}
+
+
+class TestDecayHorizon:
+    """An unset decay_periods is max(40, 10 k) periods; a set one must reach 10 k."""
+
+    @pytest.mark.parametrize("name", sorted(SMALL_MASS_B))
+    def test_default_config_runs_at_small_mass(self, tmp_path, name):
+        # k reaches 21 at m0 = 0.01, where 40 periods are shorter than 10 k
+        r = small_mass_rate(parse_coefficient(SMALL_MASS_B[name], 1.0))
+        for m0 in (0.2, 0.05, 0.02, 0.01):
+            cfg = write_config(tmp_path, f"[model]\nT = 1.0\nb = {SMALL_MASS_B[name]}\nm0 = {m0}\n")
+            out = tmp_path / f"m{m0}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0, m0
+            cert = json.loads((out / "certificate.json").read_text())
+            contraction = cert["contraction"]
+            assert cert["grids"]["decay_periods"] == max(40, 10 * contraction["k"])
+            assert contraction["delta1"] <= contraction["spectral_rate"]
+            if m0 <= 0.05:
+                assert contraction["spectral_rate"] / m0**2 == pytest.approx(r, rel=0.01, abs=0.0), m0
+
+    def test_set_horizon_shorter_than_10k_exits_2(self, tmp_path, capsys):
+        # m0 = 0.02 on sin_offset needs k = 7
+        text = "[model]\nT = 1.0\nb = sin_offset mean=1.0 amp=0.5\nm0 = 0.02\n[grids]\ndecay_periods = 40\n"
+        code = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: decay_periods = 40 is shorter than 10 k = 70 periods\n"
 
 
 class TestDeterminism:

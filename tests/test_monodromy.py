@@ -159,6 +159,24 @@ MASS_TERM_MISSING = pytest.mark.xfail(
 )
 
 
+def _nonnegative_dissipations():
+    """b >= 0 with T in [0.5, 2]: the four closed forms, and step or linear samples."""
+    period = st.floats(0.5, 2.0)
+    level = st.floats(0.0, 2.0)
+    return st.one_of(
+        st.builds(lambda T, v: PeriodicCoefficient.from_closed_form("constant", T, value=v), period, level),
+        st.builds(lambda T, a, extra, ph: PeriodicCoefficient.from_closed_form(
+            "sin_offset", T, mean=a + extra, amp=a, phase=ph), period, st.floats(0.0, 1.0), level,
+                  st.floats(0.0, 2.0 * math.pi)),
+        st.builds(lambda T, lo, hi, d: PeriodicCoefficient.from_closed_form("square", T, lo=lo, hi=hi, duty=d),
+                  period, level, level, st.floats(0.01, 0.99)),
+        st.builds(lambda T, lo, hi: PeriodicCoefficient.from_closed_form("triangle", T, lo=lo, hi=hi),
+                  period, level, level),
+        st.builds(PeriodicCoefficient.from_samples, st.lists(level, min_size=2, max_size=16), period,
+                  st.sampled_from([0, 1])),
+    )
+
+
 class TestScalarEquation:
     @pytest.mark.parametrize("xi", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize(
@@ -174,6 +192,24 @@ class TestScalarEquation:
         ref = scalar_monodromy(spec, xi)
         assert abs(np.trace(got) - np.trace(ref)) < 1e-9
         assert abs(det2(got) - det2(ref)) < 1e-9
+
+    @pytest.mark.slow
+    @settings(max_examples=40, deadline=None)
+    @given(b=_nonnegative_dissipations(), m0=st.floats(0.05, 2.0), xi=st.floats(0.0, 20.0),
+           phase=st.floats(0.0, 1.0, exclude_max=True))
+    def test_norms_match_the_scalar_equation(self, b, m0, xi, phase):
+        # the real form is the scalar equation's monodromy over [t, t + T] in
+        # the state (h u, u'), h = sqrt(xi^2 + m0^2): D M_s D^-1, D = diag(h, 1)
+        spec = ModelSpec(b, m0)
+        t = phase * spec.T
+        got = monodromy_grid(spec, [t], [xi], 1e-12)
+        h = math.hypot(xi, m0)
+        ref = np.diag([h, 1.0]) @ scalar_monodromy(spec, xi, t) @ np.diag([1.0 / h, 1.0])
+        assert abs(np.trace(got[0, 0]) - np.trace(ref)) < 1e-9
+        assert abs(det2(got[0, 0]) - det2(ref)) < 1e-9
+        for k in range(1, 5):
+            want = np.linalg.norm(np.linalg.matrix_power(ref, k), 2)
+            assert abs(float(power_norms(got, k)[0, 0]) - want) < 1e-8, k
 
 
 class TestSpectralRadiusScan:
@@ -307,7 +343,7 @@ class TestRealFormInvariance:
         t_grid, xi_grid, M = grid
         E = complex_form(M)
         sups = [float(np.max(svd_norm(np.linalg.matrix_power(E, k)))) for k in range(1, 65)]
-        k, c1 = contraction_search(M, samples_from_grid(t_grid, xi_grid, M), 64, 1e-3)
+        k, c1 = contraction_search(M, samples_from_grid(t_grid, xi_grid, M), 1e-3)
         assert k == 1 + next(i for i, s in enumerate(sups) if s <= 1.0 - 1e-3)
         assert c1 == pytest.approx(sups[k - 1], rel=1e-13, abs=0.0)
         for k in range(1, 6):
@@ -412,7 +448,7 @@ class TestContractionSearch:
     def test_norm_dominates_spectral_radius_powers(self, spec_tri):
         t_grid, xi_grid = np.linspace(0, 1, 8), np.linspace(0, 5.0, 32)
         M = monodromy_grid(spec_tri, t_grid, xi_grid)
-        k, c1 = contraction_search(M, samples_from_grid(t_grid, xi_grid, M), 64)
+        k, c1 = contraction_search(M, samples_from_grid(t_grid, xi_grid, M))
         rho = np.max(np.abs(eigenvalues_2x2(M)), axis=-1)
         assert np.all(power_norms(M, k) >= rho**k - 1e-12)
 
@@ -427,24 +463,22 @@ class TestContractionSearch:
         M = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
         scan = samples_from_grid(0.25 + np.arange(16.0) / 64.0, np.linspace(3.0, 9.0, 16), M)
         with pytest.raises(NoContractionError) as err:
-            contraction_search(M, scan, 4, 1e-3)
+            contraction_search(M, scan, 1e-3)
         ix = int(np.argmax(scan.rho))
         assert err.value.worst == (0.25, scan.xi[ix], np.max(scan.rho))
 
     def test_powers_below_one_are_refused(self, spec_sin):
         M = monodromy_grid(spec_sin, [0.0, 0.5], [0.5, 2.0])
-        scan = samples_from_grid([0.0, 0.5], [0.5, 2.0], M)
         for k in (0, -1):
-            with pytest.raises(ValueError, match="k_max must be >= 1"):
-                contraction_search(M, scan, k)
             with pytest.raises(ValueError, match="k must be >= 1"):
                 power_norms(M, k)
         np.testing.assert_array_equal(power_norms(M, 1), spectral_norm_2x2(M))
 
-    def test_exhausted_power_budget_reports_worst(self, spec_sin):
+    def test_exhausted_power_budget_reports_worst(self, spec_sin, monkeypatch):
+        monkeypatch.setattr(monodromy, "CONTRACTION_K_MAX", 2)
         with pytest.raises(NoContractionError) as err:
             # an artificially deep margin cannot be met within two powers
-            contraction_k(spec_sin, N=6.0, k_max=2, nt=8, nxi=24, margin=0.7)
+            contraction_k(spec_sin, N=6.0, nt=8, nxi=24, margin=0.7)
         t_bad, xi_bad, worst = err.value.worst
         assert 0.0 <= t_bad <= 1.0 and 0.0 <= xi_bad <= 6.0 and worst > 0.3
 

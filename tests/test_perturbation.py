@@ -14,13 +14,12 @@ from kgdecay import (
     lambert_w0,
     monodromy_grid,
     perturbation,
-    perturbed_certificate,
     spectral_norm_2x2,
     verify_highfreq_contraction,
     verify_perturbed_contraction,
     verify_perturbed_highfreq,
 )
-from kgdecay.errors import NoContractionError
+from kgdecay import cli
 from kgdecay.monodromy import power_norms
 from kgdecay.perturbation import PERTURBED_CONTRACTION_SLACK, difference_bound
 
@@ -214,24 +213,43 @@ class TestPerturbedContraction:
         ok, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
         assert isinstance(ok, bool) and worst > 0.0
 
-    def test_perturbed_certificate_uses_verified_worst(self, spec_sin, sin_cert, m1_cos):
-        eb = epsilon_bound(sin_cert, 1.0)
-        spec_eps = ModelSpec(spec_sin.b, 1.0, eb.epsilon_max, m1_cos)
-        _, worst, _ = verify_perturbed_contraction(spec_eps, sin_cert, *contraction_grids(sin_cert, *SIN_GRID))
-        cert_eps = perturbed_certificate(sin_cert, worst)
-        assert cert_eps.c1 == worst
-        assert cert_eps.k == sin_cert.k and cert_eps.N == sin_cert.N
-        assert cert_eps.delta1 == math.log(1.0 / worst) / (sin_cert.k * sin_cert.T)
-
-    def test_perturbed_certificate_raises_when_not_contractive(self, m1_cos):
-        # without damping no monodromy power contracts
-        b = PeriodicCoefficient.from_closed_form("constant", 1.0, value=0.0)
-        spec_eps = ModelSpec(b, 1.0, 0.5, m1_cos)
-        cert = ContractionCertificate(4.0, 1, 0.99, spec_eps.beta, spec_eps.T)
-        _, worst, _ = verify_perturbed_contraction(spec_eps, cert, *contraction_grids(cert, 4, 33))
-        with pytest.raises(NoContractionError) as err:
-            perturbed_certificate(cert, worst)
-        assert err.value.worst[2] >= 1.0 - 1e-6
+    def test_uncontractive_perturbed_run_exits_4(self, tmp_path, capsys):
+        # at m0 = 1e-3 the largest ||M|| is about 1 - 8e-8: within the
+        # configured margin of 5e-8, so k = 1, but not within the perturbed
+        # slack of 1e-6, so the decay stage refuses the run
+        text = """
+[model]
+T = 1.0
+b = sin_offset mean=1.0 amp=0.5
+m0 = 0.001
+epsilon = 5e-7
+m1 = sin_offset mean=0.0 amp=1.0
+[run]
+stages = threshold contraction decay
+[grids]
+threshold_xi_points = 32
+threshold_t_points = 32
+contraction_t_points = 16
+contraction_xi_points = 48
+[tolerances]
+contraction_margin = 5e-8
+"""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CERTIFICATE
+        assert not (out / "certificate.json").exists()
+        config = cli.load_config(cfg)
+        with np.load(out / "monodromy_scan.npz") as scan:
+            c1 = float(np.max(scan["norm"]))
+            t_grid, xi_grid = scan["t"], scan["xi"]
+        assert c1 <= 1.0 - 5e-8
+        cert = ContractionCertificate(float(xi_grid[-1]), 1, c1, config.spec.beta, config.spec.T)
+        ok, worst, route = verify_perturbed_contraction(config.spec, cert, t_grid, xi_grid)
+        assert (ok, route) == (False, "sweep") and worst >= 1.0 - PERTURBED_CONTRACTION_SLACK
+        assert capsys.readouterr().err == (
+            f"certificate failure: perturbed monodromy power is not contractive (sup ||M_eps^k|| = {worst:.6g})\n"
+        )
 
     def test_bound_route_when_it_decides(self, spec_sin, sin_cert, m1_cos, monkeypatch):
         # the closed-form bound c1 + expm1(k eps T / m0) decides, and nothing is swept
