@@ -109,9 +109,8 @@ def sup_norm_curve(
     over [0, T] per band.  A sweep integrates the four quarter periods (split
     further at coefficient jumps) as one batch on one step sequence, set by
     the hardest frequency and quarter, so the low band does not take the high
-    band's steps.  The rate is
-    fitted after a burn-in of 2kT; the mass-influence diagnostic is added when
-    b > 0 everywhere.
+    band's steps.  The rate is fitted after a burn-in of 2kT; the
+    mass-influence diagnostic is added when b > 0 everywhere.
     """
     T, k = spec.T, cert.k
     if not (math.isfinite(t_end) and t_end >= 10.0 * k * T):
